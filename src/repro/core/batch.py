@@ -33,12 +33,13 @@ shapes past the dense-eigensolver cutoff — transparently falls back to
 per-instance :func:`~repro.core.decision.decision_psdp` calls with the
 same per-index rng streams, so the contract above holds unconditionally.
 
-Inside a fused group every instance keeps its **own** oracle, Taylor
-engine, trace estimator, psi state, supervisor and work-depth tracker;
-only the shape-uniform numeric kernels are batched.  Per-instance
-termination masks let instances exit as they certify (primal/dual early
-exits, budget exhaustion, loop-condition exits); the surviving rows are
-recompacted so the batched GEMMs never carry dead instances.
+Inside a fused group every instance is its **own**
+:class:`~repro.core.decision.DecisionRun` — oracle, Taylor engine, trace
+estimator, psi state, supervisor, tracker, exits and captures — and only
+the shape-uniform numeric kernels of the oracle pass are batched.
+Instances exit as they certify (primal/dual early exits, budget
+exhaustion, loop-condition exits); the surviving rows are recompacted so
+the batched GEMMs never carry dead instances.
 
 Fault isolation
 ---------------
@@ -56,7 +57,6 @@ the ejection.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Any, Sequence
 
 import numpy as np
@@ -64,7 +64,6 @@ import numpy as np
 from repro.backend import NUMPY, get_array_backend
 from repro.config import get_config
 from repro.exceptions import BudgetExhaustedError, InvalidProblemError
-from repro.linalg.expm import expm_normalized
 from repro.linalg.norms import batched_spectral_norm_power
 from repro.linalg.sketching import jl_dimension
 from repro.linalg.taylor import taylor_degree
@@ -72,31 +71,27 @@ from repro.linalg.taylor_gram import batched_gram_taylor_apply
 from repro.linalg.trace_estimation import batched_gram_exp_trace, select_trace_mode
 from repro.operators.collection import ConstraintCollection
 from repro.operators.packed import PackedGramFactors, batched_segment_sums
-from repro.parallel.backends import SerialBackend
-from repro.parallel.workdepth import WorkDepthTracker
 from repro.robustness.faultinject import fault_hook_array
-from repro.robustness.supervisor import FastPathSupervisor
-from repro.core.checkpoint import capture_checkpoint
+# Fused instances capture through their DecisionRun; the name stays
+# importable here because perfbench/tracing.py patches it at this module.
+from repro.core.checkpoint import capture_checkpoint  # noqa: F401
 from repro.core.decision import (
     DecisionOptions,
-    DecisionParameters,
+    DecisionRun,
     _resolve_constraints,
     decision_psdp,
     resolve_decision_options,
 )
-from repro.core.dotexp import make_oracle, oracle_engine_metadata
-from repro.core.psi_state import make_psi_state
-from repro.core.result import DecisionOutcome, DecisionResult, SolveStatus
-from repro.utils.random_utils import RandomState, spawn_generators
+from repro.core.result import DecisionResult, SolveStatus
+from repro.utils.random_utils import RandomState
 
 __all__ = ["instance_rng", "solve_many"]
 
 #: ``top_eigenvalue``'s dense-eigensolver cutoff: at ``m`` at or below it
-#: every ``lambda_max`` goes through the deterministic dense path
-#: (materialise + ``eigvalsh``).  Above it ARPACK's process-global starting
-#: residual makes eigenvalue calls depend on cross-instance call order, so
-#: lockstep would break the bitwise equivalence contract — those instances
-#: take the sequential fallback instead.
+#: every ``lambda_max`` is an exact ``eigvalsh``.  Lanczos above it starts
+#: from each run's own spawned generator, so lockstep order could not
+#: perturb it either; the fusion gate stays at this bound because moving
+#: it would change which requests fuse.
 _DENSE_EIG_CUTOFF = 64
 
 
@@ -136,10 +131,9 @@ def _fused_key(
     The fused loop reproduces the sequential solver bit-for-bit only on the
     configuration the batched kernels mirror: the fast oracle's
     degenerate-sketch Gram path over dense exact-factor stacks, implicit
-    psi state, supervised, no history/primal tracking, no wall clock (the
+    psi state, no history/primal tracking, no wall clock (the
     per-iteration elapsed() reads would diverge between lockstep and
-    sequential runs), and small enough ``m`` that every eigenvalue call is
-    the deterministic dense path.
+    sequential runs), and ``m`` at most :data:`_DENSE_EIG_CUTOFF`.
     """
     if not (isinstance(opts.oracle, str) and opts.oracle == "fast"):
         return None
@@ -148,8 +142,6 @@ def _fused_key(
     if not get_array_backend(opts.array_backend).is_numpy:
         # The fused lockstep kernels are NumPy-resident; non-NumPy array
         # backends take the sequential per-instance path.
-        return None
-    if not opts.supervise:
         return None
     if opts.collect_history:
         return None
@@ -190,88 +182,6 @@ def _fused_key(
     return (m, len(constraints), tuple(int(r) for r in packed.ranks))
 
 
-class _FusedInstance:
-    """One instance's private solver objects inside a fused group.
-
-    Mirrors the sequential solver's setup (same construction order, same
-    rng consumption, same initial charges) so every per-instance object —
-    oracle, engine, trace estimator, psi state, supervisor, tracker —
-    evolves exactly as it would under ``decision_psdp``.
-    """
-
-    def __init__(
-        self, index: int, problem: Any, constraints: ConstraintCollection,
-        opts: DecisionOptions, traces: np.ndarray, rng_index: int | None = None,
-    ) -> None:
-        self.index = index
-        # The rng stream is keyed by ``rng_index`` (defaults to the batch
-        # position): callers that re-batch the same logical request across
-        # calls (the solve service) pin it so the stream follows the
-        # request, not its position in whatever batch it lands in.
-        self.rng_index = index if rng_index is None else rng_index
-        self.problem = problem
-        self.constraints = constraints
-        self.opts = opts
-        self.result: DecisionResult | None = None
-        self.last_values: np.ndarray | None = None
-
-        child = instance_rng(opts.rng, self.rng_index)
-        cfg = get_config()
-        self.eps = float(opts.epsilon)
-        self.params = DecisionParameters.from_instance(len(constraints), self.eps)
-        self.n, self.m = len(constraints), constraints.dim
-        self.packed = constraints.packed()
-
-        if np.any(traces <= 0):
-            raise InvalidProblemError(
-                "every constraint matrix must have a positive trace (remove zero matrices)"
-            )
-
-        self.tracker = WorkDepthTracker()
-        self.backend = SerialBackend(tracker=self.tracker)
-        self.oracle = make_oracle(
-            constraints,
-            kind="fast",
-            eps=opts.oracle_eps if opts.oracle_eps is not None else self.eps / 4.0,
-            kappa_bound=None,
-            rng=child,
-            backend=self.backend,
-        )
-        self.oracle_kind = "fast"
-        check_every = opts.certificate_check_every
-        if check_every is None:
-            check_every = 0 if opts.strict else cfg.certificate_check_every
-        self.check_every = check_every
-        self.max_iterations = (
-            opts.max_iterations if opts.max_iterations is not None else self.params.R
-        )
-        self.log_depth = math.log2(max(self.n, 2)) + math.log2(max(self.m, 2))
-        self.select_depth = math.log2(max(self.n, 2))
-        eig_rng = spawn_generators(child, 1)[0]
-        self.eig_rng = eig_rng
-        state = make_psi_state(
-            constraints,
-            1.0 / (self.n * traces),
-            oracle=self.oracle,
-            eig_rng=eig_rng,
-            mode=opts.psi_state,
-        )
-        self.implicit = state.mode == "implicit"
-        self.x0 = state.x
-        self.tracker.charge(state.init_work, self.log_depth, label="init-psi")
-        self.supervisor = FastPathSupervisor(
-            oracle=self.oracle,
-            state=state,
-            constraints=constraints,
-            tracker=self.tracker,
-            log_depth=self.log_depth,
-            eig_rng=eig_rng,
-            wall_clock_budget=opts.wall_clock_budget,
-            iteration_budget=opts.iteration_budget,
-            max_recoveries=opts.max_recoveries,
-        )
-
-
 def _sequential_result(problem: Any, opts: DecisionOptions, index: int) -> DecisionResult:
     """The contract's sequential solve for instance ``index``."""
     heartbeat = opts.heartbeat
@@ -288,10 +198,8 @@ def _sequential_result(problem: Any, opts: DecisionOptions, index: int) -> Decis
     )
 
 
-def _eject(
-    inst: _FusedInstance, opts: DecisionOptions, iteration: int, site: str, detail: str
-) -> None:
-    """Remove one faulted instance from the batch and re-solve it sequentially.
+def _eject(run: DecisionRun, opts: DecisionOptions, site: str, detail: str) -> DecisionResult:
+    """Re-solve one faulted fused instance sequentially; returns its result.
 
     The re-solve replays the instance's exact rng stream on a *pristine*
     rebuild of its constraint collection (the batched attempt built the
@@ -299,15 +207,15 @@ def _eject(
     the packed rounding and perturb the bits relative to a fresh
     ``decision_psdp`` call): an *organic* failure recurs at the same point
     and flows through the sequential supervisor's demotion ladder, so the
-    stored result is exactly what ``decision_psdp`` would have returned.
-    When the re-solve instead comes back pristine (``CERTIFIED``, zero
-    recovery events), the failure was an injected fault consumed by the
-    discarded batched attempt — the result is then marked ``DEGRADED``
-    with a synthetic ``batched -> sequential`` recovery event so chaos
-    harnesses observe the ejection.
+    result is exactly what ``decision_psdp`` would have returned.  When the
+    re-solve instead comes back pristine (``CERTIFIED``, zero recovery
+    events), the failure was an injected fault consumed by the discarded
+    batched attempt — the result is then marked ``DEGRADED`` with a
+    synthetic ``batched -> sequential`` recovery event so chaos harnesses
+    observe the ejection.
     """
-    fresh = ConstraintCollection(list(inst.constraints.operators), validate=False)
-    result = _sequential_result(fresh, opts, inst.rng_index)
+    fresh = ConstraintCollection(list(run.constraints.operators), validate=False)
+    result = _sequential_result(fresh, opts, run.instance)
     events = result.metadata.get("recovery_events") or []
     if result.status == SolveStatus.CERTIFIED and not events:
         result.metadata["recovery_events"] = [
@@ -316,7 +224,7 @@ def _eject(
                 "kind": "BatchEjection",
                 "from_mode": "batched",
                 "to_mode": "sequential",
-                "iteration": int(iteration),
+                "iteration": int(run.t),
                 "detail": detail,
             }
         ]
@@ -325,230 +233,98 @@ def _eject(
             sup["recoveries"] = int(sup.get("recoveries", 0)) + 1
         result.status = SolveStatus.DEGRADED
         result.metadata["solve_status"] = SolveStatus.DEGRADED.value
-    inst.result = result
-
-
-def _build(
-    inst: _FusedInstance,
-    outcome: DecisionOutcome,
-    iterations: int,
-    early: bool,
-    dual_candidate: np.ndarray,
-    primal_final: bool = False,
-    status: SolveStatus | None = None,
-) -> DecisionResult:
-    """Mirror of the sequential solver's ``build_result`` for one instance."""
-    supervisor = inst.supervisor
-    try:
-        lam, eig_work = supervisor.lambda_max(final=True, iteration=iterations)
-        state = supervisor.state
-    except BudgetExhaustedError:
-        lam, eig_work = float("nan"), 0.0
-        status = SolveStatus.FAILED
-        state = supervisor.state
-    inst.tracker.charge(eig_work, inst.log_depth, label="dual-rescale")
-    verified = bool(np.isfinite(lam))
-    scale = lam if lam > 0 else 1.0
-    dual_x = dual_candidate / scale
-    dual_value = float(dual_x.sum()) if verified else float("nan")
-    dual_lam = lam / scale if verified else float("nan")
-
-    # The fused loop only runs on the implicit state with primal tracking
-    # off, so the primal branch is the matrix-free one with zero tracked
-    # rounds: the certificate's trace products are the oracle's last
-    # estimates, and primal_y is attached as a deferred build below.
-    if primal_final and inst.last_values is not None:
-        min_dot = float(inst.last_values.min(initial=np.inf))
-    else:
-        min_dot = float("nan")
-
-    if status is None:
-        status = (
-            SolveStatus.DEGRADED
-            if supervisor.recovery_events
-            else SolveStatus.CERTIFIED
-        )
-    result = DecisionResult(
-        outcome=outcome,
-        dual_x=dual_x,
-        primal_y=None,
-        dual_value=dual_value,
-        primal_min_dot=min_dot,
-        dual_lambda_max=dual_lam,
-        iterations=iterations,
-        max_iterations=inst.max_iterations,
-        epsilon=inst.eps,
-        early_exit=early,
-        status=status,
-        history=None,
-        counters=inst.oracle.counters,
-        work_depth=inst.tracker.report(),
-        metadata={
-            "K": inst.params.K,
-            "alpha": inst.params.alpha,
-            "R": inst.params.R,
-            "oracle": inst.oracle_kind,
-            "strict": inst.opts.strict,
-            "solve_status": status.value,
-            "x_l1": float(dual_candidate.sum()),
-            "psi_state": state.stats(),
-            **oracle_engine_metadata(inst.oracle),
-            "recovery_events": supervisor.event_dicts(),
-            "supervisor": supervisor.stats(),
-            **inst.opts.metadata,
-        },
-    )
-    if primal_final:
-        constraints = inst.constraints
-
-        def build_primal() -> np.ndarray:
-            y = expm_normalized(state.densify())
-            result.primal_min_dot = float(constraints.dots(y).min(initial=np.inf))
-            return y
-
-        result.primal_builder = build_primal
     return result
 
 
+def _certify(run: DecisionRun, opts: DecisionOptions) -> DecisionResult | None:
+    """One fused instance's early certificate check."""
+    try:
+        measured = run.supervisor.lambda_max(iteration=run.t)
+    except BudgetExhaustedError:
+        return run.failed()
+    if run.state.mode != "implicit":
+        # The check demoted this instance's state to dense; the fused loop
+        # only mirrors the implicit path, so hand the instance back to the
+        # sequential solver (which replays the same demotion).
+        return _eject(
+            run, opts, "psi_state.matvec",
+            "state demoted to dense during batched certificate check",
+        )
+    return run.certificate_exit(measured)
+
+
 def _compact(
-    active: list[_FusedInstance], *stacks: np.ndarray
-) -> tuple[list[_FusedInstance], list[np.ndarray]]:
-    """Drop instances whose result is set; slice the batch stacks to match."""
-    keep = [b for b, inst in enumerate(active) if inst.result is None]
+    active: list, results: list, *stacks: np.ndarray
+) -> tuple[list, list[np.ndarray]]:
+    """Drop members whose result is set; slice the batch stacks to match."""
+    keep = [b for b, (index, _) in enumerate(active) if results[index] is None]
     if len(keep) == len(active):
         return active, list(stacks)
     sel = np.asarray(keep, dtype=np.int64)
     return [active[b] for b in keep], [stack[sel] for stack in stacks]
 
 
-def _solve_group(instances: list[_FusedInstance], opts: DecisionOptions) -> None:
+def _solve_group(members: list, opts: DecisionOptions, results: list) -> None:
     """Run one shape-homogeneous group through the fused lockstep loop.
 
-    Stores each instance's :class:`~repro.core.result.DecisionResult` on
-    ``inst.result``.  The loop mirrors the sequential Algorithm 3.1 body
-    statement-for-statement; only the shape-uniform numeric kernels are
-    batched, and every exit/bookkeeping decision is taken per instance.
+    ``members`` are ``(index, run)`` pairs; each instance's result lands in
+    ``results[index]``.  Every exit and bookkeeping step is the instance's
+    own :class:`~repro.core.decision.DecisionRun` — the sequential
+    solver's — and only the oracle pass runs as batched kernels.
     """
-    inst0 = instances[0]
-    eps = inst0.eps
-    params = inst0.params
-    max_iterations = inst0.max_iterations
-    check_every = inst0.check_every
-    checkpoint_every = opts.checkpoint_every or 0
-    n, m = inst0.n, inst0.m
-    offsets = inst0.packed.offsets
-    ranks = np.asarray(inst0.packed.ranks, dtype=np.int64)
-
-    def capture_inst(inst: _FusedInstance, iteration: int):
-        # Mirrors the sequential solver's capture() closure on the fused
-        # (implicit, no-history, no-primal-tracking) path: dots_sum stays
-        # its all-zero initial value because primal tracking is off behind
-        # the fast oracle, so the capture is bit-identical to the one a
-        # sequential solve of this instance would take at the same t.
-        return capture_checkpoint(
-            solver="psdp",
-            iteration=iteration,
-            eps=inst.eps,
-            oracle_kind=inst.oracle_kind,
-            strict=inst.opts.strict,
-            n=inst.n,
-            m=inst.m,
-            oracle=inst.oracle,
-            state=inst.supervisor.state,
-            supervisor=inst.supervisor,
-            eig_rng=inst.eig_rng,
-            tracker=inst.tracker,
-            history=None,
-            primal_sum=None,
-            primal_rounds=0,
-            last_density=None,
-            dots_sum=np.zeros(inst.n, dtype=np.float64),
-            last_values=inst.last_values,
-        )
-
-    active = list(instances)
-    x_stack = np.stack([inst.x0 for inst in active])
-    q_stack = np.stack(
-        [np.asarray(inst.packed.dense_columns(), dtype=np.float64) for inst in active]
-    )
+    run0 = members[0][1]
+    n, m, check_every = run0.n, run0.m, run0.check_every
+    active = list(members)
+    packs = [run.constraints.packed() for _, run in active]
+    offsets = packs[0].offsets
+    ranks = np.asarray(packs[0].ranks, dtype=np.int64)
+    q_stack = np.stack([np.asarray(p.dense_columns(), dtype=np.float64) for p in packs])
     # The sequential estimate pass recomputes Q^T Q every oracle call (the
     # apply's down-projection of the factor stack onto itself); the product
     # is weight-independent, so compute it once per instance with the same
     # 2-D GEMM expression and reuse the stacked copy.
-    inner0_stack = np.stack([inst.packed.gram_matrix() for inst in active])
+    inner0_stack = np.stack([p.gram_matrix() for p in packs])
 
     t = 0
-    while active:
-        # --- loop condition (per instance), then post-loop outcomes -------
-        x_sums = np.sum(x_stack, axis=1)
-        for b, inst in enumerate(active):
-            xs = float(x_sums[b])
-            if xs > params.K:
-                inst.result = _build(
-                    inst, DecisionOutcome.DUAL, t, early=False,
-                    dual_candidate=np.array(x_stack[b]),
-                )
-            elif t >= max_iterations:
-                inst.result = _build(
-                    inst, DecisionOutcome.PRIMAL, t, early=False,
-                    dual_candidate=np.array(x_stack[b]), primal_final=True,
-                )
-        active, (x_stack, q_stack, inner0_stack) = _compact(
-            active, x_stack, q_stack, inner0_stack
-        )
+    while True:
+        # --- loop condition, then budgets (per instance) ------------------
+        for index, run in active:
+            results[index] = run.budget_exit() if run.running() else run.loop_exit()
+        active, (q_stack, inner0_stack) = _compact(active, results, q_stack, inner0_stack)
         if not active:
-            break
-
-        # --- budget checks -------------------------------------------------
-        for b, inst in enumerate(active):
-            if inst.supervisor.budget_exhausted(t) is not None:
-                # Same continuation contract as the sequential solver: the
-                # checkpoint is captured *before* _build (whose final
-                # lambda_max mutates the state and counters), and resuming
-                # it through decision_psdp continues the run bit-identically
-                # to the sequential solve on the instance's spawned stream.
-                checkpoint = capture_inst(inst, t)
-                inst.result = _build(
-                    inst, DecisionOutcome.DUAL, t, early=True,
-                    dual_candidate=np.array(x_stack[b]),
-                    status=SolveStatus.BUDGET_EXHAUSTED,
-                )
-                inst.result.metadata["checkpoint"] = checkpoint
-        active, (x_stack, q_stack, inner0_stack) = _compact(
-            active, x_stack, q_stack, inner0_stack
-        )
-        if not active:
-            break
+            return
         t += 1
+        for _, run in active:
+            run.t = t
 
         # --- oracle pass: per-instance engine updates, batched numeric core
-        batch = len(active)
+        x_stack = np.stack([run.x for _, run in active])
         negative = np.any(x_stack < 0, axis=1)
         if negative.any():
             # expand_weights raises on negative weights sequentially; the
             # per-instance re-solve reproduces that exact error.
             for b in np.flatnonzero(negative):
-                _eject(
-                    active[b], opts, t, "expand_weights",
-                    "negative constraint weights in batched solve",
+                index, run = active[b]
+                results[index] = _eject(
+                    run, opts, "expand_weights", "negative constraint weights in batched solve"
                 )
             active, (x_stack, q_stack, inner0_stack) = _compact(
-                active, x_stack, q_stack, inner0_stack
+                active, results, x_stack, q_stack, inner0_stack
             )
             if not active:
-                break
-            batch = len(active)
+                return
+        batch = len(active)
         colw_stack = np.repeat(x_stack, ranks, axis=1)
-        for b, inst in enumerate(active):
-            inst.oracle.fused_update_weights(colw_stack[b])
+        for b, (_, run) in enumerate(active):
+            run.oracle.fused_update_weights(colw_stack[b])
         # Engine invariant: after update_weights the Gram buffer holds
         # gram0 * col_w column-for-column, so the stacked form is one
         # elementwise pass instead of a copy of each engine's buffer.
         g_stack = inner0_stack * colw_stack[:, None, :]
 
         v0_stack = np.empty((batch, m), dtype=np.float64)
-        for b, inst in enumerate(active):
-            v0_stack[b] = inst.oracle.fused_power_v0()
+        for b, (_, run) in enumerate(active):
+            v0_stack[b] = run.oracle.fused_power_v0()
         qt_stack = q_stack.transpose(0, 2, 1)
 
         # The power iteration passes the same `rows` object until another
@@ -573,14 +349,12 @@ def _solve_group(instances: list[_FusedInstance], opts: DecisionOptions) -> None
 
         estimates, vectors = batched_spectral_norm_power(
             apply_stack, v0_stack,
-            fallback_rngs=[inst.oracle.rng for inst in active],
+            fallback_rngs=[run.oracle.rng for _, run in active],
         )
         degrees = np.empty(batch, dtype=np.int64)
-        for b, inst in enumerate(active):
-            kappa = inst.oracle.fused_norm_result(
-                float(estimates[b]), np.array(vectors[b])
-            )
-            degrees[b] = taylor_degree(kappa / 2.0, inst.oracle.eps / 2.0)
+        for b, (_, run) in enumerate(active):
+            kappa = run.oracle.fused_norm_result(float(estimates[b]), np.array(vectors[b]))
+            degrees[b] = taylor_degree(kappa / 2.0, run.oracle.eps / 2.0)
 
         out_stack = batched_gram_taylor_apply(
             q_stack, inner0_stack, g_stack, colw_stack, degrees, scale=0.5
@@ -589,22 +363,20 @@ def _solve_group(instances: list[_FusedInstance], opts: DecisionOptions) -> None
         finite = np.isfinite(out_stack).all(axis=(1, 2))
         if not finite.all():
             for b in np.flatnonzero(~finite):
-                _eject(
-                    active[b], opts, t, "taylor_gram.apply",
+                index, run = active[b]
+                results[index] = _eject(
+                    run, opts, "taylor_gram.apply",
                     "non-finite fused Taylor output in batched solve",
                 )
-            active, (x_stack, q_stack, inner0_stack, colw_stack, out_stack, degrees) = (
-                _compact(
-                    active, x_stack, q_stack, inner0_stack, colw_stack,
-                    out_stack, degrees,
-                )
+            active, (q_stack, inner0_stack, colw_stack, out_stack, degrees) = _compact(
+                active, results, q_stack, inner0_stack, colw_stack, out_stack, degrees
             )
             if not active:
-                break
+                return
             batch = len(active)
 
         col_vals = NUMPY.einsum("bij,bij->bj", out_stack, out_stack)
-        results_stack = batched_segment_sums(col_vals, offsets)
+        dots_stack = batched_segment_sums(col_vals, offsets)
 
         # Batched Gram-spectrum traces: one stacked eigendecomposition for
         # the whole group.  Rows on which the scalar path would have raised
@@ -614,98 +386,43 @@ def _solve_group(instances: list[_FusedInstance], opts: DecisionOptions) -> None
             inner0_stack, colw_stack, m, degrees, scale=0.5, squared=True
         )
         values_stack = np.empty((batch, n), dtype=np.float64)
-        for b, inst in enumerate(active):
+        for b, (index, run) in enumerate(active):
             trace = float(traces_stack[b])
             if not np.isfinite(trace):
-                _eject(
-                    inst, opts, t, "trace_estimation",
+                results[index] = _eject(
+                    run, opts, "trace_estimation",
                     "Gram-spectrum trace evaluation failed in batched solve",
                 )
                 continue
-            estimate = inst.oracle.trace_estimator.record_gram_estimate(
+            estimate = run.oracle.trace_estimator.record_gram_estimate(
                 trace, int(degrees[b])
             )
             if trace <= 0:
-                _eject(
-                    inst, opts, t, "trace_estimation",
-                    "sketched trace estimate is non-positive",
+                results[index] = _eject(
+                    run, opts, "trace_estimation", "sketched trace estimate is non-positive"
                 )
                 continue
-            work = inst.oracle.record_fused_call(int(degrees[b]), estimate)
-            inst.tracker.charge(work, inst.log_depth, label="oracle")
-            values_stack[b] = results_stack[b] / trace
-        active, (x_stack, q_stack, inner0_stack, values_stack) = _compact(
-            active, x_stack, q_stack, inner0_stack, values_stack
-        )
-        if not active:
-            break
+            work = run.oracle.record_fused_call(int(degrees[b]), estimate)
+            run.tracker.charge(work, run.log_depth, label="oracle")
+            values_stack[b] = dots_stack[b] / trace
 
-        # --- select + empty-update-set primal exit -------------------------
-        mask_stack = values_stack <= 1.0 + eps
-        updated_counts = mask_stack.sum(axis=1)
-        for b, inst in enumerate(active):
-            inst.last_values = np.array(values_stack[b])
-            inst.tracker.charge(float(n), inst.select_depth, label="select")
-            if int(updated_counts[b]) == 0:
-                inst.result = _build(
-                    inst, DecisionOutcome.PRIMAL, t, early=True,
-                    dual_candidate=np.array(x_stack[b]), primal_final=True,
-                )
-        active, (x_stack, q_stack, inner0_stack, mask_stack) = _compact(
-            active, x_stack, q_stack, inner0_stack, mask_stack
-        )
-        if not active:
-            break
-
-        # --- multiplicative update (batched), per-instance state refresh --
-        delta_stack = np.where(mask_stack, params.alpha * x_stack, 0.0)
-        x_stack = x_stack + delta_stack
-        for b, inst in enumerate(active):
-            update_work = inst.supervisor.state.replace_weights(np.array(x_stack[b]))
-            inst.tracker.charge(update_work, inst.log_depth, label="update")
-
-        # --- early certificate checks -------------------------------------
+        # --- the rest of the iteration is each run's own step -------------
+        for b, (index, run) in enumerate(active):
+            if results[index] is not None:
+                continue
+            mask = run.select(np.array(values_stack[b]))
+            if mask.any():
+                run.update(mask)
+            else:
+                results[index] = run.density_exit()
         if check_every and t % check_every == 0:
-            x_sums_post = np.sum(x_stack, axis=1)
-            for b, inst in enumerate(active):
-                try:
-                    lam, eig_work = inst.supervisor.lambda_max(iteration=t)
-                except BudgetExhaustedError:
-                    inst.result = _build(
-                        inst, DecisionOutcome.DUAL, t, early=True,
-                        dual_candidate=np.array(x_stack[b]),
-                        status=SolveStatus.FAILED,
-                    )
-                    continue
-                if getattr(inst.supervisor.state, "mode", "dense") != "implicit":
-                    # The check demoted this instance's state to dense; the
-                    # fused loop only mirrors the implicit path, so hand the
-                    # instance back to the sequential solver (which replays
-                    # the same demotion deterministically).
-                    _eject(
-                        inst, opts, t, "psi_state.matvec",
-                        "state demoted to dense during batched certificate check",
-                    )
-                    continue
-                inst.tracker.charge(
-                    eig_work, inst.log_depth, label="certificate-check"
-                )
-                if lam > 0 and float(x_sums_post[b]) / lam >= 1.0 - eps:
-                    inst.result = _build(
-                        inst, DecisionOutcome.DUAL, t, early=True,
-                        dual_candidate=np.array(x_stack[b]),
-                    )
-            active, (x_stack, q_stack, inner0_stack) = _compact(
-                active, x_stack, q_stack, inner0_stack
-            )
-
-        # --- periodic captures / heartbeats (same cadence and loop point
-        # --- as the sequential solver's end-of-body capture).  Captures
-        # --- are side-effect-free, so skipping them when nobody listens
-        # --- keeps the lockstep loop lean without changing result bits.
-        if checkpoint_every and opts.heartbeat is not None and t % checkpoint_every == 0:
-            for inst in active:
-                opts.heartbeat(capture_inst(inst, t), inst.rng_index)
+            for index, run in active:
+                if results[index] is None:
+                    results[index] = _certify(run, opts)
+        for index, run in active:
+            if results[index] is None:
+                run.tick()
+        active, (q_stack, inner0_stack) = _compact(active, results, q_stack, inner0_stack)
 
 
 def solve_many(
@@ -760,7 +477,7 @@ def solve_many(
             f"rng_indices has {len(rng_indices)} entries for {len(problems)} problems"
         )
     results: list[DecisionResult | None] = [None] * len(problems)
-    groups: dict[tuple, list[_FusedInstance]] = {}
+    groups: dict[tuple, list] = {}
     for index, problem in enumerate(problems):
         rng_index = index if rng_indices is None else int(rng_indices[index])
         constraints = _resolve_constraints(problem)
@@ -773,13 +490,15 @@ def solve_many(
         if key is None:
             results[index] = _sequential_result(problem, opts, rng_index)
             continue
-        inst = _FusedInstance(index, problem, constraints, opts, traces, rng_index=rng_index)
-        if not inst.implicit:  # pragma: no cover - gate guarantees implicit
-            results[index] = _sequential_result(problem, opts, rng_index)
-            continue
-        groups.setdefault(key, []).append(inst)
-    for group in groups.values():
-        _solve_group(group, opts)
-        for inst in group:
-            results[inst.index] = inst.result
+        # The rng stream is keyed by ``rng_index``, so it follows the
+        # request, not its position in whatever batch it lands in.
+        run = DecisionRun(
+            constraints,
+            dataclasses.replace(opts, rng=instance_rng(opts.rng, rng_index)),
+            traces=traces,
+            instance=rng_index,
+        )
+        groups.setdefault(key, []).append((index, run))
+    for members in groups.values():
+        _solve_group(members, opts, results)
     return results  # type: ignore[return-value]

@@ -38,13 +38,13 @@ from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from repro.exceptions import CheckpointError
-from repro.instrumentation.history import ConvergenceHistory, IterationRecord
+from repro.instrumentation.history import IterationRecord
 
 __all__ = ["CHECKPOINT_VERSION", "SolverCheckpoint", "capture_checkpoint", "restore_checkpoint"]
 
@@ -244,56 +244,34 @@ class SolverCheckpoint:
             raise CheckpointError(f"malformed checkpoint payload: {exc}") from exc
 
 
-def capture_checkpoint(
-    *,
-    solver: str,
-    iteration: int,
-    eps: float,
-    oracle_kind: str,
-    strict: bool,
-    n: int,
-    m: int,
-    oracle,
-    state,
-    supervisor,
-    eig_rng,
-    tracker,
-    history: ConvergenceHistory | None,
-    primal_sum: np.ndarray | None = None,
-    primal_rounds: int = 0,
-    last_density: np.ndarray | None = None,
-    dots_sum: np.ndarray | None = None,
-    last_values: np.ndarray | None = None,
-    phase: dict[str, Any] | None = None,
-    captured_at: float | None = None,
-) -> SolverCheckpoint:
-    """Snapshot a running decision solve at an iteration boundary.
+def capture_checkpoint(run, iteration: int, phase: dict[str, Any] | None = None) -> SolverCheckpoint:
+    """Snapshot a running :class:`~repro.core.decision.DecisionRun` at an iteration boundary.
 
-    Called by the solvers with their live loop variables; every array is
-    copied so the solve can continue mutating its state without disturbing
-    the captured checkpoint.  ``captured_at`` defaults to ``time.monotonic()``
-    at call time — periodic captures double as worker-liveness heartbeats.
+    ``phase`` is the phased solver's position (``phases`` count, plus the
+    active ``mask``, ``phase_start_norm`` and ``values`` for a mid-phase
+    capture).  Every array is copied so the solve can keep mutating its
+    state without disturbing the checkpoint.  ``captured_at`` is
+    ``time.monotonic()`` at call time — periodic captures double as
+    worker-liveness heartbeats.
     """
-    if captured_at is None:
-        captured_at = time.monotonic()
     return SolverCheckpoint(
-        solver=solver,
+        solver=run.solver,
         iteration=int(iteration),
         meta={
-            "n": int(n),
-            "m": int(m),
-            "epsilon": float(eps),
-            "oracle": oracle_kind,
-            "strict": bool(strict),
-            "supervised": supervisor is not None,
-            "collect_history": history is not None,
+            "n": int(run.n),
+            "m": int(run.m),
+            "epsilon": float(run.eps),
+            "oracle": run.oracle_kind,
+            "strict": bool(run.opts.strict),
+            "supervised": True,
+            "collect_history": run.history is not None,
         },
         loop={
-            "primal_sum": _copy_or_none(primal_sum),
-            "primal_rounds": int(primal_rounds),
-            "last_density": _copy_or_none(last_density),
-            "dots_sum": _copy_or_none(dots_sum),
-            "last_values": _copy_or_none(last_values),
+            "primal_sum": _copy_or_none(run.primal_sum),
+            "primal_rounds": int(run.primal_rounds),
+            "last_density": _copy_or_none(run.last_density),
+            "dots_sum": _copy_or_none(run.dots_sum),
+            "last_values": _copy_or_none(run.last_values),
         },
         phase=None if phase is None else {
             "phases": int(phase.get("phases", 0)),
@@ -301,57 +279,26 @@ def capture_checkpoint(
             "phase_start_norm": phase.get("phase_start_norm"),
             "values": _copy_or_none(phase.get("values")),
         },
-        oracle=oracle.export_state(),
-        psi=state.export_state(),
-        supervisor=None if supervisor is None else supervisor.export_state(),
-        eig_rng=(
-            copy.deepcopy(dict(eig_rng.bit_generator.state))
-            if isinstance(eig_rng, np.random.Generator)
-            else None
-        ),
-        tracker=tracker.export_state(),
-        history=None if history is None else [rec.as_dict() for rec in history],
-        captured_at=captured_at,
+        oracle=run.oracle.export_state(),
+        psi=run.state.export_state(),
+        supervisor=run.supervisor.export_state(),
+        eig_rng=copy.deepcopy(dict(run.eig_rng.bit_generator.state)),
+        tracker=run.tracker.export_state(),
+        history=None if run.history is None else [rec.as_dict() for rec in run.history],
+        captured_at=time.monotonic(),
     )
 
 
-@dataclass
-class ResumedLoop:
-    """The loop variables a solver reinstates after :func:`restore_checkpoint`."""
+def restore_checkpoint(ckpt: SolverCheckpoint, run) -> dict[str, Any] | None:
+    """Apply a checkpoint to a freshly constructed :class:`~repro.core.decision.DecisionRun`.
 
-    iteration: int
-    primal_sum: np.ndarray | None
-    primal_rounds: int
-    last_density: np.ndarray | None
-    dots_sum: np.ndarray | None
-    last_values: np.ndarray | None
-    phase: dict[str, Any] | None = field(default=None)
-
-
-def restore_checkpoint(
-    ckpt: SolverCheckpoint,
-    *,
-    solver: str,
-    eps: float,
-    oracle_kind: str,
-    strict: bool,
-    n: int,
-    m: int,
-    constraints,
-    oracle,
-    state,
-    supervisor,
-    eig_rng,
-    tracker,
-    history: ConvergenceHistory | None,
-):
-    """Apply a checkpoint to freshly-constructed solver plumbing.
-
-    Validates the checkpoint against the resuming call (typed
-    :class:`~repro.exceptions.CheckpointError` on any mismatch), rebuilds a
-    demoted-dense psi state when the capture happened mid-ladder, imports
-    every component snapshot, and returns ``(state, ResumedLoop)`` — the
-    (possibly rebound) psi state plus the loop accumulators to reinstate.
+    Validates the checkpoint against the run (typed
+    :class:`~repro.exceptions.CheckpointError` on any mismatch, and for a
+    capture taken without fault supervision), rebuilds a demoted-dense psi
+    state when the capture happened mid-ladder, imports every component
+    snapshot and reinstates the loop state on ``run``.  Returns the
+    interrupted phase's ``mask``, ``values`` and ``phase_start_norm`` for a
+    mid-phase capture of the phased solver, else ``None``.
     """
     if not isinstance(ckpt, SolverCheckpoint):
         raise CheckpointError(
@@ -362,12 +309,15 @@ def restore_checkpoint(
             f"unsupported checkpoint version {ckpt.version} "
             f"(this build reads version {CHECKPOINT_VERSION})"
         )
-    if ckpt.solver != solver:
+    if ckpt.solver != run.solver:
         raise CheckpointError(
             f"checkpoint was captured by the {ckpt.solver!r} solver; "
-            f"cannot resume it with {solver!r}"
+            f"cannot resume it with {run.solver!r}"
         )
-    expect = {"n": n, "m": m, "epsilon": float(eps), "oracle": oracle_kind, "strict": strict}
+    expect = {
+        "n": run.n, "m": run.m, "epsilon": float(run.eps),
+        "oracle": run.oracle_kind, "strict": run.opts.strict,
+    }
     for key, value in expect.items():
         have = ckpt.meta.get(key)
         if have != value:
@@ -375,12 +325,12 @@ def restore_checkpoint(
                 f"checkpoint/options mismatch on {key!r}: "
                 f"checkpoint has {have!r}, resuming call has {value!r}"
             )
-    if ckpt.meta.get("supervised") != (supervisor is not None):
+    if ckpt.meta.get("supervised") is not True:
         raise CheckpointError(
-            "checkpoint/options mismatch on 'supervise': resume with the "
-            "same supervision setting the checkpoint was captured under"
+            "checkpoint was captured without fault supervision; every solve "
+            "is supervised now, so it cannot be resumed — re-solve instead"
         )
-    if ckpt.meta.get("collect_history") != (history is not None):
+    if ckpt.meta.get("collect_history") != (run.history is not None):
         raise CheckpointError(
             "checkpoint/options mismatch on 'collect_history': resume with "
             "the same history setting the checkpoint was captured under"
@@ -389,14 +339,14 @@ def restore_checkpoint(
     # Ladder position first: a capture after an implicit→dense demotion
     # resumes on a dense state even though the fresh construction picked
     # the implicit one.  The reverse direction is an options mismatch.
+    state = run.state
     psi_mode = ckpt.psi.get("mode")
     if psi_mode != state.mode:
         if psi_mode == "dense" and state.mode == "implicit":
             from repro.core.psi_state import DensePsiState
 
-            state = DensePsiState(constraints, state.x, eig_rng=eig_rng)
-            if supervisor is not None:
-                supervisor.state = state
+            state = DensePsiState(run.constraints, state.x, eig_rng=run.eig_rng)
+            run.supervisor.state = state
         else:
             raise CheckpointError(
                 f"checkpoint psi-state mode {psi_mode!r} cannot be resumed "
@@ -404,32 +354,32 @@ def restore_checkpoint(
             )
     state.import_state(ckpt.psi)
     try:
-        oracle.import_state(ckpt.oracle)
+        run.oracle.import_state(ckpt.oracle)
     except AttributeError as exc:
         raise CheckpointError(
-            f"oracle {type(oracle).__name__} does not support checkpoint resume"
+            f"oracle {type(run.oracle).__name__} does not support checkpoint resume"
         ) from exc
-    if supervisor is not None:
-        supervisor.import_state(ckpt.supervisor)
-    if ckpt.eig_rng is not None and isinstance(eig_rng, np.random.Generator):
-        eig_rng.bit_generator.state = copy.deepcopy(ckpt.eig_rng)
-    tracker.import_state(ckpt.tracker)
-    if history is not None and ckpt.history is not None:
-        history.records[:] = [IterationRecord(**rec) for rec in ckpt.history]
+    run.supervisor.import_state(ckpt.supervisor)
+    if ckpt.eig_rng is not None:
+        run.eig_rng.bit_generator.state = copy.deepcopy(ckpt.eig_rng)
+    run.tracker.import_state(ckpt.tracker)
+    if run.history is not None and ckpt.history is not None:
+        run.history.records[:] = [IterationRecord(**rec) for rec in ckpt.history]
 
     loop = ckpt.loop
-    resumed = ResumedLoop(
-        iteration=int(ckpt.iteration),
-        primal_sum=_copy_or_none(loop.get("primal_sum")),
-        primal_rounds=int(loop.get("primal_rounds", 0)),
-        last_density=_copy_or_none(loop.get("last_density")),
-        dots_sum=_copy_or_none(loop.get("dots_sum")),
-        last_values=_copy_or_none(loop.get("last_values")),
-        phase=None if ckpt.phase is None else {
-            "phases": int(ckpt.phase.get("phases", 0)),
-            "mask": _copy_or_none(ckpt.phase.get("mask")),
-            "phase_start_norm": ckpt.phase.get("phase_start_norm"),
-            "values": _copy_or_none(ckpt.phase.get("values")),
-        },
-    )
-    return state, resumed
+    run.t = int(ckpt.iteration)
+    run.primal_sum = _copy_or_none(loop.get("primal_sum"))
+    run.primal_rounds = int(loop.get("primal_rounds", 0))
+    run.last_density = _copy_or_none(loop.get("last_density"))
+    run.dots_sum = _copy_or_none(loop.get("dots_sum"))
+    run.last_values = _copy_or_none(loop.get("last_values"))
+    if ckpt.phase is None:
+        return None
+    run.phases = int(ckpt.phase.get("phases", 0))
+    if ckpt.phase.get("mask") is None:
+        return None
+    return {
+        "mask": np.array(ckpt.phase["mask"], dtype=bool),
+        "values": np.array(ckpt.phase["values"], dtype=np.float64),
+        "phase_start_norm": float(ckpt.phase["phase_start_norm"]),
+    }

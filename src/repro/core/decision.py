@@ -33,6 +33,15 @@ certifies):
   (``certificate_check_every`` iterations) and exits early when it does.
   Experiment E9 quantifies how much this helps in practice.
 
+One run object, three loops
+---------------------------
+:class:`DecisionRun` is one solve's plumbing, loop state and exit policy.
+:func:`decision_psdp`, the phased variant
+(:func:`~repro.core.decision_phased.decision_psdp_phased`) and the fused
+lockstep group of :func:`~repro.core.batch.solve_many` are step loops over
+run objects; what each exit charges, records, captures and returns is
+decided here, once.
+
 Matrix-free iteration core
 --------------------------
 The solver's ``Psi`` lives behind a :class:`~repro.core.psi_state.PsiState`.
@@ -69,7 +78,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.config import get_config
-from repro.exceptions import BudgetExhaustedError, InvalidProblemError, SolverError
+from repro.exceptions import BudgetExhaustedError, InvalidProblemError
 from repro.instrumentation.history import ConvergenceHistory, IterationRecord
 from repro.linalg.expm import expm_normalized
 from repro.operators.collection import ConstraintCollection
@@ -88,6 +97,12 @@ from repro.utils.random_utils import RandomState
 @dataclass
 class DecisionOptions:
     """Tuning knobs for :func:`decision_psdp`.
+
+    Every solve runs under a :class:`~repro.robustness.FastPathSupervisor`:
+    numerical breakdowns in the fast-path kernels demote one ladder rung
+    and retry instead of raising, the budgets below are enforced, and
+    ``result.status`` / ``result.metadata["recovery_events"]`` report what
+    happened.
 
     Attributes
     ----------
@@ -123,7 +138,9 @@ class DecisionOptions:
         primal-certificate exit (a verified certificate needs the exact
         trace products the dense state computes) — a dense-state run with
         ``track_primal_average=True`` may therefore stop at a primal
-        check the implicit state deliberately skips.
+        check the implicit state deliberately skips.  The phased variant
+        ignores this knob: it always averages its phase densities on the
+        dense path.
     backend:
         Execution backend for the batched per-constraint operations.  A
         *string* here is interpreted as an array-backend name and moved to
@@ -138,7 +155,8 @@ class DecisionOptions:
         ``oracle`` is a pre-built oracle object (the object already fixed
         its backend at construction).
     rng:
-        Randomness source (used only by the fast oracle's sketches).
+        Randomness source (the fast oracle's sketches; a spawned child
+        seeds the eigenvalue estimator).
     psi_state:
         Representation of the solver's weight matrix
         (:mod:`repro.core.psi_state`): ``"auto"`` (default) picks the
@@ -147,15 +165,6 @@ class DecisionOptions:
         collection's factors are exact, falling back to the dense seed
         semantics otherwise; ``"dense"``/``"implicit"`` force one (the
         latter raises on inexact-factor collections).
-    supervise:
-        Run the solve under a :class:`~repro.robustness.FastPathSupervisor`
-        (default).  Numerical breakdowns in the fast-path kernels then
-        demote one ladder rung and retry instead of raising, budgets are
-        enforced, and ``result.status`` /
-        ``result.metadata["recovery_events"]`` report what happened.
-        ``False`` runs the raw pre-supervision call paths — the reference
-        for the happy-path overhead benchmark
-        (``benchmarks/bench_e16_robustness.py``); budgets are then ignored.
     wall_clock_budget:
         Optional seconds cap on the solve.  Checked at every iteration
         boundary: when it trips, the solver returns a best-effort result
@@ -208,7 +217,6 @@ class DecisionOptions:
     array_backend: Any = "numpy"
     rng: RandomState = None
     psi_state: str = "auto"
-    supervise: bool = True
     wall_clock_budget: float | None = None
     iteration_budget: int | None = None
     max_recoveries: int | None = None
@@ -273,9 +281,9 @@ def resolve_decision_options(
 ) -> DecisionOptions:
     """Merge the ``(epsilon, options, **overrides)`` calling convention.
 
-    Shared by :func:`decision_psdp` and :func:`repro.core.batch.solve_many`
-    so a batched solve resolves its options (including override validation
-    and the no-mutation copy semantics) exactly like a sequential one.
+    Shared by every entry point so a batched or phased solve resolves its
+    options (including override validation and the no-mutation copy
+    semantics) exactly like a sequential one.
     """
     opts = options or DecisionOptions()
     if overrides:
@@ -297,6 +305,437 @@ def _resolve_constraints(problem) -> ConstraintCollection:
     if isinstance(problem, ConstraintCollection):
         return problem
     return ConstraintCollection(problem)
+
+
+def _final_density(state, constraints: ConstraintCollection) -> Callable[[], tuple]:
+    """Deferred ``primal_y`` build of the matrix-free path.
+
+    The one densification + eigendecomposition of an implicit-state run,
+    executed only when a caller reads ``primal_y``.  Returns the matrix and
+    its exact ``min_i A_i . Y`` (replacing the sketched estimate).  The
+    closure holds the state and the collection but never the result, so a
+    dropped result is freed without the cyclic collector.
+    """
+
+    def build() -> tuple[np.ndarray, float]:
+        y = expm_normalized(state.densify())
+        return y, float(constraints.dots(y).min(initial=np.inf))
+
+    return build
+
+
+class DecisionRun:
+    """One Algorithm 3.1 solve: its plumbing, loop state and exit policy.
+
+    The step loops (:func:`decision_psdp`, the phased variant, and the
+    fused group of :func:`~repro.core.batch.solve_many`, which holds one
+    run per instance) decide *when* to call the oracle, select, update,
+    check and capture; the run owns *how*: the supervised oracle and
+    ``lambda_max`` calls, primal tracking and history, budget exits,
+    periodic capture plus heartbeat, resume, and :meth:`result`, the only
+    place a result is made.
+
+    Construction order is part of the bit-identity contract — traces →
+    oracle → spawned ``eig_rng`` → psi state → supervisor — because the
+    oracle and the spawn consume the caller's rng.  A resume constructs in
+    the same order, then :meth:`resume` overwrites the state.
+
+    Parameters
+    ----------
+    problem:
+        Anything :func:`decision_psdp` accepts.
+    opts:
+        Resolved :class:`DecisionOptions`.
+    solver:
+        ``"psdp"`` or ``"phased"``: the checkpoint tag, and the phased
+        variant's primal and metadata conventions.
+    phase_growth:
+        The phased variant's ℓ1-growth budget per phase (default
+        ``1 + eps``).
+    traces:
+        Constraint traces taken before anything built the packed view
+        (``solve_many`` probes its fusion gate first); ``None`` reads them.
+    instance:
+        The ``instance`` argument of heartbeats (``None`` for a solo solve).
+    """
+
+    def __init__(
+        self,
+        problem: Any,
+        opts: DecisionOptions,
+        *,
+        solver: str = "psdp",
+        phase_growth: float | None = None,
+        traces: np.ndarray | None = None,
+        instance: int | None = None,
+    ) -> None:
+        self.opts = opts
+        self.solver = solver
+        self.instance = instance
+        constraints = self.constraints = _resolve_constraints(problem)
+        eps = self.eps = float(opts.epsilon)
+        n, m = self.n, self.m = len(constraints), constraints.dim
+        self.params = DecisionParameters.from_instance(n, eps)
+        self.phase_growth = None
+        if solver == "phased":
+            growth = float(phase_growth) if phase_growth is not None else 1.0 + eps
+            if growth <= 1.0:
+                raise InvalidProblemError(f"phase_growth must be > 1, got {growth}")
+            self.phase_growth = growth
+
+        if traces is None:
+            traces = constraints.traces()
+        if np.any(traces <= 0):
+            raise InvalidProblemError(
+                "every constraint matrix must have a positive trace (remove zero matrices)"
+            )
+
+        tracker = WorkDepthTracker()
+        backend = opts.backend or SerialBackend(tracker=tracker)
+        if backend.tracker is None:
+            backend.tracker = tracker
+        else:
+            tracker = backend.tracker
+        self.tracker = tracker
+
+        if isinstance(opts.oracle, str):
+            self.oracle = make_oracle(
+                constraints,
+                kind=opts.oracle,
+                eps=opts.oracle_eps if opts.oracle_eps is not None else eps / 4.0,
+                # The Lemma 3.2 bound (1 + 10 eps) K would be a valid kappa,
+                # but it is very pessimistic early in the run; letting the
+                # fast oracle estimate ||Psi||_2 per call keeps the Taylor
+                # degree proportional to the *current* spectral norm.
+                kappa_bound=None,
+                rng=opts.rng,
+                backend=backend,
+                array_backend=opts.array_backend,
+            )
+            self.oracle_kind = opts.oracle
+        else:
+            self.oracle, self.oracle_kind = opts.oracle, type(opts.oracle).__name__
+
+        check_every = opts.certificate_check_every
+        if check_every is None:
+            check_every = 0 if opts.strict else get_config().certificate_check_every
+        self.check_every = check_every
+        self.max_iterations = (
+            opts.max_iterations if opts.max_iterations is not None else self.params.R
+        )
+        self.history = ConvergenceHistory() if opts.collect_history else None
+        self.log_depth = math.log2(max(n, 2)) + math.log2(max(m, 2))
+
+        # Top-eigenvalue estimation (certificate checks, history, final dual
+        # rescaling) lives on the PsiState and is charged at its *measured*
+        # sweep count.  The generator is spawned, not shared: consuming the
+        # oracle's stream here would make sketch draws depend on
+        # history/certificate cadence.
+        self.eig_rng = spawn_generators(opts.rng, 1)[0]
+        # --- initialisation (Claim 3.3): x_i(0) = 1 / (n Tr[A_i]) ------------
+        state = make_psi_state(
+            constraints, 1.0 / (n * traces), oracle=self.oracle,
+            eig_rng=self.eig_rng, mode=opts.psi_state,
+        )
+        # The primal-tracking branch stays frozen at its start-of-run value:
+        # the dots-vector accumulators remain valid after an implicit→dense
+        # demotion, only lambda_max/densify follow the demoted state.
+        self.implicit = state.mode == "implicit"
+        tracker.charge(state.init_work, self.log_depth, label="init-psi")
+        # The supervisor owns the mutable PsiState reference (an
+        # implicit-state matvec failure rebuilds it densely mid-run), which
+        # is why `state` and `x` below are read through it.
+        self.supervisor = FastPathSupervisor(
+            oracle=self.oracle,
+            state=state,
+            constraints=constraints,
+            tracker=tracker,
+            log_depth=self.log_depth,
+            eig_rng=self.eig_rng,
+            wall_clock_budget=opts.wall_clock_budget,
+            iteration_budget=opts.iteration_budget,
+            max_recoveries=opts.max_recoveries,
+        )
+        if solver == "phased":
+            self.track_primal = not self.implicit
+        elif opts.track_primal_average is None:
+            self.track_primal = self.oracle_kind == "exact"
+        else:
+            self.track_primal = bool(opts.track_primal_average)
+
+        # Loop state.  Matrix-free primal tracking sums the oracle's values
+        # vector — the Theorem 4.1 estimate of constraints.dots(P(t)) — so
+        # no (m, m) density matrix is formed during an implicit run.
+        self.t = 0
+        self.phases = 0
+        self.primal_sum = None if self.implicit else np.zeros((m, m), dtype=np.float64)
+        self.primal_rounds = 0
+        self.last_density: np.ndarray | None = None
+        self.dots_sum = np.zeros(n, dtype=np.float64) if self.implicit else None
+        self.last_values: np.ndarray | None = None
+        self.latest_checkpoint: SolverCheckpoint | None = None
+
+    # ------------------------------------------------------------------ state
+    @property
+    def state(self):
+        """The current :class:`~repro.core.psi_state.PsiState`."""
+        return self.supervisor.state
+
+    @property
+    def x(self) -> np.ndarray:
+        """The current weight vector ``x(t)``."""
+        return self.supervisor.state.x
+
+    def running(self) -> bool:
+        """Algorithm 3.1's loop condition: ``||x||_1 <= K`` and ``t < R``."""
+        return float(self.x.sum()) <= self.params.K and self.t < self.max_iterations
+
+    def current_primal(self) -> np.ndarray | None:
+        """The tracked primal candidate of the dense path (average, else last density)."""
+        if self.primal_rounds > 0:
+            return self.primal_sum / self.primal_rounds
+        return self.last_density
+
+    def resume(self, ckpt: SolverCheckpoint | None) -> dict | None:
+        """Overlay ``ckpt`` (if any); returns an interrupted phase's position."""
+        return None if ckpt is None else restore_checkpoint(ckpt, self)
+
+    # ------------------------------------------------------------------ steps
+    def oracle_values(self) -> tuple[np.ndarray, float]:
+        """Supervised oracle call at the current iterate: ``(values, work)``."""
+        output = self.supervisor.oracle_call(iteration=self.t)
+        self.tracker.charge(output.work, self.log_depth, label="oracle")
+        return np.asarray(output.values, dtype=np.float64), output.work
+
+    def track(self, values: np.ndarray) -> None:
+        """Record the iterate's primal candidate: densities, or the dots vector."""
+        if self.implicit:
+            self.last_values = values
+            if self.track_primal:
+                self.dots_sum += values
+                self.primal_rounds += 1
+        elif self.track_primal:
+            self.last_density = expm_normalized(self.state.densify())
+            self.primal_sum += self.last_density
+            self.primal_rounds += 1
+
+    def select(self, values: np.ndarray) -> np.ndarray:
+        """Line 5: ``B(t) = {i : W . A_i <= (1 + eps) Tr[W]}``, i.e. ``P . A_i <= 1 + eps``."""
+        self.track(values)
+        self.tracker.charge(float(self.n), math.log2(max(self.n, 2)), label="select")
+        return values <= 1.0 + self.eps
+
+    def record(
+        self, values: np.ndarray, updated: int, oracle_work: float = 0.0,
+        lam: float = float("nan"),
+    ) -> None:
+        """Append this iteration's :class:`IterationRecord` to the history."""
+        self.history.append(
+            IterationRecord(
+                iteration=self.t,
+                x_norm=float(self.x.sum()),
+                updated=int(updated),
+                min_value=float(values.min(initial=np.inf)),
+                max_value=float(values.max(initial=-np.inf)),
+                psi_lambda_max=lam,
+                oracle_work=oracle_work,
+            )
+        )
+
+    def update(self, mask: np.ndarray) -> None:
+        """Line 6: multiply the selected coordinates by ``(1 + alpha)``.
+
+        The dense state also maintains ``psi + weighted_sum(delta)`` (one
+        GEMM over the active packed columns, charged for those only); the
+        implicit state touches only the weight vector.
+        """
+        delta = np.where(mask, self.params.alpha * self.x, 0.0)
+        work = self.state.add_delta(delta, mask)
+        self.tracker.charge(work, self.log_depth, label="update")
+
+    def tick(self, phase: dict | None = None) -> None:
+        """Periodic capture plus heartbeat at the ``checkpoint_every`` cadence."""
+        every = self.opts.checkpoint_every
+        if every and self.t % every == 0:
+            self.latest_checkpoint = capture_checkpoint(self, self.t, phase)
+            if self.opts.heartbeat is not None:
+                self.opts.heartbeat(self.latest_checkpoint, self.instance)
+
+    # ------------------------------------------------------------------ exits
+    def budget_exit(self, phase: dict | None = None) -> DecisionResult | None:
+        """``BUDGET_EXHAUSTED`` result once a budget is spent, else ``None``.
+
+        Budgets never raise from the public entry points: the result carries
+        the exactly verified partial dual and a capture taken *before* the
+        final ``lambda_max`` touches the state, which makes the exhausted
+        budget a continuation point rather than wasted work.
+        """
+        if self.supervisor.budget_exhausted(self.t) is None:
+            return None
+        checkpoint = capture_checkpoint(self, self.t, phase)
+        result = self.result(
+            DecisionOutcome.DUAL, early=True, status=SolveStatus.BUDGET_EXHAUSTED
+        )
+        result.metadata["checkpoint"] = checkpoint
+        return result
+
+    def failed(self) -> DecisionResult:
+        """The ``FAILED`` exit after a supervised call ran out of recoveries."""
+        return self.result(DecisionOutcome.DUAL, early=True, status=SolveStatus.FAILED)
+
+    def density_exit(self) -> DecisionResult:
+        """Empty ``B(t)``: the current density ``P`` is a primal certificate.
+
+        Every constraint already has ``A_i . P > 1 + eps`` and ``Tr P = 1``.
+        The matrix-free path builds ``P`` lazily from the final iterate.
+        """
+        if not self.implicit:
+            density = self.last_density
+            if density is None:
+                density = expm_normalized(self.state.densify())
+            self.primal_sum, self.primal_rounds = density.copy(), 1
+            self.last_density = density
+        return self.result(DecisionOutcome.PRIMAL, early=True, primal_final=True)
+
+    def certificate_exit(
+        self, measured: tuple[float, float] | None = None, primal: bool = True
+    ) -> DecisionResult | None:
+        """Early certificate check: the measured dual, then the tracked primal.
+
+        ``measured`` is a ``(lambda_max, work)`` pair the caller already
+        took; ``primal=False`` skips the primal-average check (the phased
+        variant only tests the dual side).  The matrix-free path never
+        tests its sketched primal estimates.
+        """
+        lam, eig_work = measured or self.supervisor.lambda_max(iteration=self.t)
+        self.tracker.charge(eig_work, self.log_depth, label="certificate-check")
+        if lam > 0 and float(self.x.sum()) / lam >= 1.0 - self.eps:
+            return self.result(DecisionOutcome.DUAL, early=True)
+        candidate = self.current_primal() if primal and not self.implicit else None
+        if candidate is not None and float(
+            self.constraints.dots(candidate).min(initial=np.inf)
+        ) >= 1.0:
+            return self.result(DecisionOutcome.PRIMAL, early=True)
+        return None
+
+    def loop_exit(self) -> DecisionResult:
+        """Lines 7-10, once the loop condition fails.
+
+        ``||x||_1 > K`` returns the dual (rescaled by the measured
+        ``lambda_max``, which Lemma 3.2 bounds by ``(1 + 10 eps) K``, so the
+        value is at least the paper's ``1 - 10 eps``); hitting ``R``
+        returns the averaged densities as the primal (the final iterate's
+        density when nothing was averaged).
+        """
+        if float(self.x.sum()) > self.params.K:
+            return self.result(DecisionOutcome.DUAL, early=False)
+        return self.result(DecisionOutcome.PRIMAL, early=False, primal_final=True)
+
+    def result(
+        self,
+        outcome: DecisionOutcome,
+        early: bool,
+        status: SolveStatus | None = None,
+        primal_final: bool = False,
+    ) -> DecisionResult:
+        """Make the run's :class:`DecisionResult`; every exit ends here.
+
+        Always reports a *feasible* dual candidate by rescaling ``x`` with
+        the measured ``lambda_max``: if ``lambda_max(sum_i x_i A_i) = lam >
+        0`` then ``x / lam`` is feasible with value ``||x||_1 / lam`` — for
+        budget-exhausted partial duals too.  The certificate is measured on
+        the returned object, never extrapolated; if even the exact rung
+        fails the dual side is reported ``nan`` and the status ``FAILED``.
+
+        ``primal_final`` makes the current iterate's density the primal
+        candidate when no average was tracked (built on demand on the
+        matrix-free path).  The phased variant always reports one.
+        """
+        primal_final = primal_final or self.solver == "phased"
+        try:
+            lam, eig_work = self.supervisor.lambda_max(final=True, iteration=self.t)
+        except BudgetExhaustedError:
+            lam, eig_work, status = float("nan"), 0.0, SolveStatus.FAILED
+        self.tracker.charge(eig_work, self.log_depth, label="dual-rescale")
+        state, x = self.state, self.x
+        verified = bool(np.isfinite(lam))
+        scale = lam if lam > 0 else 1.0
+        dual_x = x / scale
+
+        primal_y = None
+        min_dot = float("nan")
+        if self.implicit:
+            # The certificate is the final iterate's density: its trace
+            # products are the oracle's last estimates until primal_y's
+            # deferred build replaces them with exact ones.
+            if primal_final and self.last_values is not None:
+                min_dot = float(self.last_values.min(initial=np.inf))
+            elif self.primal_rounds > 0:
+                min_dot = float((self.dots_sum / self.primal_rounds).min(initial=np.inf))
+        else:
+            primal_y = self.current_primal()
+            if primal_y is None and primal_final:
+                primal_y = expm_normalized(state.densify())
+            if primal_y is not None:
+                min_dot = float(self.constraints.dots(primal_y).min(initial=np.inf))
+
+        if status is None:
+            # Demotions with a still exactly verified certificate: same
+            # guarantee, slower rungs.
+            status = (
+                SolveStatus.DEGRADED if self.supervisor.recovery_events
+                else SolveStatus.CERTIFIED
+            )
+        if self.solver == "phased":
+            variant = {
+                "phases": self.phases, "phase_growth": self.phase_growth,
+                "variant": "phased",
+            }
+        else:
+            variant = {"oracle": self.oracle_kind, "strict": self.opts.strict}
+        result = DecisionResult(
+            outcome=outcome,
+            dual_x=dual_x,
+            primal_y=primal_y,
+            dual_value=float(dual_x.sum()) if verified else float("nan"),
+            primal_min_dot=min_dot,
+            dual_lambda_max=lam / scale if verified else float("nan"),
+            iterations=self.t,
+            max_iterations=self.max_iterations,
+            epsilon=self.eps,
+            early_exit=early,
+            status=status,
+            history=self.history,
+            counters=self.oracle.counters,
+            work_depth=self.tracker.report(),
+            metadata={
+                "K": self.params.K,
+                "alpha": self.params.alpha,
+                "R": self.params.R,
+                **variant,
+                "solve_status": status.value,
+                # Partial-dual mass before rescaling: budget-exhaustion
+                # tests assert this grows monotonically with the budget.
+                "x_l1": float(x.sum()),
+                # Matrix-free discipline counters (snapshot at result build:
+                # a deferred primal build afterwards is *meant* to densify).
+                "psi_state": state.stats(),
+                # Rank-adaptive Taylor-engine counters (fast oracle only).
+                **oracle_engine_metadata(self.oracle),
+                "recovery_events": self.supervisor.event_dicts(),
+                "supervisor": self.supervisor.stats(),
+                **self.opts.metadata,
+            },
+            primal_builder=(
+                _final_density(state, self.constraints)
+                if self.implicit and primal_final else None
+            ),
+        )
+        if status is SolveStatus.FAILED and self.latest_checkpoint is not None:
+            # A crashed solve is still resumable from the latest periodic
+            # capture (budget exhaustion attaches a fresh one instead).
+            result.metadata["checkpoint"] = self.latest_checkpoint
+        return result
 
 
 def decision_psdp(
@@ -354,435 +793,27 @@ def decision_psdp(
     All fast-path/reference pairs certify identical decisions on fixed
     seeds (see ``tests/test_decision_packed_regressions.py``).
     """
-    opts = resolve_decision_options(epsilon, options, overrides)
-
-    constraints = _resolve_constraints(problem)
-    cfg = get_config()
-    eps = float(opts.epsilon)
-    params = DecisionParameters.from_instance(len(constraints), eps)
-    n, m = len(constraints), constraints.dim
-
-    traces = constraints.traces()
-    if np.any(traces <= 0):
-        raise InvalidProblemError(
-            "every constraint matrix must have a positive trace (remove zero matrices)"
-        )
-
-    tracker = WorkDepthTracker()
-    backend = opts.backend or SerialBackend(tracker=tracker)
-    if backend.tracker is None:
-        backend.tracker = tracker
-    else:
-        tracker = backend.tracker
-
-    oracle: DotExpOracle
-    if isinstance(opts.oracle, str):
-        oracle = make_oracle(
-            constraints,
-            kind=opts.oracle,
-            eps=opts.oracle_eps if opts.oracle_eps is not None else eps / 4.0,
-            # The Lemma 3.2 bound (1 + 10 eps) K would be a valid kappa, but it
-            # is very pessimistic early in the run; letting the fast oracle
-            # estimate ||Psi||_2 per call keeps the Taylor degree proportional
-            # to the *current* spectral norm.
-            kappa_bound=None,
-            rng=opts.rng,
-            backend=backend,
-            array_backend=opts.array_backend,
-        )
-        oracle_kind = opts.oracle
-    else:
-        oracle = opts.oracle
-        oracle_kind = type(oracle).__name__
-
-    track_primal = opts.track_primal_average
-    if track_primal is None:
-        track_primal = oracle_kind == "exact"
-
-    check_every = opts.certificate_check_every
-    if check_every is None:
-        check_every = 0 if opts.strict else cfg.certificate_check_every
-    max_iterations = opts.max_iterations if opts.max_iterations is not None else params.R
-
-    history = ConvergenceHistory() if opts.collect_history else None
-    log_depth = math.log2(max(n, 2)) + math.log2(max(m, 2))
-
-    # Top-eigenvalue estimation (certificate checks, history, final dual
-    # rescaling) lives on the PsiState: dense Lanczos on the maintained
-    # matrix for the dense state, warm-started Lanczos through the factored
-    # matvec for the implicit one.  The eigenvalue work charged below is
-    # the *measured* sweep count returned by top_eigenvalue, not an
-    # a-priori m^2 * maxiter constant.  The generator is spawned, not
-    # shared: consuming the oracle's stream here would make sketch draws
-    # depend on history/certificate cadence.
-    eig_rng = spawn_generators(opts.rng, 1)[0]
-
-    # --- initialisation (Claim 3.3): x_i(0) = 1 / (n Tr[A_i]) ------------------
-    state = make_psi_state(
-        constraints,
-        1.0 / (n * traces),
-        oracle=oracle,
-        eig_rng=eig_rng,
-        mode=opts.psi_state,
-    )
-    implicit = state.mode == "implicit"
-    x = state.x
-    tracker.charge(state.init_work, log_depth, label="init-psi")
-
-    # Fault supervision (robustness subsystem): kernel-demotion ladders,
-    # budgets, and the structured recovery log.  The supervisor owns the
-    # mutable PsiState reference — the loop re-reads it after every
-    # supervised call because an implicit-state matvec failure rebuilds the
-    # state densely mid-run.  The primal-tracking branch choice (`implicit`)
-    # stays frozen at its start-of-run value: the dots-vector accumulators
-    # remain valid after a demotion, only lambda_max/densify follow the
-    # demoted state.
-    supervisor = (
-        FastPathSupervisor(
-            oracle=oracle,
-            state=state,
-            constraints=constraints,
-            tracker=tracker,
-            log_depth=log_depth,
-            eig_rng=eig_rng,
-            wall_clock_budget=opts.wall_clock_budget,
-            iteration_budget=opts.iteration_budget,
-            max_recoveries=opts.max_recoveries,
-        )
-        if opts.supervise
-        else None
-    )
-
-    primal_sum = None if implicit else np.zeros((m, m), dtype=np.float64)
-    primal_rounds = 0
-    last_density: np.ndarray | None = None
-    # Matrix-free primal tracking: the oracle's values vector *is* the
-    # Theorem 4.1 estimate of the dots vector constraints.dots(P(t)) —
-    # segment-summed || Pi exp(Psi/2) Q_i ||_F^2 over the factor stack —
-    # so the running density average is tracked through its trace products
-    # and an (m, m) density matrix is never formed during the run.
-    dots_sum = np.zeros(n, dtype=np.float64) if implicit else None
-    last_values: np.ndarray | None = None
-
-    checkpoint_every = opts.checkpoint_every or 0
-    latest_checkpoint: SolverCheckpoint | None = None
-
-    def capture(iteration: int) -> SolverCheckpoint:
-        return capture_checkpoint(
-            solver="psdp",
-            iteration=iteration,
-            eps=eps,
-            oracle_kind=oracle_kind,
-            strict=opts.strict,
-            n=n,
-            m=m,
-            oracle=oracle,
-            state=state,
-            supervisor=supervisor,
-            eig_rng=eig_rng,
-            tracker=tracker,
-            history=history,
-            primal_sum=primal_sum,
-            primal_rounds=primal_rounds,
-            last_density=last_density,
-            dots_sum=dots_sum,
-            last_values=last_values,
-        )
-
-    def current_primal() -> np.ndarray | None:
-        if primal_rounds > 0:
-            return primal_sum / primal_rounds
-        return last_density
-
-    def build_result(
-        outcome: DecisionOutcome,
-        iterations: int,
-        early: bool,
-        dual_candidate: np.ndarray,
-        primal_final: bool = False,
-        status: SolveStatus | None = None,
-    ) -> DecisionResult:
-        nonlocal state
-        # Always report a *feasible* dual candidate by rescaling with the
-        # measured lambda_max: if lambda_max(sum_i x_i A_i) = lam > 0 then
-        # x / lam is feasible with value ||x||_1 / lam.  Lemma 3.2 bounds lam
-        # by (1 + 10 eps) K, so this is never worse than the paper's scaling,
-        # and scaling *up* when lam < 1 only strengthens the certificate.
-        # This holds for budget-exhausted partial duals too: x / lam is
-        # exactly verified feasible, merely with a sub-target value — the
-        # certificate is measured on the returned object, never extrapolated.
-        try:
-            if supervisor is not None:
-                lam, eig_work = supervisor.lambda_max(final=True, iteration=iterations)
-                state = supervisor.state
-            else:
-                lam, eig_work = state.lambda_max(final=True)
-        except BudgetExhaustedError:
-            # Even the exact eigvalsh rung failed (or recoveries ran out):
-            # the dual side cannot be verified — report nan, never a guess.
-            lam, eig_work = float("nan"), 0.0
-            status = SolveStatus.FAILED
-            if supervisor is not None:
-                state = supervisor.state
-        tracker.charge(eig_work, log_depth, label="dual-rescale")
-        verified = bool(np.isfinite(lam))
-        scale = lam if lam > 0 else 1.0
-        dual_x = dual_candidate / scale
-        dual_value = float(dual_x.sum()) if verified else float("nan")
-        dual_lam = lam / scale if verified else float("nan")
-
-        if implicit:
-            # No (m, m) matrix exists; primal_y is attached as a deferred
-            # build below when this outcome carries a primal certificate.
-            primal_y = None
-            if primal_final and last_values is not None:
-                # The certificate is the *current* iterate's density; its
-                # trace products are the oracle's last estimates.
-                min_dot = float(last_values.min(initial=np.inf))
-            elif primal_rounds > 0:
-                min_dot = float((dots_sum / primal_rounds).min(initial=np.inf))
-            else:
-                min_dot = float("nan")
-        else:
-            primal_y = current_primal()
-            if primal_y is not None:
-                min_dot = float(constraints.dots(primal_y).min(initial=np.inf))
-            else:
-                min_dot = float("nan")
-
-        if status is None:
-            # Demotions occurred but the certificate was still exactly
-            # verified: the run is DEGRADED, not failed — same guarantee,
-            # slower rungs.
-            status = (
-                SolveStatus.DEGRADED
-                if supervisor is not None and supervisor.recovery_events
-                else SolveStatus.CERTIFIED
-            )
-        result = DecisionResult(
-            outcome=outcome,
-            dual_x=dual_x,
-            primal_y=primal_y,
-            dual_value=dual_value,
-            primal_min_dot=min_dot,
-            dual_lambda_max=dual_lam,
-            iterations=iterations,
-            max_iterations=max_iterations,
-            epsilon=eps,
-            early_exit=early,
-            status=status,
-            history=history,
-            counters=oracle.counters,
-            work_depth=tracker.report(),
-            metadata={
-                "K": params.K,
-                "alpha": params.alpha,
-                "R": params.R,
-                "oracle": oracle_kind,
-                "strict": opts.strict,
-                "solve_status": status.value,
-                # Partial-dual mass before rescaling: budget-exhaustion
-                # tests assert this grows monotonically with the budget.
-                "x_l1": float(dual_candidate.sum()),
-                # Matrix-free discipline counters (snapshot at result build:
-                # a deferred primal build afterwards is *meant* to densify).
-                "psi_state": state.stats(),
-                # Rank-adaptive Taylor-engine counters (fast oracle only).
-                **oracle_engine_metadata(oracle),
-                **(
-                    {
-                        "recovery_events": supervisor.event_dicts(),
-                        "supervisor": supervisor.stats(),
-                    }
-                    if supervisor is not None
-                    else {}
-                ),
-                **opts.metadata,
-            },
-        )
-        if result.status is SolveStatus.FAILED and latest_checkpoint is not None:
-            # A crashed solve is still resumable from the latest periodic
-            # capture (budget exhaustion attaches a fresh one at its own
-            # return site, overriding this).
-            result.metadata["checkpoint"] = latest_checkpoint
-        if implicit and primal_final:
-            def build_primal() -> np.ndarray:
-                # The one deferred densification + eigendecomposition of the
-                # matrix-free path, run only when primal_y is actually read;
-                # the exact trace products replace the sketched estimate.
-                y = expm_normalized(state.densify())
-                result.primal_min_dot = float(
-                    constraints.dots(y).min(initial=np.inf)
-                )
-                return y
-
-            result.primal_builder = build_primal
-        return result
-
-    # --- main loop (Algorithm 3.1) --------------------------------------------
-    t = 0
-    if resume_from is not None:
-        # Reconstruction above followed the exact fresh-run order (so the
-        # spawned rng streams match); now overlay the checkpointed state.
-        state, resumed = restore_checkpoint(
-            resume_from,
-            solver="psdp",
-            eps=eps,
-            oracle_kind=oracle_kind,
-            strict=opts.strict,
-            n=n,
-            m=m,
-            constraints=constraints,
-            oracle=oracle,
-            state=state,
-            supervisor=supervisor,
-            eig_rng=eig_rng,
-            tracker=tracker,
-            history=history,
-        )
-        x = state.x
-        t = resumed.iteration
-        primal_sum = resumed.primal_sum
-        primal_rounds = resumed.primal_rounds
-        last_density = resumed.last_density
-        dots_sum = resumed.dots_sum
-        last_values = resumed.last_values
-    while float(x.sum()) <= params.K and t < max_iterations:
-        if supervisor is not None and supervisor.budget_exhausted(t) is not None:
-            # Budgets never raise from the public entry point: return the
-            # exactly-verified partial dual with an explicit status.  The
-            # fresh capture makes the exhausted budget a continuation
-            # point, not wasted work.
-            checkpoint = capture(t)
-            result = build_result(
-                DecisionOutcome.DUAL, t, early=True, dual_candidate=x,
-                status=SolveStatus.BUDGET_EXHAUSTED,
-            )
-            result.metadata["checkpoint"] = checkpoint
-            return result
-        t += 1
-
-        if supervisor is not None:
-            try:
-                output = supervisor.oracle_call(iteration=t)
-            except BudgetExhaustedError:
-                return build_result(
-                    DecisionOutcome.DUAL, t, early=True, dual_candidate=x,
-                    status=SolveStatus.FAILED,
-                )
-            state = supervisor.state
-            x = state.x
-        else:
-            output = oracle(state.oracle_psi(), x)
-        values = np.asarray(output.values, dtype=np.float64)
-        tracker.charge(output.work, log_depth, label="oracle")
-
-        if implicit:
-            last_values = values
-            if track_primal:
-                dots_sum += values
-                primal_rounds += 1
-        elif track_primal:
-            last_density = expm_normalized(state.densify())
-            primal_sum += last_density
-            primal_rounds += 1
-
-        # Line 5: B(t) = {i : W . A_i <= (1 + eps) Tr[W]}  <=>  P . A_i <= 1 + eps
-        mask = values <= 1.0 + eps
-        updated = int(mask.sum())
-        tracker.charge(float(n), math.log2(max(n, 2)), label="select")
-
-        if history is not None:
-            if supervisor is not None:
-                try:
-                    lam_hist, _ = supervisor.lambda_max(iteration=t)
-                except BudgetExhaustedError:
-                    return build_result(
-                        DecisionOutcome.DUAL, t, early=True, dual_candidate=x,
-                        status=SolveStatus.FAILED,
-                    )
-                state = supervisor.state
-            else:
-                lam_hist, _ = state.lambda_max()
-            history.append(
-                IterationRecord(
-                    iteration=t,
-                    x_norm=float(x.sum()),
-                    updated=updated,
-                    min_value=float(values.min(initial=np.inf)),
-                    max_value=float(values.max(initial=-np.inf)),
-                    psi_lambda_max=lam_hist,
-                    oracle_work=output.work,
-                )
-            )
-
-        if updated == 0:
-            # Every constraint already has A_i . P > 1 + eps: the density
-            # matrix itself is a primal certificate (Tr P = 1).
-            if implicit:
-                return build_result(
-                    DecisionOutcome.PRIMAL, t, early=True, dual_candidate=x,
-                    primal_final=True,
-                )
-            density = last_density if last_density is not None else expm_normalized(state.densify())
-            primal_sum = density.copy()
-            primal_rounds = 1
-            last_density = density
-            return build_result(DecisionOutcome.PRIMAL, t, early=True, dual_candidate=x)
-
-        # Line 6: multiply the selected coordinates by (1 + alpha).  The
-        # dense state also maintains psi + weighted_sum(delta) (a single
-        # GEMM over the active packed columns); the implicit state touches
-        # only the weight vector.
-        delta = np.where(mask, params.alpha * x, 0.0)
-        update_work = state.add_delta(delta, mask)
-        x = state.x
-        tracker.charge(update_work, log_depth, label="update")
-
-        # Early certificate checks (non-strict mode only).
-        if check_every and t % check_every == 0:
-            if supervisor is not None:
-                try:
-                    lam, eig_work = supervisor.lambda_max(iteration=t)
-                except BudgetExhaustedError:
-                    return build_result(
-                        DecisionOutcome.DUAL, t, early=True, dual_candidate=x,
-                        status=SolveStatus.FAILED,
-                    )
-                state = supervisor.state
-            else:
-                lam, eig_work = state.lambda_max()
-            tracker.charge(eig_work, log_depth, label="certificate-check")
-            if lam > 0 and float(x.sum()) / lam >= 1.0 - eps:
-                return build_result(DecisionOutcome.DUAL, t, early=True, dual_candidate=x)
-            primal_candidate = None if implicit else current_primal()
-            if primal_candidate is not None:
-                min_dot = float(constraints.dots(primal_candidate).min(initial=np.inf))
-                if min_dot >= 1.0:
-                    return build_result(DecisionOutcome.PRIMAL, t, early=True, dual_candidate=x)
-
-        if checkpoint_every and t % checkpoint_every == 0:
-            latest_checkpoint = capture(t)
-            if opts.heartbeat is not None:
-                opts.heartbeat(latest_checkpoint, None)
-
-    if float(x.sum()) > params.K:
-        # Lines 7-8: return a dual solution.  The paper rescales by
-        # 1/((1+10eps) K); build_result instead rescales by the *measured*
-        # lambda_max, which Lemma 3.2 bounds by (1+10eps) K, so the returned
-        # value is at least the paper's 1 - 10 eps guarantee.
-        return build_result(DecisionOutcome.DUAL, t, early=False, dual_candidate=x)
-
-    if t >= max_iterations:
-        # Line 9-10: the averaged density matrices form the primal solution
-        # (final iterate's density on the matrix-free path, built lazily).
-        if implicit:
-            return build_result(
-                DecisionOutcome.PRIMAL, t, early=False, dual_candidate=x,
-                primal_final=True,
-            )
-        if primal_rounds == 0 and last_density is None:
-            last_density = expm_normalized(state.densify())
-        return build_result(DecisionOutcome.PRIMAL, t, early=False, dual_candidate=x)
-
-    raise SolverError("decision solver exited its loop without a certificate")  # pragma: no cover
+    run = DecisionRun(problem, resolve_decision_options(epsilon, options, overrides))
+    run.resume(resume_from)
+    try:
+        while run.running():
+            result = run.budget_exit()
+            if result is not None:
+                return result
+            run.t += 1
+            values, work = run.oracle_values()
+            mask = run.select(values)
+            if run.history is not None:
+                lam, _ = run.supervisor.lambda_max(iteration=run.t)
+                run.record(values, mask.sum(), work, lam)
+            if not mask.any():
+                return run.density_exit()
+            run.update(mask)
+            if run.check_every and run.t % run.check_every == 0:
+                result = run.certificate_exit()
+                if result is not None:
+                    return result
+            run.tick()
+        return run.loop_exit()
+    except BudgetExhaustedError:
+        return run.failed()

@@ -333,35 +333,39 @@ class ImplicitPsiState(PsiState):
         # the Ritz residual, so a stale vector costs sweeps, not accuracy).
         self._eig_vector: np.ndarray | None = None
         # Start vector for the one final (dual-rescale) call, drawn at
-        # construction: ARPACK's internal starting residual advances its
-        # global seed state between calls, so relying on it would make the
-        # reported certificate depend on how many history/certificate-check
-        # calls ran before result build.  A vector fixed per run keeps the
-        # final estimate deterministic and call-history independent while
-        # retaining the random start's overlap guarantee.
+        # construction: a start drawn at call time would advance with every
+        # cold history/certificate-check call, making the reported
+        # certificate depend on how many of them ran before result build.
+        # A vector fixed per run keeps the final estimate deterministic and
+        # call-history independent while retaining the random start's
+        # overlap guarantee.
         self._final_v0: np.ndarray | None = (
             self._eig_rng.standard_normal(self.dim) if self.dim else None
         )
 
     def _apply(self):
+        # The weight-expanded matvec is cached until the next add_delta; the
+        # counting wrapper is rebuilt per call so the state never stores a
+        # closure over itself (which would keep a dropped solve alive until
+        # the cyclic collector runs).
         if self._matvec_fn is None:
-            base = self._packed.matvec_fn(self.x)
+            self._matvec_fn = self._packed.matvec_fn(self.x)
+        base = self._matvec_fn
 
-            def counting(block: np.ndarray) -> np.ndarray:
-                self.matvec_count += 1
-                out = base(block)
-                fault_hook_array("psi_state.matvec", out)
-                if not np.all(np.isfinite(out)):
-                    # Catch the corruption here, attributed, before ARPACK
-                    # turns it into an opaque convergence failure.
-                    raise NumericalError(
-                        "implicit Psi matvec produced non-finite output",
-                        site="psi_state.matvec",
-                    )
-                return out
+        def counting(block: np.ndarray) -> np.ndarray:
+            self.matvec_count += 1
+            out = base(block)
+            fault_hook_array("psi_state.matvec", out)
+            if not np.all(np.isfinite(out)):
+                # Catch the corruption here, attributed, before ARPACK
+                # turns it into an opaque convergence failure.
+                raise NumericalError(
+                    "implicit Psi matvec produced non-finite output",
+                    site="psi_state.matvec",
+                )
+            return out
 
-            self._matvec_fn = counting
-        return self._matvec_fn
+        return counting
 
     def matvec(self, block: np.ndarray) -> np.ndarray:
         """``Psi @ block`` through the packed factors — two GEMMs, no ``Psi``."""
@@ -370,21 +374,6 @@ class ImplicitPsiState(PsiState):
     def add_delta(self, delta: np.ndarray, mask: np.ndarray | None = None) -> float:
         """``x += delta``; invalidates the matvec closure and dense cache."""
         self.x = self.x + delta
-        self._matvec_fn = None
-        self._dense = None
-        return float(len(self.x))
-
-    def replace_weights(self, x: np.ndarray) -> float:
-        """Replace the weight vector wholesale (the batched solver's update).
-
-        Equivalent to :meth:`add_delta` with ``delta = x - self.x`` already
-        applied by the caller: ``solve_many`` performs the multiplicative
-        update for the whole batch in one stacked operation and hands each
-        state its updated row.  Invalidates the matvec closure and the dense
-        cache exactly like :meth:`add_delta` and returns the same ``O(n)``
-        model work charge.
-        """
-        self.x = x
         self._matvec_fn = None
         self._dense = None
         return float(len(self.x))

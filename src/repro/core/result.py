@@ -145,10 +145,10 @@ class DecisionResult:
     #: ``decision_psdp(..., resume_from=...)`` continues bit-identically.
     metadata: dict[str, Any] = field(default_factory=dict)
     #: Deferred builder for :attr:`primal_y` (matrix-free path only): called
-    #: at most once, on first read, then discarded.  The builder may also
-    #: refresh :attr:`primal_min_dot` with the exact trace products of the
-    #: matrix it returns.
-    primal_builder: Callable[[], np.ndarray | None] | None = field(
+    #: at most once, on first read, then discarded.  It returns the matrix
+    #: and its exact ``min_i A_i . Y``, which replaces the sketched
+    #: :attr:`primal_min_dot`.
+    primal_builder: Callable[[], tuple[np.ndarray, float]] | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -167,8 +167,8 @@ def _primal_y_get(self: "DecisionResult") -> np.ndarray | None:
     """Resolve :attr:`DecisionResult.primal_y`, running the deferred build once."""
     value = self.__dict__.get("_primal_y_value")
     if value is None and self.primal_builder is not None:
-        builder, self.primal_builder = self.primal_builder, None
-        value = builder()
+        build, self.primal_builder = self.primal_builder, None
+        value, self.primal_min_dot = build()
         self.__dict__["_primal_y_value"] = value
     return value
 

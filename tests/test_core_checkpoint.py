@@ -131,6 +131,17 @@ class TestCaptureSemantics:
         with pytest.raises(CheckpointError):
             decision_psdp_phased(small_collection(), **solve_opts(), resume_from=ckpt)
 
+    def test_resume_rejects_unsupervised_checkpoint(self):
+        # Every solve is supervised, so a capture whose metadata says it ran
+        # without a supervisor (it carries no ladder state) cannot resume.
+        ckpt = decision_psdp(
+            small_collection(), **solve_opts(iteration_budget=3)
+        ).metadata["checkpoint"]
+        ckpt.meta["supervised"] = False
+        ckpt.supervisor = None
+        with pytest.raises(CheckpointError, match="supervision"):
+            decision_psdp(small_collection(), **solve_opts(), resume_from=ckpt)
+
 
 class TestResumeBitIdentical:
     """Interrupt at iteration ``k`` then resume == uninterrupted run."""

@@ -157,6 +157,68 @@ class TestDecisionSolver:
         lam_max_seen = max(r.psi_lambda_max for r in result.history)
         assert lam_max_seen <= bound + 1e-6
 
+    def test_lanczos_solves_repeat_bit_for_bit(self):
+        # m = 80 puts every lambda_max on the Lanczos path; its cold start
+        # is drawn from the run's spawned generator, so two solves of the
+        # same instance and seed return identical bits.
+        from helpers import factorized_family
+
+        def solve():
+            return decision_psdp(
+                factorized_family(3, n=8, m=80), epsilon=0.25, oracle="exact",
+                rng=5, collect_history=True,
+            )
+
+        first, second = solve(), solve()
+        assert np.array_equal(first.dual_x, second.dual_x)
+        assert first.metadata["psi_state"] == second.metadata["psi_state"]
+
+
+class TestSolvedInstancesAreFreed:
+    """Dropping a result and its collection frees them by reference count.
+
+    With the cyclic collector off, a reference cycle anywhere between the
+    result, the psi state and the deferred primal build would keep the
+    solved collection (and its packed caches) alive.
+    """
+
+    @staticmethod
+    def _collection_survives(solve, scale):
+        import gc
+        import weakref
+
+        from helpers import factorized_family
+
+        gc.collect()
+        gc.disable()
+        try:
+            collection = factorized_family(0, n=8, m=32, scale=scale)
+            alive = weakref.ref(collection)
+            result = solve(collection)
+            outcome = result.outcome
+            del result, collection
+            return outcome, alive() is not None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize(
+        "scale, expected",
+        [(0.35, DecisionOutcome.DUAL), (1.0, DecisionOutcome.PRIMAL)],
+    )
+    @pytest.mark.parametrize("solver", ["psdp", "phased", "solve_many"])
+    def test_collection_freed_without_gc(self, solver, scale, expected):
+        from repro.core.batch import solve_many
+
+        solve = {
+            "psdp": lambda c: decision_psdp(c, epsilon=0.25, oracle="fast", rng=1),
+            "phased": lambda c: decision_psdp_phased(c, epsilon=0.25, oracle="fast", rng=1),
+            # m = 32 puts the instance on the fused lockstep path.
+            "solve_many": lambda c: solve_many([c], epsilon=0.25, oracle="fast", rng=1)[0],
+        }[solver]
+        outcome, survives = self._collection_survives(solve, scale)
+        assert outcome == expected
+        assert not survives
+
 
 class TestPhasedVariant:
     def test_same_outcome_as_phaseless(self, rng):

@@ -482,9 +482,11 @@ class TestMatrixFreeRegressions:
         assert result.metadata["psi_state"]["densifies"] == 0
 
     def test_phased_fast_path_is_matrix_free(self, monkeypatch):
-        import repro.core.decision_phased as phased_mod
+        # The phased loop runs on the shared DecisionRun, which builds every
+        # density (and the deferred primal) in repro.core.decision.
+        import repro.core.decision as decision_mod
 
-        counter = _counting_expm(monkeypatch, [phased_mod])
+        counter = _counting_expm(monkeypatch, [decision_mod])
         coll = _factorized_collection(seed=9, m=96, n=10)
         result = decision_psdp_phased(
             coll, epsilon=0.25, oracle="fast", rng=6, max_iterations=12

@@ -191,6 +191,20 @@ class TestTopEigenvalueExtensions:
 
         assert top_eigenvalue(lambda v: np.zeros_like(v), dim=80) == 0.0
 
+    @pytest.mark.parametrize("seed", [0, None])
+    def test_cold_lanczos_start_is_seeded(self, seed):
+        # Without v0 the start vector is drawn from rng, not left to
+        # ARPACK's entropy-seeded default: repeated calls return the same
+        # bits after the same number of sweeps.
+        from repro.linalg.norms import top_eigenvalue
+
+        mat = random_psd(200, rng=np.random.default_rng(4))
+        runs = set()
+        for _ in range(5):
+            info: dict = {}
+            runs.add((top_eigenvalue(mat, rng=seed, info=info), info["matvecs"]))
+        assert len(runs) == 1
+
 
 class TestJLDimension:
     def test_formula(self):

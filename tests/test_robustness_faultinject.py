@@ -255,13 +255,6 @@ class TestBudgets:
         assert result.metadata["recovery_events"] == []
         assert result.metadata["supervisor"]["recoveries"] == 0
 
-    def test_supervise_false_has_no_supervisor_metadata(self):
-        coll = gram_collection()
-        result = decision_psdp(coll, epsilon=0.25, oracle="fast", rng=3, supervise=False)
-        assert result.status == SolveStatus.CERTIFIED
-        assert "recovery_events" not in result.metadata
-        assert "supervisor" not in result.metadata
-
 
 class TestChaosBatch:
     """Fault supervision composed with the batched lockstep solver.
