@@ -57,6 +57,7 @@ from common import (  # noqa: E402
 from repro.core.decision import decision_psdp  # noqa: E402
 from repro.core.dotexp import FastDotExpOracle, big_dot_exp  # noqa: E402
 from repro.linalg.taylor import taylor_degree  # noqa: E402
+from repro.linalg.taylor_gram import TaylorEngine  # noqa: E402
 
 DEFAULT_OUTPUT = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_gram.json"
@@ -112,7 +113,7 @@ def bench_taylor_sequence(ops, n: int, m: int, repeats: int, seed: int) -> dict:
     degree = taylor_degree(TAYLOR_KAPPA / 2.0, ORACLE_EPS / 2.0)
     block = np.eye(m)
     seq = weight_sequence(n, WEIGHT_STEPS, seed)
-    engine = packed.taylor_engine()
+    engine = TaylorEngine(packed)
 
     def old_pass():
         for x in seq:
@@ -179,7 +180,7 @@ def bench_agreement(ops, n: int, m: int, seed: int) -> float:
         coll.weighted_sum(x), coll.gram_factors(), kappa=2.0, eps=0.2, use_sketch=False
     )
     packed = coll.packed()
-    kernel = packed.taylor_engine().kernel_for(x)
+    kernel = TaylorEngine(packed).kernel_for(x)
     new_vals = big_dot_exp(kernel, packed, kappa=2.0, eps=0.2, use_sketch=False)
     return float(np.max(np.abs(new_vals - reference)))
 

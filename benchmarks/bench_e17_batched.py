@@ -93,8 +93,8 @@ def make_factors(
 
 
 def fresh_collections(factors: list[list[np.ndarray]]) -> list[ConstraintCollection]:
-    """New collections over the same factors — no packed/engine cache leaks
-    between timed runs."""
+    """New collections over the same factors, so each timed run pays its own
+    packed-view builds."""
     return [
         ConstraintCollection([FactorizedPSDOperator(f) for f in ops], validate=False)
         for ops in factors

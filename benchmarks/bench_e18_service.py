@@ -93,8 +93,8 @@ def make_factors(m: int, n: int, rank: int, seed: int) -> list[np.ndarray]:
 
 
 def fresh_collection(factors: list[np.ndarray]) -> ConstraintCollection:
-    """A new collection over the same factors — no packed/engine cache
-    leaks between the two arms of a ratio."""
+    """A new collection over the same factors, so each arm of a ratio pays
+    its own packed-view build."""
     return ConstraintCollection(
         [FactorizedPSDOperator(f) for f in factors], validate=False
     )

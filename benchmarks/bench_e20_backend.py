@@ -1,4 +1,4 @@
-"""E20 — array-backend parity: NumPy vs torch/CuPy on the packed kernels.
+"""E20 — array-backend parity: NumPy vs torch on the packed kernels.
 
 For every *installed* array backend (``repro.backend.available_backends``)
 this benchmark measures, across the E14-style ``(n, m)`` kernel grid:
@@ -12,8 +12,8 @@ this benchmark measures, across the E14-style ``(n, m)`` kernel grid:
 * an iteration-capped end-to-end ``decision_psdp(array_backend=...)``
   with outcome/iteration equality against the NumPy run.
 
-Rows for backends that are not installed are simply absent;
-``torch_available``/``cupy_available`` flags in the payload record why, and
+Rows for backends that are not installed are simply absent; the
+``torch_available`` flag in the payload records why, and
 ``tools/check_bench_regression.py`` only enforces the torch parity floor
 (0.8x NumPy) when the rows exist.
 
@@ -173,11 +173,10 @@ def main(argv=None) -> int:
 
     payload = {
         "experiment": "E20-backend",
-        "description": "array-backend parity: NumPy vs torch/CuPy packed kernels",
+        "description": "array-backend parity: NumPy vs torch packed kernels",
         "quick": args.quick,
         "backends": list(backends),
         "torch_available": "torch" in backends,
-        "cupy_available": "cupy" in backends,
         "config": {
             "rank": DEFAULT_RANK,
             "taylor_degree": TAYLOR_DEGREE,

@@ -106,8 +106,11 @@ def make_operators(
 
 
 def fresh_collection(ops):
-    """A new collection over the same factors — no packed/engine cache leaks
-    between the reference-path and fast-path measurements."""
+    """A new collection over the same factors, so each timed arm pays its own
+    packed-view build instead of riding on another arm's.
+
+    Only timings depend on it: a collection's cached views never change a
+    solve's bits."""
     from repro.operators import ConstraintCollection, FactorizedPSDOperator
 
     return ConstraintCollection(

@@ -1,4 +1,4 @@
-"""Pluggable array backends (NumPy default; torch and CuPy optional).
+"""Pluggable array backends (NumPy default; torch optional).
 
 The registry resolves a *spec* — ``None``, a name, or an already-built
 :class:`~repro.backend.base.ArrayBackend` — into a backend instance:
@@ -38,7 +38,7 @@ __all__ = [
 #: The shared default backend instance (stateless; safe to share globally).
 NUMPY = NumPyBackend()
 
-_OPTIONAL = ("torch", "cupy")
+_OPTIONAL = ("torch",)
 _CACHE: dict[str, ArrayBackend] = {"numpy": NUMPY}
 
 
@@ -46,7 +46,7 @@ def available_backends() -> tuple[str, ...]:
     """Names of the installed array backends (``"numpy"`` always first).
 
     Optional libraries are probed via ``importlib.util.find_spec`` so the
-    check itself never imports torch/CuPy (both are heavyweight imports).
+    check itself never imports torch (a heavyweight import).
     """
     names = ["numpy"]
     for name in _OPTIONAL:
@@ -63,7 +63,7 @@ def get_array_backend(spec: "str | ArrayBackend | None" = None) -> ArrayBackend:
     """Resolve a backend spec to an :class:`ArrayBackend` instance.
 
     ``None`` and ``"numpy"`` return the shared :data:`NUMPY` singleton;
-    ``"torch"``/``"cupy"`` construct (and cache) the optional backend,
+    ``"torch"`` constructs (and caches) the optional backend,
     raising :class:`~repro.exceptions.BackendError` when the library is not
     installed; an :class:`ArrayBackend` instance passes through unchanged.
     """
@@ -84,19 +84,10 @@ def get_array_backend(spec: "str | ArrayBackend | None" = None) -> ArrayBackend:
             raise BackendError(
                 "array backend 'torch' requested but torch is not installed"
             ) from exc
-    elif name == "cupy":
-        try:
-            from repro.backend.cupy_backend import CupyBackend
-
-            backend = CupyBackend()
-        except ImportError as exc:
-            raise BackendError(
-                "array backend 'cupy' requested but cupy is not installed"
-            ) from exc
     else:
         raise BackendError(
             f"unknown array backend {spec!r}; expected one of "
-            f"('numpy', 'torch', 'cupy') or an ArrayBackend instance"
+            f"('numpy', 'torch') or an ArrayBackend instance"
         )
     _CACHE[name] = backend
     return backend

@@ -2,7 +2,7 @@
 
 Every hot kernel in this repository is a GEMM + segment reduction over one
 packed factor stack (see :mod:`repro.operators.packed`).  That shape ports
-unchanged across NumPy, torch, and CuPy — what differs is only *which*
+unchanged across NumPy and torch — what differs is only *which*
 library executes the arithmetic.  :class:`ArrayBackend` is the namespace
 object the kernels route through: ~20 primitives covering construction and
 transfer (``asarray``/``to_numpy``), the dense kernels (``matmul``,
@@ -20,7 +20,7 @@ Contract rules (enforced by ``tests/test_backend_conformance.py`` and the
 * **Charges are computed from shapes, never from arrays.**  The
   :class:`~repro.parallel.backends.ExecutionBackend` work–depth charges are
   machine-independent model quantities; routing the arithmetic through
-  torch or CuPy must leave every charge (and every iteration count)
+  torch must leave every charge (and every iteration count)
   identical.  No primitive here reports costs — callers derive work from
   ``shape``/``nnz`` alone.
 * **Host state stays NumPy; device arrays live inside kernels.**
@@ -46,13 +46,13 @@ __all__ = ["ArrayBackend"]
 class ArrayBackend(abc.ABC):
     """Namespace object exposing the array primitives the engine uses.
 
-    Subclasses wrap one array library (NumPy, torch, CuPy).  ``Array`` below
-    means the backend's native array type (``np.ndarray``, ``torch.Tensor``,
-    ``cupy.ndarray``); primitives accept host NumPy arrays wherever a
+    Subclasses wrap one array library (NumPy, torch).  ``Array`` below
+    means the backend's native array type (``np.ndarray``,
+    ``torch.Tensor``); primitives accept host NumPy arrays wherever a
     transfer is implied and say so explicitly.
     """
 
-    #: Registry name (``"numpy"``, ``"torch"``, ``"cupy"``).
+    #: Registry name (``"numpy"``, ``"torch"``).
     name: str = "abstract"
 
     @property

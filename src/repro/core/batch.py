@@ -45,7 +45,8 @@ Fault isolation
 ---------------
 Supervision demotes only the faulted instance, never the batch: any
 per-instance numerical failure inside the fused kernels ejects that one
-instance, which is re-solved sequentially from its own rng stream.
+instance, which is re-solved sequentially on its own collection from its
+own rng stream.
 Organic failures deterministically replay under the sequential
 supervisor's demotion ladder, reproducing the sequential result exactly;
 an injected fault that was consumed by the discarded batched attempt
@@ -70,7 +71,7 @@ from repro.linalg.taylor import taylor_degree
 from repro.linalg.taylor_gram import batched_gram_taylor_apply
 from repro.linalg.trace_estimation import batched_gram_exp_trace, select_trace_mode
 from repro.operators.collection import ConstraintCollection
-from repro.operators.packed import PackedGramFactors, batched_segment_sums
+from repro.operators.packed import batched_segment_sums
 from repro.robustness.faultinject import fault_hook_array
 # Fused instances capture through their DecisionRun; the name stays
 # importable here because perfbench/tracing.py patches it at this module.
@@ -133,7 +134,9 @@ def _fused_key(
     degenerate-sketch Gram path over dense exact-factor stacks, implicit
     psi state, no history/primal tracking, no wall clock (the
     per-iteration elapsed() reads would diverge between lockstep and
-    sequential runs), and ``m`` at most :data:`_DENSE_EIG_CUTOFF`.
+    sequential runs), and ``m`` at most :data:`_DENSE_EIG_CUTOFF`.  The
+    gate reads the collection's own packed view; building it changes no
+    later solve's bits.
     """
     if not (isinstance(opts.oracle, str) and opts.oracle == "fast"):
         return None
@@ -159,13 +162,7 @@ def _fused_key(
         return None
     if not constraints.has_exact_factors:
         return None
-    packed = constraints.packed_view
-    if packed is None:
-        # Probe on a throwaway view.  Caching it on the collection would
-        # reroute ``traces()`` through the packed rounding for instances
-        # that end up on the sequential fallback, perturbing their bits
-        # relative to a fresh ``decision_psdp`` call.
-        packed = PackedGramFactors.from_collection(constraints)
+    packed = constraints.packed()
     if packed.is_sparse:
         return None
     m = constraints.dim
@@ -201,21 +198,18 @@ def _sequential_result(problem: Any, opts: DecisionOptions, index: int) -> Decis
 def _eject(run: DecisionRun, opts: DecisionOptions, site: str, detail: str) -> DecisionResult:
     """Re-solve one faulted fused instance sequentially; returns its result.
 
-    The re-solve replays the instance's exact rng stream on a *pristine*
-    rebuild of its constraint collection (the batched attempt built the
-    packed view on the original, which would reroute ``traces()`` through
-    the packed rounding and perturb the bits relative to a fresh
-    ``decision_psdp`` call): an *organic* failure recurs at the same point
-    and flows through the sequential supervisor's demotion ladder, so the
-    result is exactly what ``decision_psdp`` would have returned.  When the
+    The re-solve replays the instance's exact rng stream on its own
+    constraint collection (whose caches never change a result's bits): an
+    *organic* failure recurs at the same point and flows through the
+    sequential supervisor's demotion ladder, so the result is exactly what
+    ``decision_psdp`` would have returned.  When the
     re-solve instead comes back pristine (``CERTIFIED``, zero recovery
     events), the failure was an injected fault consumed by the discarded
     batched attempt — the result is then marked ``DEGRADED`` with a
     synthetic ``batched -> sequential`` recovery event so chaos harnesses
     observe the ejection.
     """
-    fresh = ConstraintCollection(list(run.constraints.operators), validate=False)
-    result = _sequential_result(fresh, opts, run.instance)
+    result = _sequential_result(run.constraints, opts, run.instance)
     events = result.metadata.get("recovery_events") or []
     if result.status == SolveStatus.CERTIFIED and not events:
         result.metadata["recovery_events"] = [
@@ -466,9 +460,10 @@ def solve_many(
         ``results[i]`` is bit-identical to
         ``decision_psdp(problems[i], options=replace(options,
         rng=instance_rng(options.rng, i)))`` — same outcome, certified
-        dual, counters and metadata — regardless of batch composition or
-        the order in which batchmates terminate (the supervisor's
-        wall-clock ``elapsed`` metadata reading is the one excluded field).
+        dual, counters and metadata — regardless of batch composition, the
+        order in which batchmates terminate, or earlier solves of the same
+        collection objects (the supervisor's wall-clock ``elapsed``
+        metadata reading is the one excluded field).
     """
     opts = resolve_decision_options(epsilon, options, overrides)
     problems = list(problems)
@@ -481,21 +476,15 @@ def solve_many(
     for index, problem in enumerate(problems):
         rng_index = index if rng_indices is None else int(rng_indices[index])
         constraints = _resolve_constraints(problem)
-        # Snapshot the traces *before* the fusion gate builds the packed
-        # view: ``traces()`` reroutes through the packed fast path once
-        # that view exists, and the sequential solver reads them before
-        # its oracle builds it — same values, different rounding order.
-        traces = constraints.traces()
         key = _fused_key(opts, constraints)
         if key is None:
-            results[index] = _sequential_result(problem, opts, rng_index)
+            results[index] = _sequential_result(constraints, opts, rng_index)
             continue
         # The rng stream is keyed by ``rng_index``, so it follows the
         # request, not its position in whatever batch it lands in.
         run = DecisionRun(
             constraints,
             dataclasses.replace(opts, rng=instance_rng(opts.rng, rng_index)),
-            traces=traces,
             instance=rng_index,
         )
         groups.setdefault(key, []).append((index, run))

@@ -148,9 +148,9 @@ class DecisionOptions:
         naturally and cannot collide: execution backends are objects).
     array_backend:
         Array backend for the fast oracle's packed kernels — ``"numpy"``
-        (default), ``"torch"``, ``"cupy"``, or an
-        :class:`~repro.backend.ArrayBackend` instance.  Work–depth charges
-        are shape-derived and identical across array backends; only the
+        (default), ``"torch"``, or an :class:`~repro.backend.ArrayBackend`
+        instance.  Work–depth charges are shape-derived and identical
+        across array backends; only the
         kernel arithmetic (and its rounding) moves.  Ignored when
         ``oracle`` is a pre-built oracle object (the object already fixed
         its backend at construction).
@@ -352,9 +352,6 @@ class DecisionRun:
     phase_growth:
         The phased variant's ℓ1-growth budget per phase (default
         ``1 + eps``).
-    traces:
-        Constraint traces taken before anything built the packed view
-        (``solve_many`` probes its fusion gate first); ``None`` reads them.
     instance:
         The ``instance`` argument of heartbeats (``None`` for a solo solve).
     """
@@ -366,7 +363,6 @@ class DecisionRun:
         *,
         solver: str = "psdp",
         phase_growth: float | None = None,
-        traces: np.ndarray | None = None,
         instance: int | None = None,
     ) -> None:
         self.opts = opts
@@ -383,8 +379,7 @@ class DecisionRun:
                 raise InvalidProblemError(f"phase_growth must be > 1, got {growth}")
             self.phase_growth = growth
 
-        if traces is None:
-            traces = constraints.traces()
+        traces = constraints.traces()
         if np.any(traces <= 0):
             raise InvalidProblemError(
                 "every constraint matrix must have a positive trace (remove zero matrices)"
@@ -780,11 +775,10 @@ def decision_psdp(
     Notes
     -----
     String oracles (``"exact"``/``"fast"``) are built with the batched fast
-    paths enabled: the packed single-GEMM estimate pass (``packed=True``),
-    the fused blocked Taylor kernel (``blocked=True``), and the exact
-    oracle's packed trace products (``batched=True``).  To run a reference
-    path instead — e.g. for regression comparisons — construct the oracle
-    explicitly and pass it as ``options.oracle``::
+    paths enabled: the packed single-GEMM estimate pass (``packed=True``)
+    and the fused blocked Taylor kernel (``blocked=True``).  To run a
+    reference path instead — e.g. for regression comparisons — construct
+    the oracle explicitly and pass it as ``options.oracle``::
 
         oracle = FastDotExpOracle(constraints, eps=0.05, rng=0,
                                   packed=False)   # seed per-factor loop

@@ -62,8 +62,8 @@ one-time densification of ``Psi`` (``m^2 s``), a sparse-CSR ``Psi``
 accumulated with a reusable symbolic pattern (``nnz(Psi) s``), or the
 factor recurrence (``2 nnz(Q) s``) — replacing PR 2's single ``2R > m``
 densification rule.  With ``engine=True`` (default) the kernels come from
-a cached :class:`~repro.linalg.taylor_gram.TaylorEngine` that maintains
-the weight-dependent state (the Gram matrix ``G``, the CSR values, the
+the oracle's own :class:`~repro.linalg.taylor_gram.TaylorEngine`, which
+maintains the weight-dependent state (the Gram matrix ``G``, the CSR values, the
 densified ``Psi``, the scaled stack) across oracle calls by updating only
 the weight coordinates the solver actually changed, charging the backend
 work proportional to the active columns.  Every representation evaluates
@@ -461,33 +461,19 @@ def _half_matvec(phi):
 class ExactDotExpOracle:
     """Reference oracle: exact density matrix via eigendecomposition.
 
-    With ``batched=True`` (default) and a collection whose Gram factors are
-    exact (``Q_i Q_i^T = A_i`` by construction — see
-    :attr:`~repro.operators.psd_operator.PSDOperator.gram_factor_is_exact`),
-    the oracle builds the packed factor view up front so the per-iteration
-    trace products ``A_i . W`` run as one GEMM plus a segment reduction
-    instead of a per-constraint loop through the backend map.  The
-    work–depth accounting is unchanged: the batched pass charges the same
-    per-constraint ``nnz(A_i)`` work and max-depth as the mapped loop
-    (see :meth:`~repro.parallel.backends.ExecutionBackend.charge_batched`),
-    and collections with inexact (eigendecomposition-derived) factors keep
-    the reference loop.  ``batched=False`` forces the oracle's own trace
-    products through the seed per-constraint loop even when another
-    consumer has already packed the collection (other collection-level
-    operations such as ``weighted_sum`` still follow the collection's own
-    packed gating); the regression tests certify both settings return
-    identical decisions.
+    The per-iteration trace products ``A_i . W`` are the collection's own
+    :meth:`~repro.operators.collection.ConstraintCollection.dots`: one GEMM
+    plus a segment reduction when the Gram factors are exact, the
+    per-constraint backend map otherwise, with identical work–depth charges
+    either way.
 
     Parameters
     ----------
     constraints:
         The constraint collection whose trace products are needed.
     backend:
-        Optional execution backend used for the batched trace products (and
-        their work–depth accounting).
-    batched:
-        Use the packed single-GEMM pass for the trace products when the
-        collection's factors are exact.
+        Optional execution backend used for the trace products (and their
+        work–depth accounting).
     """
 
     #: The exact oracle eigendecomposes the dense ``psi`` argument, so the
@@ -498,16 +484,10 @@ class ExactDotExpOracle:
         self,
         constraints: ConstraintCollection,
         backend: ExecutionBackend | None = None,
-        batched: bool = True,
     ) -> None:
         self.constraints = constraints
         self.backend = backend
-        self.batched = bool(batched)
         self.counters = OracleCounters()
-        if self.batched and constraints.has_exact_factors:
-            # Build (and cache) the packed view so dots()/weighted_sum()
-            # reroute to the batched kernels; free for factorized inputs.
-            constraints.packed()
 
     def __call__(self, psi: np.ndarray, x: np.ndarray) -> OracleOutput:
         if psi is None:
@@ -519,25 +499,7 @@ class ExactDotExpOracle:
         self.counters.eigendecompositions += 1
         m = self.constraints.dim
         density = expm_normalized(psi)
-        if self.batched:
-            values = self.constraints.dots(density, backend=self.backend)
-        elif self.backend is not None:
-            # Honour batched=False even if another consumer already built
-            # the collection's packed view: run the seed per-constraint
-            # loop, not the packed reroute inside dots().
-            values = np.asarray(
-                self.backend.map(
-                    lambda op: op.dot(density),
-                    self.constraints.operators,
-                    work_per_item=self.constraints.operator_work,
-                    label="constraint-dots",
-                ),
-                dtype=np.float64,
-            )
-        else:
-            values = np.array(
-                [op.dot(density) for op in self.constraints], dtype=np.float64
-            )
+        values = self.constraints.dots(density, backend=self.backend)
         work = float(m**3 + self.constraints.total_nnz)
         self.counters.flops_estimate += work
         return OracleOutput(values=values, trace=1.0, work=work)
@@ -613,8 +575,9 @@ class FastDotExpOracle:
         ``benchmarks/bench_e12_taylor.py``).
     engine:
         When ``True`` (default, with ``packed`` and ``blocked``) kernels
-        come from the collection's cached rank-adaptive
-        :class:`~repro.linalg.taylor_gram.TaylorEngine`: the representation
+        come from the oracle's own rank-adaptive
+        :class:`~repro.linalg.taylor_gram.TaylorEngine`, built on the first
+        call over the collection's packed view: the representation
         (Gram-space / densified ``Psi`` / sparse-CSR ``Psi`` / factor
         recurrence) is selected once per stack by measured ``nnz`` and
         stacked rank, and the weight-dependent state is maintained across
@@ -778,8 +741,8 @@ class FastDotExpOracle:
             # it a PR-2 blocked kernel is rebuilt per call.
             if self.engine:
                 if self._engine is None:
-                    self._engine = self._packed.taylor_engine(
-                        chunk_columns=self.taylor_chunk_columns
+                    self._engine = TaylorEngine(
+                        self._packed, chunk_columns=self.taylor_chunk_columns
                     )
                 operator = self._engine.kernel_for(weights, backend=self.backend)
             else:
@@ -899,10 +862,10 @@ class FastDotExpOracle:
     def import_state(self, state: dict) -> None:
         """Restore a snapshot produced by :meth:`export_state`.
 
-        The Taylor engine is rebuilt *directly* (not through the packed
-        view's shared engine cache) at the checkpointed mode: an in-process
-        resume must not alias the interrupted run's engine, whose buffers
-        have advanced past the checkpoint.
+        The Taylor engine is rebuilt at the checkpointed mode and its
+        buffers restored from the snapshot, so the resumed oracle never
+        aliases the interrupted run's engine, whose buffers have advanced
+        past the checkpoint.
         """
         if state.get("kind") != "fast":
             raise InvalidProblemError(
@@ -956,8 +919,8 @@ class FastDotExpOracle:
         GEMMs read the Gram stack directly instead of through a kernel).
         """
         if self._engine is None:
-            self._engine = self._packed.taylor_engine(
-                chunk_columns=self.taylor_chunk_columns
+            self._engine = TaylorEngine(
+                self._packed, chunk_columns=self.taylor_chunk_columns
             )
         self._engine.update_weights(col_w, backend=self.backend)
 
@@ -1049,7 +1012,6 @@ def make_oracle(
     packed: bool = True,
     blocked: bool = True,
     engine: bool = True,
-    batched: bool = True,
     trace_mode: str = "auto",
     trace_seed: int | None = None,
     array_backend=None,
@@ -1059,14 +1021,13 @@ def make_oracle(
     ``packed``/``blocked``/``engine``/``trace_mode`` configure the fast
     oracle's single-GEMM estimate pass, fused Taylor kernels, the
     rank-adaptive incremental engine, and the structured degenerate-regime
-    trace estimator (``trace_seed`` its deterministic probe stream);
-    ``batched`` configures the exact oracle's packed trace-product pass.
+    trace estimator (``trace_seed`` its deterministic probe stream).
     All default to the fast paths; the ``False`` / ``"identity"`` settings
     reproduce the reference loops bit-for-bit and exist for benchmarking
     and regression testing.  ``array_backend`` selects the array backend
-    of the fast oracle's packed kernels (``None``/``"numpy"``/``"torch"``/
-    ``"cupy"`` or an :class:`~repro.backend.ArrayBackend` instance); the
-    exact oracle is NumPy-resident and rejects non-NumPy backends.
+    of the fast oracle's packed kernels (``None``/``"numpy"``/``"torch"``
+    or an :class:`~repro.backend.ArrayBackend` instance); the exact oracle
+    is NumPy-resident and rejects non-NumPy backends.
     """
     kind = kind.lower()
     if kind == "exact":
@@ -1075,7 +1036,7 @@ def make_oracle(
                 "the exact oracle is NumPy-resident; use kind='fast' with a "
                 "non-NumPy array backend"
             )
-        return ExactDotExpOracle(constraints, backend=backend, batched=batched)
+        return ExactDotExpOracle(constraints, backend=backend)
     if kind == "fast":
         return FastDotExpOracle(
             constraints,

@@ -228,17 +228,17 @@ class DensePsiState(PsiState):
         """``x += delta`` and ``Psi += weighted_sum(delta)`` (seed arithmetic)."""
         self.x = self.x + delta
         # weighted_sum routes through the packed Gram-factor view when the
-        # fast oracle built one (and the factors are exact): a single GEMM
-        # over the active columns only.
+        # factors are exact: a single GEMM over the active columns only.
         self._psi = self._psi + self.constraints.weighted_sum(delta)
         n = len(self.x)
-        packed_view = self.constraints.packed_fast_path
-        if packed_view is not None and packed_view.total_rank > 0 and mask is not None:
-            # Charge only the touched share of the factor nonzeros.
-            active_cols = int(packed_view.ranks[mask].sum())
-            return (
-                self.constraints.total_nnz * active_cols / packed_view.total_rank + n
-            )
+        if self.constraints.has_exact_factors and mask is not None:
+            packed_view = self.constraints.packed()
+            if packed_view.total_rank > 0:
+                # Charge only the touched share of the factor nonzeros.
+                active_cols = int(packed_view.ranks[mask].sum())
+                return (
+                    self.constraints.total_nnz * active_cols / packed_view.total_rank + n
+                )
         return float(self.constraints.total_nnz + n)
 
     def lambda_max(self, final: bool = False) -> tuple[float, float]:
@@ -299,7 +299,8 @@ class ImplicitPsiState(PsiState):
     assert it never runs during a solve.
 
     Requires every operator's Gram factor to be exact (``Q Q^T = A`` by
-    construction), the same gate as the collection's packed reroute —
+    construction), the same gate that sends the collection's
+    ``weighted_sum``/``dots`` through its packed view —
     otherwise the factored ``Psi`` would differ from the operator-sum
     semantics of the reference path.
     """

@@ -576,8 +576,10 @@ class SparsePsiAccumulator:
 class TaylorEngine:
     """Incrementally-updated factory of Taylor kernels over one factor stack.
 
-    One engine is cached per :class:`~repro.operators.packed.PackedGramFactors`
-    view (see :meth:`~repro.operators.packed.PackedGramFactors.taylor_engine`).
+    One engine per oracle: each
+    :class:`~repro.core.dotexp.FastDotExpOracle` constructs its own over the
+    shared, immutable :class:`~repro.operators.packed.PackedGramFactors`
+    view, so no solve ever sees another's weight-dependent buffers.
     Construction selects the representation once — the mode depends only on
     the weight-independent shape quantities ``(m, R, nnz, nnz(Psi))`` — and
     :meth:`kernel_for` then maintains the weight-dependent state across

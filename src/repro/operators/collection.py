@@ -15,38 +15,38 @@ The batched operations optionally run through a
 work is expressed as a parallel map (constant depth over ``n`` in the
 work–depth model) and so its work/depth is recorded by the cost tracker.
 
-Packed fast path
-----------------
+One reduction order per collection
+----------------------------------
 :meth:`ConstraintCollection.packed` builds (and caches) a
 :class:`repro.operators.packed.PackedGramFactors` view: all Gram factors
-stacked into one ``(m, sum_i r_i)`` matrix with column offsets.  Once that
-view exists — and every operator's factor is *exact* (``Q Q^T = A`` by
-construction: factorized, low-rank, diagonal representations) —
-``weighted_sum``/``dots``/``traces`` route through it: each becomes a
-single GEMM plus a segment reduction instead of an ``n``-term Python
-loop.  Dense/sparse operators, whose factors come from a truncated
-eigendecomposition, never reroute the reference operations (the fast
-oracle may still use their packed factors, exactly as the seed per-factor
-loop did).  The packed path charges the same ``O(q)`` work (``q`` = total
-factor nonzeros) and polylogarithmic depth in the cost model; only the
-wall-clock constants change.  The view is built lazily because deriving
-Gram factors of dense operators costs one eigendecomposition each —
-callers that never ask for the packed view never pay it, and the
-reference loop remains the bit-exact baseline the packed results are
-tested against.  Both oracles now request the view when the factors are
-exact (the fast oracle always packs; the exact oracle packs for its
-batched trace-product pass unless constructed with ``batched=False``).
+stacked into one ``(m, sum_i r_i)`` matrix with column offsets.  Which
+rounding order the reductions use is decided by the operator kinds
+alone, never by which caches exist:
 
-The packed view also carries the rank-adaptive Taylor machinery: its
-weight-independent artifacts (the ``R x R`` Gram matrix ``Q^T Q``, the
-sparse-``Psi`` symbolic pattern, the auto-selected representation) and the
-incremental :class:`~repro.linalg.taylor_gram.TaylorEngine` are cached on
-the view, so every oracle built over the same collection shares them and
-the engine's cross-iteration state survives oracle reconstruction.
+* ``traces()`` is always the per-operator sum;
+* ``weighted_sum``/``dots`` go through the packed view exactly when every
+  operator's factor is *exact* (``Q Q^T = A`` by construction: factorized,
+  low-rank, diagonal representations), building the view on first use —
+  each becomes a single GEMM plus a segment reduction instead of an
+  ``n``-term Python loop.  Dense/sparse operators, whose factors come from
+  a truncated eigendecomposition, always keep the reference operations
+  (the fast oracle may still use their packed factors).
+
+Solving one collection object twice, or a deep copy of it, therefore
+returns the same bits as solving a collection built fresh from the same
+arrays.  The packed path charges the same ``O(q)`` work (``q`` = total
+factor nonzeros) and polylogarithmic depth in the cost model; only the
+wall-clock constants change.
+
+The packed view also caches the weight-independent Taylor artifacts (the
+``R x R`` Gram matrix ``Q^T Q``, the sparse-``Psi`` symbolic pattern, the
+auto-selected representation).  Weight-dependent state — the incremental
+:class:`~repro.linalg.taylor_gram.TaylorEngine`, the trace estimator, the
+psi state — lives on the solve that owns it.
 
 Dense-collection fallback
 -------------------------
-All-dense collections can never take the packed reroute, so
+All-dense collections never take the packed route, so
 ``weighted_sum`` batches them differently: the dense matrices are stacked
 once into a cached ``(n, m, m)`` array (within a memory cap) and the sum
 becomes a single ``tensordot`` contraction over the weights instead of an
@@ -70,7 +70,15 @@ DENSE_STACK_MAX_BYTES = 1 << 27
 
 
 class ConstraintCollection:
-    """An immutable ordered collection of PSD constraint operators."""
+    """An immutable ordered collection of PSD constraint operators.
+
+    One collection may be solved by several solves at once (the solve
+    service's hedge twins share the request's collection across threads).
+    That is safe because every lazily built attribute of a collection and
+    of its packed view is written once, from the operators alone, and
+    never mutated in place: a concurrent first build at worst computes the
+    same bits twice.
+    """
 
     def __init__(self, operators: Iterable, validate: bool = True) -> None:
         ops = [as_operator(op, validate=validate) for op in operators]
@@ -150,14 +158,13 @@ class ConstraintCollection:
 
         Building the view requires a Gram factor per operator — free for
         factorized/low-rank/diagonal representations, one eigendecomposition
-        for dense ones — so it is only constructed on demand.  Once built,
-        ``weighted_sum``/``dots``/``traces`` route through it automatically.
+        for dense ones — so it is only constructed on demand.
 
         ``backend`` selects the array backend of the returned view (see
         :mod:`repro.backend`).  Views are cached per backend name; the
         default NumPy view is the one the collection's own batched
-        operations use, so requesting a torch/CuPy view never perturbs
-        the NumPy fast path.
+        operations use, so requesting a torch view never perturbs the
+        NumPy fast path.
         """
         from repro.backend import get_array_backend
 
@@ -180,29 +187,13 @@ class ConstraintCollection:
     @property
     def has_exact_factors(self) -> bool:
         """Whether every operator's Gram factor is exact (``Q Q^T = A`` by
-        construction), i.e. whether the packed view may replace the
-        reference batched operations (see
+        construction), i.e. whether ``weighted_sum``/``dots`` run through
+        the packed view (see
         :attr:`~repro.operators.psd_operator.PSDOperator.gram_factor_is_exact`)."""
         return self._exact_factors
 
-    @property
-    def packed_fast_path(self) -> PackedGramFactors | None:
-        """The packed view, but only when it may replace the reference ops.
-
-        Requires the view to exist *and* every operator's Gram factor to be
-        exact (``Q Q^T = A`` by construction), so rerouting
-        ``weighted_sum``/``dots``/``traces`` through it changes floating
-        point rounding order only — never the operator semantics.
-        """
-        if self._packed is None or not self._exact_factors:
-            return None
-        return self._packed
-
     def traces(self) -> np.ndarray:
-        """Vector of traces ``Tr[A_i]``."""
-        packed = self.packed_fast_path
-        if packed is not None:
-            return packed.traces()
+        """Vector of traces ``Tr[A_i]`` (always the per-operator sum)."""
         return np.array([op.trace() for op in self._operators], dtype=np.float64)
 
     def spectral_norms(self) -> np.ndarray:
@@ -217,14 +208,13 @@ class ConstraintCollection:
         """Cached ``(n, m, m)`` stack of dense constraint matrices, or ``None``.
 
         Built lazily, and only for all-dense collections (whose eigh-derived
-        factors are inexact, so the packed reroute never applies) within the
+        factors are inexact, so the packed route never applies) within the
         :data:`DENSE_STACK_MAX_BYTES` memory cap.  The stack turns the
         ``weighted_sum`` fallback loop into one ``tensordot`` contraction
         without changing operator semantics — each slice *is* the operator's
         dense matrix.
         """
         if not self._dense_stack_checked:
-            self._dense_stack_checked = True
             fits = self.size * self.dim * self.dim * 8 <= DENSE_STACK_MAX_BYTES
             if fits and all(
                 isinstance(op, DensePSDOperator) for op in self._operators
@@ -232,6 +222,9 @@ class ConstraintCollection:
                 self._dense_stack = np.stack(
                     [op.to_dense() for op in self._operators]
                 )
+            # Set only once the stack exists: a concurrent solve must never
+            # see the check done with the stack still missing.
+            self._dense_stack_checked = True
         return self._dense_stack
 
     def weighted_sum(self, weights: np.ndarray) -> np.ndarray:
@@ -239,8 +232,8 @@ class ConstraintCollection:
 
         Weights must be non-negative (the sum must stay PSD); zero weights
         are skipped so the cost is proportional to the support of ``weights``.
-        Exact-factor collections with a built packed view route through a
-        single rank-``R`` GEMM; all-dense collections batch the sum as one
+        Exact-factor collections route through a single rank-``R`` GEMM
+        over the packed view; all-dense collections batch the sum as one
         ``tensordot`` over a cached ``(n, m, m)`` stack; everything else
         keeps the per-operator accumulation loop.
         """
@@ -255,9 +248,8 @@ class ConstraintCollection:
             raise InvalidProblemError("weights contain non-finite entries")
         if np.any(weights < 0):
             raise InvalidProblemError("weights must be non-negative")
-        packed = self.packed_fast_path
-        if packed is not None:
-            return packed.weighted_sum(weights)
+        if self._exact_factors:
+            return self.packed().weighted_sum(weights)
         stack = self._dense_stacked()
         if stack is not None:
             active = np.flatnonzero(weights)
@@ -281,29 +273,27 @@ class ConstraintCollection:
 
         When ``backend`` is given, the products are included in its
         work–depth accounting with per-item work ``nnz(A_i)`` and unit
-        depth.  If the packed fast path is available the products are
-        computed as one GEMM plus a segment reduction and the backend is
-        charged the identical per-item costs through
+        depth.  Exact-factor collections compute the products as one GEMM
+        plus a segment reduction over the packed view and charge the
+        backend the identical per-item costs through
         :meth:`~repro.parallel.backends.ExecutionBackend.charge_batched`;
-        otherwise they run through the backend's parallel ``map``.
+        the others run through the backend's parallel ``map``.
         """
         weight_matrix = np.asarray(weight_matrix, dtype=np.float64)
         if weight_matrix.shape != (self.dim, self.dim):
             raise InvalidProblemError(
                 f"weight matrix must have shape {(self.dim, self.dim)}, got {weight_matrix.shape}"
             )
-        packed = self.packed_fast_path
+        if self._exact_factors:
+            if backend is not None:
+                backend.charge_batched(
+                    self.size,
+                    work_per_item=self.operator_work,
+                    label="constraint-dots",
+                )
+            return self.packed().dots(weight_matrix)
         if backend is None:
-            if packed is not None:
-                return packed.dots(weight_matrix)
             return np.array([op.dot(weight_matrix) for op in self._operators], dtype=np.float64)
-        if packed is not None:
-            backend.charge_batched(
-                self.size,
-                work_per_item=self.operator_work,
-                label="constraint-dots",
-            )
-            return packed.dots(weight_matrix)
         results = backend.map(
             lambda op: op.dot(weight_matrix),
             self._operators,

@@ -37,7 +37,7 @@ packing keeps a CSR/CSC pair and the same primitives run through
 
 The dense primitives route their GEMMs, column dots, and segment sums
 through an :class:`~repro.backend.base.ArrayBackend` namespace object
-(NumPy by default — a bit-identical pass-through; torch/CuPy optional).
+(NumPy by default — a bit-identical pass-through; torch optional).
 The host-side layout (offsets, ranks, the canonical NumPy stack) is always
 NumPy; a non-NumPy backend holds a lazily transferred device copy of the
 stack, densifies sparse inputs (scipy representations are NumPy-only), and
@@ -163,11 +163,10 @@ class PackedGramFactors:
         # Weight-independent Taylor-engine artifacts, built lazily and
         # shared by every kernel/engine over this stack (the stack is
         # immutable): the dense Gram matrix Q^T Q, the sparse-Psi
-        # accumulator, the auto-selected representation, and the engines.
+        # accumulator and the auto-selected representation.
         self._gram_cache: np.ndarray | None = None
         self._psi_accumulator = None
         self._auto_mode: str | None = None
-        self._engine_cache: dict = {}
         self._column_nnz: np.ndarray | None = None
         self._column_sq_norms: np.ndarray | None = None
 
@@ -406,24 +405,6 @@ class PackedGramFactors:
             self._auto_mode = mode
         return self._auto_mode
 
-    def taylor_engine(self, chunk_columns: int | None = None, mode: str = "auto"):
-        """The (cached) incremental :class:`~repro.linalg.taylor_gram.TaylorEngine`
-        for this stack.
-
-        One engine per ``(mode, chunk_columns)`` pair is kept so repeated
-        oracle constructions over the same collection share the
-        weight-dependent state — the cross-iteration reuse the decision
-        solvers rely on.
-        """
-        from repro.linalg.taylor_gram import TaylorEngine
-
-        key = (mode, chunk_columns)
-        engine = self._engine_cache.get(key)
-        if engine is None:
-            engine = TaylorEngine(self, chunk_columns=chunk_columns, mode=mode)
-            self._engine_cache[key] = engine
-        return engine
-
     def taylor_kernel(
         self,
         weights: np.ndarray,
@@ -440,8 +421,9 @@ class PackedGramFactors:
         forces one, ``"legacy"`` keeps the PR-2 blocked kernel with its
         ``2R > m`` densification rule).  Weight-independent artifacts (the
         Gram matrix, the sparse-``Psi`` pattern) are cached on the stack,
-        but no weight-dependent state is carried across calls — use
-        :meth:`taylor_engine` for the incremental cross-iteration path.
+        but no weight-dependent state is carried across calls — a
+        :class:`~repro.linalg.taylor_gram.TaylorEngine` over this view is
+        the incremental cross-iteration path.
         """
         from repro.linalg.taylor_blocked import BlockedTaylorKernel
 

@@ -82,15 +82,17 @@ class PSDOperator(abc.ABC):
         oracle (whose output is approximate anyway) but not in exact
         reference paths.
 
-        Consumers of the contract:
+        Consumers of the contract, all through
+        :attr:`ConstraintCollection.has_exact_factors
+        <repro.operators.collection.ConstraintCollection.has_exact_factors>`
+        (``True`` only when *every* operator reports ``True``):
 
-        * :attr:`ConstraintCollection.packed_fast_path
-          <repro.operators.collection.ConstraintCollection.packed_fast_path>`
-          reroutes ``weighted_sum``/``dots``/``traces`` through the packed
-          view only when *every* operator reports ``True``;
-        * :class:`~repro.core.dotexp.ExactDotExpOracle` builds the packed
-          view for its batched trace-product pass under the same condition
-          (``batched=True``), keeping the per-constraint loop otherwise;
+        * the collection's ``weighted_sum``/``dots`` run through the packed
+          view, and so do the exact oracle's trace products;
+        * the matrix-free implicit psi state, and the dense state's
+          active-column update charge;
+        * the fusion gate of :func:`~repro.core.batch.solve_many`;
+        * the solve service's fingerprint, which hashes the packed stack;
         * the fast oracle's sketched estimates use packed factors
           regardless, exactly as the seed per-factor loop did.
         """

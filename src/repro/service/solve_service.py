@@ -34,8 +34,8 @@ bit-reproducibility contract:
   heartbeat-watchdogged workers are killed and their requests requeued
   from the latest shipped checkpoint, stragglers are hedged with a
   speculative duplicate (first finisher wins; replicas share rng
-  streams, so the race can never change bits), repeatedly-failing
-  ``(m, n, ranks)`` instance families are isolated behind a per-family
+  streams and collections, so the race can never change bits),
+  repeatedly-failing ``(m, n, ranks)`` instance families are isolated behind a per-family
   :class:`~repro.service.executor.CircuitBreaker` with half-open
   probing (:attr:`RequestOutcome.CIRCUIT_OPEN`), in-flight work is
   bounded, and :meth:`SolveService.shutdown` drains gracefully —
@@ -55,7 +55,6 @@ exact.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import hashlib
 import os
@@ -173,15 +172,6 @@ class _Request:
     next_ready: float = 0.0
     checkpoint: Any = None
     last_result: DecisionResult | None = field(default=None, repr=False)
-    #: Deep copy of the constraints taken at admission, before any solve
-    #: touched them.  Solving builds lazy caches on the collection (the
-    #: packed Gram view), which perturbs ``traces()`` rounding for a later
-    #: from-scratch solve of the same object — so hedge replicas and
-    #: scratch requeues solve a fresh copy of this snapshot and replay the
-    #: first attempt's state evolution bit-exactly.
-    pristine: ConstraintCollection | None = field(default=None, repr=False)
-    #: True once the first attempt was dispatched on the caller's object.
-    launched: bool = False
 
 
 def _options_key(opts: DecisionOptions) -> str:
@@ -205,17 +195,30 @@ def _options_key(opts: DecisionOptions) -> str:
 
 
 def _fingerprint(constraints: ConstraintCollection, options_key: str) -> str:
-    """Instance identity: SHA-256 over the dense constraint bytes + options.
+    """Instance identity: SHA-256 over the constraint data + options.
 
-    Hashes the operators' dense forms directly (never the packed view —
-    building it on the caller's collection would reroute ``traces()``
-    through the packed rounding and perturb a later sequential solve).
+    Exact-factor collections hash their operator kinds and packed factor
+    stack (offsets, shape, dtype and stored entries: ``O(q)``); the
+    others hash every operator's dense bytes.  A domain tag keeps the two
+    kinds of digest apart.
     """
     digest = hashlib.sha256()
-    for op in constraints:
-        dense = np.ascontiguousarray(op.to_dense(), dtype=np.float64)
-        digest.update(repr(dense.shape).encode())
-        digest.update(dense.tobytes())
+    if constraints.has_exact_factors:
+        packed = constraints.packed()
+        q = packed.matrix
+        parts = (q.indptr, q.indices, q.data) if packed.is_sparse else (q,)
+        digest.update(b"packed-factors\0")
+        digest.update(",".join(type(op).__name__ for op in constraints).encode())
+        digest.update(packed.offsets.tobytes())
+        digest.update(repr((q.shape, [p.dtype.str for p in parts])).encode())
+        for part in parts:
+            digest.update(np.ascontiguousarray(part).tobytes())
+    else:
+        digest.update(b"dense-operators\0")
+        for op in constraints:
+            dense = np.ascontiguousarray(op.to_dense(), dtype=np.float64)
+            digest.update(repr(dense.shape).encode())
+            digest.update(dense.tobytes())
     digest.update(options_key.encode())
     return digest.hexdigest()
 
@@ -410,7 +413,6 @@ class SolveService:
             raise InvalidProblemError(f"max_attempts must be >= 1, got {max_attempts}")
         opts = options or self.options
         constraints = _resolve_constraints(problem)
-        pristine = copy.deepcopy(constraints)
         request_id = self._next_id
         self._next_id += 1
         now = self._clock()
@@ -473,7 +475,6 @@ class SolveService:
                 max_attempts=int(max_attempts),
                 next_ready=now,
                 checkpoint=resume_from,
-                pristine=pristine,
             )
         )
         return request_id
@@ -635,35 +636,15 @@ class SolveService:
                 and job.spec.hedge_of is None
                 and now - job.submitted_at >= self.hedge_after
             ):
+                # The twin solves the primary's own collections (see the
+                # ConstraintCollection sharing condition).
                 twin_id = self._pool.next_job_id()
                 twin_spec = dataclasses.replace(
-                    job.spec,
-                    job_id=twin_id,
-                    hedge_of=job.spec.job_id,
-                    constraints=self._hedge_constraints(job),
+                    job.spec, job_id=twin_id, hedge_of=job.spec.job_id
                 )
                 job.hedged = True
                 self._hedges[job.spec.job_id] = twin_id
                 self._pool.submit(twin_spec)
-
-    def _hedge_constraints(self, job: _ActiveJob) -> list[ConstraintCollection]:
-        """Fresh constraint copies for a hedge twin.
-
-        Replicas must never share a mutable collection with a concurrently
-        running primary.  Scratch twins copy the pristine admission
-        snapshots (same starting state as the primary ⇒ same bits);
-        resume twins copy the used object whose cache state the resumed
-        iterations already saw.
-        """
-        requests = {r.request_id: r for r in self._dispatched.get(job.spec.job_id, [])}
-        copies = []
-        for rid, constraints in zip(job.spec.request_ids, job.spec.constraints):
-            request = requests.get(rid)
-            if job.spec.checkpoint is None and request is not None:
-                copies.append(copy.deepcopy(request.pristine))
-            else:
-                copies.append(copy.deepcopy(constraints))
-        return copies
 
     def _dispatch(self) -> int:
         """Form jobs from the ready queue and launch them; returns finalized.
@@ -730,21 +711,6 @@ class SolveService:
                 break
         return finalized
 
-    def _job_constraints(self, request: _Request) -> ConstraintCollection:
-        """The collection this dispatch should solve.
-
-        First attempts and checkpoint resumes use the live object (resume
-        replays iterations from checkpoint state, which the chaos suite
-        proves is insensitive to the collection's lazy caches).  Scratch
-        re-dispatches solve a fresh copy of the admission-time snapshot —
-        a reused object would replay with its packed Gram view already
-        built and perturb ``traces()`` rounding by ulps.
-        """
-        if request.checkpoint is not None or not request.launched:
-            request.launched = True
-            return request.constraints
-        return copy.deepcopy(request.pristine)
-
     def _launch(self, batch: list[_Request]) -> None:
         """Move a formed batch out of the queue and submit it as one job."""
         for request in batch:
@@ -755,7 +721,7 @@ class SolveService:
         spec = JobSpec(
             job_id=job_id,
             request_ids=[r.request_id for r in batch],
-            constraints=[self._job_constraints(r) for r in batch],
+            constraints=[r.constraints for r in batch],
             options=dataclasses.replace(
                 self._attempt_options(lead), rng=None, heartbeat=None
             ),

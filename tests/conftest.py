@@ -23,8 +23,8 @@ def backend(request):
 
     Parameterising over :func:`repro.backend.available_backends` makes the
     conformance suite self-extending: tests written against this fixture
-    run NumPy-only where torch/CuPy are absent and pick the extra backends
-    up automatically (no skip bookkeeping) where they are installed.
+    run NumPy-only where torch is absent and pick it up automatically
+    (no skip bookkeeping) where it is installed.
     """
     return get_array_backend(request.param)
 

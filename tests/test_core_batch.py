@@ -7,9 +7,9 @@ certificate arrays, counters and metadata — regardless of batch size,
 batch composition, exit order, or whether the instance rode the fused
 lockstep path or fell back to a plain sequential solve.
 
-Collections are constructed fresh for every solve (the Taylor engine
-caches per collection), so batched and sequential runs never share
-mutable state.
+Collections are constructed fresh for every solve by convention; a result
+does not depend on what earlier solves cached on a collection (see
+``tests/test_determinism.py``).
 """
 
 from __future__ import annotations

@@ -34,9 +34,8 @@ from helpers import assert_results_identical, factorized_family
 
 
 def small_collection(seed=11, n=8, m=24):
-    # NOTE: every solve gets a *fresh* collection.  The first solve on a
-    # collection lazily builds its packed view, which reroutes ``traces()``
-    # rounding — re-solving the same object is not bit-identical.
+    # A fresh collection per call; re-solving one object would return the
+    # same bits (tests/test_determinism.py).
     return factorized_family(seed, n=n, m=m, rank=2, scale=0.35)
 
 

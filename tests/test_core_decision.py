@@ -178,8 +178,9 @@ class TestSolvedInstancesAreFreed:
     """Dropping a result and its collection frees them by reference count.
 
     With the cyclic collector off, a reference cycle anywhere between the
-    result, the psi state and the deferred primal build would keep the
-    solved collection (and its packed caches) alive.
+    result, the psi state, the deferred primal build, the packed view and
+    the Taylor engine would keep the solved collection or its packed
+    stack alive.
     """
 
     @staticmethod
@@ -195,9 +196,10 @@ class TestSolvedInstancesAreFreed:
             collection = factorized_family(0, n=8, m=32, scale=scale)
             alive = weakref.ref(collection)
             result = solve(collection)
+            view = weakref.ref(collection.packed_view)
             outcome = result.outcome
             del result, collection
-            return outcome, alive() is not None
+            return outcome, alive() is not None or view() is not None
         finally:
             gc.enable()
 

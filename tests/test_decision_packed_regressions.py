@@ -2,8 +2,8 @@
 
 Covers the history-record NaN bug, caller-option mutation, the
 top-eigenvalue certificate routine, and the fixed-seed guarantees that the
-decision solver certifies the same outcome on the packed/seed oracle paths,
-the blocked/per-term Taylor paths, and the batched/loop exact-oracle paths.
+decision solver certifies the same outcome on the packed/seed oracle paths
+and the blocked/per-term Taylor paths.
 """
 
 from __future__ import annotations
@@ -140,61 +140,19 @@ class TestPackedDecisionEquivalence:
         np.testing.assert_array_equal(results[True].dual_x, results[False].dual_x)
 
 
-class TestExactOracleBatchedEquivalence:
-    """The packed batched trace-product pass vs the seed per-constraint loop."""
+class TestExactOracleDots:
+    def test_packed_dots_match_per_operator(self):
+        """The exact oracle's trace products (the collection's packed GEMM
+        on exact factors) match the per-operator ``op.dot(W)`` values."""
+        from repro.linalg.expm import expm_normalized
 
-    @pytest.mark.parametrize("seed", [20120522, 7, 1201])
-    def test_same_certified_outcome_fixed_seed(self, seed):
-        results = {}
-        for batched in (True, False):
-            coll = _factorized_collection(seed)
-            oracle = ExactDotExpOracle(coll, batched=batched)
-            results[batched] = decision_psdp(coll, epsilon=0.2, oracle=oracle)
-        assert results[True].outcome == results[False].outcome
-        assert results[True].iterations == results[False].iterations
-        np.testing.assert_allclose(
-            results[True].dual_x, results[False].dual_x, rtol=1e-9, atol=1e-13
-        )
-
-    def test_work_depth_accounting_preserved(self):
-        """One batched GEMM must charge the tracker exactly what the mapped
-        per-constraint loop charged: same work, same depth."""
-        reports = {}
-        for batched in (True, False):
-            coll = _factorized_collection(12)
-            oracle = ExactDotExpOracle(coll, batched=batched)
-            reports[batched] = decision_psdp(
-                coll, epsilon=0.25, oracle=oracle, max_iterations=6
-            ).work_depth
-        assert reports[True].by_label.get("constraint-dots") == pytest.approx(
-            reports[False].by_label.get("constraint-dots")
-        )
-
-    def test_batched_false_bypasses_existing_packed_view(self, monkeypatch):
-        """batched=False must run the per-constraint loop even when another
-        consumer already built the collection's packed view."""
-        coll = _factorized_collection(6)
-        coll.packed()  # e.g. a fast oracle packed it earlier
-
-        def _fail(self, weight_matrix):  # pragma: no cover - must not run
-            raise AssertionError("packed dots used despite batched=False")
-
-        from repro.operators.packed import PackedGramFactors
-
-        monkeypatch.setattr(PackedGramFactors, "dots", _fail)
-        oracle = ExactDotExpOracle(coll, batched=False)
+        coll = _factorized_collection(5)
         x = np.ones(8) / 8
-        psi = sum(w * op.to_dense() for w, op in zip(x, coll.operators))
-        output = oracle(psi, x)
-        assert np.all(np.isfinite(output.values))
-
-    def test_batched_dots_match_loop(self):
-        coll_a = _factorized_collection(5)
-        coll_b = _factorized_collection(5)
-        x = np.ones(8) / 8
-        out_loop = ExactDotExpOracle(coll_a, batched=False)(coll_a.weighted_sum(x), x)
-        out_fast = ExactDotExpOracle(coll_b, batched=True)(coll_b.weighted_sum(x), x)
-        np.testing.assert_allclose(out_fast.values, out_loop.values, rtol=1e-10, atol=1e-14)
+        psi = coll.weighted_sum(x)
+        values = ExactDotExpOracle(coll)(psi, x).values
+        density = expm_normalized(psi)
+        expected = [op.dot(density) for op in coll]
+        np.testing.assert_allclose(values, expected, rtol=1e-10, atol=1e-14)
 
 
 class TestPhasedSolverThreading:

@@ -271,7 +271,7 @@ class TestSelectTaylorMode:
             assert packed.auto_taylor_mode() == first
         x = np.random.default_rng(60).random(n)
         assert packed.taylor_kernel(x).mode == "gram"
-        assert packed.taylor_engine().mode == "gram"
+        assert TaylorEngine(packed).mode == "gram"
 
     def test_sparse_psi_when_pattern_is_small(self):
         m, r = 512, 600
@@ -332,7 +332,7 @@ class TestTaylorEngine:
     )
     def test_incremental_state_matches_rebuild(self, mode, sparse):
         packed = _packed(8, 18, sparse=sparse, seed=51)
-        engine = packed.taylor_engine(mode=mode)
+        engine = TaylorEngine(packed, mode=mode)
         rng = np.random.default_rng(52)
         block = rng.standard_normal((18, 5))
         x = rng.random(8)
@@ -352,14 +352,9 @@ class TestTaylorEngine:
         assert engine.full_builds == 1
         assert engine.incremental_updates >= 1
 
-    def test_engine_cached_on_packed_view(self):
-        packed = _packed(5, 16)
-        assert packed.taylor_engine() is packed.taylor_engine()
-        assert packed.taylor_engine(mode="dense-psi") is not packed.taylor_engine()
-
     def test_updates_touch_only_active_columns(self):
         packed = _packed(10, 40, seed=53)  # R = 20 <= m/2 -> gram
-        engine = packed.taylor_engine()
+        engine = TaylorEngine(packed)
         assert engine.mode == "gram"
         x = np.random.default_rng(54).random(10)
         engine.kernel_for(x)
@@ -375,7 +370,7 @@ class TestTaylorEngine:
 
     def test_charges_backend_proportionally(self):
         packed = _packed(10, 40, seed=55)
-        engine = packed.taylor_engine()
+        engine = TaylorEngine(packed)
         tracker = WorkDepthTracker()
         backend = SerialBackend(tracker=tracker)
         x = np.random.default_rng(56).random(10)
@@ -393,7 +388,7 @@ class TestTaylorEngine:
 
     def test_zero_rank_engine(self):
         packed = PackedGramFactors([np.zeros((6, 0)), np.zeros((6, 0))])
-        engine = packed.taylor_engine()
+        engine = TaylorEngine(packed)
         kernel = engine.kernel_for(np.zeros(2))
         block = np.random.default_rng(57).standard_normal((6, 3))
         np.testing.assert_array_equal(kernel.apply(block, 8), block)
@@ -401,12 +396,12 @@ class TestTaylorEngine:
     def test_mode_validation(self):
         dense = _packed(4, 12)
         with pytest.raises(InvalidProblemError):
-            dense.taylor_engine(mode="sparse-psi")
+            TaylorEngine(dense, mode="sparse-psi")
         with pytest.raises(InvalidProblemError):
-            dense.taylor_engine(mode="bogus")
+            TaylorEngine(dense, mode="bogus")
         sparse = _packed(4, 12, sparse=True, seed=58)
         with pytest.raises(InvalidProblemError):
-            sparse.taylor_engine(mode="dense-factors")
+            TaylorEngine(sparse, mode="dense-factors")
 
 
 class TestOracleIntegration:
@@ -457,14 +452,16 @@ class TestOracleIntegration:
         assert engine.full_builds == 1
         assert engine.incremental_updates == 1
 
-    def test_oracles_share_engine_through_collection(self):
+    def test_oracles_own_their_engines(self):
         coll = self._collection()
         x = np.random.default_rng(64).random(len(coll)) / len(coll)
         first = FastDotExpOracle(coll, eps=0.1, rng=21)
         first(np.zeros((coll.dim, coll.dim)), x)
         second = FastDotExpOracle(coll, eps=0.1, rng=22)
         second(np.zeros((coll.dim, coll.dim)), x)
-        assert second.taylor_engine is first.taylor_engine
+        assert second.packed is first.packed
+        assert second.taylor_engine is not first.taylor_engine
+        assert first.taylor_engine.full_builds == 1
         assert second.taylor_engine.full_builds == 1
 
 

@@ -213,11 +213,17 @@ class TestPackedStructure:
         assert coll.packed() is packed
 
     def test_exact_factor_collections_reroute(self, rng):
+        """Exact-factor collections always sum through the packed view (built
+        on first use); traces stay the per-operator sum."""
         coll = ConstraintCollection(
             [FactorizedPSDOperator(rng.standard_normal((5, 2))) for _ in range(3)]
         )
-        coll.packed()
-        assert coll.packed_fast_path is not None
+        x = np.array([0.2, 0.5, 0.3])
+        assert coll.packed_view is None
+        psi = coll.weighted_sum(x)
+        assert coll.packed_view is not None
+        np.testing.assert_array_equal(psi, coll.packed().weighted_sum(x))
+        np.testing.assert_array_equal(coll.traces(), [op.trace() for op in coll])
 
     def test_dense_collections_never_reroute_reference_ops(self, rng):
         """Dense operators' eigh-derived factors are approximate, so the
@@ -225,10 +231,9 @@ class TestPackedStructure:
         mats = [random_psd(5, rng=rng, scale=s) for s in (0.5, 1.5)]
         coll = ConstraintCollection([DensePSDOperator(m) for m in mats])
         before = coll.weighted_sum(np.array([0.3, 0.7]))
+        assert coll.packed_view is None
         coll.packed()  # the fast oracle may still build/use the view...
-        assert coll.packed_view is not None
-        assert coll.packed_fast_path is None  # ...but reference ops keep the loop
-        after = coll.weighted_sum(np.array([0.3, 0.7]))
+        after = coll.weighted_sum(np.array([0.3, 0.7]))  # ...reference ops keep the loop
         np.testing.assert_array_equal(before, after)
 
 

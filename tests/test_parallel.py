@@ -115,6 +115,21 @@ class TestBackends:
         assert tracker.work == 8
         assert tracker.depth == 5
 
+    def test_charge_batched_charges_what_map_charges(self):
+        """One batched kernel must charge exactly what the mapped
+        per-item loop charges: same work, same depth, same label."""
+        work = [1.0, 5.0, 2.0, 3.0]
+        mapped, batched = WorkDepthTracker(), WorkDepthTracker()
+        SerialBackend(tracker=mapped).map(
+            lambda v: v, range(4), work_per_item=work, label="constraint-dots"
+        )
+        SerialBackend(tracker=batched).charge_batched(
+            4, work_per_item=work, label="constraint-dots"
+        )
+        assert batched.work == mapped.work
+        assert batched.depth == mapped.depth
+        assert batched.by_label == mapped.by_label
+
     def test_per_item_work_length_mismatch(self):
         backend = SerialBackend(tracker=WorkDepthTracker())
         with pytest.raises(BackendError):

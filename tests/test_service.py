@@ -33,8 +33,8 @@ def _no_leftover_faults():
 
 
 def collection(seed=11):
-    # Fresh per solve: first use builds the packed view, which would
-    # perturb a later solve's traces() rounding on the same object.
+    # A fresh collection per call; re-solving one object would return the
+    # same bits (tests/test_determinism.py).
     return factorized_family(seed, n=8, m=24, rank=2, scale=0.35)
 
 
@@ -184,6 +184,46 @@ class TestCache:
         assert service.response(rid) is None  # queued, not served from cache
         service.drain()
         assert not service.response(rid).from_cache
+
+    def test_fingerprint_hits_repeats_and_separates_instances(self):
+        import scipy.sparse as sp
+
+        from repro.operators import (
+            ConstraintCollection,
+            DensePSDOperator,
+            DiagonalPSDOperator,
+            FactorizedPSDOperator,
+            LowRankPSDOperator,
+        )
+        from repro.service.solve_service import _fingerprint
+
+        rng = np.random.default_rng(3)
+        q = 0.35 * rng.standard_normal((24, 4))
+        d = rng.random(24) + 0.1
+        sparse = sp.random(24, 2, density=0.1, random_state=rng, format="csr") + sp.eye(24, 2)
+        builders = {
+            "factorized": lambda: [FactorizedPSDOperator(q[:, :2]), FactorizedPSDOperator(q[:, 2:])],
+            # The same stacked matrix, split at other column offsets.
+            "split": lambda: [FactorizedPSDOperator(q[:, :1]), FactorizedPSDOperator(q[:, 1:])],
+            "perturbed": lambda: [
+                FactorizedPSDOperator(q[:, :2] + 1e-12), FactorizedPSDOperator(q[:, 2:])
+            ],
+            "sparse-factor": lambda: [FactorizedPSDOperator(sparse), FactorizedPSDOperator(2 * sparse)],
+            # Unit weights: the same packed stack as "factorized".
+            "lowrank": lambda: [LowRankPSDOperator(q[:, :2]), LowRankPSDOperator(q[:, 2:])],
+            "diagonal": lambda: [DiagonalPSDOperator(d), DiagonalPSDOperator(2 * d)],
+            "dense": lambda: [
+                DensePSDOperator(q[:, :2] @ q[:, :2].T), DensePSDOperator(q[:, 2:] @ q[:, 2:].T)
+            ],
+        }
+        prints = {}
+        for name, build in builders.items():
+            prints[name] = _fingerprint(ConstraintCollection(build()), "opts")
+            # A collection rebuilt from identical arrays hits.
+            assert _fingerprint(ConstraintCollection(build()), "opts") == prints[name], name
+        assert len(set(prints.values())) == len(prints)
+        factorized = ConstraintCollection(builders["factorized"]())
+        assert _fingerprint(factorized, "other") != prints["factorized"]
 
     def test_cache_eviction_is_lru(self):
         service = make_service(cache_size=1)

@@ -50,8 +50,8 @@ def _no_leftover_faults():
 
 
 def collection(seed=11):
-    # Fresh per solve: first use builds the packed view, which would
-    # perturb a later solve's traces() rounding on the same object.
+    # A fresh collection per call; re-solving one object would return the
+    # same bits (tests/test_determinism.py).
     return factorized_family(seed, n=8, m=24, rank=2, scale=0.35)
 
 
