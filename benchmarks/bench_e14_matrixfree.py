@@ -5,8 +5,8 @@ solver loop around it still rebuilt a dense ``(m, m)`` ``Psi`` every
 iteration (``psi + weighted_sum(delta)``), ran cold dense Lanczos on it
 for history records and certificate checks, and materialised the
 ``O(m^3)`` density matrix (``expm_normalized``) for the primal return
-value — which is why E13's 6x Taylor-apply wins shrank to 1.0–3.2x
-end-to-end.  This benchmark measures the
+value — which is why the Gram engine's 6x Taylor-apply wins shrank to
+1.0–3.2x end-to-end.  This benchmark measures the
 :class:`~repro.core.psi_state.ImplicitPsiState` matrix-free core against
 that baseline on large-``m`` low-rank and sparse grids where the
 dense-``Psi`` tax dominates:

@@ -64,8 +64,7 @@ structured (:mod:`repro.linalg.trace_estimation`): no ``(m, m)`` identity
 passes through the Taylor polynomial on the default path, the oracle's
 per-call work charge reflects the ``(m, R)`` factor-stack columns that
 actually ran, and the estimator's counters are surfaced as
-``result.metadata["trace_estimator"]`` next to the ``psi_state`` ones
-(``benchmarks/bench_e15_trace.py`` measures the per-call effect).
+``result.metadata["trace_estimator"]`` next to the ``psi_state`` ones.
 """
 
 from __future__ import annotations
@@ -111,6 +110,9 @@ class DecisionOptions:
     oracle:
         ``"exact"``, ``"fast"``, or an already-constructed oracle object
         implementing the :class:`~repro.core.dotexp.DotExpOracle` protocol.
+        An object with a ``constraints`` attribute must have been built
+        over the collection being solved (``InvalidProblemError``
+        otherwise).
     oracle_eps:
         Accuracy of the fast oracle (defaults to ``epsilon / 4``).
     strict:
@@ -409,6 +411,13 @@ class DecisionRun:
             )
             self.oracle_kind = opts.oracle
         else:
+            built_over = getattr(opts.oracle, "constraints", constraints)
+            if built_over is not constraints:
+                raise InvalidProblemError(
+                    "the oracle was built over a different constraint "
+                    "collection than the one being solved; build it over "
+                    "this collection or pass oracle='exact'/'fast'"
+                )
             self.oracle, self.oracle_kind = opts.oracle, type(opts.oracle).__name__
 
         check_every = opts.certificate_check_every
@@ -774,18 +783,15 @@ def decision_psdp(
 
     Notes
     -----
-    String oracles (``"exact"``/``"fast"``) are built with the batched fast
-    paths enabled: the packed single-GEMM estimate pass (``packed=True``)
-    and the fused blocked Taylor kernel (``blocked=True``).  To run a
-    reference path instead — e.g. for regression comparisons — construct
-    the oracle explicitly and pass it as ``options.oracle``::
+    ``oracle="exact"`` is the reference: one eigendecomposition per
+    iteration.  ``oracle="fast"`` runs the Theorem 4.1 oracle over the
+    collection's packed factors.  Both certify identical decisions on the
+    fixed-seed grid of ``tests/test_oracle_differential.py``.  A pre-built
+    oracle passed as ``options.oracle`` must have been built over the same
+    collection being solved::
 
-        oracle = FastDotExpOracle(constraints, eps=0.05, rng=0,
-                                  packed=False)   # seed per-factor loop
+        oracle = FastDotExpOracle(constraints, eps=0.05, rng=0)
         decision_psdp(constraints, epsilon=0.2, oracle=oracle)
-
-    All fast-path/reference pairs certify identical decisions on fixed
-    seeds (see ``tests/test_decision_packed_regressions.py``).
     """
     run = DecisionRun(problem, resolve_decision_options(epsilon, options, overrides))
     run.resume(resume_from)

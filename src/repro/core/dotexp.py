@@ -17,65 +17,48 @@ interchangeable oracle implementations are provided:
   comes from the transformed sketch block at no extra cost when the sketch
   genuinely reduces (``|| Pi exp(Phi/2) ||_F^2`` read directly off the
   block), and from the structured estimator of
-  :mod:`repro.linalg.trace_estimation` in the degenerate-sketch regime —
-  no identity block, dense or pseudo-factor, enters the polynomial on the
-  default path; only the legacy sequence-of-factors path still appends an
-  identity pseudo-factor to get it.
+  :mod:`repro.linalg.trace_estimation` in the degenerate-sketch regime.
 
 The standalone function :func:`big_dot_exp` exposes the Theorem 4.1
 primitive directly (given ``Phi``, a norm bound ``kappa``, and the factors),
 which is what the E3/E8 benchmarks exercise.
 
-Packed fast path
+Packed estimates
 ----------------
-``big_dot_exp`` accepts either a plain sequence of factors (the reference
-per-factor loop, kept bit-for-bit as the correctness baseline) or a
-:class:`repro.operators.packed.PackedGramFactors` view.  With the packed
-view the estimate pass ``|| (Pi exp(Phi/2)) Q_i ||_F^2`` for *all* ``n``
-constraints is one ``(d, m) x (m, R)`` GEMM followed by a segment sum over
-the column blocks — the Python loop over factors disappears.  The trace
-normalisation ``Tr[exp(Phi)] ≈ || Pi exp(Phi/2) ||_F^2`` is read directly
-off the already-computed transformed sketch block (``Q = I`` makes the
-estimate GEMM the identity), so the packed path never materialises the
-dense ``np.eye(m)`` pseudo-factor the reference path appends.
-
-:class:`FastDotExpOracle` uses the packed view by default (``packed=True``):
-its ``Psi``-matvec becomes ``Q (w ∘ (Q^T v))`` — two GEMMs over the stacked
-factor matrix instead of an ``n``-term loop — and its estimates use the
-packed pass above.  In the work–depth model both paths charge identical
-``O(q)``-work / polylog-depth costs; ``benchmarks/bench_e11_packed.py``
-measures the wall-clock difference.
+``big_dot_exp`` works on a :class:`repro.operators.packed.PackedGramFactors`
+view; a plain sequence of factors is packed once at entry.  The estimate
+pass ``|| (Pi exp(Phi/2)) Q_i ||_F^2`` for *all* ``n`` constraints is one
+``(d, m) x (m, R)`` GEMM followed by a segment sum over the column blocks,
+and the trace normalisation ``Tr[exp(Phi)] ≈ || Pi exp(Phi/2) ||_F^2`` is
+read directly off the already-computed transformed sketch block.  The
+oracle's ``Psi``-matvec is ``Q (w ∘ (Q^T v))`` — two GEMMs over the stacked
+factor matrix.
 
 Rank-adaptive Taylor engine
 ---------------------------
 The Taylor apply itself — pushing the sketch block through the Lemma 4.2
-polynomial — dominates the oracle once the packed estimates are single
-GEMMs, especially in the degenerate-sketch regime (``m ≲ 1000`` at tight
-eps, where the JL dimension reaches ``m`` and the whole identity passes
-through the polynomial).  With ``blocked=True`` (default) the packed
-oracle evaluates the polynomial through a fused block kernel whose
-representation is picked per factor stack by
+polynomial — dominates the oracle, especially in the degenerate-sketch
+regime (``m ≲ 1000`` at tight eps, where the JL dimension reaches ``m``).
+:class:`FastDotExpOracle` evaluates the polynomial through a fused block
+kernel from its own :class:`~repro.linalg.taylor_gram.TaylorEngine`, whose
+representation is picked once per factor stack by
 :func:`~repro.linalg.taylor_gram.select_taylor_mode`: the ``R x R``
 Gram-space recurrence when ``2R <= 1.1 m`` (the hysteresis-margined gate;
-per-term cost ``R^2 s``), a
-one-time densification of ``Psi`` (``m^2 s``), a sparse-CSR ``Psi``
-accumulated with a reusable symbolic pattern (``nnz(Psi) s``), or the
-factor recurrence (``2 nnz(Q) s``) — replacing PR 2's single ``2R > m``
-densification rule.  With ``engine=True`` (default) the kernels come from
-the oracle's own :class:`~repro.linalg.taylor_gram.TaylorEngine`, which
-maintains the weight-dependent state (the Gram matrix ``G``, the CSR values, the
-densified ``Psi``, the scaled stack) across oracle calls by updating only
-the weight coordinates the solver actually changed, charging the backend
-work proportional to the active columns.  Every representation evaluates
-the identical polynomial, so ``blocked=False`` (the per-term matvec
-recurrence) and ``engine=False`` (the PR-2 per-call blocked kernel)
-differ only in floating-point rounding; all are kept so the regression
-tests can certify identical decisions.  Work–depth charges are
-*representation-invariant*: the model bills the factored Corollary 1.2
-costs (the paper algorithm's work) no matter which kernel representation
-executes, so reported work and depth stay comparable across every fast
-path and the reference loops.  The Gram mode performs strictly less
-arithmetic than the billed factor recurrence; the sparse-``Psi`` and
+per-term cost ``R^2 s``), a one-time densification of ``Psi``
+(``m^2 s``), a sparse-CSR ``Psi`` accumulated with a reusable symbolic
+pattern (``nnz(Psi) s``), or the factor recurrence (``2 nnz(Q) s``).  The
+engine maintains the weight-dependent state (the Gram matrix ``G``, the
+CSR values, the densified ``Psi``, the scaled stack) across oracle calls
+by updating only the weight coordinates the solver actually changed,
+charging the backend work proportional to the active columns.  Every
+representation evaluates the identical polynomial, so the
+:class:`~repro.robustness.FastPathSupervisor` can demote a failing kernel
+to another one — down to the per-term matvec recurrence, the
+``reference`` floor — at the cost of rounding only.  Work–depth charges
+are *representation-invariant*: the model bills the factored
+Corollary 1.2 costs (the paper algorithm's work) no matter which kernel
+representation executes.  The Gram mode performs strictly less arithmetic
+than the billed factor recurrence; the sparse-``Psi`` and
 throughput-driven densified modes may perform *more* hardware madds than
 the model bills — by at most the policy's
 :data:`~repro.linalg.taylor_gram.SPARSE_GEMM_DISCOUNT` factor — whenever
@@ -83,27 +66,24 @@ that is measurably faster in wall clock, the same madds-for-throughput
 trade dense BLAS kernels already make internally.
 
 ``big_dot_exp`` accepts a kernel directly as ``phi``; matrix-valued ``phi``
-with a packed factor view is routed through a kernel automatically, while
-matvec-callable ``phi`` and plain factor sequences keep the reference
-per-term recurrence bit-for-bit.
+is routed through a blocked kernel automatically, while matvec-callable
+``phi`` runs the per-term recurrence.
 
 Structured trace estimation
 ---------------------------
 At tight ``eps`` the JL dimension reaches ``m`` (the default for every
-``m`` below several thousand), the sketch degenerates to the identity, and
-the legacy path pushed the full ``(m, m)`` identity through the polynomial
-once per call to read both the estimates and the trace off it.  The
-default kernel path now reads the estimates from the polynomial applied to
+``m`` below several thousand) and the sketch degenerates to the identity.
+The kernel path then reads the estimates from the polynomial applied to
 the ``(m, R)`` factor stack itself (mathematically identical — the
 identity "sketch" is a no-op) and the trace from a structured
 :class:`~repro.linalg.trace_estimation.TraceEstimator`: the exact
 ``R x R`` Gram-spectrum evaluation when ``2R`` is within the hysteresis
 margin of ``m``, the exact deflated block-Krylov projection of the
 already-transformed factor block while ``R`` stays meaningfully below
-``m``, a certified Hutchinson sampler on request, and the legacy identity
-push where ``R ~ m`` makes it genuinely optimal.  The
-``identity_taylor_applies`` counter records every ``(m, m)`` identity that
-does pass through the polynomial; the structured paths keep it at zero.
+``m``, and the identity push where ``R ~ m`` makes it genuinely optimal.
+The ``identity_taylor_applies`` counter records every ``(m, m)`` identity
+that does pass through the polynomial; the structured paths keep it at
+zero.
 """
 
 from __future__ import annotations
@@ -114,7 +94,7 @@ from typing import Protocol, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from repro.exceptions import InvalidProblemError
+from repro.exceptions import CheckpointError, InvalidProblemError
 from repro.instrumentation.counters import OracleCounters
 from repro.linalg.expm import expm_normalized
 from repro.linalg.norms import spectral_norm_power
@@ -216,14 +196,13 @@ def big_dot_exp(
         :class:`~repro.linalg.taylor_blocked.BlockedTaylorKernel` or a
         :class:`~repro.linalg.taylor_gram.GramTaylorKernel`, whichever the
         rank-adaptive engine selected.
-        Matrix inputs combined with packed ``factors`` are routed through a
-        blocked kernel automatically; callables keep the per-term reference
-        recurrence.
+        Matrix inputs are routed through a blocked kernel automatically;
+        callables run the per-term recurrence.
     factors:
         The Gram factors ``Q_i`` of the constraint matrices, each of shape
-        ``(m, r_i)`` — either a plain sequence (reference per-factor loop)
-        or a :class:`~repro.operators.packed.PackedGramFactors` view (the
-        single-GEMM batched path).
+        ``(m, r_i)`` — either a plain sequence (packed once at entry) or a
+        :class:`~repro.operators.packed.PackedGramFactors` view.  Their
+        ``m`` must match the dimension of ``phi``.
     kappa:
         Upper bound on ``max(1, ||phi||_2)``; estimated by power iteration
         when omitted.
@@ -242,28 +221,26 @@ def big_dot_exp(
         Optional operation counters to update.
     return_trace:
         When ``True`` the estimate of ``Tr[exp(phi)] = exp(phi) . I`` is
-        returned alongside the values.  On the packed sketch path with a
-        genuinely reducing sketch this is read directly off the transformed
-        sketch block (``|| Pi exp(phi/2) ||_F^2``) at no extra cost.  In
-        the degenerate-sketch regime (JL dimension at least ``dim``) and on
-        the ``use_sketch=False`` path, a structured ``trace_estimator``
-        (when provided) supplies it without any ``(m, m)`` identity ever
-        entering the polynomial; without one, the identity block is pushed
-        through the polynomial (counted under the
-        ``identity_taylor_applies`` counter).  Only the legacy
-        sequence-of-factors path still appends an identity pseudo-factor.
+        returned alongside the values.  With a genuinely reducing sketch
+        this is read directly off the transformed sketch block
+        (``|| Pi exp(phi/2) ||_F^2``) at no extra cost.  In the
+        degenerate-sketch regime (JL dimension at least ``dim``) and on the
+        ``use_sketch=False`` path, a structured ``trace_estimator`` (when
+        provided) supplies it without any ``(m, m)`` identity ever entering
+        the polynomial; without one, the identity block is pushed through
+        the polynomial (counted under the ``identity_taylor_applies``
+        counter).
     trace_estimator:
         Optional :class:`~repro.linalg.trace_estimation.TraceEstimator`
         (already :meth:`~repro.linalg.trace_estimation.TraceEstimator.bind`-ed
-        to the weights that generated ``phi``).  Engaged only where the
-        trace would otherwise require a full-identity Taylor apply — the
-        packed kernel path in the degenerate-sketch regime and the
-        ``use_sketch=False`` packed path; the Theorem 4.1 estimates are
-        then read from the polynomial applied to the factor stack itself
-        (an ``(m, R)`` block — mathematically identical, since the
-        identity "sketch" is a no-op) and the trace comes from the
-        estimator's exact Gram-spectrum / deflated projection or its
-        certified Hutchinson sampler.
+        to the weights that generated ``phi``).  Engaged only on the kernel
+        path where the trace would otherwise require a full-identity Taylor
+        apply — the degenerate-sketch regime and ``use_sketch=False``; the
+        Theorem 4.1 estimates are then read from the polynomial applied to
+        the factor stack itself (an ``(m, R)`` block — mathematically
+        identical, since the identity "sketch" is a no-op) and the trace
+        comes from the estimator's exact Gram-spectrum or deflated
+        projection.
 
     Returns
     -------
@@ -273,29 +250,27 @@ def big_dot_exp(
     """
     if eps <= 0 or eps >= 1:
         raise InvalidProblemError(f"eps must be in (0, 1), got {eps}")
-    packed = factors if isinstance(factors, PackedGramFactors) else None
-    if packed is None and not factors:
-        raise InvalidProblemError("factors must be a non-empty sequence")
-    kernel = phi if isinstance(phi, (BlockedTaylorKernel, GramTaylorKernel)) else None
-    phi_is_callable = (
-        kernel is None
-        and callable(phi)
-        and not isinstance(phi, np.ndarray)
-        and not sp.issparse(phi)
+    packed = (
+        factors if isinstance(factors, PackedGramFactors)
+        else PackedGramFactors(list(factors))
     )
+    kernel = phi if isinstance(phi, (BlockedTaylorKernel, GramTaylorKernel)) else None
     if kernel is not None:
         dim = kernel.dim
-    elif phi_is_callable:
+    elif callable(phi) and not isinstance(phi, np.ndarray) and not sp.issparse(phi):
         if dim is None:
             raise InvalidProblemError("dim is required when phi is a matvec callable")
     else:
         dim = phi.shape[0]
         if phi.shape != (dim, dim):
             raise InvalidProblemError(f"phi must be square, got shape {phi.shape}")
-        if packed is not None:
-            # Matrix input on the packed path: run the fused blocked
-            # recurrence (same polynomial, fewer per-term passes).
-            kernel = BlockedTaylorKernel.from_matrix(phi)
+        # Matrix input: run the fused blocked recurrence (same polynomial,
+        # fewer per-term passes).
+        kernel = BlockedTaylorKernel.from_matrix(phi)
+    if packed.dim != dim:
+        raise InvalidProblemError(
+            f"phi has dimension {dim} but the factors have {packed.dim} rows"
+        )
 
     if kappa is None:
         kappa = max(
@@ -313,6 +288,20 @@ def big_dot_exp(
 
     if counters is not None:
         counters.record_call()
+    # Whether a structured estimator supplies the trace in place of the
+    # full-identity push (kernel path only).
+    structured_trace = (
+        return_trace
+        and kernel is not None
+        and trace_estimator is not None
+        and trace_estimator.structured
+    )
+
+    def transform(block: np.ndarray) -> np.ndarray:
+        """``p(phi / 2) block`` through the kernel or the matvec callable."""
+        if kernel is not None:
+            return kernel.apply(block, degree, scale=0.5)
+        return taylor_expm_apply(lambda b: 0.5 * phi(b), block, degree)
 
     if use_sketch:
         # The JL dimension rule can exceed the ambient dimension for small m
@@ -320,22 +309,13 @@ def big_dot_exp(
         # fall back to the identity "sketch", which makes the left factor
         # exact and leaves only the Taylor truncation error.
         sketch_dim = min(jl_dimension(dim, eps_sketch, constant=sketch_constant), dim)
-        if (
-            sketch_dim >= dim
-            and return_trace
-            and packed is not None
-            and kernel is not None
-            and trace_estimator is not None
-            and trace_estimator.structured
-        ):
+        if sketch_dim >= dim and structured_trace:
             # Degenerate-sketch regime with a structured trace estimator:
             # the identity "sketch" is a mathematical no-op (the left
             # factor is exact), so this call is exactly the
-            # ``use_sketch=False`` packed path below — the Theorem 4.1
-            # estimates read from the polynomial applied to the (m, R)
-            # factor stack, the trace from the estimator, no full-identity
-            # Taylor apply.  Fall through to that block instead of
-            # duplicating it.
+            # ``use_sketch=False`` path below — the Theorem 4.1 estimates
+            # read from the polynomial applied to the (m, R) factor stack,
+            # the trace from the estimator, no full-identity Taylor apply.
             use_sketch = False
         elif sketch_dim >= dim:
             sketch = np.eye(dim)
@@ -349,113 +329,46 @@ def big_dot_exp(
 
     if use_sketch:
         # Rows of (Pi exp(phi/2)) = (exp(phi/2) Pi^T)^T because phi is symmetric.
-        if kernel is not None:
-            transformed = kernel.apply(sketch.T, degree, scale=0.5).T
-        else:
-            transformed = taylor_expm_apply(
-                _half_matvec(phi), sketch.T.copy(), degree
-            ).T
+        transformed = transform(sketch.T).T
+        results = packed.estimates_from_transform(transformed)
         if counters is not None:
             counters.matvecs += sketch_dim * (degree - 1)
-        if packed is not None:
-            results = packed.estimates_from_transform(transformed)
-            if counters is not None:
-                # One GEMM covers every constraint, but the count keeps the
-                # reference path's per-constraint unit so counter reports
-                # stay comparable across packed=True/False (the aggregate
-                # nonzeros touched are identical).
-                counters.factor_passes += len(packed) + (1 if return_trace else 0)
-                counters.add("packed_estimate_gemms")
-            if return_trace:
-                # exp(phi) . I estimated from the already-computed block:
-                # || Pi exp(phi/2) I ||_F^2 = || transformed ||_F^2.
-                return results, float(np.sum(transformed * transformed))
-            return results
-        seq = list(factors) + ([np.eye(dim)] if return_trace else [])
-        results = np.empty(len(seq), dtype=np.float64)
-        for idx, factor in enumerate(seq):
-            if sp.issparse(factor):
-                sketched = np.asarray(transformed @ factor)
-            else:
-                sketched = transformed @ np.asarray(factor, dtype=np.float64)
-            results[idx] = float(np.sum(sketched * sketched))
-            if counters is not None:
-                counters.factor_passes += 1
-        if return_trace:
-            return results[:-1], float(results[-1])
-        return results
-
-    if packed is not None:
-        stacked = packed.dense_columns()
-        if kernel is not None:
-            transformed = kernel.apply(stacked, degree, scale=0.5)
-        else:
-            transformed = taylor_expm_apply(_half_matvec(phi), stacked, degree)
-        col_vals = np.einsum("ij,ij->j", transformed, transformed)
-        results = segment_sums(col_vals, packed.offsets)
-        if counters is not None:
-            counters.matvecs += packed.total_rank * (degree - 1)
-            counters.factor_passes += len(packed)
+            # One GEMM covers every constraint; the count keeps one pass
+            # per constraint (plus one for the trace) so counter reports
+            # stay in per-factor units.
+            counters.factor_passes += len(packed) + (1 if return_trace else 0)
             counters.add("packed_estimate_gemms")
         if return_trace:
-            if (
-                kernel is not None
-                and trace_estimator is not None
-                and trace_estimator.structured
-            ):
-                # `transformed` is already the polynomial applied to the
-                # factor stack — exactly the block the deflated estimator
-                # projects, so the structured trace costs no extra apply.
-                estimate = trace_estimator.estimate(
-                    kernel, degree, scale=0.5, transformed_factors=transformed
-                )
-                if counters is not None:
-                    counters.matvecs += estimate.probes * (degree - 1)
-                    counters.add("structured_trace_estimates")
-                    if estimate.mode == "identity":
-                        # Probe budget exhausted: the estimator ran the
-                        # exact identity push, so charge its columns too.
-                        counters.matvecs += dim * (degree - 1)
-                        counters.factor_passes += 1
-                        counters.add("identity_taylor_applies")
-                return results, float(estimate.value)
-            if kernel is not None:
-                eye_transformed = kernel.apply(np.eye(dim), degree, scale=0.5)
-            else:
-                eye_transformed = taylor_expm_apply(_half_matvec(phi), np.eye(dim), degree)
-            if counters is not None:
-                counters.matvecs += dim * (degree - 1)
-                counters.factor_passes += 1
-                counters.add("identity_taylor_applies")
-            return results, float(np.sum(eye_transformed * eye_transformed))
+            # exp(phi) . I estimated from the already-computed block:
+            # || Pi exp(phi/2) I ||_F^2 = || transformed ||_F^2.
+            return results, float(np.sum(transformed * transformed))
         return results
 
-    seq = list(factors) + ([np.eye(dim)] if return_trace else [])
-    results = np.empty(len(seq), dtype=np.float64)
-    for idx, factor in enumerate(seq):
-        dense_factor = factor.toarray() if sp.issparse(factor) else np.asarray(factor, dtype=np.float64)
-        if kernel is not None:
-            transformed = kernel.apply(dense_factor, degree, scale=0.5)
-        else:
-            transformed = taylor_expm_apply(_half_matvec(phi), dense_factor, degree)
-        results[idx] = float(np.sum(transformed * transformed))
+    transformed = transform(packed.dense_columns())
+    col_vals = np.einsum("ij,ij->j", transformed, transformed)
+    results = segment_sums(col_vals, packed.offsets)
+    if counters is not None:
+        counters.matvecs += packed.total_rank * (degree - 1)
+        counters.factor_passes += len(packed)
+        counters.add("packed_estimate_gemms")
+    if not return_trace:
+        return results
+    if structured_trace:
+        # `transformed` is already the polynomial applied to the factor
+        # stack — exactly the block the deflated estimator projects, so the
+        # structured trace costs no extra apply.
+        estimate = trace_estimator.estimate(
+            kernel, degree, scale=0.5, transformed_factors=transformed
+        )
         if counters is not None:
-            counters.matvecs += dense_factor.shape[1] * (degree - 1)
-            counters.factor_passes += 1
-    if return_trace:
-        return results[:-1], float(results[-1])
-    return results
-
-
-def _half_matvec(phi):
-    """Return a matvec callable for ``phi / 2`` (matrix or matvec input)."""
-    if callable(phi) and not isinstance(phi, np.ndarray) and not sp.issparse(phi):
-        return lambda block: 0.5 * phi(block)
-    if sp.issparse(phi):
-        half = phi.tocsr() * 0.5
-        return lambda block: half @ block
-    dense = 0.5 * np.asarray(phi, dtype=np.float64)
-    return lambda block: dense @ block
+            counters.add("structured_trace_estimates")
+        return results, float(estimate.value)
+    eye_transformed = transform(np.eye(dim))
+    if counters is not None:
+        counters.matvecs += dim * (degree - 1)
+        counters.factor_passes += 1
+        counters.add("identity_taylor_applies")
+    return results, float(np.sum(eye_transformed * eye_transformed))
 
 
 class ExactDotExpOracle:
@@ -525,22 +438,34 @@ class FastDotExpOracle:
     a genuinely reducing sketch it is read off the transformed sketch block
     at no extra cost (``|| Pi exp(Psi/2) ||_F^2``); in the degenerate-sketch
     regime (JL dimension at least ``m`` — the default configuration for
-    every ``m`` below several thousand) the default kernel path hands it to
-    a structured :class:`~repro.linalg.trace_estimation.TraceEstimator`
-    (exact Gram-spectrum / deflated block-Krylov projection, or the
-    certified Hutchinson sampler) so no ``(m, m)`` identity ever passes
-    through the Taylor polynomial; the legacy per-factor path instead
-    treats the identity as an extra factor (``exp(Psi) . I``).  Every
-    variant estimates the same quantity, so the returned values are
-    directly comparable to the exact oracle's.
+    every ``m`` below several thousand) it comes from a structured
+    :class:`~repro.linalg.trace_estimation.TraceEstimator` (exact
+    Gram-spectrum or deflated block-Krylov projection) so no ``(m, m)``
+    identity passes through the Taylor polynomial unless ``R ~ m`` makes
+    the identity push the cheaper choice.  Every variant estimates the same
+    quantity, so the returned values are directly comparable to the exact
+    oracle's.
 
-    The oracle rebuilds ``Psi`` from ``x`` through the constraint factors
-    and never reads the ``psi`` argument — ``needs_dense_psi = False``, and
-    calls may pass ``psi=None`` (the decision solvers do exactly that when
-    their matrix-free :class:`~repro.core.psi_state.ImplicitPsiState` is
-    active, so no dense ``sum_i x_i A_i`` is ever assembled for the
-    oracle's sake).  The positional ``psi`` slot is kept for backward
-    compatibility with the :class:`DotExpOracle` protocol.
+    The oracle rebuilds ``Psi`` from ``x`` through the collection's cached
+    :class:`~repro.operators.packed.PackedGramFactors` view and never reads
+    the ``psi`` argument — ``needs_dense_psi = False``, and calls may pass
+    ``psi=None`` (the decision solvers do exactly that when their
+    matrix-free :class:`~repro.core.psi_state.ImplicitPsiState` is active,
+    so no dense ``sum_i x_i A_i`` is ever assembled for the oracle's sake).
+    The positional ``psi`` slot is kept for backward compatibility with the
+    :class:`DotExpOracle` protocol.
+
+    The Taylor kernels come from the oracle's own rank-adaptive
+    :class:`~repro.linalg.taylor_gram.TaylorEngine`, built on the first
+    call: the representation (Gram-space / densified ``Psi`` / sparse-CSR
+    ``Psi`` / factor recurrence) is selected once per stack by measured
+    ``nnz`` and stacked rank, and the weight-dependent state is maintained
+    across oracle calls by updating only the active columns (work charged
+    to ``backend`` under ``taylor-engine-update``).  The
+    :class:`~repro.robustness.FastPathSupervisor` demotes a failing
+    representation and, at the floor of its ladder, sets :attr:`reference`:
+    the per-term matvec recurrence through the packed factors with the
+    identity trace push.
 
     Parameters
     ----------
@@ -558,55 +483,13 @@ class FastDotExpOracle:
         JL dimension multiplier.
     rng:
         Randomness source (a fresh sketch is drawn every call).
-    packed:
-        When ``True`` (default) the oracle uses the collection's cached
-        :class:`~repro.operators.packed.PackedGramFactors` view: the
-        ``Psi``-matvec and the estimate pass become single GEMMs over the
-        stacked factor matrix, and the trace estimate is read off the
-        transformed sketch block instead of a dense identity pseudo-factor.
-        ``False`` keeps the seed per-factor loop (the reference the packed
-        path is benchmarked and tested against).
-    blocked:
-        When ``True`` (default, packed path only) the Lemma 4.2 Taylor
-        apply runs through a fused block kernel built from the packed
-        factors and the current weights instead of the per-term matvec
-        recurrence (``False``; same polynomial — the paths differ only in
-        floating-point rounding and wall clock; see
-        ``benchmarks/bench_e12_taylor.py``).
-    engine:
-        When ``True`` (default, with ``packed`` and ``blocked``) kernels
-        come from the oracle's own rank-adaptive
-        :class:`~repro.linalg.taylor_gram.TaylorEngine`, built on the first
-        call over the collection's packed view: the representation
-        (Gram-space / densified ``Psi`` / sparse-CSR ``Psi`` / factor
-        recurrence) is selected once per stack by measured ``nnz`` and
-        stacked rank, and the weight-dependent state is maintained across
-        oracle calls by updating only the active columns (work charged to
-        ``backend`` under ``taylor-engine-update``).  ``False`` rebuilds a
-        PR-2 style :class:`~repro.linalg.taylor_blocked.BlockedTaylorKernel`
-        (single ``2R > m`` densification rule, no cross-call reuse) every
-        call — the reference the engine is benchmarked against in
-        ``benchmarks/bench_e13_gram.py``.
-    taylor_chunk_columns:
-        Optional column-chunk size forwarded to the kernels to bound
-        their peak memory on wide sketch blocks (``None`` = unchunked).
-    trace_mode:
-        Trace-normalisation strategy for the degenerate-sketch regime
-        (packed kernel path only).  ``"auto"`` (default) applies
-        :func:`~repro.linalg.trace_estimation.select_trace_mode` —
-        the exact Gram-spectrum path when ``2R`` is within the hysteresis
-        margin of ``m``, the exact deflated block-Krylov projection while
-        ``R`` stays meaningfully below ``m``, the legacy identity push
-        otherwise (at ``R ~ m`` its columns carry the estimates too, so it
-        is genuinely optimal).  Explicit values force a mode
-        (``"gram"``/``"deflated"``/``"hutchinson"``/``"identity"``);
-        ``"identity"`` reproduces the pre-estimator reference bit-for-bit
-        and exists for benchmarking and regression testing.
-    trace_seed:
-        Deterministic seed of the Hutchinson probe stream (default 0).
-        The probes never touch the oracle's ``rng``, so enabling or
-        disabling the structured trace cannot shift the sketch stream —
-        the fixed-seed decision-equivalence regressions rely on this.
+    backend:
+        Optional execution backend charged with the engine's
+        ``taylor-engine-update`` work.
+    array_backend:
+        Array backend of the packed view (``None``/``"numpy"``/``"torch"``
+        or an :class:`~repro.backend.ArrayBackend` instance); the Taylor
+        engine and trace estimator adopt it from there.
     """
 
     #: The fast oracle reads ``x`` only; the decision solvers may therefore
@@ -621,12 +504,6 @@ class FastDotExpOracle:
         sketch_constant: float = 8.0,
         rng: RandomState = None,
         backend: ExecutionBackend | None = None,
-        packed: bool = True,
-        blocked: bool = True,
-        engine: bool = True,
-        taylor_chunk_columns: int | None = None,
-        trace_mode: str = "auto",
-        trace_seed: int | None = None,
         array_backend=None,
     ) -> None:
         if eps <= 0 or eps >= 1:
@@ -637,9 +514,10 @@ class FastDotExpOracle:
         self.sketch_constant = float(sketch_constant)
         self.rng = as_generator(rng)
         self.backend = backend
-        self.blocked = bool(blocked)
-        self.engine = bool(engine)
-        self.taylor_chunk_columns = taylor_chunk_columns
+        #: The Taylor ladder's floor: ``True`` once the supervisor has
+        #: demoted every engine representation, after which each call runs
+        #: the per-term recurrence through the packed matvec.
+        self.reference = False
         self.counters = OracleCounters()
         self._engine: TaylorEngine | None = None
         # Converged power-iteration vector of the previous call: the
@@ -647,40 +525,12 @@ class FastDotExpOracle:
         # per-call norm estimate cuts it from hundreds of cold iterations
         # to a handful.
         self._norm_vector: np.ndarray | None = None
-        if packed:
-            # The packed view carries the array backend; the Taylor engine
-            # and trace estimator adopt it from there.
-            self._packed: PackedGramFactors | None = constraints.packed(
-                backend=array_backend
-            )
-            self._factors: list | None = None
-            self._identity: np.ndarray | None = None
-        else:
-            if not get_array_backend(array_backend).is_numpy:
-                raise InvalidProblemError(
-                    "the per-factor reference path (packed=False) is "
-                    "NumPy-only; use packed=True with a non-NumPy backend"
-                )
-            self._packed = None
-            self._factors = constraints.gram_factors()
-            self._identity = np.eye(constraints.dim)
-        # Structured degenerate-regime trace estimator (kernel path only).
-        # The sketch half of the eps budget funds the Hutchinson
-        # certification: the degenerate regime's identity "sketch" is
-        # exact, so that half is otherwise unused there.
-        if self._packed is not None and self.blocked and trace_mode != "identity":
-            self._trace_estimator: TraceEstimator | None = TraceEstimator(
-                self._packed,
-                eps=self.eps / 2.0,
-                mode=trace_mode,
-                seed=0 if trace_seed is None else trace_seed,
-            )
-        else:
-            self._trace_estimator = None
+        self._packed = constraints.packed(backend=array_backend)
+        self._trace_estimator = TraceEstimator(self._packed)
 
     @property
-    def packed(self) -> PackedGramFactors | None:
-        """The packed factor view when the fast path is enabled."""
+    def packed(self) -> PackedGramFactors:
+        """The collection's packed factor view the oracle works on."""
         return self._packed
 
     @property
@@ -694,33 +544,15 @@ class FastDotExpOracle:
         return self._engine
 
     @property
-    def trace_estimator(self) -> TraceEstimator | None:
-        """The structured degenerate-regime trace estimator (kernel path).
+    def trace_estimator(self) -> TraceEstimator:
+        """The structured degenerate-regime trace estimator.
 
-        ``None`` on the reference paths (``packed=False``, ``blocked=False``,
-        or ``trace_mode="identity"``).  The decision solvers read its
+        The decision solvers read its
         :meth:`~repro.linalg.trace_estimation.TraceEstimator.stats` into
         the result metadata next to the ``psi_state`` counters so
         regressions can assert the zero-identity-apply discipline.
         """
         return self._trace_estimator
-
-    def _factored_matvec(self, x: np.ndarray):
-        """Matvec ``v -> Psi v = sum_i x_i Q_i (Q_i^T v)`` applied through the
-        factors — the Corollary 1.2 representation, O(q) per (block) matvec,
-        never materialising the dense ``Psi``.  With the packed view this is
-        ``Q (x_cols ∘ (Q^T v))``: two GEMMs over the stacked matrix."""
-        if self._packed is not None:
-            return self._packed.matvec_fn(x)
-        active = [(float(xi), q) for xi, q in zip(x, self._factors) if xi != 0.0]
-
-        def matvec(block: np.ndarray) -> np.ndarray:
-            out = np.zeros_like(block, dtype=np.float64)
-            for weight, factor in active:
-                out += weight * (factor @ (factor.T @ block))
-            return out
-
-        return matvec
 
     def __call__(self, psi: np.ndarray | None = None, x: np.ndarray | None = None) -> OracleOutput:
         if x is None:
@@ -729,36 +561,27 @@ class FastDotExpOracle:
             )
         m = self.constraints.dim
         weights = np.asarray(x, dtype=np.float64)
-        if self._packed is not None and self.blocked:
-            # Fused block-kernel path: the kernel is built from x rather
-            # than from the caller's psi — callers may legitimately pass a
-            # placeholder psi (the fast oracle is documented to read x
-            # only, and the E11-E13 benchmarks do exactly that) — and also
-            # serves as the matvec for the norm estimate.  With the engine
-            # (default) the representation is rank-adaptive and the
-            # weight-dependent state carries over from the previous call,
-            # so only the changed weight coordinates are touched; without
-            # it a PR-2 blocked kernel is rebuilt per call.
-            if self.engine:
-                if self._engine is None:
-                    self._engine = TaylorEngine(
-                        self._packed, chunk_columns=self.taylor_chunk_columns
-                    )
-                operator = self._engine.kernel_for(weights, backend=self.backend)
-            else:
-                operator = self._packed.taylor_kernel(
-                    weights,
-                    chunk_columns=self.taylor_chunk_columns,
-                    mode="legacy",
-                )
-            matvec = operator.matvec
-        else:
+        if self.reference:
+            # Ladder floor: the per-term recurrence through the factored
+            # matvec Q (w ∘ (Q^T v)), with the identity trace push.
             operator = None
-            matvec = self._factored_matvec(weights)
+            matvec = self._packed.matvec_fn(weights)
+            tracer = None
+        else:
+            # The kernel is built from x rather than from the caller's psi
+            # (callers may pass psi=None) and also serves as the matvec for
+            # the norm estimate; the engine carries the weight-dependent
+            # state over from the previous call, so only the changed weight
+            # coordinates are touched.
+            if self._engine is None:
+                self._engine = TaylorEngine(self._packed)
+            operator = self._engine.kernel_for(weights, backend=self.backend)
+            matvec = operator.matvec
+            tracer = self._trace_estimator
         kappa = self.kappa_bound
         if kappa is None:
             # One fresh draw per call (the cold start's exact rng
-            # consumption, so fast-path variants stay stream-identical),
+            # consumption, so every ladder rung stays stream-identical),
             # blended into the previous call's converged vector: warm where
             # Psi's dominant direction persists, never blind where it moved.
             fresh = self.rng.standard_normal(m)
@@ -775,33 +598,19 @@ class FastDotExpOracle:
             )
             kappa = max(1.0, estimate * 1.05)
             self.counters.add("norm_estimates")
-        tracer = self._trace_estimator if operator is not None else None
         trace_calls_before = tracer.calls if tracer is not None else 0
-        if self._packed is not None:
-            estimates, trace_estimate = big_dot_exp(
-                operator if operator is not None else matvec,
-                self._packed,
-                kappa=kappa,
-                eps=self.eps,
-                rng=self.rng,
-                sketch_constant=self.sketch_constant,
-                counters=self.counters,
-                dim=m,
-                return_trace=True,
-                trace_estimator=tracer.bind(weights) if tracer is not None else None,
-            )
-        else:
-            raw = big_dot_exp(
-                matvec,
-                list(self._factors) + [self._identity],
-                kappa=kappa,
-                eps=self.eps,
-                rng=self.rng,
-                sketch_constant=self.sketch_constant,
-                counters=self.counters,
-                dim=m,
-            )
-            estimates, trace_estimate = raw[:-1], float(raw[-1])
+        estimates, trace_estimate = big_dot_exp(
+            operator if operator is not None else matvec,
+            self._packed,
+            kappa=kappa,
+            eps=self.eps,
+            rng=self.rng,
+            sketch_constant=self.sketch_constant,
+            counters=self.counters,
+            dim=m,
+            return_trace=True,
+            trace_estimator=tracer.bind(weights) if tracer is not None else None,
+        )
         if trace_estimate <= 0:
             raise InvalidProblemError(
                 "sketched trace estimate is non-positive; increase the sketch dimension"
@@ -813,19 +622,14 @@ class FastDotExpOracle:
         # steps applies Psi to the block through the factors (O(q) per
         # column), plus one pass over the factor nonzeros for the estimates.
         # When the structured trace estimator handled the degenerate-regime
-        # normalisation, the block is the (m, R) factor stack plus any
-        # Hutchinson probes — not the (m, m) identity — and the estimator's
-        # own model work (eigendecomposition / projection GEMMs / fallback
-        # push) rides along, so the charge reflects what actually ran.
+        # normalisation, the block is the (m, R) factor stack — not the
+        # (m, m) identity — and the estimator's own model work
+        # (eigendecomposition / projection GEMMs) rides along, so the charge
+        # reflects what actually ran.
         q = self.constraints.total_nnz
-        trace_info = (
-            tracer.last
-            if tracer is not None and tracer.calls > trace_calls_before
-            else None
-        )
-        if trace_info is not None:
-            columns = self._packed.total_rank + trace_info.probes
-            work = float(columns * degree * max(q, m) + q + trace_info.extra_work)
+        if tracer is not None and tracer.calls > trace_calls_before:
+            columns = self._packed.total_rank
+            work = float(columns * degree * max(q, m) + q + tracer.last.extra_work)
         else:
             work = float(sketch_dim * degree * max(q, m) + q)
         self.counters.flops_estimate += work
@@ -835,15 +639,17 @@ class FastDotExpOracle:
         """Checkpointable snapshot of everything a resumed call sequence reads.
 
         Captures the sketch rng (``bit_generator.state``), the
-        power-iteration warm-start vector, the counters, and — when built —
-        the Taylor engine's mode/buffers and the trace estimator's state.
-        The ladder flags (``engine``/``blocked``) ride along so a resume
-        lands on the exact demotion rung the checkpoint was captured on.
+        power-iteration warm-start vector, the counters, the trace
+        estimator's state and — when built — the Taylor engine's
+        mode/buffers.  The ladder floor rides along (as the
+        ``engine_enabled``/``blocked`` pair of checkpoint format version 1)
+        so a resume lands on the exact demotion rung the checkpoint was
+        captured on.
         """
         return {
             "kind": "fast",
-            "engine_enabled": bool(self.engine),
-            "blocked": bool(self.blocked),
+            "engine_enabled": not self.reference,
+            "blocked": not self.reference,
             "rng": dict(self.rng.bit_generator.state),
             "norm_vector": (
                 None if self._norm_vector is None
@@ -853,10 +659,7 @@ class FastDotExpOracle:
             "engine": (
                 None if self._engine is None else self._engine.export_state()
             ),
-            "trace": (
-                None if self._trace_estimator is None
-                else self._trace_estimator.export_state()
-            ),
+            "trace": self._trace_estimator.export_state(),
         }
 
     def import_state(self, state: dict) -> None:
@@ -865,15 +668,28 @@ class FastDotExpOracle:
         The Taylor engine is rebuilt at the checkpointed mode and its
         buffers restored from the snapshot, so the resumed oracle never
         aliases the interrupted run's engine, whose buffers have advanced
-        past the checkpoint.
+        past the checkpoint.  Snapshots that only a removed oracle option
+        could have produced (the per-call blocked kernel, a missing trace
+        estimator) raise :class:`~repro.exceptions.CheckpointError`.
         """
         if state.get("kind") != "fast":
             raise InvalidProblemError(
                 f"cannot import oracle state of kind {state.get('kind')!r} "
                 "into a FastDotExpOracle"
             )
-        self.engine = bool(state["engine_enabled"])
-        self.blocked = bool(state["blocked"])
+        blocked = bool(state["blocked"])
+        if blocked and not state["engine_enabled"]:
+            raise CheckpointError(
+                "checkpoint was captured on the per-call blocked Taylor kernel, "
+                "which no longer exists; re-solve instead"
+            )
+        trace_state = state.get("trace")
+        if trace_state is None:
+            raise CheckpointError(
+                "checkpoint was captured by a fast oracle without a trace "
+                "estimator, which no longer exists; re-solve instead"
+            )
+        self.reference = not blocked
         self.rng.bit_generator.state = state["rng"]
         vec = state.get("norm_vector")
         self._norm_vector = None if vec is None else np.array(vec, dtype=np.float64)
@@ -882,46 +698,23 @@ class FastDotExpOracle:
         if engine_state is None:
             self._engine = None
         else:
-            if self._packed is None:
-                raise InvalidProblemError(
-                    "checkpoint carries taylor-engine state but the oracle "
-                    "was built with packed=False"
-                )
-            self._engine = TaylorEngine(
-                self._packed,
-                chunk_columns=self.taylor_chunk_columns,
-                mode=engine_state["mode"],
-            )
+            self._engine = TaylorEngine(self._packed, mode=engine_state["mode"])
             self._engine.import_state(engine_state)
-        trace_state = state.get("trace")
-        if trace_state is not None:
-            if self._trace_estimator is None:
-                self._trace_estimator = TraceEstimator(
-                    self._packed,
-                    eps=self.eps / 2.0,
-                    mode=trace_state["mode"],
-                )
-            self._trace_estimator.import_state(trace_state)
-        elif self._trace_estimator is not None and state.get("trace") is None:
-            # The checkpointed run had no estimator (identity reference
-            # path); mirror that so the resumed arithmetic matches.
-            self._trace_estimator = None
+        self._trace_estimator.import_state(trace_state)
 
     def fused_update_weights(self, col_w: np.ndarray) -> None:
         """Advance the engine to one call's expanded weights (batched path).
 
-        Exactly the kernel-construction step of :meth:`__call__` on the
-        default engine path, minus the kernel view the batched solver never
-        needs: ``repro.core.batch.solve_many`` expands and validates the
-        whole group's weight stack in one pass, then advances each
-        instance's engine here so its counters, charges and Gram buffer
-        evolve exactly as they would under sequential solves (the batched
-        GEMMs read the Gram stack directly instead of through a kernel).
+        Exactly the kernel-construction step of :meth:`__call__`, minus the
+        kernel view the batched solver never needs:
+        ``repro.core.batch.solve_many`` expands and validates the whole
+        group's weight stack in one pass, then advances each instance's
+        engine here so its counters, charges and Gram buffer evolve exactly
+        as they would under sequential solves (the batched GEMMs read the
+        Gram stack directly instead of through a kernel).
         """
         if self._engine is None:
-            self._engine = TaylorEngine(
-                self._packed, chunk_columns=self.taylor_chunk_columns
-            )
+            self._engine = TaylorEngine(self._packed)
         self._engine.update_weights(col_w, backend=self.backend)
 
     def fused_power_v0(self) -> np.ndarray:
@@ -972,12 +765,12 @@ class FastDotExpOracle:
         self.counters.matvecs += packed.total_rank * (degree - 1)
         self.counters.factor_passes += len(packed)
         self.counters.add("packed_estimate_gemms")
-        self.counters.matvecs += trace_estimate.probes * (degree - 1)
         self.counters.add("structured_trace_estimates")
         q = self.constraints.total_nnz
         m = self.constraints.dim
-        columns = packed.total_rank + trace_estimate.probes
-        work = float(columns * degree * max(q, m) + q + trace_estimate.extra_work)
+        work = float(
+            packed.total_rank * degree * max(q, m) + q + trace_estimate.extra_work
+        )
         self.counters.flops_estimate += work
         return work
 
@@ -987,8 +780,8 @@ def oracle_engine_metadata(oracle) -> dict:
 
     Returns ``{"taylor_engine": stats}`` when ``oracle`` is a fast oracle
     whose rank-adaptive engine has been built, plus
-    ``{"trace_estimator": stats}`` when it carries a structured trace
-    estimator — the one helper both decision solvers merge into their
+    ``{"trace_estimator": stats}`` when it carries a trace estimator — the
+    one helper both decision solvers merge into their
     result metadata so regressions can assert the incremental-update and
     zero-identity-apply disciplines.
     """
@@ -1009,25 +802,14 @@ def make_oracle(
     kappa_bound: float | None = None,
     rng: RandomState = None,
     backend: ExecutionBackend | None = None,
-    packed: bool = True,
-    blocked: bool = True,
-    engine: bool = True,
-    trace_mode: str = "auto",
-    trace_seed: int | None = None,
     array_backend=None,
 ) -> DotExpOracle:
     """Factory for the decision solver's oracle (``"exact"`` or ``"fast"``).
 
-    ``packed``/``blocked``/``engine``/``trace_mode`` configure the fast
-    oracle's single-GEMM estimate pass, fused Taylor kernels, the
-    rank-adaptive incremental engine, and the structured degenerate-regime
-    trace estimator (``trace_seed`` its deterministic probe stream).
-    All default to the fast paths; the ``False`` / ``"identity"`` settings
-    reproduce the reference loops bit-for-bit and exist for benchmarking
-    and regression testing.  ``array_backend`` selects the array backend
-    of the fast oracle's packed kernels (``None``/``"numpy"``/``"torch"``
-    or an :class:`~repro.backend.ArrayBackend` instance); the exact oracle
-    is NumPy-resident and rejects non-NumPy backends.
+    ``array_backend`` selects the array backend of the fast oracle's packed
+    kernels (``None``/``"numpy"``/``"torch"`` or an
+    :class:`~repro.backend.ArrayBackend` instance); the exact oracle is
+    NumPy-resident and rejects non-NumPy backends.
     """
     kind = kind.lower()
     if kind == "exact":
@@ -1044,11 +826,6 @@ def make_oracle(
             kappa_bound=kappa_bound,
             rng=rng,
             backend=backend,
-            packed=packed,
-            blocked=blocked,
-            engine=engine,
-            trace_mode=trace_mode,
-            trace_seed=trace_seed,
             array_backend=array_backend,
         )
     raise InvalidProblemError(f"unknown oracle kind {kind!r}; expected 'exact' or 'fast'")

@@ -471,9 +471,8 @@ def make_psi_state(
         (``needs_dense_psi = False``, e.g.
         :class:`~repro.core.dotexp.FastDotExpOracle`), it carries a packed
         factor view, and the collection's factors are exact; every other
-        combination — the exact oracle, the ``packed=False`` reference
-        path, eigh-derived factors, user oracles without the attribute —
-        keeps the dense seed semantics.
+        combination — the exact oracle, eigh-derived factors, user oracles
+        without the attributes — keeps the dense seed semantics.
     mode:
         ``"auto"`` (default), ``"dense"``, or ``"implicit"`` (which raises
         when the collection's factors are inexact).

@@ -136,8 +136,8 @@ class DecisionResult:
     #: constants (``K``/``alpha``/``R``), the oracle kind, and the
     #: fast-path discipline counters: ``psi_state`` (matrix-free
     #: densify/matvec counts), ``taylor_engine`` (incremental-update
-    #: counts), and ``trace_estimator`` (structured-trace mode, probes,
-    #: identity fallbacks, certified-bound high-water mark).  A
+    #: counts), and ``trace_estimator`` (structured-trace mode, calls,
+    #: identity fallbacks, extra model work).  A
     #: ``BUDGET_EXHAUSTED`` result (and a ``FAILED`` one, when periodic
     #: captures were on via ``DecisionOptions.checkpoint_every``) also
     #: carries ``metadata["checkpoint"]`` — a

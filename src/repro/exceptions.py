@@ -53,7 +53,7 @@ class NumericalError(ReproError, ArithmeticError):
     ----------
     site:
         Stable dotted identifier of the failing computation (e.g.
-        ``"taylor_gram.apply"``, ``"lanczos"``, ``"hutchinson"``), or
+        ``"taylor_gram.apply"``, ``"lanczos"``, ``"trace_estimation"``), or
         ``None`` when the failure predates the supervision layer.
     kernel_mode:
         The kernel/estimator mode that was active when the failure occurred
@@ -85,7 +85,7 @@ class FaultInjected(NumericalError):
         The instrumented site the fault fired at (inherited).
     kind:
         The :mod:`~repro.robustness.faultinject` fault kind that was
-        injected (e.g. ``NonConvergent``, ``BoundViolation``).
+        injected (e.g. ``NaN``, ``NonConvergent``).
     """
 
     def __init__(

@@ -25,9 +25,9 @@ built on:
   :class:`~repro.linalg.taylor_gram.TaylorEngine`.
 * :mod:`repro.linalg.trace_estimation` — structured estimation of the
   oracle's trace normalisation ``Tr[exp(Psi)]`` in the degenerate-sketch
-  regime: the exact ``R x R`` Gram-spectrum evaluation, the exact deflated
-  block-Krylov projection, and a certified Hutchinson sampler — replacing
-  the per-call full-identity Taylor apply.
+  regime: the exact ``R x R`` Gram-spectrum evaluation and the exact
+  deflated block-Krylov projection — replacing the per-call full-identity
+  Taylor apply wherever the stacked rank stays below ``m``.
 * :mod:`repro.linalg.sketching` — Johnson–Lindenstrauss Gaussian sketching
   used by the nearly-linear-work oracle of Theorem 4.1.
 * :mod:`repro.linalg.norms` — spectral-norm estimation (power iteration and

@@ -21,8 +21,8 @@ the callable hides structure the kernel can exploit:
   per term, ``m^2 s`` instead of ``2 m R s`` madds.  For the degenerate-
   sketch regime of Theorem 4.1 (``m ≲ 1000`` at tight eps, where the JL
   dimension reaches ``m`` and the "sketch" block is the full identity) this
-  is the dominant-cost path and the densified recurrence is the ``~2R/m``-
-  fold speedup measured by ``benchmarks/bench_e12_taylor.py``.
+  is the dominant-cost path and the densified recurrence is ``~2R/m``
+  times cheaper than the factor recurrence.
 
 The *default* densification rule never leaves the Theorem 4.1 work
 regime: it only triggers when the stored factor nonzeros ``q`` already

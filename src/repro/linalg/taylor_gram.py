@@ -88,8 +88,8 @@ SPARSE_GEMM_DISCOUNT = 8.0
 #: ``2R`` just past ``m`` the per-term cost ``R^2 ~ m^2/4`` still clearly
 #: beats the densified recurrence's ``m^2`` (the two ``m x R`` projections
 #: it adds amortise over the Taylor degree), so near-threshold adversary
-#: stacks — the E13 row PR 3 left at break-even — no longer fall off a
-#: cliff onto the legacy kernel for being a few columns over the boundary.
+#: stacks do not fall off a cliff onto the densified kernel for being a
+#: few columns over the boundary.
 #: Past ~1.1m the projection overhead and the Gram build's ``m R^2`` start
 #: eating the margin, so the gate stays conservative.
 GRAM_HYSTERESIS = 1.1
@@ -179,8 +179,8 @@ def select_taylor_mode(
           projections it adds are one factor-term's worth of work,
           amortised over the degree — and the ~10% hysteresis keeps
           near-threshold stacks with ``2R`` just past ``m`` on the Gram
-          path instead of dropping them onto the legacy densified
-          kernel at break-even), the densified recurrence otherwise;
+          path instead of dropping them onto the densified kernel at
+          break-even), the densified recurrence otherwise;
         * sparse stacks: the argmin over gram (gated on the same
           hysteresis boundary, and costed at the *dense* ``R^2`` rate
           since ``G`` is materialised dense), densified ``Psi``, sparse
@@ -606,21 +606,18 @@ class TaylorEngine:
     packed:
         The :class:`~repro.operators.packed.PackedGramFactors` view whose
         stack the engine exponentiates.
-    chunk_columns:
-        Default column chunking forwarded to the kernels.
     mode:
         ``"auto"`` (default) applies :func:`select_taylor_mode`; any
         explicit mode from that function's vocabulary (plus
         ``"dense-factors"``) forces the representation.
     """
 
-    def __init__(self, packed, chunk_columns: int | None = None, mode: str = "auto") -> None:
+    def __init__(self, packed, mode: str = "auto") -> None:
         self.packed = packed
         # The engine's host state (Gram buffers, CSR values, scaled stacks)
         # stays NumPy; the stack's array backend is only handed to the
         # kernels it builds, which transfer their inputs at construction.
         self.backend = getattr(packed, "backend", NUMPY)
-        self.chunk_columns = chunk_columns
         self.dim = int(packed.dim)
         self.total_rank = int(packed.total_rank)
         if mode == "auto":
@@ -814,7 +811,7 @@ class TaylorEngine:
         self._w_cols = col_w
 
     # ------------------------------------------------------------------ kernels
-    def kernel_for(self, weights: np.ndarray, backend=None, chunk_columns=...):
+    def kernel_for(self, weights: np.ndarray, backend=None):
         """A Taylor kernel for ``Psi = sum_i weights[i] Q_i Q_i^T``.
 
         On the first call the engine performs the one full build of its
@@ -828,29 +825,20 @@ class TaylorEngine:
         from repro.linalg.taylor_blocked import BlockedTaylorKernel
 
         col_w = self.packed.expand_weights(weights)
-        chunk = self.chunk_columns if chunk_columns is ... else chunk_columns
         self.update_weights(col_w, backend=backend)
 
         if self.mode == "gram":
             return GramTaylorKernel(
-                self.packed.matrix,
-                col_w,
-                gram=self._gram,
-                chunk_columns=chunk,
-                backend=self.backend,
+                self.packed.matrix, col_w, gram=self._gram, backend=self.backend
             )
         if self.mode == "dense-psi":
-            kernel = BlockedTaylorKernel.from_matrix(self._psi, backend=self.backend)
-            kernel.chunk_columns = chunk
-            return kernel
+            return BlockedTaylorKernel.from_matrix(self._psi, backend=self.backend)
         if self.mode == "sparse-psi":
             # Sparse-Psi CSR recurrences are NumPy-only (and only reachable
             # with a NumPy-backed stack — non-NumPy stacks densify).
-            kernel = BlockedTaylorKernel.from_matrix(self._psi_csr)
-            kernel.chunk_columns = chunk
-            return kernel
+            return BlockedTaylorKernel.from_matrix(self._psi_csr)
         return BlockedTaylorKernel.from_scaled_factors(
-            self.packed.matrix, self._qw, chunk_columns=chunk, backend=self.backend
+            self.packed.matrix, self._qw, backend=self.backend
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

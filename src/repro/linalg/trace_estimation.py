@@ -4,14 +4,14 @@ Every iteration of the decision solver normalises the Theorem 4.1 estimates
 by ``Tr[exp(Psi)]``.  In the *degenerate-sketch* regime — ``eps`` tight
 enough that the JL dimension reaches the ambient dimension ``m``, which is
 the default configuration for every ``m`` below several thousand — the
-sketch is the identity and the legacy path obtained the trace by pushing
-the full ``(m, m)`` identity through the Lemma 4.2 Taylor polynomial once
-per oracle call: ``Tr[p(Psi/2)^2] = || p(Psi/2) I ||_F^2``.  After the
-matrix-free iteration core (PR 4) that identity push was the last dense
-``O(m^2 . degree)``-per-column object on the hot path.
+sketch is the identity, and reading the trace off it means pushing the
+full ``(m, m)`` identity through the Lemma 4.2 Taylor polynomial once per
+oracle call: ``Tr[p(Psi/2)^2] = || p(Psi/2) I ||_F^2``, the only dense
+``O(m^2 . degree)`` object left on the matrix-free hot path.
 
-This module removes it.  All estimators target the *same* quantity the
-identity push measured — ``Tr[p(s Psi)^2]`` for the truncated polynomial
+This module avoids it whenever the stacked rank ``R`` stays below ``m``.
+Both estimators target the *same* quantity the identity push measures —
+``Tr[p(s Psi)^2]`` for the truncated polynomial
 ``p`` of degree ``k`` (``squared=False`` variants of the helpers return
 ``Tr[p(s Psi)]``) — so the oracle's normalisation semantics are unchanged:
 
@@ -41,19 +41,6 @@ identity push measured — ``Tr[p(s Psi)^2]`` for the truncated polynomial
 
   Used when ``2R`` exceeds the Gram gate but ``R`` is still meaningfully
   below ``m`` (dense-``Psi`` / sparse-``Psi`` kernel regimes).
-* **Hutchinson with control variate** (:class:`TraceEstimator` mode
-  ``"hutchinson"``) — stochastic, with a certified error bound.  Rademacher
-  probes ``z`` give unbiased samples of ``Tr[p^2] - m`` through
-  ``2 z^T U z + ||U z||^2`` (``||z||^2 = m`` exactly for Rademacher, so the
-  identity part contributes zero variance), with the first-order control
-  variate ``2s z^T Psi z`` subtracted and its exact expectation
-  ``2s Tr[Psi] = 2s sum_c w_c ||q_c||^2`` added back.  Probes are drawn in
-  blocks and doubled adaptively until the certified bound
-  ``TRACE_CONFIDENCE * stderr`` fits the caller's relative tolerance; if
-  the probe budget is exhausted the estimator *falls back to the exact
-  identity push* (counted, never silent), so the oracle's accuracy
-  guarantee is unconditional.  A fixed ``seed`` makes every call
-  deterministic and independent of the oracle's sketch stream.
 
 :func:`select_trace_mode` is the measured-cost policy (the companion of
 :func:`~repro.linalg.taylor_gram.select_taylor_mode`): the structured modes
@@ -61,7 +48,8 @@ pay ``R`` polynomial columns (the factor stack, which also yields the
 Theorem 4.1 estimates) instead of the ``m`` identity columns, so they win
 exactly when ``R`` is sufficiently below ``m``; at ``R`` near or above
 ``m`` the identity push *is* optimal (it serves the estimates too) and the
-policy keeps it.
+policy keeps it.  Both structured modes are exact, so the estimator needs
+no accuracy budget and draws no randomness.
 
 ``tests/test_linalg_trace_estimation.py`` pins every mode against the
 dense-reference identity push across low-rank, sparse, and concentrated
@@ -76,7 +64,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.backend import NUMPY, get_array_backend
-from repro.exceptions import InvalidProblemError, NumericalError
+from repro.exceptions import CheckpointError, InvalidProblemError, NumericalError
 from repro.linalg.taylor_gram import GRAM_HYSTERESIS
 from repro.robustness.faultinject import fault_hook
 
@@ -87,35 +75,26 @@ __all__ = [
     "gram_exp_trace",
     "select_trace_mode",
     "truncated_exp_values",
-    "TRACE_CONFIDENCE",
-    "TRACE_MIN_PROBES",
-    "TRACE_PROBE_CAP_FRACTION",
+    "TRACE_DEFLATED_SLACK",
     "TRACE_IDENTITY_MARGIN",
 ]
 
-#: One-sided normal quantile used to certify the Hutchinson estimator: the
-#: reported ``error_bound`` is ``TRACE_CONFIDENCE`` sample standard errors,
-#: i.e. a ~99.9% confidence bound under the CLT normal approximation.  The
-#: exact modes report a bound of 0 (they are deterministic up to rounding).
-TRACE_CONFIDENCE = 3.0
-
-#: Probes drawn by the first Hutchinson block (doubled adaptively until the
-#: certified bound fits the tolerance).
-TRACE_MIN_PROBES = 8
-
-#: Default Hutchinson probe budget as a fraction of ``m``: past this the
-#: stochastic estimate is approaching the exact identity push's cost, so
-#: the estimator stops doubling and falls back to the exact push instead.
-TRACE_PROBE_CAP_FRACTION = 0.5
-
 #: Required headroom before a structured mode replaces the identity push:
-#: the structured estimate pass costs ``R`` polynomial columns (plus
-#: probes), the identity push ``m`` — and the identity's columns also carry
-#: the Theorem 4.1 estimates, so the swap must win by a clear margin, and
-#: the margined gate cannot flip-flop for stacks near the boundary.
+#: the structured estimate pass costs ``R`` polynomial columns, the
+#: identity push ``m`` — and the identity's columns also carry the
+#: Theorem 4.1 estimates, so the swap must win by a clear margin, and the
+#: margined gate cannot flip-flop for stacks near the boundary.
 TRACE_IDENTITY_MARGIN = 0.9
 
-_TRACE_MODES = ("gram", "deflated", "hutchinson", "identity")
+#: Extra columns charged against the deflated mode in its gate
+#: ``R + TRACE_DEFLATED_SLACK <= TRACE_IDENTITY_MARGIN * m``.  The value is
+#: the probe block of a stochastic trace estimator the gate was calibrated
+#: with; it stays at 8 because moving it would switch the stacks next to
+#: the boundary between the deflated projection and the identity push and
+#: change their result bits.
+TRACE_DEFLATED_SLACK = 8
+
+_TRACE_MODES = ("gram", "deflated", "identity")
 
 #: Relative eigenvalue cutoff for the deflated basis: directions of
 #: ``Q^T Q`` below ``_BASIS_RTOL * mu_max`` are numerically rank-deficient
@@ -143,9 +122,7 @@ def truncated_exp_values(x: np.ndarray, degree: int, scale: float = 1.0) -> np.n
     return acc
 
 
-def select_trace_mode(
-    dim: int, total_rank: int, probes: int = TRACE_MIN_PROBES
-) -> str:
+def select_trace_mode(dim: int, total_rank: int) -> str:
     """Pick the trace estimator for a stack of shape ``(dim, total_rank)``.
 
     The decision mirrors :func:`~repro.linalg.taylor_gram.select_taylor_mode`:
@@ -157,19 +134,13 @@ def select_trace_mode(
     * ``"gram"`` when ``2R <= GRAM_HYSTERESIS * dim`` — the exact Gram
       spectrum (``R^3`` eigendecomposition, no polynomial columns beyond
       the ``R`` the estimates already pay);
-    * ``"deflated"`` when ``R + probes <= TRACE_IDENTITY_MARGIN * dim`` —
-      the exact block-Krylov projection (one ``(R, m) x (m, R)`` GEMM over
-      the transformed factor block);
+    * ``"deflated"`` when ``R + TRACE_DEFLATED_SLACK <=
+      TRACE_IDENTITY_MARGIN * dim`` — the exact block-Krylov projection
+      (one ``(R, m) x (m, R)`` GEMM over the transformed factor block);
     * ``"identity"`` otherwise — at ``R`` near or above ``m`` the identity
       push is optimal because its ``m`` columns also carry the Theorem 4.1
       estimates, which the structured modes would recompute from ``R >= m``
       factor columns.
-
-    ``"hutchinson"`` is never auto-selected — the exact deflated projection
-    costs less than any probe block whenever pushing the factor stack is
-    affordable at all — but remains explicitly selectable (it is the only
-    mode whose cost is independent of ``R``, and its certified-bound
-    machinery is exercised by the tests).
     """
     if dim < 0 or total_rank < 0:
         raise InvalidProblemError(
@@ -177,7 +148,7 @@ def select_trace_mode(
         )
     if total_rank == 0 or 2 * total_rank <= GRAM_HYSTERESIS * dim:
         return "gram"
-    if total_rank + probes <= TRACE_IDENTITY_MARGIN * dim:
+    if total_rank + TRACE_DEFLATED_SLACK <= TRACE_IDENTITY_MARGIN * dim:
         return "deflated"
     return "identity"
 
@@ -357,32 +328,21 @@ def batched_gram_exp_trace(
 
 @dataclass
 class TraceEstimate:
-    """One structured trace estimate and its certification.
+    """One structured trace estimate.
 
     Attributes
     ----------
     value:
-        The estimate of ``Tr[p(scale * Psi)^2]``.
-    error_bound:
-        Certified absolute error bound: 0 for the exact modes (``gram``,
-        ``deflated``, and the ``identity`` fallback — deterministic up to
-        rounding), ``TRACE_CONFIDENCE`` standard errors for ``hutchinson``.
+        The estimate of ``Tr[p(scale * Psi)^2]`` (exact up to rounding).
     mode:
-        The mode that produced the value (``"identity"`` when the
-        Hutchinson budget was exhausted and the exact fallback ran).
-    probes:
-        Rademacher probe columns pushed through the polynomial (0 for the
-        exact modes) — the oracle adds them to its column-count work charge.
+        The mode that produced the value (``"gram"`` or ``"deflated"``).
     extra_work:
         Model work of the estimator beyond the shared polynomial columns
-        (the ``R^3`` eigendecomposition, the projection GEMMs, the
-        control-variate matvecs, or the fallback identity push).
+        (the ``R^3`` eigendecomposition or the projection GEMMs).
     """
 
     value: float
-    error_bound: float
     mode: str
-    probes: int = 0
     extra_work: float = 0.0
 
 
@@ -402,61 +362,23 @@ class TraceEstimator:
     packed:
         The :class:`~repro.operators.packed.PackedGramFactors` view whose
         ``Psi = sum_i x_i Q_i Q_i^T`` is being exponentiated.
-    eps:
-        Relative tolerance the ``hutchinson`` mode must certify (the fast
-        oracle passes the sketch half of its budget, which the degenerate
-        regime's identity "sketch" leaves unused).  Ignored by the exact
-        modes.
     mode:
-        ``"auto"`` (default) applies :func:`select_trace_mode`; any
-        explicit mode from its vocabulary (plus ``"hutchinson"``) forces
-        the estimator.  ``"identity"`` makes :attr:`structured` false — the
-        caller keeps the legacy push and this object only counts.
-    seed:
-        Deterministic seed of the Hutchinson probe stream.  Probes are
-        drawn from ``default_rng((seed, call_index))``, so every call is
-        reproducible and *independent of the oracle's sketch stream* —
-        enabling the fixed-seed structured-vs-reference decision
-        equivalence the regression tests certify.
-    confidence:
-        Standard-error multiple of the certified bound
-        (:data:`TRACE_CONFIDENCE`).
-    min_probes, max_probes:
-        First probe block size and total probe budget (defaults:
-        :data:`TRACE_MIN_PROBES` and ``TRACE_PROBE_CAP_FRACTION * m``).
-        Exhausting the budget triggers the exact identity fallback.
+        ``"auto"`` (default) applies :func:`select_trace_mode`; an explicit
+        ``"gram"``, ``"deflated"`` or ``"identity"`` forces the mode.
+        ``"identity"`` makes :attr:`structured` false — the caller keeps
+        the identity push and this object only counts.
     """
 
-    def __init__(
-        self,
-        packed,
-        eps: float = 0.05,
-        mode: str = "auto",
-        seed: int = 0,
-        confidence: float = TRACE_CONFIDENCE,
-        min_probes: int = TRACE_MIN_PROBES,
-        max_probes: int | None = None,
-    ) -> None:
-        if eps <= 0 or eps >= 1:
-            raise InvalidProblemError(f"eps must be in (0, 1), got {eps}")
+    def __init__(self, packed, mode: str = "auto") -> None:
         self.packed = packed
         # Adopt the stack's array backend for the eigendecompositions; all
-        # other estimator state (probe streams, counters, caches) is host
-        # NumPy regardless of backend.
+        # other estimator state (counters, caches) is host NumPy regardless
+        # of backend.
         self.backend = getattr(packed, "backend", NUMPY)
         self.dim = int(packed.dim)
         self.total_rank = int(packed.total_rank)
-        self.eps = float(eps)
-        self.seed = int(seed)
-        self.confidence = float(confidence)
-        self.min_probes = max(2, int(min_probes))
-        if max_probes is None:
-            max_probes = max(
-                self.min_probes, int(TRACE_PROBE_CAP_FRACTION * self.dim)
-            )
-        self.max_probes = int(max_probes)
         if mode == "auto":
-            mode = select_trace_mode(self.dim, self.total_rank, probes=self.min_probes)
+            mode = select_trace_mode(self.dim, self.total_rank)
         if mode not in _TRACE_MODES:
             raise InvalidProblemError(
                 f"unknown trace mode {mode!r}; expected one of {_TRACE_MODES} or 'auto'"
@@ -468,10 +390,8 @@ class TraceEstimator:
             )
         self.mode = mode
         self.calls = 0
-        self.probes_drawn = 0
         self.identity_fallbacks = 0
         self.extra_work = 0.0
-        self.max_error_bound = 0.0
         self.last: TraceEstimate | None = None
         self._mode_counts: dict[str, int] = {}
         self._col_w: np.ndarray | None = None
@@ -488,24 +408,22 @@ class TraceEstimator:
         The decision solvers surface this dict as
         ``result.metadata["trace_estimator"]`` next to the ``psi_state``
         and ``taylor_engine`` counters, so tests can assert the
-        zero-identity-apply discipline and the certified-bound budget.
+        zero-identity-apply discipline.
         """
         return {
             "mode": self.mode,
             "calls": self.calls,
-            "probes_drawn": self.probes_drawn,
             "identity_fallbacks": self.identity_fallbacks,
             "extra_work": self.extra_work,
-            "max_error_bound": self.max_error_bound,
             "mode_counts": dict(self._mode_counts),
         }
 
     def demote_to_identity(self) -> None:
-        """Drop to the exact legacy identity push — the trace ladder's floor.
+        """Drop to the exact identity push — the trace ladder's floor.
 
         Called by :class:`~repro.robustness.FastPathSupervisor` when a
-        structured mode breaks (overflow, injected bound violation).  After
-        demotion :attr:`structured` is ``False``, so
+        structured mode breaks (overflow, injected fault).  After demotion
+        :attr:`structured` is ``False``, so
         :func:`~repro.core.dotexp.big_dot_exp` performs the identity push
         itself and this estimator is never consulted again; counters (and
         :attr:`identity_fallbacks`) are preserved for the run's metadata.
@@ -516,20 +434,15 @@ class TraceEstimator:
     def export_state(self) -> dict:
         """Checkpointable snapshot of the estimator's mutable state.
 
-        Restoring :attr:`calls` restores the Hutchinson probe stream — each
-        call draws probes from ``default_rng((seed, call_index))`` — so a
-        resumed solve replays the exact probe sequence an uninterrupted run
-        would have drawn.  ``_col_w`` (rebound per oracle call) and the
-        ``_gram_eig`` cache (a deterministic function of the stack) are
-        derived data and deliberately absent.
+        ``_col_w`` (rebound per oracle call) and the ``_gram_eig`` cache (a
+        deterministic function of the stack) are derived data and
+        deliberately absent.
         """
         return {
             "mode": self.mode,
             "calls": int(self.calls),
-            "probes_drawn": int(self.probes_drawn),
             "identity_fallbacks": int(self.identity_fallbacks),
             "extra_work": float(self.extra_work),
-            "max_error_bound": float(self.max_error_bound),
             "mode_counts": dict(self._mode_counts),
         }
 
@@ -539,17 +452,22 @@ class TraceEstimator:
         The mode is restored too: a checkpoint captured after a
         ``demote_to_identity`` resumes on the identity floor, keeping the
         resumed run's ladder position (and therefore its arithmetic)
-        identical to the interrupted one.
+        identical to the interrupted one.  The stochastic estimator's probe
+        tally and error bound, which version-1 snapshots also carry, are
+        ignored; a snapshot taken in a mode this build does not provide
+        (that removed estimator) raises
+        :class:`~repro.exceptions.CheckpointError`.
         """
         mode = state["mode"]
         if mode not in _TRACE_MODES:
-            raise InvalidProblemError(f"unknown trace mode {mode!r} in estimator state")
+            raise CheckpointError(
+                f"trace-estimator state is in mode {mode!r}, which no longer "
+                "exists; re-solve instead"
+            )
         self.mode = mode
         self.calls = int(state["calls"])
-        self.probes_drawn = int(state["probes_drawn"])
         self.identity_fallbacks = int(state["identity_fallbacks"])
         self.extra_work = float(state["extra_work"])
-        self.max_error_bound = float(state["max_error_bound"])
         self._mode_counts = dict(state["mode_counts"])
         self.last = None
 
@@ -582,10 +500,7 @@ class TraceEstimator:
         )
         r = self.total_rank
         return TraceEstimate(
-            value=value,
-            error_bound=0.0,
-            mode="gram",
-            extra_work=float(r) ** 3 + float(r) * degree,
+            value=value, mode="gram", extra_work=float(r) ** 3 + float(r) * degree
         )
 
     def _basis(self) -> tuple[np.ndarray, np.ndarray]:
@@ -613,7 +528,7 @@ class TraceEstimator:
         m_mat = np.asarray(q.T @ update, dtype=np.float64)
         mu, w = self._basis()
         if mu.size == 0:
-            return TraceEstimate(value=float(self.dim), error_bound=0.0, mode="deflated")
+            return TraceEstimate(value=float(self.dim), mode="deflated")
         inv_root = 1.0 / np.sqrt(mu)
         s = (w.T @ m_mat @ w) * inv_root[:, None] * inv_root[None, :]
         s = 0.5 * (s + s.T)
@@ -628,84 +543,9 @@ class TraceEstimator:
         r = self.total_rank
         return TraceEstimate(
             value=value,
-            error_bound=0.0,
             mode="deflated",
             extra_work=float(self.dim) * r * r + 2.0 * float(r) ** 3,
         )
-
-    def _identity_push(self, kernel, degree: int, scale: float) -> float:
-        # kernel.apply takes (and returns) host arrays whatever the kernel's
-        # backend, so the identity is materialised through the NumPy object.
-        eye_transformed = kernel.apply(NUMPY.eye(self.dim), degree, scale=scale)
-        return float(np.sum(eye_transformed * eye_transformed))
-
-    def _hutchinson_estimate(
-        self, kernel, degree: int, scale: float
-    ) -> TraceEstimate:
-        fault_hook("hutchinson", kernel_mode="hutchinson")
-        if self._col_w is None:
-            raise InvalidProblemError(
-                "bind(weights) must be called before a Hutchinson trace estimate"
-            )
-        m = self.dim
-        psi_trace = float(self._col_w @ self.packed.column_sq_norms())
-        rng = np.random.default_rng((self.seed, self.calls))
-        samples = np.zeros(0, dtype=np.float64)
-        drawn = 0
-        block = min(self.min_probes, self.max_probes)
-        while True:
-            z = rng.integers(0, 2, size=(m, block)).astype(np.float64) * 2.0 - 1.0
-            pz = kernel.apply(z, degree, scale=scale)
-            uz = pz - z
-            psi_z = kernel.matvec(z)
-            # ||z||^2 = m exactly for Rademacher probes, so the identity
-            # part of p^2 = I + 2U + U^2 contributes zero variance; the
-            # first-order control variate 2s z^T Psi z (exact expectation
-            # 2s Tr[Psi]) removes the leading term of 2 z^T U z.
-            # Probe blocks and kernel outputs are host arrays; the column
-            # reductions route through the shared NumPy backend object.
-            xp = NUMPY
-            new = (
-                2.0 * xp.einsum("ij,ij->j", z, uz)
-                + xp.einsum("ij,ij->j", uz, uz)
-                - 2.0 * scale * xp.einsum("ij,ij->j", z, psi_z)
-            )
-            samples = np.concatenate([samples, new])
-            drawn += block
-            estimate = float(m) + 2.0 * scale * psi_trace + float(samples.mean())
-            stderr = float(samples.std(ddof=1)) / np.sqrt(samples.shape[0])
-            bound = self.confidence * stderr
-            if not np.isfinite(estimate):
-                raise NumericalError(
-                    "Hutchinson trace evaluation overflowed; reduce the "
-                    "spectral norm of psi or the degree",
-                    site="hutchinson",
-                    kernel_mode="hutchinson",
-                )
-            if estimate > 0 and bound <= self.eps * estimate:
-                self.probes_drawn += drawn
-                return TraceEstimate(
-                    value=estimate,
-                    error_bound=bound,
-                    mode="hutchinson",
-                    probes=drawn,
-                    extra_work=float(drawn) * max(self.packed.nnz, m),
-                )
-            if drawn >= self.max_probes:
-                # Budget exhausted: certify by computing the exact value.
-                # Never silent — the fallback is counted so the regression
-                # tests can assert it does not fire on the supported grids.
-                self.probes_drawn += drawn
-                self.identity_fallbacks += 1
-                value = self._identity_push(kernel, degree, scale)
-                return TraceEstimate(
-                    value=value,
-                    error_bound=0.0,
-                    mode="identity",
-                    probes=drawn,
-                    extra_work=float(m) * degree * max(self.packed.nnz, m),
-                )
-            block = min(drawn, self.max_probes - drawn)
 
     # ------------------------------------------------------------------ entry
     def estimate(
@@ -721,7 +561,8 @@ class TraceEstimator:
         ----------
         kernel:
             The Taylor kernel over the current ``Psi`` (any representation
-            — the estimator only uses ``apply``/``matvec``).
+            — the deflated mode uses its ``apply`` when no transformed
+            block is given).
         degree:
             Taylor truncation degree of ``p``.
         scale:
@@ -734,26 +575,21 @@ class TraceEstimator:
         Returns
         -------
         TraceEstimate
-            Value, certified bound, mode, probe count and extra model work;
-            also stored as :attr:`last` for the oracle's work accounting.
+            Value, mode and extra model work; also stored as :attr:`last`
+            for the oracle's work accounting.
         """
+        fault_hook("trace_estimation", kernel_mode=self.mode)
         if self.mode == "identity":
             raise InvalidProblemError(
-                "trace mode 'identity' keeps the legacy push; the caller "
+                "trace mode 'identity' keeps the identity push; the caller "
                 "should not engage the estimator (structured is False)"
             )
         self.calls += 1
         if self.mode == "gram":
             result = self._gram_estimate(degree, scale)
-        elif self.mode == "deflated":
-            result = self._deflated_estimate(kernel, degree, scale, transformed_factors)
         else:
-            result = self._hutchinson_estimate(kernel, degree, scale)
-        self.extra_work += result.extra_work
-        self.max_error_bound = max(self.max_error_bound, result.error_bound)
-        self._mode_counts[result.mode] = self._mode_counts.get(result.mode, 0) + 1
-        self.last = result
-        return result
+            result = self._deflated_estimate(kernel, degree, scale, transformed_factors)
+        return self._book(result)
 
     def record_gram_estimate(self, value: float, degree: int) -> TraceEstimate:
         """Account a Gram-mode trace computed externally (the batched path).
@@ -770,14 +606,17 @@ class TraceEstimator:
             )
         self.calls += 1
         r = self.total_rank
-        result = TraceEstimate(
-            value=float(value),
-            error_bound=0.0,
-            mode="gram",
-            extra_work=float(r) ** 3 + float(r) * degree,
+        return self._book(
+            TraceEstimate(
+                value=float(value),
+                mode="gram",
+                extra_work=float(r) ** 3 + float(r) * degree,
+            )
         )
+
+    def _book(self, result: TraceEstimate) -> TraceEstimate:
+        """Fold one estimate into the counters and :attr:`last`."""
         self.extra_work += result.extra_work
-        self.max_error_bound = max(self.max_error_bound, result.error_bound)
         self._mode_counts[result.mode] = self._mode_counts.get(result.mode, 0) + 1
         self.last = result
         return result

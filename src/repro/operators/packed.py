@@ -28,8 +28,7 @@ In the work–depth model the packed primitives charge the same ``O(q)`` work
 as the reference loop (``q`` = total factor nonzeros, the Corollary 1.2 work
 parameter) with polylogarithmic depth — the packing changes the constants,
 not the asymptotics.  In wall-clock terms it replaces ``O(n)`` interpreted
-iterations with one BLAS-3 call, which is where the order-of-magnitude
-speedups measured by ``benchmarks/bench_e11_packed.py`` come from.
+iterations with one BLAS-3 call.
 
 Sparse factors are supported: when the stacked matrix would be sparse the
 packing keeps a CSR/CSC pair and the same primitives run through
@@ -405,68 +404,6 @@ class PackedGramFactors:
             self._auto_mode = mode
         return self._auto_mode
 
-    def taylor_kernel(
-        self,
-        weights: np.ndarray,
-        chunk_columns: int | None = None,
-        mode: str = "auto",
-    ):
-        """A one-shot Taylor kernel for ``Psi = sum_i weights[i] Q_i Q_i^T``.
-
-        The kernel evaluates the Lemma 4.2 truncated exponential of
-        ``scale * Psi`` on whole ``(m, s)`` blocks; the representation —
-        Gram-space, densified ``Psi``, sparse-CSR ``Psi``, or the factor
-        recurrence — is picked per stack by
-        :func:`~repro.linalg.taylor_gram.select_taylor_mode` (``mode=``
-        forces one, ``"legacy"`` keeps the PR-2 blocked kernel with its
-        ``2R > m`` densification rule).  Weight-independent artifacts (the
-        Gram matrix, the sparse-``Psi`` pattern) are cached on the stack,
-        but no weight-dependent state is carried across calls — a
-        :class:`~repro.linalg.taylor_gram.TaylorEngine` over this view is
-        the incremental cross-iteration path.
-        """
-        from repro.linalg.taylor_blocked import BlockedTaylorKernel
-
-        col_w = self.expand_weights(weights)
-        if mode == "legacy":
-            return BlockedTaylorKernel(
-                self._q, col_w, chunk_columns=chunk_columns, backend=self.backend
-            )
-        if mode == "auto":
-            mode = self.auto_taylor_mode()
-        if mode == "gram":
-            from repro.linalg.taylor_gram import GramTaylorKernel
-
-            return GramTaylorKernel(
-                self._q,
-                col_w,
-                gram=self.gram_matrix() * col_w[None, :],
-                chunk_columns=chunk_columns,
-                backend=self.backend,
-            )
-        if mode == "sparse-psi":
-            acc = self.psi_accumulator()
-            kernel = BlockedTaylorKernel.from_matrix(acc.psi(acc.values(col_w)))
-            kernel.chunk_columns = chunk_columns
-            return kernel
-        if mode == "dense-psi":
-            return BlockedTaylorKernel(
-                self._q,
-                col_w,
-                chunk_columns=chunk_columns,
-                densify=True,
-                backend=self.backend,
-            )
-        if mode in ("dense-factors", "sparse-factors"):
-            return BlockedTaylorKernel(
-                self._q,
-                col_w,
-                chunk_columns=chunk_columns,
-                densify=False,
-                backend=self.backend,
-            )
-        raise InvalidProblemError(f"unknown taylor kernel mode {mode!r}")
-
     def weighted_sum(self, weights: np.ndarray) -> np.ndarray:
         """Dense ``sum_i weights[i] Q_i Q_i^T`` via one rank-``R`` GEMM.
 
@@ -516,9 +453,7 @@ class PackedGramFactors:
         """Squared column norms ``||q_c||^2`` of the stack (cached).
 
         Weight-independent: ``Tr[Psi] = sum_c w_c ||q_c||^2`` for
-        ``Psi = Q diag(w) Q^T``, which is how the structured trace
-        estimator (:mod:`repro.linalg.trace_estimation`) gets its exact
-        control-variate expectation in ``O(R)`` per call.
+        ``Psi = Q diag(w) Q^T``, and :meth:`traces` segment-sums them.
         """
         if self._column_sq_norms is None:
             if self._sparse:

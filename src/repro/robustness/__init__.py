@@ -20,7 +20,6 @@ See ``docs/ROBUSTNESS.md`` for the ladder diagram and the
 """
 
 from repro.robustness.faultinject import (
-    BoundViolation,
     Crash,
     FaultKind,
     FaultSpec,
@@ -39,7 +38,6 @@ from repro.robustness.faultinject import (
 from repro.robustness.supervisor import FastPathSupervisor, RecoveryEvent
 
 __all__ = [
-    "BoundViolation",
     "Crash",
     "FaultKind",
     "FaultSpec",

@@ -13,8 +13,8 @@ production kernels:
   real detection code, not a parallel test-only branch.
 * :func:`fault_hook` — raises :class:`~repro.exceptions.FaultInjected`
   (a :class:`~repro.exceptions.NumericalError`) for failure classes that
-  manifest as exceptions rather than bad data: Lanczos non-convergence and
-  Hutchinson certified-bound violations.
+  manifest as exceptions rather than bad data: Lanczos or trace-estimator
+  non-convergence, and crash-style faults.
 
 Happy-path cost is one module-global truthiness check per instrumented
 site (the plan list is empty outside ``inject`` blocks), measured at well
@@ -78,13 +78,6 @@ class NonConvergent(FaultKind):
     """An iterative eigensolver (Lanczos / power iteration) fails to converge."""
 
     name = "non-convergent"
-    corrupts = False
-
-
-class BoundViolation(FaultKind):
-    """A Hutchinson trace estimate violates its certified error bound."""
-
-    name = "bound-violation"
     corrupts = False
 
 
@@ -183,7 +176,7 @@ def inject(
         Instrumented site identifier — see :data:`SITES` for the list.
     kind:
         One of :class:`NaN`, :class:`Overflow`, :class:`NonConvergent`,
-        :class:`BoundViolation`, :class:`Crash`.
+        :class:`Crash`, :class:`Stall`, :class:`WorkerCrash`.
     at_call / times:
         Fire on calls ``at_call .. at_call + times - 1`` (1-based) of the
         site, counted within this block.
@@ -219,7 +212,7 @@ def clear_faults() -> None:
 #: Registry used by :func:`install_plan` to rebuild kinds from their names.
 _KINDS_BY_NAME: dict[str, type[FaultKind]] = {
     cls.name: cls
-    for cls in (NaN, Overflow, NonConvergent, BoundViolation, Crash, Stall, WorkerCrash)
+    for cls in (NaN, Overflow, NonConvergent, Crash, Stall, WorkerCrash)
 }
 
 
@@ -309,7 +302,7 @@ SITES = {
     "taylor_blocked.apply": "blocked fused Taylor kernel output (NaN / Overflow)",
     "taylor.reference": "reference per-term Taylor apply output (NaN / Overflow)",
     "lanczos": "ARPACK top-eigenvalue call (NonConvergent)",
-    "hutchinson": "Hutchinson trace estimator (BoundViolation / NonConvergent)",
+    "trace_estimation": "structured trace estimator entry (NonConvergent)",
     "psi_state.matvec": "implicit PsiState packed matvec output (NaN / Overflow)",
     "worker.heartbeat": "executor worker heartbeat (Stall / WorkerCrash)",
 }

@@ -3,8 +3,8 @@
 :class:`FastPathSupervisor` sits between the solver loop and the numerical
 kernels and implements the kernel-demotion ladder: when a fast-path
 computation breaks — non-finite GEMM output, Taylor-degree overflow, an
-injected or organic Lanczos non-convergence, a Hutchinson certified-bound
-violation — the failing computation is retried one rung down a ladder of
+injected or organic Lanczos non-convergence, a trace-estimator failure —
+the failing computation is retried one rung down a ladder of
 strictly-more-conservative implementations, and the event is recorded in a
 structured :attr:`~FastPathSupervisor.recovery_events` log that the solvers
 surface as ``DecisionResult.metadata["recovery_events"]``.
@@ -12,11 +12,11 @@ surface as ``DecisionResult.metadata["recovery_events"]``.
 The ladders (see ``docs/ROBUSTNESS.md`` for the full diagram):
 
 * **Taylor kernel**: ``gram`` → ``sparse-psi`` (sparse stacks) →
-  ``dense-psi`` → reference per-term matvec apply.  Every rung evaluates
-  the *same* Lemma 4.2 polynomial, so demotion changes rounding at worst —
-  never the certified decision.
-* **Trace estimator**: ``gram`` / ``deflated`` / ``hutchinson`` → the
-  exact legacy identity push.
+  ``dense-psi`` → ``reference``, the per-term matvec apply with the
+  identity trace push.  Every rung evaluates the *same* Lemma 4.2
+  polynomial, so demotion changes rounding at worst — never the certified
+  decision.
+* **Trace estimator**: ``gram`` / ``deflated`` → the exact identity push.
 * **Lanczos** (``lambda_max``): warm-started → cold-started → exact dense
   ``eigvalsh``.
 * **PsiState**: implicit (matrix-free) → dense maintenance.
@@ -48,8 +48,8 @@ __all__ = ["RecoveryEvent", "FastPathSupervisor"]
 
 #: Sites attributed to the fused Taylor kernels (demote the kernel ladder).
 _TAYLOR_SITES = frozenset({"taylor_gram.apply", "taylor_blocked.apply", "taylor.reference"})
-#: Sites attributed to the structured trace estimator (demote to identity).
-_TRACE_SITES = frozenset({"hutchinson", "trace_estimation"})
+#: Site attributed to the structured trace estimator (demote to identity).
+_TRACE_SITE = "trace_estimation"
 #: The lambda_max ladder rung names, in demotion order.
 _LANCZOS_RUNGS = ("warm", "cold", "exact")
 #: Exceptions the supervisor treats as recoverable numerical breakdowns.
@@ -102,10 +102,11 @@ class FastPathSupervisor:
     Parameters
     ----------
     oracle:
-        The solver's oracle.  Fast oracles are demoted through their
-        ``engine`` / ``blocked`` knobs and trace estimator; oracles without
-        those attributes (the exact oracle, user oracles) simply have no
-        kernel rungs, so their failures fall through to ``FAILED``.
+        The solver's oracle.  Fast oracles are demoted through their Taylor
+        engine, their ``reference`` floor flag and their trace estimator;
+        oracles without those attributes (the exact oracle, user oracles)
+        simply have no kernel rungs, so their failures fall through to
+        ``FAILED``.
     state:
         The solver's :class:`~repro.core.psi_state.PsiState`.  The
         supervisor *owns* this reference — an implicit→dense demotion
@@ -257,13 +258,10 @@ class FastPathSupervisor:
         """Move the oracle's Taylor kernel one rung down; ``None`` if at floor."""
         oracle = self.oracle
         packed = getattr(oracle, "packed", None)
-        if packed is None or not getattr(oracle, "blocked", False):
-            return None  # already on the reference path (or not a fast oracle)
+        if packed is None or getattr(oracle, "reference", True):
+            return None  # already on the floor (or not a fast oracle)
         engine = getattr(oracle, "_engine", None)
-        if getattr(oracle, "engine", False):
-            current = engine.mode if engine is not None else packed.auto_taylor_mode()
-        else:
-            current = "legacy"
+        current = engine.mode if engine is not None else packed.auto_taylor_mode()
         ladder = ["gram"]
         if getattr(packed, "is_sparse", False):
             ladder.append("sparse-psi")
@@ -271,22 +269,16 @@ class FastPathSupervisor:
         try:
             start = ladder.index(current) + 1
         except ValueError:
-            # legacy / factor-recurrence modes have no intermediate rung.
+            # Factor-recurrence modes have no intermediate rung.
             start = len(ladder)
         for mode in ladder[start:]:
             from repro.linalg.taylor_gram import TaylorEngine
 
-            oracle._engine = TaylorEngine(
-                packed,
-                chunk_columns=getattr(oracle, "taylor_chunk_columns", None),
-                mode=mode,
-            )
-            oracle.engine = True
+            oracle._engine = TaylorEngine(packed, mode=mode)
             return (current, mode)
-        # Floor: the legacy per-term reference apply through the factored
-        # matvec (blocked=False also disengages the structured tracer).
-        oracle.engine = False
-        oracle.blocked = False
+        # Floor: the per-term reference apply through the packed matvec,
+        # which also disengages the structured tracer.
+        oracle.reference = True
         oracle._engine = None
         return (current, "reference")
 
@@ -326,7 +318,7 @@ class FastPathSupervisor:
             # fails (and the serving layer's retry/backoff takes over).
             return None
         site = getattr(exc, "site", None)
-        if site in _TRACE_SITES:
+        if site == _TRACE_SITE:
             action = self._demote_trace()
             return (site, *action) if action else None
         if site == "psi_state.matvec":

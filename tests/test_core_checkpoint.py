@@ -141,6 +141,25 @@ class TestCaptureSemantics:
         with pytest.raises(CheckpointError, match="supervision"):
             decision_psdp(small_collection(), **solve_opts(), resume_from=ckpt)
 
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda oracle: oracle.update(engine_enabled=False), "per-call blocked"),
+            (lambda oracle: oracle["trace"].update(mode="hutchinson"), "no longer exists"),
+            (lambda oracle: oracle.update(trace=None), "without a trace estimator"),
+        ],
+        ids=["engine-off-blocked-on", "stochastic-trace", "no-trace-estimator"],
+    )
+    def test_resume_rejects_removed_oracle_options(self, edit, match):
+        # Version-1 oracle payloads that only a removed fast-oracle option
+        # could have written fail typed instead of resuming on another path.
+        ckpt = decision_psdp(
+            small_collection(), **solve_opts(iteration_budget=3)
+        ).metadata["checkpoint"]
+        edit(ckpt.oracle)
+        with pytest.raises(CheckpointError, match=match):
+            decision_psdp(small_collection(), **solve_opts(), resume_from=ckpt)
+
 
 class TestResumeBitIdentical:
     """Interrupt at iteration ``k`` then resume == uninterrupted run."""

@@ -173,6 +173,24 @@ class TestDecisionSolver:
         assert np.array_equal(first.dual_x, second.dual_x)
         assert first.metadata["psi_state"] == second.metadata["psi_state"]
 
+    def test_oracle_built_over_another_collection_rejected(self):
+        # An oracle answers for the collection it was built over: handed
+        # another instance it would certify a wrong outcome (here DUAL for
+        # an instance whose exact answer is PRIMAL).
+        from helpers import factorized_family
+
+        from repro.core.batch import solve_many
+        from repro.core.dotexp import ExactDotExpOracle
+
+        a = factorized_family(1, n=8, m=24, rank=2, scale=0.35)
+        b = factorized_family(2, n=8, m=24, rank=2, scale=0.9)
+        with pytest.raises(InvalidProblemError, match="different constraint collection"):
+            decision_psdp(b, epsilon=0.25, oracle=ExactDotExpOracle(a), rng=1)
+        with pytest.raises(InvalidProblemError, match="different constraint collection"):
+            solve_many([a, b], oracle=ExactDotExpOracle(a))
+        own = decision_psdp(b, epsilon=0.25, oracle=ExactDotExpOracle(b), rng=1)
+        assert own.outcome == DecisionOutcome.PRIMAL
+
 
 class TestSolvedInstancesAreFreed:
     """Dropping a result and its collection frees them by reference count.

@@ -79,6 +79,29 @@ class TestBigDotExp:
         with pytest.raises(InvalidProblemError):
             big_dot_exp(np.ones((3, 4)), factors, eps=0.1)
 
+    def test_factor_dimension_must_match_phi_list(self):
+        with pytest.raises(InvalidProblemError, match="dimension 5.*6 rows"):
+            big_dot_exp(np.eye(5), [np.ones((6, 2))], kappa=2.0, eps=0.2, use_sketch=False)
+
+    def test_factor_dimension_must_match_phi_packed(self):
+        from repro.operators.packed import PackedGramFactors
+
+        from repro.linalg.taylor_blocked import BlockedTaylorKernel
+
+        packed = PackedGramFactors([np.ones((6, 2))])
+        with pytest.raises(InvalidProblemError, match="dimension 5.*6 rows"):
+            big_dot_exp(np.eye(5), packed, kappa=2.0, eps=0.2, use_sketch=False)
+        kernel = BlockedTaylorKernel.from_matrix(np.eye(5))
+        with pytest.raises(InvalidProblemError, match="dimension 5.*6 rows"):
+            big_dot_exp(kernel, packed, kappa=2.0, eps=0.2, use_sketch=False)
+
+    def test_factor_dimension_must_match_phi_callable(self):
+        with pytest.raises(InvalidProblemError, match="dimension 5.*6 rows"):
+            big_dot_exp(
+                lambda v: v, [np.ones((6, 2))], kappa=2.0, eps=0.2, dim=5,
+                use_sketch=False,
+            )
+
 
 class TestExactOracle:
     def test_values_match_definition(self, small_collection, rng):

@@ -189,13 +189,6 @@ class TestMakePsiState:
         state = make_psi_state(coll, np.full(len(coll), 0.1), oracle=oracle)
         assert isinstance(state, DensePsiState)
 
-    def test_auto_keeps_dense_for_unpacked_fast_oracle(self):
-        # The packed=False reference path must stay on the seed semantics.
-        coll = _collection(seed=26)
-        oracle = FastDotExpOracle(coll, eps=0.1, rng=0, packed=False)
-        state = make_psi_state(coll, np.full(len(coll), 0.1), oracle=oracle)
-        assert isinstance(state, DensePsiState)
-
     def test_auto_keeps_dense_for_inexact_factors(self):
         coll = _dense_collection()
         oracle = FastDotExpOracle(coll, eps=0.1, rng=0)

@@ -1,9 +1,10 @@
 """Regression tests riding with the packed fast-path and blocked-Taylor PRs.
 
 Covers the history-record NaN bug, caller-option mutation, the
-top-eigenvalue certificate routine, and the fixed-seed guarantees that the
-decision solver certifies the same outcome on the packed/seed oracle paths
-and the blocked/per-term Taylor paths.
+top-eigenvalue certificate routine, the Taylor engine's incremental-update
+discipline, the matrix-free core and the structured trace estimator.  The
+fast-versus-exact decision equivalence lives in
+``tests/test_oracle_differential.py``.
 """
 
 from __future__ import annotations
@@ -78,18 +79,6 @@ class TestTopEigenvalue:
 
 
 class TestPackedDecisionEquivalence:
-    def test_same_certified_outcome_fixed_seed(self):
-        results = {}
-        for packed in (True, False):
-            coll = _factorized_collection(20120522)
-            oracle = FastDotExpOracle(coll, eps=0.05, rng=99, packed=packed)
-            results[packed] = decision_psdp(coll, epsilon=0.2, oracle=oracle, rng=99)
-        assert results[True].outcome == results[False].outcome
-        assert results[True].iterations == results[False].iterations
-        np.testing.assert_allclose(
-            results[True].dual_x, results[False].dual_x, rtol=1e-6, atol=1e-12
-        )
-
     def test_fast_oracle_string_uses_packed_view(self):
         coll = _factorized_collection(7)
         assert coll.packed_view is None
@@ -108,20 +97,6 @@ class TestPackedDecisionEquivalence:
         assert coll.packed_view is None
         decision_psdp(coll, epsilon=0.3, max_iterations=4)
         assert coll.packed_view is not None
-
-    def test_blocked_taylor_same_certified_outcome_fixed_seed(self):
-        """Blocked kernel vs per-term recurrence: same polynomial, same
-        sketch draws, so the certified decision must be identical."""
-        results = {}
-        for blocked in (True, False):
-            coll = _factorized_collection(20120522)
-            oracle = FastDotExpOracle(coll, eps=0.05, rng=99, blocked=blocked)
-            results[blocked] = decision_psdp(coll, epsilon=0.2, oracle=oracle, rng=99)
-        assert results[True].outcome == results[False].outcome
-        assert results[True].iterations == results[False].iterations
-        np.testing.assert_allclose(
-            results[True].dual_x, results[False].dual_x, rtol=1e-6, atol=1e-12
-        )
 
     def test_history_collection_does_not_perturb_oracle_stream(self):
         """The eigenvalue estimator spawns its own generator, so turning
@@ -237,8 +212,7 @@ def _concentrated_sparse_collection(seed=31, m=60, n=40, support=10, col_nnz=8):
 
 class TestTaylorEngineRegressions:
     """The rank-adaptive engine must update incrementally — one full build,
-    then work proportional to the active columns — and certify the same
-    decisions as the PR-2 per-call kernel on fixed seeds."""
+    then work proportional to the active columns."""
 
     def test_gram_engine_charges_proportional_work(self):
         coll = _factorized_collection(seed=41, m=40, n=10)  # R = 20 <= m/2
@@ -295,22 +269,6 @@ class TestTaylorEngineRegressions:
         incremental = charged - acc.map_nnz  # full build = one map pass
         per_column_cap = acc.map_nnz / stats["total_rank"]
         assert incremental <= per_column_cap * stats["columns_updated"] * 1.0001
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_engine_and_legacy_kernel_certify_identical_decisions(self, seed):
-        outcomes = {}
-        for engine in (True, False):
-            coll = _factorized_collection(seed=seed, m=16, n=10)
-            oracle = FastDotExpOracle(coll, eps=0.08, rng=seed + 100, engine=engine)
-            result = decision_psdp(
-                coll, epsilon=0.3, oracle=oracle, rng=seed + 100, max_iterations=40
-            )
-            outcomes[engine] = result
-        assert outcomes[True].outcome == outcomes[False].outcome
-        assert outcomes[True].iterations == outcomes[False].iterations
-        np.testing.assert_allclose(
-            outcomes[True].dual_x, outcomes[False].dual_x, rtol=1e-6
-        )
 
     def test_phased_solver_surfaces_engine_stats(self):
         coll = _factorized_collection(seed=43, m=40, n=10)
@@ -514,7 +472,7 @@ class TestMatrixFreeRegressions:
         # even if auto would have chosen dense (the oracle needs psi, so
         # the exact oracle cannot run on it — use the fast oracle).
         coll = _factorized_collection(seed=16, m=30, n=8)
-        oracle = FastDotExpOracle(coll, eps=0.08, rng=3, packed=True)
+        oracle = FastDotExpOracle(coll, eps=0.08, rng=3)
         result = decision_psdp(
             coll, epsilon=0.25, oracle=oracle, rng=3, psi_state="implicit",
             max_iterations=8,
@@ -523,7 +481,7 @@ class TestMatrixFreeRegressions:
 
 
 def _trace_collection(seed, m, n, kind="lowrank", rank=2, density=0.05):
-    """Factorized families for the E15 structured-trace regressions."""
+    """Factorized families for the structured-trace regressions."""
     import scipy.sparse as sp
 
     rng = np.random.default_rng(seed)
@@ -544,13 +502,12 @@ def _trace_collection(seed, m, n, kind="lowrank", rank=2, density=0.05):
 
 
 class TestStructuredTraceRegressions:
-    """The E15 structured trace estimator: fixed-seed decision equivalence
-    against the identity-push reference and the zero-full-identity-apply
-    discipline on the ``m >= 512`` degenerate-sketch grid."""
+    """The structured trace estimator's zero-full-identity-apply discipline
+    on the ``m >= 512`` degenerate-sketch grid."""
 
-    def _solve(self, seed, m, n, kind, trace_mode, cap=8):
+    def _solve(self, seed, m, n, kind, cap=8):
         coll = _trace_collection(seed, m, n, kind=kind)
-        oracle = FastDotExpOracle(coll, eps=0.1, rng=seed, trace_mode=trace_mode)
+        oracle = FastDotExpOracle(coll, eps=0.1, rng=seed)
         result = decision_psdp(
             coll,
             epsilon=0.2,
@@ -570,44 +527,18 @@ class TestStructuredTraceRegressions:
         ],
     )
     def test_m512_degenerate_solves_zero_identity_applies(self, m, n, kind):
-        result, oracle = self._solve(11, m, n, kind, "auto")
+        result, oracle = self._solve(11, m, n, kind)
         assert oracle.counters.extra.get("identity_taylor_applies", 0) == 0
         stats = result.metadata["trace_estimator"]
         assert stats["identity_fallbacks"] == 0
         assert stats["calls"] == result.iterations
         assert stats["mode"] in ("gram", "deflated")
 
-    @pytest.mark.parametrize(
-        "m,n,kind",
-        [
-            (512, 8, "lowrank"),
-            (256, 80, "lowrank"),  # 2R > 1.1m: deflated trace mode
-            (512, 120, "sparse"),
-        ],
-    )
-    def test_structured_and_identity_certify_identical_decisions(self, m, n, kind):
-        new, oracle_new = self._solve(13, m, n, kind, "auto")
-        ref, oracle_ref = self._solve(13, m, n, kind, "identity")
-        assert oracle_ref.trace_estimator is None
-        assert new.outcome == ref.outcome
-        assert new.iterations == ref.iterations
-        np.testing.assert_allclose(new.dual_x, ref.dual_x, rtol=1e-6, atol=1e-10)
-        # The reference run pushed one identity per oracle call; the
-        # structured run pushed none.
-        assert oracle_ref.counters.extra["identity_taylor_applies"] == ref.iterations
-        assert oracle_new.counters.extra.get("identity_taylor_applies", 0) == 0
-
     def test_deflated_mode_selected_past_gram_gate(self):
-        result, oracle = self._solve(17, 256, 80, "lowrank", "auto", cap=5)
+        # 2R > 1.1m but R well below m: the deflated projection.
+        result, oracle = self._solve(17, 256, 80, "lowrank", cap=5)
         assert result.metadata["trace_estimator"]["mode"] == "deflated"
         assert oracle.counters.extra.get("identity_taylor_applies", 0) == 0
-
-    def test_oracle_work_charge_shrinks_with_structured_trace(self):
-        new, _ = self._solve(19, 512, 8, "lowrank", "auto", cap=4)
-        ref, _ = self._solve(19, 512, 8, "lowrank", "identity", cap=4)
-        work_new = sum(r.oracle_work for r in new.history)
-        work_ref = sum(r.oracle_work for r in ref.history)
-        assert work_new < 0.5 * work_ref
 
     def test_phased_solver_surfaces_trace_stats(self):
         coll = _trace_collection(23, 256, 8)

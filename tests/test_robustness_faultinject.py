@@ -26,14 +26,12 @@ import scipy.sparse as sp
 from repro.core.batch import instance_rng, solve_many
 from repro.core.decision import decision_psdp
 from repro.core.decision_phased import decision_psdp_phased
-from repro.core.dotexp import make_oracle
 from repro.core.mmw import MatrixMultiplicativeWeights
 from repro.core.result import SolveStatus
 from repro.exceptions import FaultInjected, InvalidProblemError, NumericalError
 from repro.operators.collection import ConstraintCollection
 from repro.operators.factorized import FactorizedPSDOperator
 from repro.robustness import (
-    BoundViolation,
     Crash,
     NaN,
     NonConvergent,
@@ -138,23 +136,18 @@ class TestChaosRecovery:
         modes = [(e["from_mode"], e["to_mode"]) for e in faulty.metadata["recovery_events"]]
         assert ("cold", "exact") in modes
 
-    def test_hutchinson_bound_violation_demotes_to_identity(self):
+    def test_trace_estimation_fault_demotes_to_identity(self):
         coll = gram_collection()
-
-        def solve():
-            oracle = make_oracle(
-                coll, kind="fast", eps=0.25 / 4, rng=3, trace_mode="hutchinson"
-            )
-            return decision_psdp(coll, epsilon=0.25, oracle=oracle, rng=3)
-
-        clean = solve()
-        with inject("hutchinson", BoundViolation, at_call=2, seed=CHAOS_SEED) as spec:
-            faulty = solve()
+        clean = decision_psdp(coll, epsilon=0.25, oracle="fast", rng=3)
+        assert clean.metadata["trace_estimator"]["mode"] == "gram"
+        with inject("trace_estimation", NonConvergent, at_call=2, seed=CHAOS_SEED) as spec:
+            faulty = decision_psdp(coll, epsilon=0.25, oracle="fast", rng=3)
         assert spec.fires == 1
-        assert_recovered(clean, faulty, "hutchinson")
-        event = next(e for e in faulty.metadata["recovery_events"] if e["site"] == "hutchinson")
-        assert event["to_mode"] == "identity"
-        assert event["kind"] == "bound-violation"
+        assert_recovered(clean, faulty, "trace_estimation")
+        events = faulty.metadata["recovery_events"]
+        assert [(e["from_mode"], e["to_mode"]) for e in events] == [("gram", "identity")]
+        assert events[0]["kind"] == "non-convergent"
+        assert faulty.metadata["trace_estimator"]["mode"] == "identity"
 
     def test_psi_state_matvec_corruption_densifies(self):
         coll = big_collection()
@@ -358,7 +351,7 @@ class TestFaultInjector:
         assert np.isinf(arr).sum() == 1
 
     def test_site_isolation(self):
-        with inject("hutchinson", BoundViolation):
+        with inject("trace_estimation", NonConvergent):
             fault_hook("lanczos")  # different site: no fire
             arr = np.ones(8)
             fault_hook_array("taylor_gram.apply", arr)
@@ -539,6 +532,27 @@ class TestCheckpointChaos:
         resumed = solve(resume_from=partial.metadata["checkpoint"])
         assert_results_identical(resumed, baseline, label="mid-ladder-resume")
         assert resumed.status == SolveStatus.DEGRADED
+
+    def test_resume_on_reference_floor(self):
+        # Persistent kernel faults walk the Taylor ladder to the reference
+        # floor.  The floor flag rides in the checkpoint as the version-1
+        # engine_enabled/blocked pair, so a clean resume stays on the floor
+        # and matches the uninterrupted degraded run.
+        def solve(**overrides):
+            return decision_psdp(
+                gram_collection(), epsilon=0.25, oracle="fast", rng=3,
+                collect_history=True, **overrides,
+            )
+
+        with inject("taylor_gram.apply", NaN, at_call=1, times=10**6, seed=CHAOS_SEED), \
+             inject("taylor_blocked.apply", NaN, at_call=1, times=10**6, seed=CHAOS_SEED):
+            baseline = solve()
+            partial = solve(iteration_budget=5)
+        assert any(e["to_mode"] == "reference" for e in baseline.metadata["recovery_events"])
+        ckpt = partial.metadata["checkpoint"]
+        assert (ckpt.oracle["engine_enabled"], ckpt.oracle["blocked"]) == (False, False)
+        resumed = solve(resume_from=ckpt)
+        assert_results_identical(resumed, baseline, label="floor-resume")
 
 
 class TestServiceChaos:

@@ -2,8 +2,8 @@
 """Guard the committed benchmark headlines against silent regressions.
 
 Every perf PR commits a ``BENCH_*.json`` payload whose speedup columns are
-the PR's acceptance evidence (E11 packed kernels, E12 blocked Taylor, E13
-Gram engine, E14 matrix-free core, E15 structured trace estimation).
+the PR's acceptance evidence (E14 matrix-free core, E17 batched solving,
+E18 service, E19 executor, E20 array backend).
 Nothing previously stopped a later PR
 from re-running a benchmark, measuring a slower result, and committing the
 worse numbers without anyone noticing — this gate does.  For each committed
@@ -12,9 +12,9 @@ payload it checks:
 * the payload is a **full** run (``quick: false``) — CI smoke runs must not
   overwrite the committed evidence;
 * aggregate speedup floors: a ``min`` floor says *every* row of a section
-  must stay above it (broad wins like E11's), a ``max`` floor says the
-  section's headline row must (regime-specific wins like E13/E14's, whose
-  grids deliberately include near-break-even adversary rows).
+  must stay above it (broad wins), a ``max`` floor says the section's
+  headline row must (regime-specific wins like E14's, whose grids
+  deliberately include near-break-even adversary rows).
 
 Floors are set well below the committed measurements (roughly half) so the
 gate trips on genuine regressions — a lost fast path, a disabled kernel —
@@ -37,12 +37,6 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: row dict to bool; ``min`` floors apply to every (filtered) row, ``max``
 #: floors to the best one.
 CHECKS = [
-    ("BENCH_packed.json", "oracle", None, "min", 4.0),
-    ("BENCH_packed.json", "decision", None, "min", 4.0),
-    ("BENCH_taylor.json", "taylor_block", None, "min", 1.5),
-    ("BENCH_taylor.json", "decision", None, "min", 1.1),
-    ("BENCH_gram.json", "taylor_block", None, "max", 3.0),
-    ("BENCH_gram.json", "decision", None, "max", 1.5),
     (
         "BENCH_matrixfree.json",
         "decision",
@@ -51,20 +45,6 @@ CHECKS = [
         3.0,
     ),
     ("BENCH_matrixfree.json", "phased", None, "max", 1.5),
-    (
-        "BENCH_trace.json",
-        "oracle",
-        lambda row: row["factor_kind"] == "lowrank" and row["m"] >= 1024,
-        "min",
-        2.0,
-    ),
-    (
-        "BENCH_trace.json",
-        "decision",
-        lambda row: row["factor_kind"] == "lowrank" and row["m"] >= 1024,
-        "max",
-        2.0,
-    ),
     (
         "BENCH_batched.json",
         "batched",
