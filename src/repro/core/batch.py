@@ -4,10 +4,12 @@ The paper's algorithm is pitched at parallel throughput, but the engine
 built across PRs 1-6 is a deep *single-instance* pipeline.  This module is
 the serving primitive on top of it: :func:`solve_many` takes ``B``
 independent packing-SDP instances and runs them in lockstep, so the
-per-iteration heavy kernels — the oracle's power-iteration matvecs, the
-Gram-recurrence Taylor apply, the squared-column-norm estimate pass and
-the segment sums — execute as single batched GEMMs over a ``(B, m, R)``
-factor super-stack instead of ``B`` separate small-matrix calls.
+per-iteration heavy kernels — the Gram-twin eigendecomposition that gives
+every instance its Lemma 4.2 kappa and its trace, the Gram-recurrence
+Taylor apply, the squared-column-norm estimate pass and the segment sums —
+execute as single stacked LAPACK calls and batched GEMMs over a
+``(B, m, R)`` factor super-stack instead of ``B`` separate small-matrix
+calls.
 
 Equivalence contract
 --------------------
@@ -64,15 +66,19 @@ import numpy as np
 
 from repro.backend import NUMPY, get_array_backend
 from repro.config import get_config
-from repro.exceptions import BudgetExhaustedError, InvalidProblemError
-from repro.linalg.norms import batched_spectral_norm_power
+from repro.exceptions import BudgetExhaustedError, InvalidProblemError, NumericalError
+from repro.linalg.norms import certified_kappa
 from repro.linalg.sketching import jl_dimension
 from repro.linalg.taylor import taylor_degree
 from repro.linalg.taylor_gram import batched_gram_taylor_apply
-from repro.linalg.trace_estimation import batched_gram_exp_trace, select_trace_mode
+from repro.linalg.trace_estimation import (
+    batched_gram_exp_trace,
+    batched_gram_spectrum,
+    select_trace_mode,
+)
 from repro.operators.collection import ConstraintCollection
 from repro.operators.packed import batched_segment_sums
-from repro.robustness.faultinject import fault_hook_array
+from repro.robustness.faultinject import fault_hook, fault_hook_array
 # Fused instances capture through their DecisionRun; the name stays
 # importable here because perfbench/tracing.py patches it at this module.
 from repro.core.checkpoint import capture_checkpoint  # noqa: F401
@@ -311,44 +317,35 @@ def _solve_group(members: list, opts: DecisionOptions, results: list) -> None:
         colw_stack = np.repeat(x_stack, ranks, axis=1)
         for b, (_, run) in enumerate(active):
             run.oracle.fused_update_weights(colw_stack[b])
+
+        # eig -> kappa -> degree: one stacked eigendecomposition of the
+        # S = diag(sqrt w) Q^T Q diag(sqrt w) stack, the spectrum each
+        # sequential call's trace estimator binds.  A row whose spectrum
+        # failed (nan) or whose trace-estimation fault is due is ejected
+        # before the apply.
+        spectra = batched_gram_spectrum(inner0_stack, colw_stack)
+        degrees = np.zeros(batch, dtype=np.int64)
+        for b, (index, run) in enumerate(active):
+            try:
+                fault_hook("trace_estimation", kernel_mode="gram")
+                kappa = certified_kappa(spectra[b])
+            except NumericalError as exc:
+                results[index] = _eject(
+                    run, opts, "trace_estimation",
+                    f"Gram spectrum failed in batched solve: {exc}",
+                )
+                continue
+            degrees[b] = taylor_degree(kappa / 2.0, run.oracle.eps / 2.0)
+        active, (q_stack, inner0_stack, colw_stack, spectra, degrees) = _compact(
+            active, results, q_stack, inner0_stack, colw_stack, spectra, degrees
+        )
+        if not active:
+            return
+        batch = len(active)
         # Engine invariant: after update_weights the Gram buffer holds
         # gram0 * col_w column-for-column, so the stacked form is one
         # elementwise pass instead of a copy of each engine's buffer.
         g_stack = inner0_stack * colw_stack[:, None, :]
-
-        v0_stack = np.empty((batch, m), dtype=np.float64)
-        for b, (_, run) in enumerate(active):
-            v0_stack[b] = run.oracle.fused_power_v0()
-        qt_stack = q_stack.transpose(0, 2, 1)
-
-        # The power iteration passes the same `rows` object until another
-        # slice converges, so the subset stacks are re-sliced only on those
-        # compaction events, not every sweep.
-        sub_cache: dict = {"rows": None, "qt": qt_stack, "q": q_stack, "cw": colw_stack}
-
-        def apply_stack(vecs: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
-            if rows is not sub_cache["rows"]:
-                sub_cache["rows"] = rows
-                if rows is None:
-                    sub_cache["qt"], sub_cache["q"] = qt_stack, q_stack
-                    sub_cache["cw"] = colw_stack
-                else:
-                    sub_cache["qt"], sub_cache["q"] = qt_stack[rows], q_stack[rows]
-                    sub_cache["cw"] = colw_stack[rows]
-            # NumPy-resident by the _fused_key contract; the stacked GEMMs
-            # route through the shared NumPy backend object.
-            inner = NUMPY.matmul(sub_cache["qt"], vecs[:, :, None])
-            inner *= sub_cache["cw"][:, :, None]
-            return NUMPY.matmul(sub_cache["q"], inner)[:, :, 0]
-
-        estimates, vectors = batched_spectral_norm_power(
-            apply_stack, v0_stack,
-            fallback_rngs=[run.oracle.rng for _, run in active],
-        )
-        degrees = np.empty(batch, dtype=np.int64)
-        for b, (_, run) in enumerate(active):
-            kappa = run.oracle.fused_norm_result(float(estimates[b]), np.array(vectors[b]))
-            degrees[b] = taylor_degree(kappa / 2.0, run.oracle.eps / 2.0)
 
         out_stack = batched_gram_taylor_apply(
             q_stack, inner0_stack, g_stack, colw_stack, degrees, scale=0.5
@@ -362,8 +359,8 @@ def _solve_group(members: list, opts: DecisionOptions, results: list) -> None:
                     run, opts, "taylor_gram.apply",
                     "non-finite fused Taylor output in batched solve",
                 )
-            active, (q_stack, inner0_stack, colw_stack, out_stack, degrees) = _compact(
-                active, results, q_stack, inner0_stack, colw_stack, out_stack, degrees
+            active, (q_stack, inner0_stack, spectra, out_stack, degrees) = _compact(
+                active, results, q_stack, inner0_stack, spectra, out_stack, degrees
             )
             if not active:
                 return
@@ -372,12 +369,12 @@ def _solve_group(members: list, opts: DecisionOptions, results: list) -> None:
         col_vals = NUMPY.einsum("bij,bij->bj", out_stack, out_stack)
         dots_stack = batched_segment_sums(col_vals, offsets)
 
-        # Batched Gram-spectrum traces: one stacked eigendecomposition for
-        # the whole group.  Rows on which the scalar path would have raised
-        # come back nan and are ejected — the sequential re-solve reproduces
-        # the exact error for that instance alone.
+        # Gram-spectrum traces from the spectra the kappas came from.  Rows
+        # on which the scalar path would have raised come back nan and are
+        # ejected — the sequential re-solve reproduces the exact error for
+        # that instance alone.
         traces_stack = batched_gram_exp_trace(
-            inner0_stack, colw_stack, m, degrees, scale=0.5, squared=True
+            spectra, m, degrees, scale=0.5, squared=True
         )
         values_stack = np.empty((batch, n), dtype=np.float64)
         for b, (index, run) in enumerate(active):

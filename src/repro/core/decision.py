@@ -400,11 +400,6 @@ class DecisionRun:
                 constraints,
                 kind=opts.oracle,
                 eps=opts.oracle_eps if opts.oracle_eps is not None else eps / 4.0,
-                # The Lemma 3.2 bound (1 + 10 eps) K would be a valid kappa,
-                # but it is very pessimistic early in the run; letting the
-                # fast oracle estimate ||Psi||_2 per call keeps the Taylor
-                # degree proportional to the *current* spectral norm.
-                kappa_bound=None,
                 rng=opts.rng,
                 backend=backend,
                 array_backend=opts.array_backend,

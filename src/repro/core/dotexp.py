@@ -23,6 +23,14 @@ The standalone function :func:`big_dot_exp` exposes the Theorem 4.1
 primitive directly (given ``Phi``, a norm bound ``kappa``, and the factors),
 which is what the E3/E8 benchmarks exercise.
 
+Certified kappa
+---------------
+Lemma 4.2's degree ``k = max(e^2 kappa, ln(2/eps))`` is only valid for
+``kappa >= ||Phi||_2``, so every ``kappa`` comes from an exact spectrum
+(:func:`~repro.linalg.norms.certified_kappa`).  Each fast-oracle call runs
+eig → kappa → degree → apply → trace, and in Gram trace mode the kappa and
+the trace share one ``R x R`` eigendecomposition.
+
 Packed estimates
 ----------------
 ``big_dot_exp`` works on a :class:`repro.operators.packed.PackedGramFactors`
@@ -97,29 +105,20 @@ import scipy.sparse as sp
 from repro.exceptions import CheckpointError, InvalidProblemError
 from repro.instrumentation.counters import OracleCounters
 from repro.linalg.expm import expm_normalized
-from repro.linalg.norms import spectral_norm_power
+from repro.linalg.norms import KAPPA_EIG_CUTOFF, certified_kappa
+# Nothing here calls the power iteration any more; the name stays importable
+# because perfbench/tracing.py patches it at this module.
+from repro.linalg.norms import spectral_norm_power  # noqa: F401
 from repro.linalg.sketching import gaussian_sketch, jl_dimension
 from repro.linalg.taylor import taylor_degree, taylor_expm_apply
-from repro.linalg.taylor_blocked import BlockedTaylorKernel
+from repro.linalg.taylor_blocked import BlockedTaylorKernel, densified_psi
 from repro.linalg.taylor_gram import GramTaylorKernel, TaylorEngine
-from repro.linalg.trace_estimation import TraceEstimator
+from repro.linalg.trace_estimation import TraceEstimator, gram_spectrum
 from repro.operators.collection import ConstraintCollection
 from repro.operators.packed import PackedGramFactors, segment_sums
 from repro.backend import get_array_backend
 from repro.parallel.backends import ExecutionBackend
 from repro.utils.random_utils import RandomState, as_generator
-
-
-#: Mass of the fresh random direction blended into the warm-started power
-#: iteration vector each call.  A pure warm start can lock onto a stale
-#: eigendirection — if the solver's weight updates rotate ``Psi``'s dominant
-#: eigenvector away from the previous one, the Rayleigh-quotient stopping
-#: rule fires while the new dominant component (overlap ~machine noise) is
-#: still growing, underestimating ``||Psi||`` and hence the Lemma 4.2
-#: degree.  Mixing in a fresh Gaussian restores the random start's
-#: ``Omega(1/sqrt(m))`` overlap with *every* eigendirection at the price of
-#: a few extra iterations when the direction is unchanged.
-NORM_RESTART_MIX = 0.05
 
 
 @dataclass
@@ -204,8 +203,11 @@ def big_dot_exp(
         :class:`~repro.operators.packed.PackedGramFactors` view.  Their
         ``m`` must match the dimension of ``phi``.
     kappa:
-        Upper bound on ``max(1, ||phi||_2)``; estimated by power iteration
-        when omitted.
+        Upper bound on ``max(1, ||phi||_2)``; when omitted it is
+        :func:`~repro.linalg.norms.certified_kappa` of ``phi`` — one
+        ``eigvalsh`` of a matrix ``phi`` of size at most
+        :data:`~repro.linalg.norms.KAPPA_EIG_CUTOFF`, Lanczos with the
+        residual bound for kernels, callables and larger matrices.
     eps:
         Relative accuracy of the returned approximations.  Half the budget
         goes to the Taylor truncation (Lemma 4.2) and half to the JL sketch.
@@ -273,12 +275,8 @@ def big_dot_exp(
         )
 
     if kappa is None:
-        kappa = max(
-            1.0,
-            spectral_norm_power(
-                kernel.matvec if kernel is not None else phi, dim=dim, rng=rng
-            )
-            * 1.05,
+        kappa = certified_kappa(
+            phi.matvec if phi is kernel else phi, dim=dim, rng=rng
         )
     kappa = max(1.0, float(kappa))
 
@@ -434,6 +432,9 @@ class ExactDotExpOracle:
 class FastDotExpOracle:
     """Theorem 4.1 oracle: truncated Taylor + JL sketch on factorized constraints.
 
+    Each call takes its Lemma 4.2 ``kappa`` from an exact spectrum (see
+    :meth:`_kappa`) before it picks the degree and applies the polynomial.
+
     The oracle's normalization ``Tr[exp(Psi)]`` depends on the regime: with
     a genuinely reducing sketch it is read off the transformed sketch block
     at no extra cost (``|| Pi exp(Psi/2) ||_F^2``); in the degenerate-sketch
@@ -475,10 +476,6 @@ class FastDotExpOracle:
         Relative accuracy of the oracle (values are within ``(1 +- eps)`` of
         the exact ratios with high probability).  The decision solver's
         threshold test tolerates a constant-factor slack in ``eps``.
-    kappa_bound:
-        Optional a-priori bound on ``||Psi||_2`` (e.g. the Lemma 3.2 bound
-        ``(1 + 10 eps) K``); when omitted the norm is estimated per call by
-        power iteration.
     sketch_constant:
         JL dimension multiplier.
     rng:
@@ -500,7 +497,6 @@ class FastDotExpOracle:
         self,
         constraints: ConstraintCollection,
         eps: float = 0.05,
-        kappa_bound: float | None = None,
         sketch_constant: float = 8.0,
         rng: RandomState = None,
         backend: ExecutionBackend | None = None,
@@ -510,7 +506,6 @@ class FastDotExpOracle:
             raise InvalidProblemError(f"eps must be in (0, 1), got {eps}")
         self.constraints = constraints
         self.eps = float(eps)
-        self.kappa_bound = kappa_bound
         self.sketch_constant = float(sketch_constant)
         self.rng = as_generator(rng)
         self.backend = backend
@@ -520,11 +515,6 @@ class FastDotExpOracle:
         self.reference = False
         self.counters = OracleCounters()
         self._engine: TaylorEngine | None = None
-        # Converged power-iteration vector of the previous call: the
-        # solver's Psi changes mildly per iteration, so warm-starting the
-        # per-call norm estimate cuts it from hundreds of cold iterations
-        # to a handful.
-        self._norm_vector: np.ndarray | None = None
         self._packed = constraints.packed(backend=array_backend)
         self._trace_estimator = TraceEstimator(self._packed)
 
@@ -569,35 +559,16 @@ class FastDotExpOracle:
             tracer = None
         else:
             # The kernel is built from x rather than from the caller's psi
-            # (callers may pass psi=None) and also serves as the matvec for
-            # the norm estimate; the engine carries the weight-dependent
-            # state over from the previous call, so only the changed weight
-            # coordinates are touched.
+            # (callers may pass psi=None); the engine carries the
+            # weight-dependent state over from the previous call, so only
+            # the changed weight coordinates are touched.  Binding the
+            # tracer computes the Gram spectrum in Gram trace mode.
             if self._engine is None:
                 self._engine = TaylorEngine(self._packed)
             operator = self._engine.kernel_for(weights, backend=self.backend)
             matvec = operator.matvec
-            tracer = self._trace_estimator
-        kappa = self.kappa_bound
-        if kappa is None:
-            # One fresh draw per call (the cold start's exact rng
-            # consumption, so every ladder rung stays stream-identical),
-            # blended into the previous call's converged vector: warm where
-            # Psi's dominant direction persists, never blind where it moved.
-            fresh = self.rng.standard_normal(m)
-            if self._norm_vector is not None and m > 0:
-                fresh_norm = float(np.linalg.norm(fresh))
-                if fresh_norm > 0:
-                    fresh = self._norm_vector + NORM_RESTART_MIX * (fresh / fresh_norm)
-            estimate, self._norm_vector = spectral_norm_power(
-                matvec,
-                dim=m,
-                v0=fresh if m > 0 else None,
-                rng=self.rng,
-                return_vector=True,
-            )
-            kappa = max(1.0, estimate * 1.05)
-            self.counters.add("norm_estimates")
+            tracer = self._trace_estimator.bind(weights)
+        kappa = self._kappa(weights, matvec, tracer)
         trace_calls_before = tracer.calls if tracer is not None else 0
         estimates, trace_estimate = big_dot_exp(
             operator if operator is not None else matvec,
@@ -609,7 +580,7 @@ class FastDotExpOracle:
             counters=self.counters,
             dim=m,
             return_trace=True,
-            trace_estimator=tracer.bind(weights) if tracer is not None else None,
+            trace_estimator=tracer,
         )
         if trace_estimate <= 0:
             raise InvalidProblemError(
@@ -635,26 +606,56 @@ class FastDotExpOracle:
         self.counters.flops_estimate += work
         return OracleOutput(values=values, trace=trace_estimate, work=work)
 
+    def _kappa(self, weights: np.ndarray, matvec, tracer) -> float:
+        """Lemma 4.2's ``kappa`` for this call, from an exact spectrum.
+
+        In Gram trace mode it is the top of the spectrum the bound tracer
+        just computed.  Otherwise, with ``d = min(m, R)`` at most
+        :data:`~repro.linalg.norms.KAPPA_EIG_CUTOFF`, one ``eigvalsh`` of
+        the smaller Gram twin: ``S`` from the packed view's cached
+        ``Q^T Q`` when ``R <= m`` (draws no randomness), else the ``m x m``
+        ``Psi`` — the dense-psi engine's buffer or a densified copy.  Above
+        the cutoff, Lanczos on ``matvec`` from one ``standard_normal(m)``
+        draw of the oracle's rng, bounded by its residual.  See
+        :func:`~repro.linalg.norms.certified_kappa`.
+        """
+        packed = self._packed
+        m, r = packed.dim, packed.total_rank
+        if tracer is not None and tracer.spectrum is not None:
+            source = tracer.spectrum
+        elif min(m, r) > KAPPA_EIG_CUTOFF:
+            source = matvec
+        elif r <= m:
+            source = gram_spectrum(
+                packed.gram_matrix(), packed.expand_weights(weights),
+                backend=self._trace_estimator.backend,
+            )
+        elif self._engine is not None and self._engine.psi is not None:
+            source = self._engine.psi
+        else:
+            source = densified_psi(packed.matrix, packed.expand_weights(weights))
+        kappa = certified_kappa(source, dim=m, rng=self.rng)
+        self.counters.add("norm_estimates")
+        return kappa
+
     def export_state(self) -> dict:
         """Checkpointable snapshot of everything a resumed call sequence reads.
 
-        Captures the sketch rng (``bit_generator.state``), the
-        power-iteration warm-start vector, the counters, the trace
-        estimator's state and — when built — the Taylor engine's
+        Captures the sketch rng (``bit_generator.state``), the counters,
+        the trace estimator's state and — when built — the Taylor engine's
         mode/buffers.  The ladder floor rides along (as the
         ``engine_enabled``/``blocked`` pair of checkpoint format version 1)
         so a resume lands on the exact demotion rung the checkpoint was
-        captured on.
+        captured on.  Version 1 also has a ``norm_vector`` slot, the warm
+        start of a power-iteration kappa that no longer exists; it is
+        written as ``None`` and ignored on import.
         """
         return {
             "kind": "fast",
             "engine_enabled": not self.reference,
             "blocked": not self.reference,
             "rng": dict(self.rng.bit_generator.state),
-            "norm_vector": (
-                None if self._norm_vector is None
-                else np.array(self._norm_vector, dtype=np.float64)
-            ),
+            "norm_vector": None,
             "counters": self.counters.export_state(),
             "engine": (
                 None if self._engine is None else self._engine.export_state()
@@ -691,8 +692,6 @@ class FastDotExpOracle:
             )
         self.reference = not blocked
         self.rng.bit_generator.state = state["rng"]
-        vec = state.get("norm_vector")
-        self._norm_vector = None if vec is None else np.array(vec, dtype=np.float64)
         self.counters.import_state(state["counters"])
         engine_state = state.get("engine")
         if engine_state is None:
@@ -717,35 +716,6 @@ class FastDotExpOracle:
             self._engine = TaylorEngine(self._packed)
         self._engine.update_weights(col_w, backend=self.backend)
 
-    def fused_power_v0(self) -> np.ndarray:
-        """Draw one call's warm-started power-iteration start vector.
-
-        Reproduces the kappa chain's rng consumption and warm-start blend
-        from :meth:`__call__` bit-for-bit: one fresh ``standard_normal(m)``
-        draw, blended into the previous call's converged norm vector when
-        one exists.  The batched solver stacks these rows as ``v0`` for
-        :func:`~repro.linalg.norms.batched_spectral_norm_power`.
-        """
-        m = self.constraints.dim
-        fresh = self.rng.standard_normal(m)
-        if self._norm_vector is not None and m > 0:
-            fresh_norm = float(np.linalg.norm(fresh))
-            if fresh_norm > 0:
-                fresh = self._norm_vector + NORM_RESTART_MIX * (fresh / fresh_norm)
-        return fresh
-
-    def fused_norm_result(self, estimate: float, vector: np.ndarray) -> float:
-        """Record one batched power-iteration result; returns the call's kappa.
-
-        Stores the converged vector as the next call's warm start, books the
-        ``norm_estimates`` counter, and applies the same ``max(1, est *
-        1.05)`` safety margin as :meth:`__call__`.
-        """
-        self._norm_vector = vector
-        kappa = max(1.0, estimate * 1.05)
-        self.counters.add("norm_estimates")
-        return kappa
-
     def record_fused_call(self, degree: int, trace_estimate) -> float:
         """Book one batched-solver oracle pass against this oracle's counters.
 
@@ -753,14 +723,15 @@ class FastDotExpOracle:
         estimate (stacked Taylor apply + squared column norms + structured
         trace) as batched GEMMs outside :meth:`__call__`, but each instance
         must record exactly the counters and Corollary 1.2 work charge a
-        sequential call would have.  ``trace_estimate`` is the
+        sequential call would have — the kappa's ``norm_estimates`` tally
+        included.  ``trace_estimate`` is the
         :class:`~repro.linalg.trace_estimation.TraceEstimate` the instance's
         own estimator returned for this pass (the estimator updates its own
-        call/extra-work tallies inside ``estimate``); the norm-estimate
-        counter is booked separately by the batched kappa chain.  Returns
-        the work charge in model units.
+        call/extra-work tallies inside ``estimate``).  Returns the work
+        charge in model units.
         """
         packed = self._packed
+        self.counters.add("norm_estimates")
         self.counters.record_call()
         self.counters.matvecs += packed.total_rank * (degree - 1)
         self.counters.factor_passes += len(packed)
@@ -799,7 +770,6 @@ def make_oracle(
     constraints: ConstraintCollection,
     kind: str = "exact",
     eps: float = 0.05,
-    kappa_bound: float | None = None,
     rng: RandomState = None,
     backend: ExecutionBackend | None = None,
     array_backend=None,
@@ -823,7 +793,6 @@ def make_oracle(
         return FastDotExpOracle(
             constraints,
             eps=eps,
-            kappa_bound=kappa_bound,
             rng=rng,
             backend=backend,
             array_backend=array_backend,

@@ -115,8 +115,7 @@ def approx_psdp(
         any field of :class:`~repro.core.decision.DecisionOptions`.  An
         already-constructed oracle object cannot be reused across calls
         here because each decision call re-scales the constraints; use
-        string oracle kinds (their packed/blocked fast paths are on by
-        default) and ``oracle_eps`` to tune accuracy.
+        string oracle kinds and ``oracle_eps`` to tune accuracy.
 
     Returns
     -------

@@ -30,8 +30,9 @@ built on:
   Taylor apply wherever the stacked rank stays below ``m``.
 * :mod:`repro.linalg.sketching` — Johnson–Lindenstrauss Gaussian sketching
   used by the nearly-linear-work oracle of Theorem 4.1.
-* :mod:`repro.linalg.norms` — spectral-norm estimation (power iteration and
-  Lanczos), trace inner products, and eigenvalue helpers.
+* :mod:`repro.linalg.norms` — the certified Lemma 4.2 ``kappa`` rule,
+  spectral-norm estimation (power iteration and Lanczos), trace inner
+  products, and eigenvalue helpers.
 """
 
 from repro.linalg.psd import (

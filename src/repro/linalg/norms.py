@@ -3,8 +3,10 @@
 The solver needs ``||Phi||_2`` upper bounds (to pick the Taylor degree in
 Theorem 4.1, Lemma 3.5 guarantees ``||Phi||_2 <= O(log(n)/eps)`` for the
 matrices it exponentiates) and trace inner products ``A . B = Tr[A B]``
-throughout.  For matrices given only through matrix–vector products we
-provide power iteration and a Lanczos-based estimator built on
+throughout.  :func:`certified_kappa` is the one rule that turns a spectrum,
+a small matrix or a matvec into the Lemma 4.2 bound ``kappa >= ||Phi||_2``;
+for matrices given only through matrix–vector products we also provide
+power iteration and a Lanczos-based estimator built on
 ``scipy.sparse.linalg.eigsh``.
 
 The estimators here are host-side drivers: they hand NumPy vectors to the
@@ -71,20 +73,16 @@ def spectral_norm_power(
     Parameters
     ----------
     v0:
-        Optional warm-start vector (normalised internally; ``rng`` is not
-        consumed when given).  The decision solvers' iterates change mildly
-        per step, so re-estimating ``||Psi||_2`` from the previous call's
-        converged vector takes a handful of iterations instead of a cold
-        start's hundreds — the fast oracle threads this through
-        ``return_vector``.  Caution: a pure warm start forfeits the random
-        start's overlap guarantee — if the operator's dominant
-        eigendirection has rotated away from ``v0``, the stopping rule can
-        fire on the stale direction and under-estimate the norm.  Callers
-        re-estimating a *changing* operator should blend fresh randomness
-        into ``v0`` (see ``repro.core.dotexp.NORM_RESTART_MIX``).
+        Optional start vector (normalised internally; ``rng`` is not
+        consumed when given).  A start vector forfeits the random start's
+        overlap guarantee: if the operator's dominant eigendirection is
+        orthogonal to ``v0``, the stopping rule fires on another direction
+        and under-estimates the norm.  The Rayleigh quotient is a lower
+        estimate in any case, which is why the Lemma 4.2 degree takes its
+        ``kappa`` from :func:`certified_kappa` instead.
     return_vector:
         When ``True`` return ``(estimate, vector)`` where ``vector`` is the
-        last normalised iterate (the warm start for the next call).
+        last normalised iterate.
     """
     cfg = get_config()
     tol = cfg.power_iteration_tol if tol is None else tol
@@ -134,106 +132,6 @@ def spectral_norm_power(
             return result(max(new_estimate, 0.0))
         estimate = new_estimate
     return result(max(estimate, 0.0))
-
-
-def batched_spectral_norm_power(
-    apply_fn: Callable[[np.ndarray], np.ndarray],
-    v0: np.ndarray,
-    tol: float | None = None,
-    maxiter: int | None = None,
-    fallback_rngs: "list | None" = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run :func:`spectral_norm_power` on a batch of operators in lockstep.
-
-    The batched counterpart used by :func:`repro.core.batch.solve_many`:
-    every slice follows the sequential estimator's exact update sequence
-    (norm, Rayleigh quotient, normalisation, relative-change stop), but the
-    matvec and both inner products run as stacked GEMMs over the
-    still-active slices, so each slice's trajectory — and therefore its
-    estimate, its converged vector, and its sweep count — is bit-identical
-    to a sequential :func:`spectral_norm_power` call on that slice alone.
-
-    Parameters
-    ----------
-    apply_fn:
-        Batched matvec ``apply_fn(vecs, rows)``: maps an ``(A, m)`` stack of
-        vectors to the ``(A, m)`` stack of per-slice products ``Psi_b v_b``.
-        ``rows`` is ``None`` while every slice is still iterating, and an
-        index array selecting the still-active slices once some have
-        converged — converged slices drop out of the GEMMs entirely instead
-        of riding along as dead weight.
-    v0:
-        ``(B, m)`` stack of start vectors (normalised internally, exactly
-        like the sequential ``v0`` path; ``fallback_rngs`` is only consumed
-        for rows whose start vector is degenerate).
-    tol, maxiter:
-        As in :func:`spectral_norm_power` (config defaults when ``None``).
-    fallback_rngs:
-        Optional per-slice generators for the degenerate-``v0`` cold start
-        (sequentially a fresh Gaussian draw); ``None`` raises on a
-        degenerate row instead.
-
-    Returns
-    -------
-    (numpy.ndarray, numpy.ndarray)
-        ``(estimates, vectors)``: the ``(B,)`` norm estimates and the
-        ``(B, m)`` stack of last normalised iterates (the warm starts for
-        the next call).
-    """
-    cfg = get_config()
-    tol = cfg.power_iteration_tol if tol is None else tol
-    maxiter = cfg.power_iteration_maxiter if maxiter is None else maxiter
-    vecs = np.asarray(v0, dtype=np.float64)
-    if vecs.ndim != 2:
-        raise ValueError(f"v0 must be a (B, m) stack, got ndim={vecs.ndim}")
-    batch, dim = vecs.shape
-    out_est = np.zeros(batch, dtype=np.float64)
-    out_vec = np.array(vecs, copy=True)
-    if batch == 0 or dim == 0:
-        return out_est, out_vec
-    norms0 = np.sqrt(np.matmul(vecs[:, None, :], vecs[:, :, None])[:, 0, 0])
-    degenerate = norms0 <= 1e-300
-    vecs = vecs / np.where(degenerate, 1.0, norms0)[:, None]
-    for b in np.flatnonzero(degenerate):
-        if fallback_rngs is None:
-            raise ValueError("degenerate v0 row and no fallback rng given")
-        fresh = as_generator(fallback_rngs[b]).standard_normal(dim)
-        fresh /= np.linalg.norm(fresh)
-        vecs[b] = fresh
-    estimates = np.zeros(batch, dtype=np.float64)
-    rows = np.arange(batch)
-    for _ in range(maxiter):
-        new_vecs = apply_fn(vecs, None if rows.shape[0] == batch else rows)
-        norms = np.sqrt(np.matmul(new_vecs[:, None, :], new_vecs[:, :, None])[:, 0, 0])
-        dead = norms <= 1e-300
-        new_estimates = np.matmul(vecs[:, None, :], new_vecs[:, :, None])[:, 0, 0]
-        divided = new_vecs / np.where(dead, 1.0, norms)[:, None]
-        converged = np.abs(new_estimates - estimates) <= tol * np.maximum(
-            np.abs(new_estimates), 1e-300
-        )
-        finishing = dead | converged
-        if finishing.any():
-            # Sequential semantics: a vanishing iterate returns estimate 0
-            # with the *previous* normalised vector.
-            if dead.any():
-                out_est[rows[dead]] = 0.0
-                out_vec[rows[dead]] = vecs[dead]
-            settled = converged & ~dead
-            if settled.any():
-                out_est[rows[settled]] = np.maximum(new_estimates[settled], 0.0)
-                out_vec[rows[settled]] = divided[settled]
-            keep = ~finishing
-            rows = rows[keep]
-            if rows.shape[0] == 0:
-                return out_est, out_vec
-            vecs = divided[keep]
-            estimates = new_estimates[keep]
-        else:
-            vecs = divided
-            estimates = new_estimates
-    out_est[rows] = np.maximum(estimates, 0.0)
-    out_vec[rows] = vecs
-    return out_est, out_vec
 
 
 def top_eigenvalue(
@@ -393,6 +291,75 @@ def top_eigenvalue(
             return_vector=True,
         )
         return done(estimate, vec, "power", counted["matvecs"])
+
+
+#: Largest ``min(m, R)`` at which the fast oracle takes ``kappa`` from a
+#: dense ``eigvalsh`` of the smaller of ``Psi``'s two Gram twins rather
+#: than from Lanczos.  Measured on a 2-core x86 box with OpenBLAS pinned to
+#: one thread: at ``R = 96`` ``eigvalsh(S)`` takes 0.41 ms, against 0.44 ms
+#: for a warm-started power iteration and 0.63 ms for a warm ARPACK call at
+#: tol 1e-6; ``eigvalsh`` takes 0.79 ms at ``d = 128`` and 9 ms at
+#: ``d = 400``.
+KAPPA_EIG_CUTOFF = 128
+
+#: Relative slack on the top eigenvalue in :func:`certified_kappa`; it
+#: covers ``eigvalsh``'s backward error.
+KAPPA_SLACK = 1e-9
+
+
+def certified_kappa(
+    source: np.ndarray | sp.spmatrix | Callable[[np.ndarray], np.ndarray],
+    dim: int | None = None,
+    rng: RandomState = None,
+) -> float:
+    """Lemma 4.2's ``kappa = max(1, (1 + KAPPA_SLACK) * lambda)``, ``lambda >= ||Psi||_2``.
+
+    Theorem 4.1's Taylor degree is only valid for ``kappa >= ||Psi||_2``, so
+    ``lambda`` is the top of an exact spectrum wherever one is affordable:
+
+    * a 1-D ``source`` is a spectrum already computed — of ``Psi`` or of
+      a Gram twin ``S = diag(sqrt(w)) Q^T Q diag(sqrt(w))``, which shares
+      ``Psi``'s nonzero eigenvalues — and ``lambda`` is its largest entry;
+    * a square dense or sparse matrix of size at most
+      :data:`KAPPA_EIG_CUTOFF` gets one ``eigvalsh``;
+    * anything else — a larger matrix, or a matvec callable (which needs
+      ``dim``) — runs :func:`top_eigenvalue` from one
+      ``standard_normal(dim)`` draw of ``rng`` and takes
+      ``lambda = theta + ||Psi v - theta v||``.  For symmetric ``Psi`` an
+      eigenvalue lies within the residual norm of the Ritz value
+      ``theta``, and Lanczos from a random start converges to the top one.
+
+    A non-finite ``lambda`` raises
+    :class:`~repro.exceptions.NumericalError` at site
+    ``"trace_estimation"`` (``max(1.0, nan)`` would silently read ``1.0``).
+    """
+    if callable(source) and not isinstance(source, np.ndarray) and not sp.issparse(source):
+        if dim is None:
+            raise ValueError("dim is required when passing a matvec callable")
+        matvec = source
+    elif source.ndim == 1 or source.shape[0] <= KAPPA_EIG_CUTOFF:
+        matvec = None
+        spectrum = source
+        if source.ndim == 2 and source.shape[0] > 0:
+            dense = source.toarray() if sp.issparse(source) else source
+            spectrum = np.linalg.eigvalsh(np.asarray(dense, dtype=np.float64))
+        lam = float(np.max(spectrum)) if spectrum.size else 0.0
+    else:
+        matrix = source.tocsr() if sp.issparse(source) else np.asarray(source, dtype=np.float64)
+        matvec, dim = (lambda v: matrix @ v), matrix.shape[0]  # noqa: E731
+    if matvec is not None:
+        lam = 0.0
+        if dim > 0:
+            v0 = as_generator(rng).standard_normal(dim)
+            theta, vec = top_eigenvalue(matvec, dim=dim, v0=v0, return_vector=True)
+            residual = np.asarray(matvec(vec), dtype=np.float64).ravel() - theta * vec
+            lam = theta + float(np.linalg.norm(residual))
+    if not np.isfinite(lam):
+        raise NumericalError(
+            "the spectrum bounding ||Psi||_2 is not finite",
+            site="trace_estimation",
+        )
+    return max(1.0, (1.0 + KAPPA_SLACK) * lam)
 
 
 def spectral_norm_lanczos(matrix: np.ndarray | sp.spmatrix, tol: float = 1e-8) -> float:

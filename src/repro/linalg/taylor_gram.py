@@ -659,6 +659,11 @@ class TaylorEngine:
             "charged_work": self.charged_work,
         }
 
+    @property
+    def psi(self) -> np.ndarray | None:
+        """The densified ``Psi`` buffer in ``dense-psi`` mode once built, else ``None``."""
+        return self._psi if self.mode == "dense-psi" else None
+
     # ------------------------------------------------------------------ checkpointing
     def export_state(self) -> dict:
         """Checkpointable snapshot of the weight-dependent engine state.

@@ -27,7 +27,10 @@ Both estimators target the *same* quantity the identity push measures —
   evaluations — ``O(R^3 + R k)`` instead of ``O(m^2 k)`` per column times
   ``m`` columns.  Selected whenever the stacked rank satisfies
   ``2R <= GRAM_HYSTERESIS * m`` (the same gate as the Gram-space Taylor
-  kernel).
+  kernel).  The largest ``lambda_j`` is ``||Psi||_2`` exactly, so the
+  fast oracle takes its Lemma 4.2 ``kappa`` from the same
+  eigendecomposition (:attr:`TraceEstimator.spectrum`, computed once per
+  call by :meth:`TraceEstimator.bind`).
 * **Deflated block-Krylov path** (mode ``"deflated"``) — exact.  Writing
   ``p(s Psi) = I + U``, the update ``U`` is symmetric with range contained
   in ``range(Q)`` — the one-step block Krylov subspace of the factor stack
@@ -72,8 +75,11 @@ __all__ = [
     "TraceEstimate",
     "TraceEstimator",
     "batched_gram_exp_trace",
+    "batched_gram_spectrum",
     "gram_exp_trace",
+    "gram_spectrum",
     "select_trace_mode",
+    "spectrum_exp_trace",
     "truncated_exp_values",
     "TRACE_DEFLATED_SLACK",
     "TRACE_IDENTITY_MARGIN",
@@ -153,16 +159,18 @@ def select_trace_mode(dim: int, total_rank: int) -> str:
     return "identity"
 
 
-def gram_exp_trace(
-    gram: np.ndarray,
-    col_weights: np.ndarray,
-    dim: int,
-    degree: int,
-    scale: float = 1.0,
-    squared: bool = True,
-    backend=None,
-) -> float:
-    """Exact ``Tr[p(scale * Psi)^2]`` from the Gram spectrum of the stack.
+def gram_spectrum(
+    gram: np.ndarray, col_weights: np.ndarray, backend=None
+) -> np.ndarray:
+    """Nonzero spectrum of ``Psi = Q diag(w) Q^T`` from its ``R x R`` Gram twin.
+
+    ``Psi`` and ``S = diag(sqrt(w)) (Q^T Q) diag(sqrt(w))`` share their
+    nonzero eigenvalues (``AB`` and ``BA`` have the same nonzero spectrum),
+    so one ``R x R`` ``eigvalsh`` of ``S`` gives them, in ascending order
+    and clipped at 0 (``Psi`` is PSD; tiny negative values are rounding
+    noise).  The largest is ``||Psi||_2`` exactly — the fast oracle's
+    Lemma 4.2 ``kappa`` — and the same array feeds
+    :func:`spectrum_exp_trace`.
 
     Parameters
     ----------
@@ -171,28 +179,9 @@ def gram_exp_trace(
         (:meth:`~repro.operators.packed.PackedGramFactors.gram_matrix`).
     col_weights:
         Per-column non-negative weights ``w`` of length ``R``.
-    dim:
-        Ambient dimension ``m`` of ``Psi = Q diag(w) Q^T``.
-    degree:
-        Taylor truncation degree ``k`` of ``p``.
-    scale:
-        Scalar multiplier on ``Psi`` inside the polynomial (the oracle
-        passes ``0.5`` and squares, matching ``||p(Psi/2)||_F^2``).
-    squared:
-        Return ``Tr[p^2]`` (the oracle's normalisation) when ``True``,
-        ``Tr[p]`` when ``False``.
     backend:
         Array backend spec for the ``R x R`` eigendecomposition; the
-        weighted Gram build and the scalar polynomial stay host-side.
-
-    Notes
-    -----
-    ``Psi`` and ``S = diag(sqrt(w)) gram diag(sqrt(w))`` share their
-    nonzero spectrum, and the ``m - R`` remaining eigenvalues of ``Psi``
-    are 0 where ``p(0) = 1``, so the trace is
-    ``(m - R) + sum_j p(scale * lambda_j)^(1 or 2)`` — exact up to
-    rounding, never touching an ``(m, m)`` object.  Requires ``R <= m``
-    (guaranteed under the Gram gate of :func:`select_trace_mode`).
+        weighted Gram build stays host-side.
     """
     col_weights = np.asarray(col_weights, dtype=np.float64).ravel()
     gram = np.asarray(gram, dtype=np.float64)
@@ -201,20 +190,37 @@ def gram_exp_trace(
         raise InvalidProblemError(
             f"gram matrix must have shape {(r, r)}, got {gram.shape}"
         )
-    if r > dim:
-        raise InvalidProblemError(
-            f"the Gram-spectrum trace requires R <= m, got R={r}, m={dim}"
-        )
     if np.any(col_weights < 0):
         raise InvalidProblemError("column weights must be non-negative")
     if r == 0:
-        return float(dim)
+        return np.zeros(0)
     xp = get_array_backend(backend)
     root = np.sqrt(col_weights)
     weighted = gram * root[None, :] * root[:, None]
     eigenvalues = xp.to_numpy(xp.eigvalsh(xp.asarray(0.5 * (weighted + weighted.T))))
-    # Psi is PSD; tiny negative eigenvalues are rounding noise.
     np.clip(eigenvalues, 0.0, None, out=eigenvalues)
+    return eigenvalues
+
+
+def spectrum_exp_trace(
+    eigenvalues: np.ndarray,
+    dim: int,
+    degree: int,
+    scale: float = 1.0,
+    squared: bool = True,
+) -> float:
+    """``Tr[p(scale * Psi)^2]`` (or ``Tr[p]``) from ``Psi``'s nonzero spectrum.
+
+    The ``m - R`` eigenvalues of ``Psi`` missing from a Gram-twin spectrum
+    of length ``R`` are 0, where ``p(0) = 1``, so the trace is
+    ``(m - R) + sum_j p(scale * lambda_j)^(2 or 1)`` — exact up to
+    rounding, never touching an ``(m, m)`` object.  Requires ``R <= m``.
+    """
+    r = eigenvalues.shape[0]
+    if r > dim:
+        raise InvalidProblemError(
+            f"the Gram-spectrum trace requires R <= m, got R={r}, m={dim}"
+        )
     values = truncated_exp_values(eigenvalues, degree, scale=scale)
     if squared:
         values = values * values
@@ -229,84 +235,93 @@ def gram_exp_trace(
     return trace
 
 
-def batched_gram_exp_trace(
-    gram_stack: np.ndarray,
-    colw_stack: np.ndarray,
+def gram_exp_trace(
+    gram: np.ndarray,
+    col_weights: np.ndarray,
     dim: int,
-    degrees: np.ndarray,
+    degree: int,
     scale: float = 1.0,
     squared: bool = True,
-) -> np.ndarray:
-    """Vectorised :func:`gram_exp_trace` over a batch of weight vectors.
+    backend=None,
+) -> float:
+    """Exact ``Tr[p(scale * Psi)^2]`` (``Tr[p]`` unless ``squared``) of
+    ``Psi = Q diag(w) Q^T`` in dimension ``dim``, from the Gram matrix
+    ``Q^T Q`` and the column weights: :func:`gram_spectrum` followed by
+    :func:`spectrum_exp_trace`."""
+    return spectrum_exp_trace(
+        gram_spectrum(gram, col_weights, backend=backend),
+        dim, degree, scale=scale, squared=squared,
+    )
 
-    Each row ``b`` of the result equals ``gram_exp_trace(gram_stack[b],
-    colw_stack[b], dim, degrees[b], scale, squared)`` bitwise: the weighting
-    and truncated-exponential evaluations are elementwise (identical
-    floating-point sequences per row), ``np.linalg.eigvalsh`` on a stack
-    runs the same LAPACK routine per slice, and the per-row reduction
-    matches the 1-D sum.  Rows on which the scalar form would raise
-    (negative weights, non-finite spectra, overflowed traces) come back as
-    ``nan`` instead of raising, so one bad instance cannot poison its
-    batchmates — the caller re-solves those rows sequentially to reproduce
-    the exact error.
+
+def batched_gram_spectrum(gram_stack: np.ndarray, colw_stack: np.ndarray) -> np.ndarray:
+    """Vectorised :func:`gram_spectrum` over ``(B, R, R)`` and ``(B, R)`` stacks.
+
+    Row ``b`` of the ``(B, R)`` result equals ``gram_spectrum(gram_stack[b],
+    colw_stack[b])`` bitwise: the weighting is elementwise (identical
+    floating-point sequences per row) and ``np.linalg.eigvalsh`` on a stack
+    runs the same LAPACK routine per slice.  Rows on which the scalar form
+    would fail (negative weights, a non-finite ``S``, a non-converging
+    eigensolver) come back as ``nan`` instead of raising, so one bad
+    instance cannot poison its batchmates.
     """
-    gram_stack = np.asarray(gram_stack, dtype=np.float64)
-    colw_stack = np.asarray(colw_stack, dtype=np.float64)
-    degrees = np.asarray(degrees, dtype=np.int64)
-    if gram_stack.ndim != 3 or colw_stack.ndim != 2 or degrees.ndim != 1:
-        raise InvalidProblemError(
-            "batched_gram_exp_trace expects a (B, R, R) gram stack, a (B, R) "
-            "weight stack and a (B,) degree vector"
-        )
     batch, r = colw_stack.shape
-    if gram_stack.shape != (batch, r, r) or degrees.shape[0] != batch:
-        raise InvalidProblemError(
-            f"inconsistent batch shapes: gram {gram_stack.shape}, "
-            f"weights {colw_stack.shape}, degrees {degrees.shape}"
-        )
-    if r > dim:
-        raise InvalidProblemError(
-            f"the Gram-spectrum trace requires R <= m, got R={r}, m={dim}"
-        )
-    if np.any(degrees < 1):
-        raise InvalidProblemError("every degree must be >= 1")
-    if r == 0:
-        return np.full(batch, float(dim))
-    traces = np.full(batch, np.nan)
+    eigenvalues = np.full((batch, r), np.nan)
     bad = np.any(colw_stack < 0, axis=1)
     with np.errstate(invalid="ignore", over="ignore"):
         root = np.sqrt(colw_stack)
         weighted = gram_stack * root[:, None, :] * root[:, :, None]
     bad |= ~np.isfinite(weighted).all(axis=(1, 2))
     good = np.flatnonzero(~bad)
-    if good.size == 0:
-        return traces
+    if r == 0 or good.size == 0:
+        return eigenvalues
     sym = 0.5 * (weighted[good] + weighted[good].transpose(0, 2, 1))
     # The fused batch path is NumPy-resident by contract; the stacked
     # eigendecomposition routes through the shared NumPy backend object.
-    xp = NUMPY
     try:
-        eigenvalues = xp.eigvalsh(sym)
+        eigenvalues[good] = NUMPY.eigvalsh(sym)
     except np.linalg.LinAlgError:
         # Isolate non-converging slices so the rest of the batch survives.
-        eigenvalues = np.zeros((good.size, r))
-        keep = np.ones(good.size, dtype=bool)
-        for j in range(good.size):
+        for j, b in enumerate(good):
             try:
-                eigenvalues[j] = xp.eigvalsh(sym[j])
+                eigenvalues[b] = NUMPY.eigvalsh(sym[j])
             except np.linalg.LinAlgError:
-                keep[j] = False
-        good = good[keep]
-        eigenvalues = eigenvalues[keep]
-        if good.size == 0:
-            return traces
+                pass
     np.clip(eigenvalues, 0.0, None, out=eigenvalues)
+    return eigenvalues
+
+
+def batched_gram_exp_trace(
+    eigenvalues: np.ndarray,
+    dim: int,
+    degrees: np.ndarray,
+    scale: float = 1.0,
+    squared: bool = True,
+) -> np.ndarray:
+    """Vectorised :func:`spectrum_exp_trace` over a ``(B, R)`` spectrum stack.
+
+    Each row ``b`` of the result equals ``spectrum_exp_trace(eigenvalues[b],
+    dim, degrees[b], scale, squared)`` bitwise: the truncated-exponential
+    evaluations are elementwise and the per-row reduction matches the 1-D
+    sum.  ``nan`` spectrum rows (see :func:`batched_gram_spectrum`) and
+    overflowed traces come back as ``nan`` instead of raising — the caller
+    re-solves those rows sequentially to reproduce the exact error.
+    """
+    batch, r = eigenvalues.shape
+    if r > dim:
+        raise InvalidProblemError(
+            f"the Gram-spectrum trace requires R <= m, got R={r}, m={dim}"
+        )
+    traces = np.full(batch, np.nan)
+    good = np.flatnonzero(np.isfinite(eigenvalues).all(axis=1))
+    if good.size == 0:
+        return traces
     # truncated_exp_values with per-row degrees: run the shared recurrence
     # to the largest degree, snapshotting each row at its own truncation
     # point (the elementwise term/acc updates are row-independent).
-    deg_good = degrees[good]
+    deg_good = np.asarray(degrees, dtype=np.int64)[good]
     with np.errstate(invalid="ignore", over="ignore"):
-        x = eigenvalues * float(scale)
+        x = eigenvalues[good] * float(scale)
         acc = np.ones_like(x)
         term = np.ones_like(x)
         values = np.empty_like(x)
@@ -394,7 +409,10 @@ class TraceEstimator:
         self.extra_work = 0.0
         self.last: TraceEstimate | None = None
         self._mode_counts: dict[str, int] = {}
-        self._col_w: np.ndarray | None = None
+        #: Gram-twin spectrum of ``Psi`` at the bound weights (mode
+        #: ``"gram"`` only, else ``None``): the oracle's ``kappa`` reads its
+        #: top entry and the Gram trace estimate reuses it.
+        self.spectrum: np.ndarray | None = None
         self._gram_eig: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
@@ -434,8 +452,8 @@ class TraceEstimator:
     def export_state(self) -> dict:
         """Checkpointable snapshot of the estimator's mutable state.
 
-        ``_col_w`` (rebound per oracle call) and the ``_gram_eig`` cache (a
-        deterministic function of the stack) are derived data and
+        :attr:`spectrum` (rebound per oracle call) and the ``_gram_eig``
+        cache (a deterministic function of the stack) are derived data and
         deliberately absent.
         """
         return {
@@ -474,30 +492,29 @@ class TraceEstimator:
     def bind(self, weights: np.ndarray) -> "TraceEstimator":
         """Bind the per-constraint weights of the current oracle call.
 
-        Returns ``self`` so the oracle can pass
-        ``trace_estimator=estimator.bind(x)`` straight into
+        In mode ``"gram"`` this computes :attr:`spectrum` — the one
+        ``R x R`` eigendecomposition of the call, from which the oracle
+        takes its Lemma 4.2 ``kappa`` before the Taylor apply and the Gram
+        trace estimate its value after it.  Returns ``self`` so the oracle
+        can hand the bound estimator straight to
         :func:`~repro.core.dotexp.big_dot_exp` (which has no weight
         argument of its own — the weights are exactly what generated its
         ``phi``).
         """
-        self._col_w = self.packed.expand_weights(weights)
+        col_w = self.packed.expand_weights(weights)
+        self.spectrum = (
+            gram_spectrum(self.packed.gram_matrix(), col_w, backend=self.backend)
+            if self.mode == "gram" else None
+        )
         return self
 
     # ------------------------------------------------------------------ modes
     def _gram_estimate(self, degree: int, scale: float) -> TraceEstimate:
-        if self._col_w is None:
+        if self.spectrum is None:
             raise InvalidProblemError(
                 "bind(weights) must be called before a Gram trace estimate"
             )
-        value = gram_exp_trace(
-            self.packed.gram_matrix(),
-            self._col_w,
-            self.dim,
-            degree,
-            scale=scale,
-            squared=True,
-            backend=self.backend,
-        )
+        value = spectrum_exp_trace(self.spectrum, self.dim, degree, scale=scale)
         r = self.total_rank
         return TraceEstimate(
             value=value, mode="gram", extra_work=float(r) ** 3 + float(r) * degree
@@ -594,10 +611,11 @@ class TraceEstimator:
     def record_gram_estimate(self, value: float, degree: int) -> TraceEstimate:
         """Account a Gram-mode trace computed externally (the batched path).
 
-        :func:`~repro.core.batch.solve_many` evaluates
-        :func:`batched_gram_exp_trace` across a whole instance group in one
-        stacked eigendecomposition, then books each row here so counters,
-        work charges and :attr:`last` advance exactly as a
+        :func:`~repro.core.batch.solve_many` computes a whole instance
+        group's spectra in one stacked eigendecomposition
+        (:func:`batched_gram_spectrum`) and their traces with
+        :func:`batched_gram_exp_trace`, then books each row here so
+        counters, work charges and :attr:`last` advance exactly as a
         :meth:`estimate` call in mode ``"gram"`` would have.
         """
         if self.mode != "gram":

@@ -302,7 +302,10 @@ SITES = {
     "taylor_blocked.apply": "blocked fused Taylor kernel output (NaN / Overflow)",
     "taylor.reference": "reference per-term Taylor apply output (NaN / Overflow)",
     "lanczos": "ARPACK top-eigenvalue call (NonConvergent)",
-    "trace_estimation": "structured trace estimator entry (NonConvergent)",
+    "trace_estimation": (
+        "structured trace estimator entry; fused-batch Gram spectrum, once "
+        "per instance row (NonConvergent)"
+    ),
     "psi_state.matvec": "implicit PsiState packed matvec output (NaN / Overflow)",
     "worker.heartbeat": "executor worker heartbeat (Stall / WorkerCrash)",
 }

@@ -7,8 +7,11 @@ import pytest
 import scipy.sparse as sp
 
 from repro.exceptions import InvalidProblemError
+from repro.instrumentation.counters import OracleCounters
 from repro.linalg.expm import expm_eigh, expm_normalized
 from repro.linalg.psd import random_psd
+from repro.linalg.taylor import taylor_degree
+from repro.linalg.taylor_blocked import BlockedTaylorKernel
 from repro.operators.collection import ConstraintCollection
 from repro.core.dotexp import (
     ExactDotExpOracle,
@@ -49,6 +52,32 @@ class TestBigDotExp:
         approx = big_dot_exp(phi, factors, eps=0.1, rng=rng, use_sketch=False)
         exact = [float(np.sum(expm_eigh(phi) * (q @ q.T))) for q in factors]
         np.testing.assert_allclose(approx, exact, rtol=0.15)
+
+    @pytest.mark.parametrize("form", ["matrix", "callable", "kernel", "lanczos"])
+    def test_estimated_kappa_is_certified(self, form, rng):
+        """The degree ``kappa=None`` picks comes from a kappa in
+        ``[lambda_max, (1 + 1e-6) lambda_max]``: ``eigvalsh`` for a small
+        matrix, Lanczos plus its residual for the other forms."""
+        m = 200 if form == "lanczos" else 6
+        base = random_psd(m, rank=4, rng=rng, scale=2.0)
+        phi = base * (10.0 / np.linalg.eigvalsh(base)[-1])
+        lam = np.linalg.eigvalsh(phi)[-1]
+        arg = {
+            "matrix": phi,
+            "callable": lambda v: phi @ v,
+            "kernel": BlockedTaylorKernel.from_matrix(phi),
+            "lanczos": phi,
+        }[form]
+        factors = [rng.standard_normal((m, 2)) for _ in range(3)]
+        counters = OracleCounters()
+        big_dot_exp(
+            arg, factors, eps=0.1, rng=1, counters=counters, dim=m, use_sketch=False
+        )
+        # use_sketch=False pushes the 2 * len(factors) factor columns.
+        degree = counters.matvecs // (2 * len(factors)) + 1
+        assert degree in {
+            taylor_degree(lam / 2.0, 0.05), taylor_degree((1 + 1e-6) * lam / 2.0, 0.05)
+        }
 
     def test_sparse_phi_and_factors(self, rng):
         dense_phi = random_psd(8, rank=3, rng=rng, scale=1.5)
@@ -130,14 +159,6 @@ class TestFastOracle:
         fast = FastDotExpOracle(small_collection, eps=0.05, rng=rng)(psi, x).values
         # Ratios of one-sided approximations: allow a generous relative band.
         np.testing.assert_allclose(fast, exact, rtol=0.25)
-
-    def test_kappa_bound_respected(self, small_collection, rng):
-        x = rng.uniform(0.05, 0.2, size=4)
-        psi = small_collection.weighted_sum(x)
-        oracle = FastDotExpOracle(small_collection, eps=0.1, kappa_bound=5.0, rng=rng)
-        output = oracle(psi, x)
-        assert np.all(np.isfinite(output.values))
-        assert oracle.counters.calls == 1
 
     def test_invalid_eps(self, small_collection):
         with pytest.raises(InvalidProblemError):

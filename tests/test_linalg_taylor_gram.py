@@ -486,8 +486,9 @@ class TestSelectionCostModel:
 
 class TestWarmStartedNormEstimate:
     def test_pure_warm_start_documents_stale_direction_risk(self):
-        # The raw primitive with a stale exact eigenvector locks onto it:
-        # this pins the behaviour the oracle's random blending exists for.
+        # The raw primitive with a stale exact eigenvector locks onto it: a
+        # power-iteration Rayleigh quotient is only a lower estimate, which
+        # is why the oracle takes kappa from an exact spectrum instead.
         from repro.linalg.norms import spectral_norm_power
 
         psi = np.diag([10.0, 20.0, 1.0, 1.0])
@@ -498,10 +499,10 @@ class TestWarmStartedNormEstimate:
     def test_oracle_recovers_after_dominant_direction_rotates(self):
         # Two orthogonal rank-1 constraints; shifting all the weight from
         # one to the other rotates Psi's dominant eigenvector by 90
-        # degrees.  A pure warm start would estimate ||Psi|| = 0 on the
-        # second call (Psi e1 = 0) and pick a uselessly low Taylor degree;
-        # the blended restart must keep the values near the fresh-oracle
-        # reference.
+        # degrees.  A kappa carried over from the first call's direction
+        # would read ||Psi|| = 0 on the second call (Psi e1 = 0) and pick a
+        # uselessly low Taylor degree; the per-call spectrum must keep the
+        # values near the fresh-oracle reference.
         m = 6
         factors = [
             np.sqrt(8.0) * np.eye(m)[:, :1],

@@ -10,7 +10,10 @@ a mode unnoticed.  Per shape:
   within :data:`BAND` of the exact normalised trace products;
 * ``decision_psdp`` certifies the same outcome in the same number of
   iterations with either oracle — DUAL on the grid as listed, PRIMAL on the
-  gram shape with its factors scaled by 3.
+  gram shape with its factors scaled by 3;
+* the Lemma 4.2 ``kappa`` each call hands to ``big_dot_exp`` is a certified
+  and tight bound on ``lambda_max(Psi)``, on the grid and on the Lanczos,
+  trace-demoted and reference-floor branches of the kappa rule.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.core.dotexp as dotexp
 from repro.core.decision import decision_psdp
 from repro.core.dotexp import ExactDotExpOracle, FastDotExpOracle
 from repro.core.result import DecisionOutcome, SolveStatus
@@ -97,3 +101,56 @@ def test_decisions_match_exact(case, outcome):
     assert fast.outcome == exact.outcome == outcome
     assert fast.iterations == exact.iterations
     assert fast.status == exact.status == SolveStatus.CERTIFIED
+
+
+#: name -> (instance builder, oracle preparation, kappa branch).  The five
+#: grid shapes take kappa from an exact ``eigvalsh``; the rest cover the
+#: Lanczos branch (``min(m, R) = 160``) and the gram shape off its Gram
+#: trace mode: after the supervisor's trace demotion and on the reference
+#: floor.
+KAPPA_CASES = {
+    **{name: (GRID[name][0], None, "eig") for name in GRID},
+    "dense-psi/deflated-lanczos": (
+        lambda: _trace_collection(17, 256, 80), None, "lanczos",
+    ),
+    "gram/identity-demoted": (
+        GRID["gram/gram"][0],
+        lambda oracle: oracle.trace_estimator.demote_to_identity(),
+        "eig",
+    ),
+    "gram/reference-floor": (
+        GRID["gram/gram"][0], lambda oracle: setattr(oracle, "reference", True), "eig",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KAPPA_CASES))
+def test_kappa_is_certified_and_tight(name, monkeypatch):
+    make, prepare, branch = KAPPA_CASES[name]
+    coll = make()
+    x = _mid_run_weights(coll)
+    lam = np.linalg.eigvalsh(coll.weighted_sum(x))[-1]
+    oracle = FastDotExpOracle(coll, eps=EPS, rng=0)
+    if prepare is not None:
+        prepare(oracle)
+    kappas = []
+    inner = dotexp.big_dot_exp
+
+    def spy(*args, **kwargs):
+        kappas.append(kwargs["kappa"])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(dotexp, "big_dot_exp", spy)
+    before = dict(oracle.rng.bit_generator.state)
+    oracle(None, x)
+    assert len(kappas) == 1
+    assert lam <= kappas[0] <= (1 + 1e-6) * max(1.0, lam)
+    assert oracle.counters.extra["norm_estimates"] == 1
+    if branch == "eig":
+        # Degenerate sketch and an exact eigendecomposition: no draw at all.
+        assert oracle.rng.bit_generator.state == before
+    else:
+        # Lanczos starts from exactly one standard_normal(m) draw.
+        replay = np.random.default_rng(0)
+        replay.standard_normal(coll.dim)
+        assert oracle.rng.bit_generator.state == replay.bit_generator.state

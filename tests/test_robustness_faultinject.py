@@ -299,6 +299,26 @@ class TestChaosBatch:
             assert result.dual_value == clean[i].dual_value
             np.testing.assert_array_equal(result.dual_x, clean[i].dual_x)
 
+    def test_trace_fault_ejects_only_the_faulted_instance(self):
+        # The fused group computes each instance's Gram spectrum (its kappa
+        # and its trace) under the trace_estimation site, once per row.
+        clean = self._sequential()
+        with inject("trace_estimation", NonConvergent, at_call=2, seed=CHAOS_SEED) as spec:
+            faulty = solve_many(self._batch(), epsilon=0.25, oracle="fast", rng=3)
+        assert spec.fires == 1
+        degraded = [i for i, r in enumerate(faulty) if r.status == SolveStatus.DEGRADED]
+        assert len(degraded) == 1
+        hit = degraded[0]
+        events = faulty[hit].metadata["recovery_events"]
+        assert len(events) == 1
+        assert events[0]["kind"] == "BatchEjection"
+        assert events[0]["site"] == "trace_estimation"
+        assert faulty[hit].outcome == clean[hit].outcome
+        np.testing.assert_array_equal(faulty[hit].dual_x, clean[hit].dual_x)
+        for i, result in enumerate(faulty):
+            if i != hit:
+                assert_results_identical(result, clean[i])
+
     def test_batch_budget_exhaustion_is_per_instance(self):
         clean = self._sequential(size=3, iteration_budget=3)
         batched = solve_many(
