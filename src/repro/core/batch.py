@@ -5,11 +5,10 @@ built across PRs 1-6 is a deep *single-instance* pipeline.  This module is
 the serving primitive on top of it: :func:`solve_many` takes ``B``
 independent packing-SDP instances and runs them in lockstep, so the
 per-iteration heavy kernels — the Gram-twin eigendecomposition that gives
-every instance its Lemma 4.2 kappa and its trace, the Gram-recurrence
-Taylor apply, the squared-column-norm estimate pass and the segment sums —
-execute as single stacked LAPACK calls and batched GEMMs over a
-``(B, m, R)`` factor super-stack instead of ``B`` separate small-matrix
-calls.
+every instance its Lemma 4.2 kappa, its trace and its estimates, the
+spectral column values and the segment sums — execute as single stacked
+LAPACK calls and batched GEMMs over ``(B, R, R)`` stacks instead of ``B``
+separate small-matrix calls.
 
 Equivalence contract
 --------------------
@@ -64,18 +63,14 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.backend import NUMPY, get_array_backend
+from repro.backend import get_array_backend
 from repro.config import get_config
 from repro.exceptions import BudgetExhaustedError, InvalidProblemError, NumericalError
 from repro.linalg.norms import certified_kappa
 from repro.linalg.sketching import jl_dimension
 from repro.linalg.taylor import taylor_degree
-from repro.linalg.taylor_gram import batched_gram_taylor_apply
-from repro.linalg.trace_estimation import (
-    batched_gram_exp_trace,
-    batched_gram_spectrum,
-    select_trace_mode,
-)
+from repro.linalg.taylor_gram import batched_gram_eigh, spectral_evaluation
+from repro.linalg.trace_estimation import select_trace_mode
 from repro.operators.collection import ConstraintCollection
 from repro.operators.packed import batched_segment_sums
 from repro.robustness.faultinject import fault_hook, fault_hook_array
@@ -278,26 +273,23 @@ def _solve_group(members: list, opts: DecisionOptions, results: list) -> None:
     packs = [run.constraints.packed() for _, run in active]
     offsets = packs[0].offsets
     ranks = np.asarray(packs[0].ranks, dtype=np.int64)
-    q_stack = np.stack([np.asarray(p.dense_columns(), dtype=np.float64) for p in packs])
-    # The sequential estimate pass recomputes Q^T Q every oracle call (the
-    # apply's down-projection of the factor stack onto itself); the product
-    # is weight-independent, so compute it once per instance with the same
-    # 2-D GEMM expression and reuse the stacked copy.
-    inner0_stack = np.stack([p.gram_matrix() for p in packs])
+    # The weight-independent Q^T Q each sequential call's Gram kernel reads
+    # from its packed view's cache.
+    gram_stack = np.stack([p.gram_matrix() for p in packs])
 
     t = 0
     while True:
         # --- loop condition, then budgets (per instance) ------------------
         for index, run in active:
             results[index] = run.budget_exit() if run.running() else run.loop_exit()
-        active, (q_stack, inner0_stack) = _compact(active, results, q_stack, inner0_stack)
+        active, (gram_stack,) = _compact(active, results, gram_stack)
         if not active:
             return
         t += 1
         for _, run in active:
             run.t = t
 
-        # --- oracle pass: per-instance engine updates, batched numeric core
+        # --- oracle pass: batched numeric core, per-instance bookkeeping --
         x_stack = np.stack([run.x for _, run in active])
         negative = np.any(x_stack < 0, axis=1)
         if negative.any():
@@ -308,22 +300,18 @@ def _solve_group(members: list, opts: DecisionOptions, results: list) -> None:
                 results[index] = _eject(
                     run, opts, "expand_weights", "negative constraint weights in batched solve"
                 )
-            active, (x_stack, q_stack, inner0_stack) = _compact(
-                active, results, x_stack, q_stack, inner0_stack
-            )
+            active, (x_stack, gram_stack) = _compact(active, results, x_stack, gram_stack)
             if not active:
                 return
         batch = len(active)
         colw_stack = np.repeat(x_stack, ranks, axis=1)
-        for b, (_, run) in enumerate(active):
-            run.oracle.fused_update_weights(colw_stack[b])
 
         # eig -> kappa -> degree: one stacked eigendecomposition of the
-        # S = diag(sqrt w) Q^T Q diag(sqrt w) stack, the spectrum each
-        # sequential call's trace estimator binds.  A row whose spectrum
+        # S = diag(sqrt w) Q^T Q diag(sqrt w) stack, the one each sequential
+        # call's Gram kernel computes.  A row whose eigendecomposition
         # failed (nan) or whose trace-estimation fault is due is ejected
-        # before the apply.
-        spectra = batched_gram_spectrum(inner0_stack, colw_stack)
+        # before the column values.
+        spectra, vectors = batched_gram_eigh(gram_stack, colw_stack)
         degrees = np.zeros(batch, dtype=np.int64)
         for b, (index, run) in enumerate(active):
             try:
@@ -336,46 +324,37 @@ def _solve_group(members: list, opts: DecisionOptions, results: list) -> None:
                 )
                 continue
             degrees[b] = taylor_degree(kappa / 2.0, run.oracle.eps / 2.0)
-        active, (q_stack, inner0_stack, colw_stack, spectra, degrees) = _compact(
-            active, results, q_stack, inner0_stack, colw_stack, spectra, degrees
+        active, (gram_stack, colw_stack, spectra, vectors, degrees) = _compact(
+            active, results, gram_stack, colw_stack, spectra, vectors, degrees
         )
         if not active:
             return
         batch = len(active)
-        # Engine invariant: after update_weights the Gram buffer holds
-        # gram0 * col_w column-for-column, so the stacked form is one
-        # elementwise pass instead of a copy of each engine's buffer.
-        g_stack = inner0_stack * colw_stack[:, None, :]
 
-        out_stack = batched_gram_taylor_apply(
-            q_stack, inner0_stack, g_stack, colw_stack, degrees, scale=0.5
+        # Column values and traces, each row at its own degree: the
+        # sequential Gram kernel runs this same function with B = 1.
+        col_vals, traces_stack = spectral_evaluation(
+            gram_stack, colw_stack, spectra, vectors, degrees, m, scale=0.5
         )
-        fault_hook_array("taylor_gram.apply", out_stack)
-        finite = np.isfinite(out_stack).all(axis=(1, 2))
+        fault_hook_array("taylor_gram.apply", col_vals)
+        finite = np.isfinite(col_vals).all(axis=1)
         if not finite.all():
             for b in np.flatnonzero(~finite):
                 index, run = active[b]
                 results[index] = _eject(
                     run, opts, "taylor_gram.apply",
-                    "non-finite fused Taylor output in batched solve",
+                    "non-finite fused Gram column values in batched solve",
                 )
-            active, (q_stack, inner0_stack, spectra, out_stack, degrees) = _compact(
-                active, results, q_stack, inner0_stack, spectra, out_stack, degrees
+            active, (gram_stack, col_vals, traces_stack, degrees) = _compact(
+                active, results, gram_stack, col_vals, traces_stack, degrees
             )
             if not active:
                 return
             batch = len(active)
 
-        col_vals = NUMPY.einsum("bij,bij->bj", out_stack, out_stack)
         dots_stack = batched_segment_sums(col_vals, offsets)
-
-        # Gram-spectrum traces from the spectra the kappas came from.  Rows
-        # on which the scalar path would have raised come back nan and are
-        # ejected — the sequential re-solve reproduces the exact error for
-        # that instance alone.
-        traces_stack = batched_gram_exp_trace(
-            spectra, m, degrees, scale=0.5, squared=True
-        )
+        # Rows whose trace overflowed are ejected below — the sequential
+        # re-solve reproduces the exact error for that instance alone.
         values_stack = np.empty((batch, n), dtype=np.float64)
         for b, (index, run) in enumerate(active):
             trace = float(traces_stack[b])
@@ -413,7 +392,7 @@ def _solve_group(members: list, opts: DecisionOptions, results: list) -> None:
         for index, run in active:
             if results[index] is None:
                 run.tick()
-        active, (q_stack, inner0_stack) = _compact(active, results, q_stack, inner0_stack)
+        active, (gram_stack,) = _compact(active, results, gram_stack)
 
 
 def solve_many(

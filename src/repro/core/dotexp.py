@@ -44,22 +44,24 @@ factor matrix.
 
 Rank-adaptive Taylor engine
 ---------------------------
-The Taylor apply itself — pushing the sketch block through the Lemma 4.2
+The Taylor step itself — pushing the sketch block through the Lemma 4.2
 polynomial — dominates the oracle, especially in the degenerate-sketch
 regime (``m ≲ 1000`` at tight eps, where the JL dimension reaches ``m``).
-:class:`FastDotExpOracle` evaluates the polynomial through a fused block
-kernel from its own :class:`~repro.linalg.taylor_gram.TaylorEngine`, whose
+:class:`FastDotExpOracle` evaluates the polynomial through a kernel from
+its own :class:`~repro.linalg.taylor_gram.TaylorEngine`, whose
 representation is picked once per factor stack by
 :func:`~repro.linalg.taylor_gram.select_taylor_mode`: the ``R x R``
-Gram-space recurrence when ``2R <= 1.1 m`` (the hysteresis-margined gate;
-per-term cost ``R^2 s``), a one-time densification of ``Psi``
-(``m^2 s``), a sparse-CSR ``Psi`` accumulated with a reusable symbolic
-pattern (``nnz(Psi) s``), or the factor recurrence (``2 nnz(Q) s``).  The
-engine maintains the weight-dependent state (the Gram matrix ``G``, the
-CSR values, the densified ``Psi``, the scaled stack) across oracle calls
-by updating only the weight coordinates the solver actually changed,
-charging the backend work proportional to the active columns.  Every
-representation evaluates the identical polynomial, so the
+Gram-twin spectrum when ``2R <= 1.1 m`` (the hysteresis-margined gate),
+a one-time densification of ``Psi`` (``m^2 s`` per term), a sparse-CSR
+``Psi`` accumulated with a reusable symbolic pattern (``nnz(Psi) s``), or
+the sparse factor recurrence (``2 nnz(Q) s``).  On the Gram rung one
+``eigh`` of ``S = W^{1/2} Q^T Q W^{1/2}`` per call gives the kappa, the
+trace and all ``n`` estimates, with no degree-dependent loop and no
+``m``-sized work; the other representations keep weight-dependent state
+(the CSR values, the densified ``Psi``, the scaled stack) across oracle
+calls by updating only the weight coordinates the solver actually
+changed, charging the backend work proportional to the active columns.
+Every representation evaluates the identical polynomial, so the
 :class:`~repro.robustness.FastPathSupervisor` can demote a failing kernel
 to another one — down to the per-term matvec recurrence, the
 ``reference`` floor — at the cost of rounding only.  Work–depth charges
@@ -194,7 +196,8 @@ def big_dot_exp(
         Taylor kernel over ``phi`` — a
         :class:`~repro.linalg.taylor_blocked.BlockedTaylorKernel` or a
         :class:`~repro.linalg.taylor_gram.GramTaylorKernel`, whichever the
-        rank-adaptive engine selected.
+        rank-adaptive engine selected.  A Gram kernel over the factors' own
+        stack reads the no-sketch estimates off its eigendecomposition.
         Matrix inputs are routed through a blocked kernel automatically;
         callables run the per-term recurrence.
     factors:
@@ -342,8 +345,13 @@ def big_dot_exp(
             return results, float(np.sum(transformed * transformed))
         return results
 
-    transformed = transform(packed.dense_columns())
-    col_vals = np.einsum("ij,ij->j", transformed, transformed)
+    if isinstance(kernel, GramTaylorKernel) and kernel.stack is packed.matrix:
+        # ||p(phi/2) q_c||^2 on the Gram-twin spectrum: no (m, R) block.
+        transformed = None
+        col_vals = kernel.factor_column_values(degree, scale=0.5)
+    else:
+        transformed = transform(packed.dense_columns())
+        col_vals = np.einsum("ij,ij->j", transformed, transformed)
     results = segment_sums(col_vals, packed.offsets)
     if counters is not None:
         counters.matvecs += packed.total_rank * (degree - 1)
@@ -352,9 +360,9 @@ def big_dot_exp(
     if not return_trace:
         return results
     if structured_trace:
-        # `transformed` is already the polynomial applied to the factor
-        # stack — exactly the block the deflated estimator projects, so the
-        # structured trace costs no extra apply.
+        # `transformed`, when computed, is already the polynomial applied to
+        # the factor stack — exactly the block the deflated estimator
+        # projects, so the structured trace costs no extra apply.
         estimate = trace_estimator.estimate(
             kernel, degree, scale=0.5, transformed_factors=transformed
         )
@@ -458,11 +466,11 @@ class FastDotExpOracle:
 
     The Taylor kernels come from the oracle's own rank-adaptive
     :class:`~repro.linalg.taylor_gram.TaylorEngine`, built on the first
-    call: the representation (Gram-space / densified ``Psi`` / sparse-CSR
-    ``Psi`` / factor recurrence) is selected once per stack by measured
-    ``nnz`` and stacked rank, and the weight-dependent state is maintained
-    across oracle calls by updating only the active columns (work charged
-    to ``backend`` under ``taylor-engine-update``).  The
+    call: the representation (Gram-twin spectrum / densified ``Psi`` /
+    sparse-CSR ``Psi`` / sparse factor recurrence) is selected once per
+    stack by measured ``nnz`` and stacked rank; the stateful ones are
+    maintained across oracle calls by updating only the active columns
+    (work charged to ``backend`` under ``taylor-engine-update``).  The
     :class:`~repro.robustness.FastPathSupervisor` demotes a failing
     representation and, at the floor of its ladder, sets :attr:`reference`:
     the per-term matvec recurrence through the packed factors with the
@@ -556,19 +564,21 @@ class FastDotExpOracle:
             # matvec Q (w ∘ (Q^T v)), with the identity trace push.
             operator = None
             matvec = self._packed.matvec_fn(weights)
-            tracer = None
+            tracer = spectrum = None
         else:
             # The kernel is built from x rather than from the caller's psi
-            # (callers may pass psi=None); the engine carries the
-            # weight-dependent state over from the previous call, so only
-            # the changed weight coordinates are touched.  Binding the
-            # tracer computes the Gram spectrum in Gram trace mode.
+            # (callers may pass psi=None).  On the Gram rung its one eigh
+            # is the call's spectrum; otherwise binding the tracer computes
+            # it in Gram trace mode.
             if self._engine is None:
                 self._engine = TaylorEngine(self._packed)
             operator = self._engine.kernel_for(weights, backend=self.backend)
             matvec = operator.matvec
-            tracer = self._trace_estimator.bind(weights)
-        kappa = self._kappa(weights, matvec, tracer)
+            spectrum = operator.spectrum if isinstance(operator, GramTaylorKernel) else None
+            tracer = self._trace_estimator.bind(weights, spectrum=spectrum)
+            if spectrum is None:
+                spectrum = tracer.spectrum
+        kappa = self._kappa(weights, matvec, spectrum)
         trace_calls_before = tracer.calls if tracer is not None else 0
         estimates, trace_estimate = big_dot_exp(
             operator if operator is not None else matvec,
@@ -606,11 +616,12 @@ class FastDotExpOracle:
         self.counters.flops_estimate += work
         return OracleOutput(values=values, trace=trace_estimate, work=work)
 
-    def _kappa(self, weights: np.ndarray, matvec, tracer) -> float:
+    def _kappa(self, weights: np.ndarray, matvec, spectrum) -> float:
         """Lemma 4.2's ``kappa`` for this call, from an exact spectrum.
 
-        In Gram trace mode it is the top of the spectrum the bound tracer
-        just computed.  Otherwise, with ``d = min(m, R)`` at most
+        With the call's Gram-twin ``spectrum`` (the Gram kernel's, or the
+        bound tracer's in Gram trace mode) it is its top entry.  Otherwise,
+        with ``d = min(m, R)`` at most
         :data:`~repro.linalg.norms.KAPPA_EIG_CUTOFF`, one ``eigvalsh`` of
         the smaller Gram twin: ``S`` from the packed view's cached
         ``Q^T Q`` when ``R <= m`` (draws no randomness), else the ``m x m``
@@ -621,8 +632,8 @@ class FastDotExpOracle:
         """
         packed = self._packed
         m, r = packed.dim, packed.total_rank
-        if tracer is not None and tracer.spectrum is not None:
-            source = tracer.spectrum
+        if spectrum is not None:
+            source = spectrum
         elif min(m, r) > KAPPA_EIG_CUTOFF:
             source = matvec
         elif r <= m:
@@ -671,7 +682,8 @@ class FastDotExpOracle:
         aliases the interrupted run's engine, whose buffers have advanced
         past the checkpoint.  Snapshots that only a removed oracle option
         could have produced (the per-call blocked kernel, a missing trace
-        estimator) raise :class:`~repro.exceptions.CheckpointError`.
+        estimator, the ``dense-factors`` engine mode) raise
+        :class:`~repro.exceptions.CheckpointError`.
         """
         if state.get("kind") != "fast":
             raise InvalidProblemError(
@@ -694,43 +706,36 @@ class FastDotExpOracle:
         self.rng.bit_generator.state = state["rng"]
         self.counters.import_state(state["counters"])
         engine_state = state.get("engine")
-        if engine_state is None:
-            self._engine = None
-        else:
-            self._engine = TaylorEngine(self._packed, mode=engine_state["mode"])
+        self._engine = None
+        if engine_state is not None:
+            try:
+                self._engine = TaylorEngine(self._packed, mode=engine_state["mode"])
+            except InvalidProblemError as exc:
+                raise CheckpointError(
+                    f"cannot restore the checkpoint's Taylor engine: {exc}"
+                ) from exc
             self._engine.import_state(engine_state)
         self._trace_estimator.import_state(trace_state)
-
-    def fused_update_weights(self, col_w: np.ndarray) -> None:
-        """Advance the engine to one call's expanded weights (batched path).
-
-        Exactly the kernel-construction step of :meth:`__call__`, minus the
-        kernel view the batched solver never needs:
-        ``repro.core.batch.solve_many`` expands and validates the whole
-        group's weight stack in one pass, then advances each instance's
-        engine here so its counters, charges and Gram buffer evolve exactly
-        as they would under sequential solves (the batched GEMMs read the
-        Gram stack directly instead of through a kernel).
-        """
-        if self._engine is None:
-            self._engine = TaylorEngine(self._packed)
-        self._engine.update_weights(col_w, backend=self.backend)
 
     def record_fused_call(self, degree: int, trace_estimate) -> float:
         """Book one batched-solver oracle pass against this oracle's counters.
 
         ``repro.core.batch.solve_many`` runs the degenerate structured-path
-        estimate (stacked Taylor apply + squared column norms + structured
-        trace) as batched GEMMs outside :meth:`__call__`, but each instance
+        estimate (stacked Gram-twin ``eigh``, spectral column values and
+        trace) as batched kernels outside :meth:`__call__`, but each instance
         must record exactly the counters and Corollary 1.2 work charge a
         sequential call would have — the kappa's ``norm_estimates`` tally
         included.  ``trace_estimate`` is the
         :class:`~repro.linalg.trace_estimation.TraceEstimate` the instance's
         own estimator returned for this pass (the estimator updates its own
         call/extra-work tallies inside ``estimate``).  Returns the work
-        charge in model units.
+        charge in model units.  The first pass builds the engine, as the
+        first sequential call does, so the ``taylor_engine`` metadata
+        matches.
         """
         packed = self._packed
+        if self._engine is None:
+            self._engine = TaylorEngine(packed)
         self.counters.add("norm_estimates")
         self.counters.record_call()
         self.counters.matvecs += packed.total_rank * (degree - 1)

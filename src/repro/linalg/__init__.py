@@ -19,10 +19,10 @@ built on:
   GEMMs against the packed Gram factors, with an optional column-chunked
   variant that bounds peak memory.
 * :mod:`repro.linalg.taylor_gram` — the rank-adaptive exponential engine:
-  the ``R x R`` Gram-space recurrence (``2R <= m``), the sparse-``Psi``
-  CSR accumulation with symbolic-pattern reuse, the measured-cost kernel
-  selection policy, and the incremental cross-iteration
-  :class:`~repro.linalg.taylor_gram.TaylorEngine`.
+  the ``R x R`` Gram-twin spectral kernel (``2R <= 1.1 m``), the
+  sparse-``Psi`` CSR accumulation with symbolic-pattern reuse, the
+  measured-cost kernel selection policy, and the incremental
+  cross-iteration :class:`~repro.linalg.taylor_gram.TaylorEngine`.
 * :mod:`repro.linalg.trace_estimation` — structured estimation of the
   oracle's trace normalisation ``Tr[exp(Psi)]`` in the degenerate-sketch
   regime: the exact ``R x R`` Gram-spectrum evaluation and the exact
@@ -74,7 +74,6 @@ from repro.linalg.taylor_gram import (
     GramTaylorKernel,
     SparsePsiAccumulator,
     TaylorEngine,
-    gram_taylor_apply,
     select_taylor_mode,
 )
 from repro.linalg.trace_estimation import (
@@ -128,7 +127,6 @@ __all__ = [
     "GramTaylorKernel",
     "SparsePsiAccumulator",
     "TaylorEngine",
-    "gram_taylor_apply",
     "select_taylor_mode",
     "TraceEstimate",
     "TraceEstimator",

@@ -69,6 +69,39 @@ def _stack_dtype(q: np.ndarray | sp.spmatrix) -> np.dtype:
     return np.dtype(np.float32) if dtype == np.float32 else np.dtype(np.float64)
 
 
+def _validated_stack(q, col_weights, backend):
+    """``(q, col_weights, m, R, dtype)`` of a factor stack, validated for a kernel.
+
+    Sparse stacks become CSR and run in float64 (NumPy backend only); dense
+    float32 stacks keep their dtype (:func:`_stack_dtype`), and the weights
+    follow the stack's dtype.
+    """
+    if sp.issparse(q):
+        if not backend.is_numpy:
+            raise InvalidProblemError(
+                "sparse factor stacks are NumPy-only; densify the stack "
+                "before handing it to a non-NumPy backend"
+            )
+        q = q.tocsr()
+        dtype = np.dtype(np.float64)
+    else:
+        q = np.asarray(q)
+        if q.ndim != 2:
+            raise InvalidProblemError(f"q must be 2-dimensional, got ndim={q.ndim}")
+        dtype = _stack_dtype(q)
+        q = np.asarray(q, dtype=dtype)
+    m, r = q.shape
+    col_weights = np.asarray(col_weights, dtype=dtype).ravel()
+    if col_weights.shape[0] != r:
+        raise InvalidProblemError(
+            f"expected {r} column weights for a (m, {r}) stack, "
+            f"got {col_weights.shape[0]}"
+        )
+    if np.any(col_weights < 0):
+        raise InvalidProblemError("column weights must be non-negative")
+    return q, col_weights, int(m), int(r), dtype
+
+
 def densified_psi(
     q: np.ndarray | sp.spmatrix, col_weights: np.ndarray
 ) -> np.ndarray:
@@ -99,8 +132,9 @@ class _FusedTaylorApplyBase:
     ``_apply_chunk(block, degree, scale)`` plus ``dim``/``chunk_columns``/
     ``matvec_count`` attributes; this base owns the one implementation of
     input validation, the column-chunk loop, the model-level matvec
-    bookkeeping, and the final finiteness check, so the kernels cannot
-    drift apart on those behaviours.
+    bookkeeping, and the final fault hook and finiteness check
+    (:meth:`_checked`), so the kernels cannot drift apart on those
+    behaviours.
     """
 
     dim: int
@@ -164,6 +198,11 @@ class _FusedTaylorApplyBase:
         else:
             out = self._apply_chunk(block, degree, scale)
         self.matvec_count += s * (degree - 1)
+        out = self._checked(out)
+        return out[:, 0] if single else out
+
+    def _checked(self, out: np.ndarray) -> np.ndarray:
+        """The fault hook and finiteness check every kernel output passes."""
         fault_hook_array(self.fault_site, out)
         if not np.all(np.isfinite(out)):
             raise NumericalError(
@@ -172,7 +211,7 @@ class _FusedTaylorApplyBase:
                 site=self.fault_site,
                 kernel_mode=getattr(self, "mode", None),
             )
-        return out[:, 0] if single else out
+        return out
 
     def _apply_chunk(self, block: np.ndarray, degree: int, scale: float) -> np.ndarray:
         raise NotImplementedError  # pragma: no cover - subclasses implement
@@ -235,37 +274,10 @@ class BlockedTaylorKernel(_FusedTaylorApplyBase):
         backend: "str | None" = None,
     ) -> None:
         self.backend = get_array_backend(backend)
-        if sp.issparse(q):
-            if not self.backend.is_numpy:
-                raise InvalidProblemError(
-                    "sparse factor stacks are NumPy-only; densify the stack "
-                    "before handing it to a non-NumPy backend"
-                )
-            q = q.tocsr()
-            m, r = q.shape
-            nnz = q.nnz
-            self.dtype = np.dtype(np.float64)
-            col_weights = np.asarray(col_weights, dtype=np.float64).ravel()
-        else:
-            q = np.asarray(q)
-            if q.ndim != 2:
-                raise InvalidProblemError(f"q must be 2-dimensional, got ndim={q.ndim}")
-            # Preserve float32 stacks instead of silently upcasting; the
-            # reference float64 path is byte-for-byte what it always was.
-            self.dtype = _stack_dtype(q)
-            q = np.asarray(q, dtype=self.dtype)
-            m, r = q.shape
-            nnz = m * r
-            col_weights = np.asarray(col_weights, dtype=self.dtype).ravel()
-        if col_weights.shape[0] != r:
-            raise InvalidProblemError(
-                f"expected {r} column weights for a (m, {r}) stack, "
-                f"got {col_weights.shape[0]}"
-            )
-        if np.any(col_weights < 0):
-            raise InvalidProblemError("column weights must be non-negative")
-        self.dim = int(m)
-        self.total_rank = int(r)
+        q, col_weights, m, r, self.dtype = _validated_stack(q, col_weights, self.backend)
+        nnz = q.nnz if sp.issparse(q) else m * r
+        self.dim = m
+        self.total_rank = r
         self.matvec_count = 0
         self.chunk_columns = chunk_columns
         self._psi: np.ndarray | None = None

@@ -1,4 +1,4 @@
-"""Rank-adaptive Gram-space exponential engine (Lemma 4.2, all representations).
+"""Rank-adaptive exponential engine (Lemma 4.2, all representations).
 
 :mod:`repro.linalg.taylor_blocked` evaluates the truncated exponential of
 ``Psi = Q diag(w) Q^T`` either through the factor stack (``2 m R s`` madds
@@ -7,20 +7,23 @@ cheaper exact representations exist and this module adds both, plus the
 policy that picks between all of them and an engine that reuses state
 across the solver's mildly-changing weight iterates:
 
-* **Gram-space kernel** (:class:`GramTaylorKernel`): with
-  ``G = Q^T Q diag(w)`` (the ``R x R`` Gram matrix of the stacked factors,
-  column-scaled by the weights) every power satisfies
-  ``Psi^i = Q_w G^{i-1} Q^T`` (``Q_w = Q diag(w)``), so the truncated
-  series collapses to
+* **Gram-space spectral kernel** (:class:`GramTaylorKernel`): ``Psi`` and
+  its ``R x R`` Gram twin ``S = W^{1/2} (Q^T Q) W^{1/2}`` (``W = diag(w)``)
+  share their nonzero spectrum.  With ``S = V diag(lambda) V^T`` and
+  ``B = Q W^{1/2}`` (so ``Psi = B B^T``), every polynomial with
+  ``p(0) = 1`` satisfies
 
   .. math::
 
-      p(s\\,\\Psi)\\,B \\;=\\; B + Q\\,\\bigl(w \\circ q(s G)\\,(Q^T B)\\bigr),
-      \\qquad q(sG) = \\sum_{1 \\le i < k} \\frac{s^i}{i!} G^{i-1},
+      p(s\\,\\Psi) \\;=\\; I + B\\,V \\operatorname{diag}\\bigl(r_s(\\lambda)\\bigr) V^T B^T,
+      \\qquad r_s(\\lambda) = \\frac{p(s\\lambda) - 1}{\\lambda},
 
-  i.e. two ``(m, R)`` projections bracketing a recurrence whose per-term
-  cost is ``R^2 s`` instead of ``m^2 s`` or ``2 m R s`` — the win when the
-  stacked rank satisfies ``2R <= m``.
+  so one ``R x R`` ``eigh`` per call replaces the degree-``k`` recurrence:
+  a block apply is two ``(m, R)`` projections around ``R x R`` products at
+  a cost independent of the degree, and the oracle's factor-column values
+  ``||p(s Psi) q_c||^2`` need no ``m``-sized work at all
+  (:func:`spectral_evaluation`).  The win when the stacked rank
+  satisfies ``2R <= GRAM_HYSTERESIS * m``.
 * **Sparse-Psi accumulation** (:class:`SparsePsiAccumulator`): when the
   factors are sparse, ``Psi = (Q w) Q^T`` is assembled as a CSR matrix
   whose *symbolic* pattern is weight-independent; the accumulator maps
@@ -34,17 +37,19 @@ across the solver's mildly-changing weight iterates:
   per-term costs of all applicable representations — Gram space, densified
   ``Psi``, sparse ``Psi`` (discounted by the measured throughput gap
   between sparse and dense GEMMs, :data:`SPARSE_GEMM_DISCOUNT`), and the
-  factor recurrences — replacing the blocked kernel's single ``2R > m``
-  densification rule.
+  sparse factor recurrence — replacing the blocked kernel's single
+  ``2R > m`` densification rule.
 * **Incremental engine** (:class:`TaylorEngine`): the decision solvers
   change only the qualifying weight coordinates per iteration, so the
-  engine keeps the weight-*independent* artifacts (``Q^T Q``, the CSR
-  pattern and its accumulator) forever and maintains the weight-*dependent*
-  state (``G``, the CSR values, the densified ``Psi``, the scaled factor
-  stack) by updating only the active columns — work proportional to the
-  touched columns, charged to the
+  engine keeps the weight-*independent* artifacts (the CSR pattern and its
+  accumulator) forever and maintains the weight-*dependent* state of the
+  stateful representations (the CSR values, the densified ``Psi``, the
+  scaled sparse stack) by updating only the active columns — work
+  proportional to the touched columns, charged to the
   :class:`~repro.parallel.backends.ExecutionBackend` under the
-  ``taylor-engine-update`` label, never a silent full rebuild.
+  ``taylor-engine-update`` label, never a silent full rebuild.  The Gram
+  rung keeps no weight-dependent state: each call's kernel starts from the
+  packed view's cached ``Q^T Q``.
 
 Every representation evaluates the *identical* Lemma 4.2 polynomial; the
 modes differ only in floating-point rounding order, which the tests in
@@ -59,16 +64,17 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.backend import NUMPY, get_array_backend
-from repro.exceptions import InvalidProblemError
-from repro.linalg.taylor_blocked import _FusedTaylorApplyBase, _stack_dtype
+from repro.exceptions import InvalidProblemError, NumericalError
+from repro.linalg.taylor_blocked import _FusedTaylorApplyBase, _validated_stack
 
 __all__ = [
     "GramTaylorKernel",
     "SparsePsiAccumulator",
     "TaylorEngine",
-    "batched_gram_taylor_apply",
-    "gram_taylor_apply",
+    "batched_gram_eigh",
+    "gram_twin",
     "select_taylor_mode",
+    "spectral_evaluation",
     "taylor_mode_cost",
     "GRAM_HYSTERESIS",
     "REFINEMENT_MARGIN",
@@ -83,15 +89,13 @@ __all__ = [
 #: throughput gap.
 SPARSE_GEMM_DISCOUNT = 8.0
 
-#: Hysteresis margin on the Gram-space gate: the Gram recurrence is allowed
-#: up to ``2R <= GRAM_HYSTERESIS * m`` instead of the sharp ``2R <= m``.  At
-#: ``2R`` just past ``m`` the per-term cost ``R^2 ~ m^2/4`` still clearly
-#: beats the densified recurrence's ``m^2`` (the two ``m x R`` projections
-#: it adds amortise over the Taylor degree), so near-threshold adversary
-#: stacks do not fall off a cliff onto the densified kernel for being a
-#: few columns over the boundary.
-#: Past ~1.1m the projection overhead and the Gram build's ``m R^2`` start
-#: eating the margin, so the gate stays conservative.
+#: Hysteresis margin on the Gram-space gate: the Gram kernel is allowed up
+#: to ``2R <= GRAM_HYSTERESIS * m`` instead of the sharp ``2R <= m``.  At
+#: ``2R`` just past ``m`` the modelled per-term cost ``R^2 ~ m^2/4`` still
+#: clearly beats the densified recurrence's ``m^2``, so near-threshold
+#: adversary stacks do not fall off a cliff onto the densified kernel for
+#: being a few columns over the boundary.  The gate stays at ~1.1m; moving
+#: it would change which stacks run which kernel.
 GRAM_HYSTERESIS = 1.1
 
 #: Required relative win before `auto_taylor_mode`'s two-stage refinement
@@ -102,7 +106,7 @@ GRAM_HYSTERESIS = 1.1
 REFINEMENT_MARGIN = 0.9
 
 #: Modes understood by :func:`select_taylor_mode` / :class:`TaylorEngine`.
-_MODES = ("gram", "dense-psi", "sparse-psi", "dense-factors", "sparse-factors")
+_MODES = ("gram", "dense-psi", "sparse-psi", "sparse-factors")
 
 
 def taylor_mode_cost(
@@ -120,7 +124,6 @@ def taylor_mode_cost(
 
     * ``gram``: ``R^2``;
     * ``dense-psi``: ``m^2``;
-    * ``dense-factors``: ``2 m R``;
     * ``sparse-factors``: ``2 nnz(Q)`` discounted by
       :data:`SPARSE_GEMM_DISCOUNT`;
     * ``sparse-psi``: ``nnz(Psi)`` with the same discount (``inf`` when
@@ -130,8 +133,6 @@ def taylor_mode_cost(
         return float(total_rank) * total_rank
     if mode == "dense-psi":
         return float(dim) * dim
-    if mode == "dense-factors":
-        return 2.0 * float(dim) * total_rank
     if mode == "sparse-factors":
         return SPARSE_GEMM_DISCOUNT * 2.0 * float(nnz)
     if mode == "sparse-psi":
@@ -175,12 +176,11 @@ def select_taylor_mode(
 
         * dense stacks: gram whenever ``2R <= GRAM_HYSTERESIS * dim``
           (``R^2 <= m^2/4`` at the nominal boundary beats both the dense
-          recurrence and the ``2mR`` factor recurrence; the two ``m x R``
-          projections it adds are one factor-term's worth of work,
-          amortised over the degree — and the ~10% hysteresis keeps
-          near-threshold stacks with ``2R`` just past ``m`` on the Gram
-          path instead of dropping them onto the densified kernel at
-          break-even), the densified recurrence otherwise;
+          recurrence and the ``2mR`` factor recurrence — and the ~10%
+          hysteresis keeps near-threshold stacks with ``2R`` just past
+          ``m`` on the Gram path instead of dropping them onto the
+          densified kernel at break-even), the densified recurrence
+          otherwise;
         * sparse stacks: the argmin over gram (gated on the same
           hysteresis boundary, and costed at the *dense* ``R^2`` rate
           since ``G`` is materialised dense), densified ``Psi``, sparse
@@ -216,46 +216,125 @@ def select_taylor_mode(
     return best_mode
 
 
-def _validated_stack(q, col_weights):
-    """Shared (q, col_weights) validation for the Gram kernel and engine.
+def gram_twin(gram: np.ndarray, col_weights: np.ndarray) -> np.ndarray:
+    """The symmetrised Gram twin ``S = W^{1/2} (Q^T Q) W^{1/2}`` of ``Psi``.
 
-    Dense float32 stacks keep their dtype (everything else is computed in
-    float64) so the Gram recurrence never silently upcasts a float32
-    workload — the same rule as
-    :func:`repro.linalg.taylor_blocked._stack_dtype`.
+    Elementwise over any leading batch axes, so a batch row and the
+    matching sequential call build the same bits.
     """
-    if sp.issparse(q):
-        q = q.tocsr()
-        dtype = np.dtype(np.float64)
-        m, r = q.shape
-    else:
-        q = np.asarray(q)
-        if q.ndim != 2:
-            raise InvalidProblemError(f"q must be 2-dimensional, got ndim={q.ndim}")
-        dtype = _stack_dtype(q)
-        q = np.asarray(q, dtype=dtype)
-        m, r = q.shape
-    col_weights = np.asarray(col_weights, dtype=dtype).ravel()
-    if col_weights.shape[0] != r:
-        raise InvalidProblemError(
-            f"expected {r} column weights for a (m, {r}) stack, "
-            f"got {col_weights.shape[0]}"
-        )
-    if np.any(col_weights < 0):
-        raise InvalidProblemError("column weights must be non-negative")
-    return q, col_weights, int(m), int(r), dtype
+    root = np.sqrt(col_weights)
+    weighted = gram * root[..., None, :] * root[..., :, None]
+    return 0.5 * (weighted + weighted.mT)
+
+
+def batched_gram_eigh(
+    gram_stack: np.ndarray, colw_stack: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(eigenvalues, eigenvectors)`` of every :func:`gram_twin` in a stack.
+
+    Eigenvalues ascend and are clipped at 0.  Row ``b`` equals
+    :class:`GramTaylorKernel`'s eigendecomposition of that instance
+    bitwise (a stacked ``eigh`` runs the same LAPACK routine per slice).
+    Rows whose twin is not finite or whose eigensolver fails come back
+    ``nan`` instead of raising, so one bad instance cannot poison its
+    batchmates.
+    """
+    batch, r = colw_stack.shape
+    eigenvalues = np.full((batch, r), np.nan)
+    eigenvectors = np.full((batch, r, r), np.nan)
+    with np.errstate(invalid="ignore", over="ignore"):
+        twins = gram_twin(gram_stack, colw_stack)
+    good = np.flatnonzero(np.isfinite(twins).all(axis=(1, 2)))
+    if r == 0 or good.size == 0:
+        return eigenvalues, eigenvectors
+    # The fused batch path is NumPy-resident by contract; the stacked
+    # eigendecomposition routes through the shared NumPy backend object.
+    try:
+        eigenvalues[good], eigenvectors[good] = NUMPY.eigh(twins[good])
+    except np.linalg.LinAlgError:
+        # Isolate non-converging slices so the rest of the batch survives.
+        for b in good:
+            try:
+                eigenvalues[b], eigenvectors[b] = NUMPY.eigh(twins[b])
+            except np.linalg.LinAlgError:
+                pass
+    np.clip(eigenvalues, 0.0, None, out=eigenvalues)
+    return eigenvalues, eigenvectors
+
+
+def _ratio_series(eigenvalues: np.ndarray, degrees: np.ndarray, scale: float) -> np.ndarray:
+    """``r(lambda) = (p(scale * lambda) - 1) / lambda`` at each row's degree.
+
+    Horner's rule on ``sum_{1 <= i < k} (scale / i!) y^(i-1)`` with
+    ``y = scale * lambda``: non-negative terms for ``lambda >= 0``, so no
+    cancellation, and ``r(0) = scale`` (``0`` at ``k = 1``).  A row below
+    the top degree gets zero leading coefficients, which leaves it bitwise
+    equal to a one-row call.
+    """
+    degrees = np.asarray(degrees, dtype=np.int64)
+    top = int(degrees.max(initial=1))
+    coef = [scale]  # coef[i - 1] = scale / i!
+    for i in range(2, top):
+        coef.append(coef[-1] / i)
+    ragged = int(degrees.min()) < top
+    y = eigenvalues * scale
+    ratio = np.zeros_like(eigenvalues)
+    for i in range(top - 1, 0, -1):
+        ratio *= y
+        if ragged:
+            ratio += np.where(degrees > i, coef[i - 1], 0.0)[:, None]
+        else:
+            ratio += coef[i - 1]
+    return ratio
+
+
+def spectral_evaluation(
+    gram: np.ndarray,
+    col_weights: np.ndarray,
+    eigenvalues: np.ndarray,
+    eigenvectors: np.ndarray,
+    degrees: np.ndarray,
+    dim: int,
+    scale: float = 0.5,
+    xp=NUMPY,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, traces)`` of the Theorem 4.1 oracle, from ``eig(S)``.
+
+    Every argument has a leading batch axis: ``gram`` the ``Q^T Q`` stack,
+    the weights, each :func:`gram_twin`'s eigenpairs and each row's Taylor
+    degree.  With ``r`` from :func:`_ratio_series`, ``p = 1 + lambda r``
+    and ``f = p^2 = 1 + lambda h``,
+
+    .. math:: \\|p(s\\Psi)\\,q_c\\|^2 = G_{cc} + \\sum_j h_j C_{jc}^2,
+        \\qquad h = r\\,(1 + p), \\qquad C = V^T W^{1/2} G,
+
+    and ``Tr[p(s Psi)^2] = (m - R) + sum_j p_j^2``: one ``R x R`` GEMM per
+    row, no ``m``-sized work.  Non-finite results are left for the caller
+    to detect.  The sequential kernel calls this with ``B = 1``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = _ratio_series(eigenvalues, degrees, scale)
+        poly = 1.0 + eigenvalues * ratio
+        h = ratio * (1.0 + poly)
+        root = np.sqrt(col_weights)
+        proj = xp.matmul(xp.asarray(eigenvectors).mT, xp.asarray(root[:, :, None] * gram))
+        tail = xp.to_numpy(xp.matmul(xp.asarray(h[:, None, :]), proj * proj))
+        values = np.diagonal(gram, axis1=1, axis2=2) + tail[:, 0, :]
+        traces = float(dim - poly.shape[1]) + (poly * poly).sum(axis=1)
+    return values, traces
 
 
 class GramTaylorKernel(_FusedTaylorApplyBase):
-    """Gram-space block apply of the truncated Taylor series of ``exp(scale * Psi)``.
+    """Gram-twin spectral evaluation of the truncated Taylor series of ``exp(scale * Psi)``.
 
-    Evaluates the same polynomial as
-    :class:`~repro.linalg.taylor_blocked.BlockedTaylorKernel` through the
-    identity ``p(s Psi) B = B + Q (w ∘ q(sG) (Q^T B))`` with the ``R x R``
-    Gram matrix ``G = (Q^T Q) diag(w)``: one down-projection ``Q^T B``, a
-    forward recurrence of ``R x R`` GEMMs in ping-pong buffers, and one
-    up-projection.  Per-term cost ``R^2 s`` — the cheapest representation
-    whenever ``2R <= m``.
+    The same polynomial as
+    :class:`~repro.linalg.taylor_blocked.BlockedTaylorKernel`, through
+    ``S = V diag(lambda) V^T`` (:func:`gram_twin`):
+    ``p(s Psi) B = B + Q W^{1/2} V diag(r) V^T W^{1/2} Q^T B`` with
+    ``r = (p(s lambda) - 1) / lambda``.  The one ``eigh``, computed on first
+    use, serves :attr:`spectrum` (the oracle's kappa), :meth:`apply`,
+    :meth:`factor_column_values` and :meth:`exp_trace`; no cost depends on
+    the degree.
 
     Parameters
     ----------
@@ -266,16 +345,16 @@ class GramTaylorKernel(_FusedTaylorApplyBase):
     col_weights:
         Per-column non-negative weights ``w`` of length ``R``.
     gram:
-        Optional precomputed dense ``(R, R)`` matrix ``(Q^T Q) diag(w)``.
-        :class:`TaylorEngine` maintains this across calls by rescaling only
-        the active columns; when omitted it is computed here (one
-        ``R x m x R`` product).
+        Optional precomputed dense ``(R, R)`` weight-independent Gram matrix
+        ``Q^T Q`` — :class:`TaylorEngine` passes the packed view's cached
+        :meth:`~repro.operators.packed.PackedGramFactors.gram_matrix`; when
+        omitted it is computed here (one ``R x m x R`` product).
     chunk_columns:
         Default column-chunk size for :meth:`apply` (``None`` = unchunked).
     backend:
         Array backend spec (``None``/name/instance, resolved through
-        :func:`repro.backend.get_array_backend`).  The recurrence and the
-        two projections run on the backend; sparse stacks are NumPy-only.
+        :func:`repro.backend.get_array_backend`).  The eigendecomposition
+        and the products run on the backend; sparse stacks are NumPy-only.
 
     Attributes
     ----------
@@ -293,13 +372,7 @@ class GramTaylorKernel(_FusedTaylorApplyBase):
         backend=None,
     ) -> None:
         self.backend = get_array_backend(backend)
-        q, col_weights, m, r = _validated_stack(q, col_weights)[:4]
-        if sp.issparse(q) and not self.backend.is_numpy:
-            raise InvalidProblemError(
-                "sparse factor stacks are NumPy-only; densify the stack "
-                "before handing it to a non-NumPy backend"
-            )
-        self.dtype = _stack_dtype(q) if not sp.issparse(q) else np.dtype(np.float64)
+        q, col_weights, m, r, self.dtype = _validated_stack(q, col_weights, self.backend)
         self._q = q
         self._col_w = col_weights
         self.dim = m
@@ -307,38 +380,74 @@ class GramTaylorKernel(_FusedTaylorApplyBase):
         self.matvec_count = 0
         self.chunk_columns = chunk_columns
         if gram is None:
-            if r == 0:
-                gram = np.zeros((0, 0), dtype=self.dtype)
-            elif sp.issparse(q):
-                gram = np.asarray((q.T @ q).todense(), dtype=np.float64) * col_weights
+            if sp.issparse(q):
+                gram = (q.T @ q).toarray()
             else:
-                gram = (q.T @ q) * col_weights
-        else:
-            gram = np.asarray(gram, dtype=self.dtype)
-            if gram.shape != (r, r):
-                raise InvalidProblemError(
-                    f"gram matrix must have shape {(r, r)}, got {gram.shape}"
-                )
-        self._g = gram
-        # Lazily-transferred device copies of (q, gram, col_w); on the NumPy
-        # backend asarray is a pass-through, so this is the host state itself.
+                gram = q.T @ q
+        elif np.shape(gram) != (r, r):
+            raise InvalidProblemError(
+                f"gram matrix must have shape {(r, r)}, got {np.shape(gram)}"
+            )
+        self._qtq = np.asarray(gram, dtype=self.dtype)
+        # Lazily computed (eigenvalues, device eigenvectors) of the twin, the
+        # last (degree, scale, trace) evaluated, and device copies of
+        # (q, w, sqrt(w)); on the NumPy backend asarray is a pass-through,
+        # so the latter is the host state itself.
+        self._eig = None
+        self._trace = None
         self._dev = None
 
     def _device_state(self):
         if self._dev is None:
             xp = self.backend
             q = self._q if sp.issparse(self._q) else xp.asarray(self._q)
-            self._dev = (q, xp.asarray(self._g), xp.asarray(self._col_w))
+            self._dev = (q, xp.asarray(self._col_w), xp.asarray(np.sqrt(self._col_w)))
         return self._dev
+
+    def _eigenpairs(self):
+        """``(lambda, V)`` of the Gram twin, computed once per kernel.
+
+        A failed eigensolver or a non-finite spectrum (``eigh`` returns
+        ``nan`` for a non-finite twin) raises
+        :class:`~repro.exceptions.NumericalError` at :attr:`fault_site`, so
+        the supervisor demotes the Gram rung like any other kernel failure.
+        """
+        if self._eig is None:
+            xp = self.backend
+            try:
+                eigenvalues, eigenvectors = xp.eigh(
+                    xp.asarray(gram_twin(self._qtq, self._col_w))
+                )
+                eigenvalues = xp.to_numpy(eigenvalues)
+            except np.linalg.LinAlgError:
+                eigenvalues = None
+            if eigenvalues is None or not np.isfinite(eigenvalues).all():
+                raise NumericalError(
+                    "Gram-twin eigendecomposition failed",
+                    site=self.fault_site,
+                    kernel_mode=self.mode,
+                )
+            self._eig = (np.clip(eigenvalues, 0.0, None), eigenvectors)
+        return self._eig
 
     @property
     def mode(self) -> str:
         """Representation tag (always ``"gram"``; mirrors the engine's vocabulary)."""
         return "gram"
 
-    #: Gram-space apply failures are attributed to their own site so the
-    #: supervisor can demote the Gram recurrence specifically.
+    #: Gram-space failures are attributed to their own site so the
+    #: supervisor can demote the Gram rung specifically.
     fault_site = "taylor_gram.apply"
+
+    @property
+    def stack(self) -> np.ndarray | sp.csr_matrix:
+        """The factor stack ``Q`` the kernel was built over."""
+        return self._q
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        """Ascending eigenvalues of ``S`` clipped at 0 — ``Psi``'s nonzero spectrum."""
+        return self._eigenpairs()[0]
 
     def matvec(self, block: np.ndarray) -> np.ndarray:
         """``Psi @ block`` (unscaled) through the factors — two projections."""
@@ -348,117 +457,73 @@ class GramTaylorKernel(_FusedTaylorApplyBase):
                 return self._q @ (self._col_w * inner)
             return self._q @ (self._col_w[:, None] * inner)
         xp = self.backend
-        q, _, col_w = self._device_state()
+        q, col_w, _ = self._device_state()
         b = xp.asarray(np.asarray(block, dtype=self.dtype))
         inner = xp.matmul(q.T, b)
         scaled = col_w * inner if inner.ndim == 1 else col_w[:, None] * inner
         return xp.to_numpy(xp.matmul(q, scaled))
 
-    # apply() is inherited from _FusedTaylorApplyBase (the shared validation
-    # + chunk-loop + finiteness driver); the Gram recurrence lives here.
+    def _evaluate(self, degree: int, scale: float) -> np.ndarray:
+        """Column values at ``(degree, scale)``; keeps the trace for :meth:`exp_trace`."""
+        if degree < 1:
+            raise ValueError(f"degree must be >= 1, got {degree}")
+        if self.total_rank == 0:
+            values, trace = np.zeros(0, dtype=self.dtype), float(self.dim)
+        else:
+            eigenvalues, eigenvectors = self._eigenpairs()
+            values, traces = spectral_evaluation(
+                self._qtq[None], self._col_w[None], eigenvalues[None],
+                eigenvectors[None], np.array([degree]), self.dim, scale=scale,
+                xp=self.backend,
+            )
+            values, trace = values[0], float(traces[0])
+        self._trace = (degree, scale, trace)
+        return values
+
+    def factor_column_values(self, degree: int, scale: float = 1.0) -> np.ndarray:
+        """``||p(scale * Psi) q_c||^2`` for every column ``q_c`` of :attr:`stack`.
+
+        The degenerate-sketch Theorem 4.1 estimates without pushing the
+        ``(m, R)`` stack through the polynomial.  Counts ``R (degree - 1)``
+        model matvecs and passes the same fault hook and finiteness check
+        as :meth:`apply`.
+        """
+        values = self._evaluate(degree, scale)
+        self.matvec_count += self.total_rank * (degree - 1)
+        return self._checked(values)
+
+    def exp_trace(self, degree: int, scale: float = 1.0) -> float:
+        """``Tr[p(scale * Psi)^2]`` from the same evaluation as the column values."""
+        if self._trace is None or self._trace[:2] != (degree, scale):
+            self._evaluate(degree, scale)
+        return self._trace[2]
+
+    # apply() is inherited from _FusedTaylorApplyBase (the shared validation,
+    # chunk loop and finiteness check); the spectral evaluation lives here.
     def _apply_chunk(self, block: np.ndarray, degree: int, scale: float) -> np.ndarray:
         if self.total_rank == 0 or degree == 1:
             return np.array(block, dtype=self.dtype, copy=True)
         xp = self.backend
-        q, g, col_w = self._device_state()
+        eigenvalues, eigenvectors = self._eigenpairs()
+        ratio = xp.asarray(_ratio_series(eigenvalues[None], np.array([degree]), scale)[0])
+        q, _, root = self._device_state()
         sparse_q = sp.issparse(self._q)
-        # q(sG) C with C = Q^T B: u_1 = s C, u_{i} = (s / i) G u_{i-1}.
         if sparse_q:
             # Sparse stacks are NumPy-resident (xp is the NumPy backend).
             b = block
-            inner = xp.asarray(np.asarray(self._q.T @ block, dtype=self.dtype))
+            inner = np.asarray(self._q.T @ block, dtype=self.dtype)
         else:
             b = xp.asarray(block)
             inner = xp.matmul(q.T, b)
-        term = scale * inner
-        acc = xp.copy(term)
-        buf = xp.empty_like(term)
-        for i in range(2, degree):
-            xp.matmul(g, term, out=buf)
-            buf *= scale / i
-            acc += buf
-            term, buf = buf, term
-        acc *= col_w[:, None]
+        # W^{1/2} V diag(r) V^T W^{1/2} (Q^T B)
+        inner = xp.matmul(eigenvectors.T, root[:, None] * inner)
+        inner = root[:, None] * xp.matmul(eigenvectors, ratio[:, None] * inner)
         if sparse_q:
-            return block + self._q @ xp.to_numpy(acc)
-        return xp.to_numpy(b + xp.matmul(q, acc))
+            return block + self._q @ xp.to_numpy(inner)
+        return xp.to_numpy(b + xp.matmul(q, inner))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"GramTaylorKernel(dim={self.dim}, R={self.total_rank})"
-
-
-def gram_taylor_apply(
-    q: np.ndarray | sp.spmatrix,
-    col_weights: np.ndarray,
-    block: np.ndarray,
-    degree: int,
-    scale: float = 1.0,
-    chunk_columns: int | None = None,
-    backend=None,
-) -> np.ndarray:
-    """One-shot convenience wrapper around :class:`GramTaylorKernel`.
-
-    Equivalent to ``GramTaylorKernel(q, col_weights).apply(block, degree,
-    scale, chunk_columns)``; prefer the kernel (or a
-    :class:`TaylorEngine`) when the same stack is applied repeatedly so the
-    Gram matrix is built once.
-    """
-    kernel = GramTaylorKernel(q, col_weights, backend=backend)
-    return kernel.apply(block, degree, scale=scale, chunk_columns=chunk_columns)
-
-
-def batched_gram_taylor_apply(
-    q_stack: np.ndarray,
-    inner_stack: np.ndarray,
-    gram_stack: np.ndarray,
-    colw_stack: np.ndarray,
-    degrees: np.ndarray,
-    scale: float = 0.5,
-) -> np.ndarray:
-    """Ragged-degree Gram-recurrence Taylor apply over a batch of instances.
-
-    Runs the same accumulation as :meth:`GramTaylorKernel._apply_chunk` for
-    ``B`` shape-homogeneous instances at once, with every multiply a single
-    stacked GEMM.  ``q_stack`` is the ``(B, m, R)`` factor super-stack,
-    ``inner_stack`` the precomputed ``(B, R, R)`` block of ``Q^T Q`` products
-    (the sequential path's ``self._q.T @ block`` for ``block =
-    dense_columns()``), ``gram_stack`` the per-instance weighted Gram matrices
-    ``G = (Q^T Q) * w`` and ``colw_stack`` the ``(B, R)`` expanded column
-    weights.  ``degrees`` holds each instance's Taylor degree; instances with
-    shorter series simply stop accumulating while the shared ping-pong keeps
-    rolling for the longest one, so the per-instance results match
-    ``kernel.apply(dense_columns(), degree, scale)`` bitwise.
-
-    Returns the ``(B, m, R)`` batch of transformed factor stacks.
-    """
-    degrees = np.asarray(degrees, dtype=np.int64)
-    if q_stack.ndim != 3 or inner_stack.ndim != 3 or gram_stack.ndim != 3:
-        raise InvalidProblemError("batched Taylor apply expects 3-D stacks")
-    if degrees.shape[0] != q_stack.shape[0]:
-        raise InvalidProblemError("one Taylor degree per batched instance required")
-    if q_stack.shape[2] < 1:
-        raise InvalidProblemError("batched Taylor apply requires total rank >= 1")
-    if degrees.size == 0 or int(degrees.min()) < 2:
-        raise InvalidProblemError("batched Taylor apply requires degree >= 2")
-    max_degree = int(degrees.max())
-    # The fused batch path is NumPy-resident by contract (see
-    # core.batch._fused_key); the stacked GEMMs route through the shared
-    # NumPy backend object explicitly.
-    xp = NUMPY
-    term = scale * inner_stack
-    acc = term.copy()
-    buf = np.empty_like(term)
-    for i in range(2, max_degree):
-        xp.matmul(gram_stack, term, out=buf)
-        buf *= scale / i
-        idx = np.flatnonzero(degrees > i)
-        if idx.size == degrees.size:
-            acc += buf
-        elif idx.size:
-            acc[idx] += buf[idx]
-        term, buf = buf, term
-    acc *= colw_stack[:, :, None]
-    return q_stack + xp.matmul(q_stack, acc)
 
 
 class SparsePsiAccumulator:
@@ -585,21 +650,24 @@ class TaylorEngine:
     :meth:`kernel_for` then maintains the weight-dependent state across
     calls:
 
-    ================  =======================================  =====================
-    mode              persistent state                         per-active-column cost
-    ========================================================================
-    ``gram``          ``Q^T Q`` (immutable) + scaled ``G``     ``R`` (column rescale)
-    ``dense-psi``     densified ``Psi`` buffer                 ``m^2`` (rank-1 update)
-    ``sparse-psi``    CSR values via the accumulator           ``nnz(M[:, col])``
-    ``*-factors``     scaled stack ``Q diag(w)``               column nnz (rescale)
-    ========================================================================
+    ==================  ==================================  ======================
+    mode                persistent state                    per-active-column cost
+    ==================  ==================================  ======================
+    ``gram``            none (the packed view's ``Q^T Q``)  none
+    ``dense-psi``       densified ``Psi`` buffer            ``m^2`` (rank-1 update)
+    ``sparse-psi``      CSR values via the accumulator      ``nnz(M[:, col])``
+    ``sparse-factors``  scaled stack ``Q diag(w)``          column nnz (rescale)
+    ==================  ==================================  ======================
 
-    The first :meth:`kernel_for` call performs the one full build; every
-    later call updates only the columns whose weights changed — there is no
-    staleness detector that silently falls back to a full rebuild, and the
-    :attr:`full_builds` / :attr:`columns_updated` counters (plus the
-    ``taylor-engine-update`` work recorded on the backend's tracker) let
-    regression tests assert exactly that.
+    In the stateful modes the first :meth:`kernel_for` call performs the one
+    full build; every later call updates only the columns whose weights
+    changed — there is no staleness detector that silently falls back to a
+    full rebuild, and the :attr:`full_builds` / :attr:`columns_updated`
+    counters (plus the ``taylor-engine-update`` work recorded on the
+    backend's tracker) let regression tests assert exactly that.  In
+    ``gram`` mode every call's :class:`GramTaylorKernel` starts from the
+    cached ``Q^T Q`` and its own eigendecomposition, so the counters never
+    move and nothing is charged.
 
     Parameters
     ----------
@@ -608,15 +676,15 @@ class TaylorEngine:
         stack the engine exponentiates.
     mode:
         ``"auto"`` (default) applies :func:`select_taylor_mode`; any
-        explicit mode from that function's vocabulary (plus
-        ``"dense-factors"``) forces the representation.
+        explicit mode from that function's vocabulary forces the
+        representation.
     """
 
     def __init__(self, packed, mode: str = "auto") -> None:
         self.packed = packed
-        # The engine's host state (Gram buffers, CSR values, scaled stacks)
-        # stays NumPy; the stack's array backend is only handed to the
-        # kernels it builds, which transfer their inputs at construction.
+        # The engine's host state (CSR values, densified Psi, scaled
+        # stacks) stays NumPy; the stack's array backend is only handed to
+        # the kernels it builds, which transfer their inputs at construction.
         self.backend = getattr(packed, "backend", NUMPY)
         self.dim = int(packed.dim)
         self.total_rank = int(packed.total_rank)
@@ -628,8 +696,6 @@ class TaylorEngine:
             )
         if mode in ("sparse-psi", "sparse-factors") and not packed.is_sparse:
             raise InvalidProblemError(f"mode {mode!r} requires a sparse factor stack")
-        if mode == "dense-factors" and packed.is_sparse:
-            raise InvalidProblemError("mode 'dense-factors' requires a dense stack")
         self.mode = mode
         self.full_builds = 0
         self.incremental_updates = 0
@@ -637,11 +703,10 @@ class TaylorEngine:
         self.charged_work = 0.0
         self._w_cols: np.ndarray | None = None
         # Weight-dependent state, populated by the first kernel_for call.
-        self._gram: np.ndarray | None = None
         self._psi: np.ndarray | None = None
         self._psi_values: np.ndarray | None = None
         self._psi_csr: sp.csr_matrix | None = None
-        self._qw: np.ndarray | sp.csc_matrix | None = None
+        self._qw: sp.csc_matrix | None = None
         self._q_csc: sp.csc_matrix | None = (
             packed.matrix.tocsc() if packed.is_sparse else None
         )
@@ -671,11 +736,12 @@ class TaylorEngine:
         Only the genuinely path-dependent buffers are captured: the
         ``dense-psi`` matrix and ``sparse-psi`` value vector accumulate
         rank-1 bumps per iteration, so their bits depend on the update
-        history and must round-trip exactly.  The ``gram``/factor-mode
-        buffers are elementwise functions of the expanded column weights
-        (full build and incremental update apply the same per-element
-        product), so :meth:`import_state` rebuilds them from ``w_cols``
-        bit-identically instead of storing them.
+        history and must round-trip exactly.  The ``sparse-factors`` stack
+        is an elementwise function of the expanded column weights (full
+        build and incremental update apply the same per-element product),
+        so :meth:`import_state` rebuilds it from ``w_cols`` bit-identically
+        instead of storing it.  ``gram`` mode has no state (``w_cols`` is
+        ``None``).
         """
         return {
             "mode": self.mode,
@@ -697,15 +763,21 @@ class TaylorEngine:
         }
 
     def import_state(self, state: dict) -> None:
-        """Restore a snapshot produced by :meth:`export_state`."""
+        """Restore a snapshot produced by :meth:`export_state`.
+
+        A ``gram``-mode snapshot written when that mode still kept a Gram
+        buffer carries ``w_cols`` and non-zero counters; the weights are
+        ignored (the mode has no state) and the counters restored as
+        recorded.
+        """
         if state["mode"] != self.mode:
             raise InvalidProblemError(
                 f"cannot import taylor-engine state for mode {state['mode']!r} "
                 f"into an engine in mode {self.mode!r}"
             )
         w_cols = state.get("w_cols")
-        self._w_cols = None if w_cols is None else np.array(w_cols, dtype=np.float64)
-        if self._w_cols is not None:
+        if self.mode != "gram" and w_cols is not None:
+            self._w_cols = np.array(w_cols, dtype=np.float64)
             if self.mode == "dense-psi":
                 self._psi = np.array(state["psi"], dtype=np.float64)
             elif self.mode == "sparse-psi":
@@ -718,20 +790,10 @@ class TaylorEngine:
         self.columns_updated = int(state["columns_updated"])
         self.charged_work = float(state["charged_work"])
 
-    # ------------------------------------------------------------------ charging
-    def _charge(self, work: float, backend) -> None:
-        self.charged_work += work
-        if backend is not None:
-            backend.charge(work, self._depth, label="taylor-engine-update")
-
     # ------------------------------------------------------------------ builds
     def _full_build(self, col_w: np.ndarray) -> float:
         m, r = self.dim, self.total_rank
         packed = self.packed
-        if self.mode == "gram":
-            g0 = packed.gram_matrix()
-            self._gram = g0 * col_w[None, :]
-            return float(m) * r * r + float(r) * r
         if self.mode == "dense-psi":
             from repro.linalg.taylor_blocked import densified_psi
 
@@ -742,25 +804,17 @@ class TaylorEngine:
             self._psi_values = acc.values(col_w)
             self._psi_csr = acc.psi(self._psi_values)
             return float(acc.map_nnz)
-        # Factor modes: keep the scaled stack Q diag(w).
-        if self.mode == "sparse-factors":
-            qw = self._q_csc.copy()
-            # Scale the data array per column in one vectorised pass so the
-            # symbolic pattern (and therefore in-place column updates)
-            # survives zero weights.
-            qw.data *= np.repeat(col_w, np.diff(qw.indptr))
-            self._qw = qw
-            return float(self._q_csc.nnz)
-        self._qw = packed.matrix * col_w
-        return float(m) * r
+        # sparse-factors: keep the scaled stack Q diag(w), scaling the data
+        # array per column in one vectorised pass so the symbolic pattern
+        # (and therefore in-place column updates) survives zero weights.
+        qw = self._q_csc.copy()
+        qw.data *= np.repeat(col_w, np.diff(qw.indptr))
+        self._qw = qw
+        return float(self._q_csc.nnz)
 
     def _update(self, col_w: np.ndarray, active: np.ndarray, delta: np.ndarray) -> float:
         m = self.dim
         a = active.shape[0]
-        if self.mode == "gram":
-            g0 = self.packed.gram_matrix()
-            self._gram[:, active] = g0[:, active] * col_w[active]
-            return float(self.total_rank) * a
         if self.mode == "dense-psi":
             if self.packed.is_sparse:
                 sub = self._q_csc[:, active]
@@ -774,68 +828,61 @@ class TaylorEngine:
             acc = self.packed.psi_accumulator()
             acc.update_values(self._psi_values, active, delta)
             return float(acc.column_cost(active))
-        if self.mode == "sparse-factors":
-            q_csc, qw = self._q_csc, self._qw
-            # One fancy-indexed pass over the active columns' data ranges —
-            # the multi-range gather keeps the update off the Python
-            # per-column path the packed kernels exist to avoid.
-            starts = qw.indptr[active].astype(np.int64)
-            widths = qw.indptr[active + 1].astype(np.int64) - starts
-            touched = int(widths.sum())
-            if touched:
-                before = np.concatenate([[0], np.cumsum(widths)[:-1]])
-                idx = np.arange(touched) + np.repeat(starts - before, widths)
-                qw.data[idx] = q_csc.data[idx] * np.repeat(col_w[active], widths)
-            return float(touched)
-        self._qw[:, active] = self.packed.matrix[:, active] * col_w[active]
-        return float(m) * a
+        # sparse-factors: one fancy-indexed pass over the active columns'
+        # data ranges — the multi-range gather keeps the update off the
+        # Python per-column path the packed kernels exist to avoid.
+        q_csc, qw = self._q_csc, self._qw
+        starts = qw.indptr[active].astype(np.int64)
+        widths = qw.indptr[active + 1].astype(np.int64) - starts
+        touched = int(widths.sum())
+        if touched:
+            before = np.concatenate([[0], np.cumsum(widths)[:-1]])
+            idx = np.arange(touched) + np.repeat(starts - before, widths)
+            qw.data[idx] = q_csc.data[idx] * np.repeat(col_w[active], widths)
+        return float(touched)
 
-    def update_weights(self, col_w: np.ndarray, backend=None) -> None:
-        """Advance the weight-dependent state to ``col_w`` — no kernel built.
-
-        The build/update bookkeeping of :meth:`kernel_for` factored out for
-        callers that already hold the expanded column weights: the batched
-        solver (:func:`repro.core.batch.solve_many`) expands and validates a
-        whole instance group's weight stack in one pass, then advances each
-        engine here and reads the Gram buffers as a stack, so counters and
-        ``taylor-engine-update`` charges evolve exactly as under
-        :meth:`kernel_for`.
-        """
+    def _advance(self, col_w: np.ndarray, backend) -> None:
+        """Move the stateful representation to ``col_w``, charging the work."""
         if self._w_cols is None:
             cost = self._full_build(col_w)
             self.full_builds += 1
-            self._charge(cost, backend)
         else:
             delta = col_w - self._w_cols
             active = np.flatnonzero(delta)
+            cost = 0.0
             if active.shape[0]:
                 cost = self._update(col_w, active, delta[active])
                 self.incremental_updates += 1
                 self.columns_updated += int(active.shape[0])
-                self._charge(cost, backend)
+        if cost:
+            self.charged_work += cost
+            if backend is not None:
+                backend.charge(cost, self._depth, label="taylor-engine-update")
         self._w_cols = col_w
 
     # ------------------------------------------------------------------ kernels
     def kernel_for(self, weights: np.ndarray, backend=None):
         """A Taylor kernel for ``Psi = sum_i weights[i] Q_i Q_i^T``.
 
-        On the first call the engine performs the one full build of its
-        weight-dependent state; on every later call it updates only the
-        columns whose expanded weights changed relative to the previous
-        call, charging ``taylor-engine-update`` work proportional to those
-        active columns on ``backend`` (when given).  The returned kernel is
-        a lightweight view over the engine's buffers — use it before the
-        next ``kernel_for`` call.
+        In ``gram`` mode this is a fresh :class:`GramTaylorKernel` over the
+        cached ``Q^T Q`` — no state, no charge.  In the stateful modes the
+        first call performs the one full build of the weight-dependent
+        state and every later call updates only the columns whose expanded
+        weights changed relative to the previous call, charging
+        ``taylor-engine-update`` work proportional to those active columns
+        on ``backend`` (when given).  The returned kernel is a lightweight
+        view over the engine's buffers — use it before the next
+        ``kernel_for`` call.
         """
         from repro.linalg.taylor_blocked import BlockedTaylorKernel
 
         col_w = self.packed.expand_weights(weights)
-        self.update_weights(col_w, backend=backend)
-
         if self.mode == "gram":
             return GramTaylorKernel(
-                self.packed.matrix, col_w, gram=self._gram, backend=self.backend
+                self.packed.matrix, col_w, gram=self.packed.gram_matrix(),
+                backend=self.backend,
             )
+        self._advance(col_w, backend)
         if self.mode == "dense-psi":
             return BlockedTaylorKernel.from_matrix(self._psi, backend=self.backend)
         if self.mode == "sparse-psi":

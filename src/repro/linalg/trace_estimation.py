@@ -28,9 +28,12 @@ Both estimators target the *same* quantity the identity push measures —
   ``m`` columns.  Selected whenever the stacked rank satisfies
   ``2R <= GRAM_HYSTERESIS * m`` (the same gate as the Gram-space Taylor
   kernel).  The largest ``lambda_j`` is ``||Psi||_2`` exactly, so the
-  fast oracle takes its Lemma 4.2 ``kappa`` from the same
-  eigendecomposition (:attr:`TraceEstimator.spectrum`, computed once per
-  call by :meth:`TraceEstimator.bind`).
+  fast oracle takes its Lemma 4.2 ``kappa`` from the same spectrum
+  (:attr:`TraceEstimator.spectrum`, set once per call by
+  :meth:`TraceEstimator.bind`).  On the Gram Taylor rung that spectrum is
+  the :class:`~repro.linalg.taylor_gram.GramTaylorKernel`'s own ``eigh``,
+  which also yields the Theorem 4.1 estimates, so the call runs one
+  eigendecomposition in all.
 * **Deflated block-Krylov path** (mode ``"deflated"``) — exact.  Writing
   ``p(s Psi) = I + U``, the update ``U`` is symmetric with range contained
   in ``range(Q)`` — the one-step block Krylov subspace of the factor stack
@@ -68,14 +71,12 @@ import scipy.sparse as sp
 
 from repro.backend import NUMPY, get_array_backend
 from repro.exceptions import CheckpointError, InvalidProblemError, NumericalError
-from repro.linalg.taylor_gram import GRAM_HYSTERESIS
+from repro.linalg.taylor_gram import GRAM_HYSTERESIS, GramTaylorKernel, gram_twin
 from repro.robustness.faultinject import fault_hook
 
 __all__ = [
     "TraceEstimate",
     "TraceEstimator",
-    "batched_gram_exp_trace",
-    "batched_gram_spectrum",
     "gram_exp_trace",
     "gram_spectrum",
     "select_trace_mode",
@@ -195,9 +196,7 @@ def gram_spectrum(
     if r == 0:
         return np.zeros(0)
     xp = get_array_backend(backend)
-    root = np.sqrt(col_weights)
-    weighted = gram * root[None, :] * root[:, None]
-    eigenvalues = xp.to_numpy(xp.eigvalsh(xp.asarray(0.5 * (weighted + weighted.T))))
+    eigenvalues = xp.to_numpy(xp.eigvalsh(xp.asarray(gram_twin(gram, col_weights))))
     np.clip(eigenvalues, 0.0, None, out=eigenvalues)
     return eigenvalues
 
@@ -224,7 +223,11 @@ def spectrum_exp_trace(
     values = truncated_exp_values(eigenvalues, degree, scale=scale)
     if squared:
         values = values * values
-    trace = float(dim - r) + float(values.sum())
+    return _finite_trace(float(dim - r) + float(values.sum()))
+
+
+def _finite_trace(trace: float) -> float:
+    """``trace``, or :class:`~repro.exceptions.NumericalError` if it overflowed."""
     if not np.isfinite(trace):
         raise NumericalError(
             "Gram-spectrum trace evaluation overflowed; reduce the spectral "
@@ -252,93 +255,6 @@ def gram_exp_trace(
         gram_spectrum(gram, col_weights, backend=backend),
         dim, degree, scale=scale, squared=squared,
     )
-
-
-def batched_gram_spectrum(gram_stack: np.ndarray, colw_stack: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`gram_spectrum` over ``(B, R, R)`` and ``(B, R)`` stacks.
-
-    Row ``b`` of the ``(B, R)`` result equals ``gram_spectrum(gram_stack[b],
-    colw_stack[b])`` bitwise: the weighting is elementwise (identical
-    floating-point sequences per row) and ``np.linalg.eigvalsh`` on a stack
-    runs the same LAPACK routine per slice.  Rows on which the scalar form
-    would fail (negative weights, a non-finite ``S``, a non-converging
-    eigensolver) come back as ``nan`` instead of raising, so one bad
-    instance cannot poison its batchmates.
-    """
-    batch, r = colw_stack.shape
-    eigenvalues = np.full((batch, r), np.nan)
-    bad = np.any(colw_stack < 0, axis=1)
-    with np.errstate(invalid="ignore", over="ignore"):
-        root = np.sqrt(colw_stack)
-        weighted = gram_stack * root[:, None, :] * root[:, :, None]
-    bad |= ~np.isfinite(weighted).all(axis=(1, 2))
-    good = np.flatnonzero(~bad)
-    if r == 0 or good.size == 0:
-        return eigenvalues
-    sym = 0.5 * (weighted[good] + weighted[good].transpose(0, 2, 1))
-    # The fused batch path is NumPy-resident by contract; the stacked
-    # eigendecomposition routes through the shared NumPy backend object.
-    try:
-        eigenvalues[good] = NUMPY.eigvalsh(sym)
-    except np.linalg.LinAlgError:
-        # Isolate non-converging slices so the rest of the batch survives.
-        for j, b in enumerate(good):
-            try:
-                eigenvalues[b] = NUMPY.eigvalsh(sym[j])
-            except np.linalg.LinAlgError:
-                pass
-    np.clip(eigenvalues, 0.0, None, out=eigenvalues)
-    return eigenvalues
-
-
-def batched_gram_exp_trace(
-    eigenvalues: np.ndarray,
-    dim: int,
-    degrees: np.ndarray,
-    scale: float = 1.0,
-    squared: bool = True,
-) -> np.ndarray:
-    """Vectorised :func:`spectrum_exp_trace` over a ``(B, R)`` spectrum stack.
-
-    Each row ``b`` of the result equals ``spectrum_exp_trace(eigenvalues[b],
-    dim, degrees[b], scale, squared)`` bitwise: the truncated-exponential
-    evaluations are elementwise and the per-row reduction matches the 1-D
-    sum.  ``nan`` spectrum rows (see :func:`batched_gram_spectrum`) and
-    overflowed traces come back as ``nan`` instead of raising — the caller
-    re-solves those rows sequentially to reproduce the exact error.
-    """
-    batch, r = eigenvalues.shape
-    if r > dim:
-        raise InvalidProblemError(
-            f"the Gram-spectrum trace requires R <= m, got R={r}, m={dim}"
-        )
-    traces = np.full(batch, np.nan)
-    good = np.flatnonzero(np.isfinite(eigenvalues).all(axis=1))
-    if good.size == 0:
-        return traces
-    # truncated_exp_values with per-row degrees: run the shared recurrence
-    # to the largest degree, snapshotting each row at its own truncation
-    # point (the elementwise term/acc updates are row-independent).
-    deg_good = np.asarray(degrees, dtype=np.int64)[good]
-    with np.errstate(invalid="ignore", over="ignore"):
-        x = eigenvalues[good] * float(scale)
-        acc = np.ones_like(x)
-        term = np.ones_like(x)
-        values = np.empty_like(x)
-        sel = np.flatnonzero(deg_good == 1)
-        if sel.size:
-            values[sel] = acc[sel]
-        for i in range(1, int(deg_good.max())):
-            term = term * x / i
-            acc = acc + term
-            sel = np.flatnonzero(deg_good == i + 1)
-            if sel.size:
-                values[sel] = acc[sel]
-        if squared:
-            values = values * values
-        traces[good] = float(dim - r) + values.sum(axis=1)
-    traces[~np.isfinite(traces)] = np.nan
-    return traces
 
 
 @dataclass
@@ -489,32 +405,43 @@ class TraceEstimator:
         self._mode_counts = dict(state["mode_counts"])
         self.last = None
 
-    def bind(self, weights: np.ndarray) -> "TraceEstimator":
+    def bind(
+        self, weights: np.ndarray, spectrum: np.ndarray | None = None
+    ) -> "TraceEstimator":
         """Bind the per-constraint weights of the current oracle call.
 
-        In mode ``"gram"`` this computes :attr:`spectrum` — the one
-        ``R x R`` eigendecomposition of the call, from which the oracle
-        takes its Lemma 4.2 ``kappa`` before the Taylor apply and the Gram
-        trace estimate its value after it.  Returns ``self`` so the oracle
-        can hand the bound estimator straight to
-        :func:`~repro.core.dotexp.big_dot_exp` (which has no weight
-        argument of its own — the weights are exactly what generated its
-        ``phi``).
+        In mode ``"gram"`` this sets :attr:`spectrum` — from which the
+        oracle takes its Lemma 4.2 ``kappa`` before the Taylor step and the
+        Gram trace estimate its value after it: the given ``spectrum``
+        (the Gram Taylor kernel's, on the Gram rung), else one ``R x R``
+        ``eigvalsh``.  Returns ``self`` so the oracle can hand the bound
+        estimator straight to :func:`~repro.core.dotexp.big_dot_exp`
+        (which has no weight argument of its own — the weights are exactly
+        what generated its ``phi``).
         """
-        col_w = self.packed.expand_weights(weights)
-        self.spectrum = (
-            gram_spectrum(self.packed.gram_matrix(), col_w, backend=self.backend)
-            if self.mode == "gram" else None
-        )
+        if self.mode != "gram":
+            self.spectrum = None
+        elif spectrum is not None:
+            self.spectrum = spectrum
+        else:
+            self.spectrum = gram_spectrum(
+                self.packed.gram_matrix(), self.packed.expand_weights(weights),
+                backend=self.backend,
+            )
         return self
 
     # ------------------------------------------------------------------ modes
-    def _gram_estimate(self, degree: int, scale: float) -> TraceEstimate:
+    def _gram_estimate(self, kernel, degree: int, scale: float) -> TraceEstimate:
         if self.spectrum is None:
             raise InvalidProblemError(
                 "bind(weights) must be called before a Gram trace estimate"
             )
-        value = spectrum_exp_trace(self.spectrum, self.dim, degree, scale=scale)
+        if isinstance(kernel, GramTaylorKernel):
+            # The Gram rung's spectrum is the kernel's, which has already
+            # evaluated p on it for the estimates.
+            value = _finite_trace(kernel.exp_trace(degree, scale))
+        else:
+            value = spectrum_exp_trace(self.spectrum, self.dim, degree, scale=scale)
         r = self.total_rank
         return TraceEstimate(
             value=value, mode="gram", extra_work=float(r) ** 3 + float(r) * degree
@@ -603,7 +530,7 @@ class TraceEstimator:
             )
         self.calls += 1
         if self.mode == "gram":
-            result = self._gram_estimate(degree, scale)
+            result = self._gram_estimate(kernel, degree, scale)
         else:
             result = self._deflated_estimate(kernel, degree, scale, transformed_factors)
         return self._book(result)
@@ -613,8 +540,9 @@ class TraceEstimator:
 
         :func:`~repro.core.batch.solve_many` computes a whole instance
         group's spectra in one stacked eigendecomposition
-        (:func:`batched_gram_spectrum`) and their traces with
-        :func:`batched_gram_exp_trace`, then books each row here so
+        (:func:`~repro.linalg.taylor_gram.batched_gram_eigh`) and their
+        traces with :func:`~repro.linalg.taylor_gram.spectral_evaluation`,
+        then books each row here so
         counters, work charges and :attr:`last` advance exactly as a
         :meth:`estimate` call in mode ``"gram"`` would have.
         """

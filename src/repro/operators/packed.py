@@ -311,10 +311,10 @@ class PackedGramFactors:
     def gram_matrix(self) -> np.ndarray:
         """Dense ``(R, R)`` Gram matrix ``Q^T Q`` of the stack (cached).
 
-        Weight-independent: the Gram-space kernel's ``G = (Q^T Q) diag(w)``
-        is a column rescale of this matrix, which is how
-        :class:`~repro.linalg.taylor_gram.TaylorEngine` maintains ``G``
-        across solver iterations by touching only the active columns.
+        Weight-independent: every call's Gram twin
+        ``S = W^{1/2} (Q^T Q) W^{1/2}`` (the Gram-space kernel's
+        eigendecomposition, the Gram trace estimator and the fused batch)
+        is an elementwise rescale of this matrix.
         """
         if self._gram_cache is None:
             if self.total_rank == 0:

@@ -298,7 +298,7 @@ def consume_plan_usage(usage: list[dict]) -> None:
 
 #: Instrumented production sites and the failure classes they accept.
 SITES = {
-    "taylor_gram.apply": "Gram-space fused Taylor kernel output (NaN / Overflow)",
+    "taylor_gram.apply": "Gram-space Taylor kernel and fused-batch column values (NaN / Overflow)",
     "taylor_blocked.apply": "blocked fused Taylor kernel output (NaN / Overflow)",
     "taylor.reference": "reference per-term Taylor apply output (NaN / Overflow)",
     "lanczos": "ARPACK top-eigenvalue call (NonConvergent)",

@@ -23,7 +23,7 @@ from repro.core.decision import DecisionOptions, decision_psdp
 from repro.exceptions import BackendError, InvalidProblemError
 from repro.linalg.psd import random_psd
 from repro.linalg.taylor_blocked import blocked_taylor_apply
-from repro.linalg.taylor_gram import GramTaylorKernel, gram_taylor_apply
+from repro.linalg.taylor_gram import GramTaylorKernel
 from repro.linalg.trace_estimation import gram_exp_trace
 from repro.operators.collection import ConstraintCollection
 from repro.operators.packed import PackedGramFactors
@@ -225,9 +225,14 @@ def test_gram_taylor_apply_conformance(backend):
     q = rng.standard_normal((12, 4))
     col_w = rng.uniform(0.0, 1.0, size=4)
     block = rng.standard_normal((12, 5))
-    want = gram_taylor_apply(q, col_w, block, degree=7, scale=0.5)
-    got = gram_taylor_apply(q, col_w, block, degree=7, scale=0.5, backend=backend)
-    _assert_matches(backend, got, want)
+    ref = GramTaylorKernel(q, col_w)
+    ker = GramTaylorKernel(q, col_w, backend=backend)
+    _assert_matches(
+        backend, ker.apply(block, degree=7, scale=0.5), ref.apply(block, degree=7, scale=0.5)
+    )
+    _assert_matches(
+        backend, ker.factor_column_values(7, scale=0.5), ref.factor_column_values(7, scale=0.5)
+    )
 
 
 def test_gram_kernel_matvec_conformance(backend):

@@ -172,6 +172,37 @@ class TestBatchedEquivalence:
         factories = [(lambda s=s: factory(s)) for s in range(4)]
         assert_batch_matches(factories, fast_opts())
 
+    def test_mixed_degree_group_matches_sequential(self, monkeypatch):
+        # Strict runs at scales 0.35 and 0.2 in one fused group: the
+        # smaller-scale instances qualify more often, so their Psi passes
+        # ||Psi|| = 2 (Taylor degree 9) while their batchmates are still at
+        # degree 8 — each row's column values at its own degree.
+        import repro.core.batch as batch
+
+        degrees = []
+        real = batch.spectral_evaluation
+
+        def spy(*args, **kwargs):
+            values, traces = real(*args, **kwargs)
+            # Selection rarely flips on one Taylor term, so compare each
+            # row with the one-row call the sequential kernel makes.
+            for b in range(values.shape[0]):
+                row = real(*(a[b:b + 1] for a in args[:5]), *args[5:], **kwargs)
+                assert np.array_equal(values[b], row[0][0]), f"row {b} of {args[4]}"
+                assert traces[b] == row[1][0], f"trace {b} of {args[4]}"
+            degrees.append(np.array(args[4]))
+            return values, traces
+
+        monkeypatch.setattr(batch, "spectral_evaluation", spy)
+        factories = [
+            (lambda s=s: factorized_family(s, n=8, m=32, rank=2, scale=(0.35, 0.2)[s % 2]))
+            for s in range(4)
+        ]
+        opts = fast_opts(epsilon=0.5, strict=True, max_iterations=300)
+        results = solve_many([f() for f in factories], options=opts)
+        assert any(np.unique(d).size > 1 for d in degrees)
+        assert_batch_matches(factories, opts, results)
+
     def test_ragged_shapes_in_one_call(self):
         # Two fused groups of different shape, a gate fallback, and two
         # non-factorized fallbacks, all in one solve_many call: results

@@ -147,8 +147,12 @@ class TestCaptureSemantics:
             (lambda oracle: oracle.update(engine_enabled=False), "per-call blocked"),
             (lambda oracle: oracle["trace"].update(mode="hutchinson"), "no longer exists"),
             (lambda oracle: oracle.update(trace=None), "without a trace estimator"),
+            (lambda oracle: oracle["engine"].update(mode="dense-factors"), "Taylor engine"),
         ],
-        ids=["engine-off-blocked-on", "stochastic-trace", "no-trace-estimator"],
+        ids=[
+            "engine-off-blocked-on", "stochastic-trace", "no-trace-estimator",
+            "dense-factors-engine",
+        ],
     )
     def test_resume_rejects_removed_oracle_options(self, edit, match):
         # Version-1 oracle payloads that only a removed fast-oracle option

@@ -211,13 +211,27 @@ def _concentrated_sparse_collection(seed=31, m=60, n=40, support=10, col_nnz=8):
 
 
 class TestTaylorEngineRegressions:
-    """The rank-adaptive engine must update incrementally — one full build,
-    then work proportional to the active columns."""
+    """The stateful engine modes must update incrementally — one full build,
+    then work proportional to the active columns; the stateless Gram mode
+    must charge nothing."""
 
     def test_gram_engine_charges_proportional_work(self):
-        coll = _factorized_collection(seed=41, m=40, n=10)  # R = 20 <= m/2
+        # The Gram mode evaluates each call on its own eigendecomposition:
+        # no buffer, so no build, no update and no charge.
+        gram = decision_psdp(
+            _factorized_collection(seed=41, m=40, n=10),  # R = 20 <= m/2
+            epsilon=0.25, oracle="fast", rng=3, max_iterations=25,
+        )
+        stats = gram.metadata["taylor_engine"]
+        assert stats["mode"] == "gram"
+        assert stats["full_builds"] == stats["incremental_updates"] == 0
+        assert stats["columns_updated"] == 0 and stats["charged_work"] == 0.0
+        assert "taylor-engine-update" not in gram.work_depth.by_label
+        # The dense-psi buffer (R = 32 is past the Gram gate at m = 24) keeps
+        # the proportional discipline.
+        m = 24
         result = decision_psdp(
-            coll,
+            _factorized_collection(seed=41, m=m, n=16),
             epsilon=0.25,
             oracle="fast",
             rng=3,
@@ -225,7 +239,7 @@ class TestTaylorEngineRegressions:
             collect_history=True,
         )
         stats = result.metadata["taylor_engine"]
-        assert stats["mode"] == "gram"
+        assert stats["mode"] == "dense-psi"
         assert stats["full_builds"] == 1
         assert stats["incremental_updates"] == result.iterations - 1
         # Every oracle call after the first sees exactly the coordinates the
@@ -234,14 +248,12 @@ class TestTaylorEngineRegressions:
         # full rebuild would touch all R columns every time.
         history_updates = [rec.updated for rec in result.history]
         assert stats["columns_updated"] == 2 * sum(history_updates[:-1])
-        # The tracker's label records the same charges: full Gram build plus
-        # the exact per-column update rate (R per touched column).
+        # The tracker's label records the same charges: full Psi build plus
+        # the exact per-column update rate (m^2 per touched column).
         charged = result.work_depth.by_label["taylor-engine-update"]
         assert charged == pytest.approx(stats["charged_work"])
-        total_rank = stats["total_rank"]
-        full_build = 40 * total_rank**2 + total_rank**2
         assert charged == pytest.approx(
-            full_build + total_rank * stats["columns_updated"]
+            m * m * (stats["total_rank"] + stats["columns_updated"])
         )
 
     def test_sparse_psi_engine_charges_proportional_work(self):
@@ -271,16 +283,17 @@ class TestTaylorEngineRegressions:
         assert incremental <= per_column_cap * stats["columns_updated"] * 1.0001
 
     def test_phased_solver_surfaces_engine_stats(self):
-        coll = _factorized_collection(seed=43, m=40, n=10)
-        result = decision_psdp_phased(
-            coll, epsilon=0.3, oracle="fast", rng=7, max_iterations=15
-        )
-        stats = result.metadata["taylor_engine"]
-        assert stats["full_builds"] == 1
-        assert stats["mode"] == "gram"
-        assert result.work_depth.by_label["taylor-engine-update"] == pytest.approx(
-            stats["charged_work"]
-        )
+        for m, n, mode in ((24, 16, "dense-psi"), (40, 10, "gram")):
+            coll = _factorized_collection(seed=43, m=m, n=n)
+            result = decision_psdp_phased(
+                coll, epsilon=0.3, oracle="fast", rng=7, max_iterations=15
+            )
+            stats = result.metadata["taylor_engine"]
+            assert stats["mode"] == mode
+            assert stats["full_builds"] == int(mode != "gram")
+            charged = result.work_depth.by_label.get("taylor-engine-update", 0.0)
+            assert charged == pytest.approx(stats["charged_work"])
+            assert (charged > 0) == (mode != "gram")
 
     def test_exact_oracle_has_no_engine_metadata(self, small_collection):
         result = decision_psdp(small_collection, epsilon=0.3, max_iterations=4)

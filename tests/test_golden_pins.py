@@ -166,18 +166,30 @@ def test_every_case_is_pinned():
     [
         (decision_psdp, "checkpoint_v1_psdp.npz", "resume-psdp-fast"),
         (decision_psdp_phased, "checkpoint_v1_phased.npz", "resume-phased-fast"),
+        (decision_psdp, "checkpoint_v1_gram.npz", "resume-solve-many"),
     ],
 )
 def test_version_1_archive_resumes_to_pinned_result(solver, archive, case):
-    # The archives are the budget checkpoints of the two resume cases above,
-    # saved in format version 1; loading one and resuming must land on the
-    # same pinned result as resuming the in-memory capture.
+    # The archives are budget checkpoints of the resume cases above, saved in
+    # format version 1; loading one and resuming must land on the same
+    # pinned result as resuming the in-memory capture.
     from repro.core.checkpoint import SolverCheckpoint
 
     ckpt = SolverCheckpoint.load(os.path.join(os.path.dirname(PINS_PATH), "data", archive))
-    options = dict(oracle="fast", collect_history=solver is decision_psdp, **BASE)
-    result = solver(family(), resume_from=ckpt, **options)
-    assert_pin(pin(result), _load_pins()[case][1], f"{archive} resumed")
+    if case == "resume-solve-many":
+        # Instance 0 of the fused group, captured while the Gram engine
+        # still kept a buffer: its payload carries w_cols and counters, and
+        # its tracker the engine-update work charged before the capture.
+        result = decision_psdp(family(m=32, seed=0), oracle="fast", resume_from=ckpt, **BASE)
+        actual, expected = pin(result), _load_pins()[case][4]
+        assert actual["by_label"].pop("taylor-engine-update") == ckpt.tracker["by_label"][
+            "taylor-engine-update"
+        ]
+    else:
+        options = dict(oracle="fast", collect_history=solver is decision_psdp, **BASE)
+        result = solver(family(), resume_from=ckpt, **options)
+        actual, expected = pin(result), _load_pins()[case][1]
+    assert_pin(actual, expected, f"{archive} resumed")
 
 
 if __name__ == "__main__":

@@ -1,11 +1,11 @@
 """Tests for repro.linalg.taylor_gram (the rank-adaptive exponential engine).
 
-Every representation the engine can select — Gram-space, densified ``Psi``,
-sparse-CSR ``Psi``, scaled factor recurrence — must evaluate exactly the
-same Lemma 4.2 polynomial as the per-term reference
-:func:`repro.linalg.taylor.taylor_expm_apply`, and the incremental engine
+Every representation the engine can select — Gram-twin spectrum, densified
+``Psi``, sparse-CSR ``Psi``, scaled factor recurrence — must evaluate exactly
+the same Lemma 4.2 polynomial as the per-term reference
+:func:`repro.linalg.taylor.taylor_expm_apply`; the stateful engine modes
 must reach the same state as a from-scratch build while touching only the
-active columns.
+active columns, and the stateless Gram mode must charge nothing.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.exceptions import InvalidProblemError, NumericalError
-from repro.linalg.taylor import taylor_expm_apply
+from repro.linalg.taylor import taylor_degree, taylor_expm_apply
 from repro.linalg.taylor_blocked import BlockedTaylorKernel
 from repro.linalg.taylor_gram import (
     GRAM_HYSTERESIS,
@@ -23,7 +23,6 @@ from repro.linalg.taylor_gram import (
     GramTaylorKernel,
     SparsePsiAccumulator,
     TaylorEngine,
-    gram_taylor_apply,
     select_taylor_mode,
 )
 from repro.operators import ConstraintCollection, FactorizedPSDOperator, PackedGramFactors
@@ -93,7 +92,7 @@ class TestGramKernelEquivalence:
         m, r = 18, 5
         q = _stack(m, r, seed=13)
         w = np.random.default_rng(14).random(r)
-        gram = (q.T @ q) * w
+        gram = q.T @ q
         block = np.random.default_rng(15).standard_normal((m, 3))
         np.testing.assert_array_equal(
             GramTaylorKernel(q, w, gram=gram).apply(block, 12),
@@ -145,13 +144,49 @@ class TestGramKernelEquivalence:
         kernel.apply(np.ones(m), 4)
         assert kernel.matvec_count == 5 * 6 + 3
 
-    def test_convenience_wrapper(self):
-        q = _stack(12, 3, seed=28)
-        block = np.random.default_rng(29).standard_normal((12, 2))
-        np.testing.assert_array_equal(
-            gram_taylor_apply(q, np.ones(3), block, 9),
-            GramTaylorKernel(q, np.ones(3)).apply(block, 9),
-        )
+    @pytest.mark.parametrize(
+        "case", ["zero-weights", "rank-deficient", "lambda-max-16", "sparse", "float32"]
+    )
+    def test_spectral_edge_cases_match_dense_psi(self, case):
+        # Apply and factor-column values against the dense-psi recurrence,
+        # per column; the float32 case runs both kernels in float32.
+        m, r = 24, 8
+        rng = np.random.default_rng(31)
+        q = _stack(m, r, seed=32, sparse=case == "sparse", density=0.3)
+        w = rng.random(r) + 0.1
+        degree, tol = 14, 1e-10
+        if case == "zero-weights":
+            w = np.zeros(r)
+        elif case == "rank-deficient":
+            q[:, 1] = q[:, 0]
+        elif case == "lambda-max-16":
+            w *= 16.0 / np.linalg.eigvalsh(_psi_of(q, w))[-1]
+            degree = taylor_degree(8.0, 0.01)
+            assert degree >= 60
+        elif case == "float32":
+            q, w, tol = q.astype(np.float32), w.astype(np.float32), 1e-4
+        dtype = np.float32 if case == "float32" else np.float64
+        gram = GramTaylorKernel(q, w)
+        dense = BlockedTaylorKernel(q, w, densify=True)
+        block = rng.standard_normal((m, 5)).astype(dtype)
+        q_cols = q.toarray() if sp.issparse(q) else q
+        transformed = dense.apply(q_cols, degree, scale=0.5)
+        pairs = [
+            (gram.apply(block, degree, scale=0.5), dense.apply(block, degree, scale=0.5)),
+            (
+                gram.factor_column_values(degree, scale=0.5)[None, :],
+                np.einsum("ij,ij->j", transformed, transformed)[None, :],
+            ),
+        ]
+        for got, want in pairs:
+            assert got.dtype == dtype
+            assert np.all(np.isfinite(got))
+            scale = np.maximum(np.abs(want).max(axis=0), 1.0)
+            assert np.all(np.abs(got - want).max(axis=0) <= tol * scale)
+        if case == "zero-weights":
+            np.testing.assert_array_equal(gram.apply(block, degree, scale=0.5), block)
+        if case == "rank-deficient":
+            assert gram.spectrum[0] <= 1e-12 * gram.spectrum[-1]
 
     def test_validation(self):
         q = _stack(8, 2, seed=30)
@@ -326,7 +361,6 @@ class TestTaylorEngine:
             ("gram", True),
             ("dense-psi", False),
             ("dense-psi", True),
-            ("dense-factors", False),
             ("sparse-factors", True),
             ("sparse-psi", True),
         ],
@@ -350,31 +384,38 @@ class TestTaylorEngine:
             x = x.copy()
             x[rng.integers(0, 8)] *= 1.4
             x[rng.integers(0, 8)] = 0.0
-        assert engine.full_builds == 1
-        assert engine.incremental_updates >= 1
+        # The Gram mode keeps no state; every other mode builds once.
+        assert engine.full_builds == (0 if mode == "gram" else 1)
+        assert (engine.incremental_updates >= 1) == (mode != "gram")
 
     def test_updates_touch_only_active_columns(self):
         packed = _packed(10, 40, seed=53)  # R = 20 <= m/2 -> gram
-        engine = TaylorEngine(packed)
-        assert engine.mode == "gram"
+        gram = TaylorEngine(packed)
+        engine = TaylorEngine(packed, mode="dense-psi")
+        assert gram.mode == "gram"
         x = np.random.default_rng(54).random(10)
-        engine.kernel_for(x)
         x2 = x.copy()
         x2[3] *= 2.0
-        engine.kernel_for(x2)
+        for weights in (x, x2):
+            engine.kernel_for(weights)
+            gram.kernel_for(weights)
         assert engine.full_builds == 1
         assert engine.incremental_updates == 1
         assert engine.columns_updated == int(packed.ranks[3])
         # Unchanged weights: no update at all.
         engine.kernel_for(x2)
         assert engine.incremental_updates == 1
+        # The Gram mode has nothing to update.
+        assert gram.stats() == TaylorEngine(packed).stats()
 
     def test_charges_backend_proportionally(self):
         packed = _packed(10, 40, seed=55)
-        engine = TaylorEngine(packed)
+        engine = TaylorEngine(packed, mode="dense-psi")
         tracker = WorkDepthTracker()
         backend = SerialBackend(tracker=tracker)
         x = np.random.default_rng(56).random(10)
+        TaylorEngine(packed).kernel_for(x, backend=backend)
+        assert "taylor-engine-update" not in tracker.by_label  # Gram: no charge
         engine.kernel_for(x, backend=backend)
         full_charge = tracker.by_label["taylor-engine-update"]
         x2 = x.copy()
@@ -383,7 +424,7 @@ class TestTaylorEngine:
         incremental = tracker.by_label["taylor-engine-update"] - full_charge
         # One active constraint of rank 2 out of R=20 columns: the update
         # charge must be the per-column rate, not another full build.
-        assert incremental == pytest.approx(engine.total_rank * packed.ranks[0])
+        assert incremental == pytest.approx(engine.dim**2 * packed.ranks[0])
         assert incremental < full_charge
         assert tracker.by_label["taylor-engine-update"] == engine.charged_work
 
@@ -400,9 +441,8 @@ class TestTaylorEngine:
             TaylorEngine(dense, mode="sparse-psi")
         with pytest.raises(InvalidProblemError):
             TaylorEngine(dense, mode="bogus")
-        sparse = _packed(4, 12, sparse=True, seed=58)
         with pytest.raises(InvalidProblemError):
-            TaylorEngine(sparse, mode="dense-factors")
+            TaylorEngine(dense, mode="dense-factors")  # no longer a mode
 
 
 class TestOracleIntegration:
@@ -426,19 +466,22 @@ class TestOracleIntegration:
         np.testing.assert_allclose(fused, loop, rtol=1e-10, atol=1e-12)
 
     def test_oracle_reuses_engine_across_calls(self):
-        coll = self._collection()
-        oracle = FastDotExpOracle(coll, eps=0.1, rng=20)
-        x = np.random.default_rng(63).random(len(coll)) / len(coll)
-        assert oracle.taylor_engine is None
-        oracle(np.zeros((coll.dim, coll.dim)), x)
-        engine = oracle.taylor_engine
-        assert engine is not None and engine.full_builds == 1
-        x2 = x.copy()
-        x2[4] *= 1.2
-        oracle(np.zeros((coll.dim, coll.dim)), x2)
-        assert oracle.taylor_engine is engine
-        assert engine.full_builds == 1
-        assert engine.incremental_updates == 1
+        for n, m, mode in ((16, 24, "dense-psi"), (10, 40, "gram")):
+            coll = self._collection(n=n, m=m)
+            oracle = FastDotExpOracle(coll, eps=0.1, rng=20)
+            x = np.random.default_rng(63).random(len(coll)) / len(coll)
+            assert oracle.taylor_engine is None
+            oracle(np.zeros((coll.dim, coll.dim)), x)
+            engine = oracle.taylor_engine
+            assert engine is not None and engine.mode == mode
+            x2 = x.copy()
+            x2[4] *= 1.2
+            oracle(np.zeros((coll.dim, coll.dim)), x2)
+            assert oracle.taylor_engine is engine
+            # dense-psi builds once, then updates; the Gram mode keeps no state.
+            stateful = mode != "gram"
+            assert engine.full_builds == int(stateful)
+            assert engine.incremental_updates == int(stateful)
 
     def test_oracles_own_their_engines(self):
         coll = self._collection()
@@ -449,8 +492,7 @@ class TestOracleIntegration:
         second(np.zeros((coll.dim, coll.dim)), x)
         assert second.packed is first.packed
         assert second.taylor_engine is not first.taylor_engine
-        assert first.taylor_engine.full_builds == 1
-        assert second.taylor_engine.full_builds == 1
+        assert first.taylor_engine.mode == second.taylor_engine.mode == "gram"
 
 
 class TestSelectionCostModel:
@@ -472,7 +514,6 @@ class TestSelectionCostModel:
 
         assert taylor_mode_cost("gram", 100, 20, 0) == 400
         assert taylor_mode_cost("dense-psi", 100, 20, 0) == 10000
-        assert taylor_mode_cost("dense-factors", 100, 20, 0) == 4000
         assert taylor_mode_cost("sparse-factors", 100, 20, 500) == pytest.approx(
             2 * 500 * SPARSE_GEMM_DISCOUNT
         )
