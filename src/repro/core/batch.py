@@ -30,7 +30,7 @@ Instances are grouped by ``(m, n, ranks)``; each shape-homogeneous group
 runs the fused loop when the options and the instance land on the fast
 oracle's degenerate-sketch Gram path (see ``_fused_key``).  Everything
 else — exact oracles, history collection, custom backends, sparse stacks,
-shapes past the dense-eigensolver cutoff — transparently falls back to
+shapes past the Gram gate — transparently falls back to
 per-instance :func:`~repro.core.decision.decision_psdp` calls with the
 same per-index rng streams, so the contract above holds unconditionally.
 
@@ -89,13 +89,6 @@ from repro.utils.random_utils import RandomState
 
 __all__ = ["instance_rng", "solve_many"]
 
-#: ``top_eigenvalue``'s dense-eigensolver cutoff: at ``m`` at or below it
-#: every ``lambda_max`` is an exact ``eigvalsh``.  Lanczos above it starts
-#: from each run's own spawned generator, so lockstep order could not
-#: perturb it either; the fusion gate stays at this bound because moving
-#: it would change which requests fuse.
-_DENSE_EIG_CUTOFF = 64
-
 
 def instance_rng(rng: RandomState, index: int) -> np.random.SeedSequence:
     """The rng stream of instance ``index`` under :func:`solve_many`.
@@ -133,11 +126,12 @@ def _fused_key(
     The fused loop reproduces the sequential solver bit-for-bit only on the
     configuration the batched kernels mirror: the fast oracle's
     degenerate-sketch Gram path over dense exact-factor stacks, implicit
-    psi state, no history/primal tracking, no wall clock (the
+    psi state, no history/primal tracking and no wall clock (the
     per-iteration elapsed() reads would diverge between lockstep and
-    sequential runs), and ``m`` at most :data:`_DENSE_EIG_CUTOFF`.  The
-    gate reads the collection's own packed view; building it changes no
-    later solve's bits.
+    sequential runs).  Every ``lambda_max`` runs on each instance's own
+    run and its own spawned generator, so ``m`` needs no gate of its own.
+    The gate reads the collection's own packed view; building it changes
+    no later solve's bits.
     """
     if not (isinstance(opts.oracle, str) and opts.oracle == "fast"):
         return None
@@ -167,9 +161,7 @@ def _fused_key(
     if packed.is_sparse:
         return None
     m = constraints.dim
-    if not (0 < m <= _DENSE_EIG_CUTOFF):
-        return None
-    if packed.total_rank <= 0:
+    if m <= 0 or packed.total_rank <= 0:
         return None
     if packed.auto_taylor_mode() != "gram":
         return None

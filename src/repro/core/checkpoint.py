@@ -4,7 +4,7 @@ A :class:`SolverCheckpoint` captures everything a decision solve needs to
 continue **bit-identically**: the weight vector and iteration index, the
 solver's loop accumulators (primal averages, last oracle values, the phased
 solver's mid-phase mask), the psi-state's incrementally-maintained buffers
-and warm-start vectors, the fast oracle's sketch rng / Taylor-engine
+and the Lanczos start-vector stream, the fast oracle's sketch rng / Taylor-engine
 buffers / trace-estimator stream position, the supervisor's
 ladder position and recovery-event trail, and the work–depth totals.  The
 contract — certified by the chaos suite — is::

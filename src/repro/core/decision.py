@@ -50,9 +50,9 @@ dense state reproduces the seed semantics bit-for-bit.  With the fast
 oracle on exact-factor collections the *implicit* state is selected
 automatically (``DecisionOptions.psi_state = "auto"``): the loop then
 never materialises ``Psi`` — weight updates are ``O(n)`` vector updates,
-history records and certificate checks estimate ``lambda_max`` by Lanczos
-through the factored matvec at ``O((mR + nnz) * sweeps)`` with a
-warm-started vector carried across iterations, primal tracking accumulates
+history records and certificate checks take a certified ``lambda_max``
+bound from the smaller Gram twin by the fast oracle's own kappa rule (seeded
+Lanczos through the factored matvec above the cutoff), primal tracking accumulates
 the oracle's *dots vector* (the segment-summed ``||Pi exp(Psi/2) Q_i||_F^2``
 estimates of ``constraints.dots(P(t))``) instead of ``(m, m)`` densities,
 and ``primal_y`` is densified at most once, on demand, when a caller
@@ -425,11 +425,11 @@ class DecisionRun:
         self.history = ConvergenceHistory() if opts.collect_history else None
         self.log_depth = math.log2(max(n, 2)) + math.log2(max(m, 2))
 
-        # Top-eigenvalue estimation (certificate checks, history, final dual
-        # rescaling) lives on the PsiState and is charged at its *measured*
-        # sweep count.  The generator is spawned, not shared: consuming the
-        # oracle's stream here would make sketch draws depend on
-        # history/certificate cadence.
+        # The certified lambda_max bound (certificate checks, history, final
+        # dual rescaling) lives on the PsiState and is charged at what it
+        # measured.  The generator (Lanczos starts above the cutoff) is
+        # spawned, not shared: consuming the oracle's stream here would make
+        # sketch draws depend on history/certificate cadence.
         self.eig_rng = spawn_generators(opts.rng, 1)[0]
         # --- initialisation (Claim 3.3): x_i(0) = 1 / (n Tr[A_i]) ------------
         state = make_psi_state(
@@ -620,9 +620,10 @@ class DecisionRun:
     def loop_exit(self) -> DecisionResult:
         """Lines 7-10, once the loop condition fails.
 
-        ``||x||_1 > K`` returns the dual (rescaled by the measured
-        ``lambda_max``, which Lemma 3.2 bounds by ``(1 + 10 eps) K``, so the
-        value is at least the paper's ``1 - 10 eps``); hitting ``R``
+        ``||x||_1 > K`` returns the dual (rescaled by the certified
+        ``lambda_max`` bound, which Lemma 3.2 puts near ``(1 + 10 eps) K``, so
+        the value is at least the paper's ``1 - 10 eps`` up to the bound's
+        ``1e-9`` slack); hitting ``R``
         returns the averaged densities as the primal (the final iterate's
         density when nothing was averaged).
         """
@@ -640,10 +641,10 @@ class DecisionRun:
         """Make the run's :class:`DecisionResult`; every exit ends here.
 
         Always reports a *feasible* dual candidate by rescaling ``x`` with
-        the measured ``lambda_max``: if ``lambda_max(sum_i x_i A_i) = lam >
-        0`` then ``x / lam`` is feasible with value ``||x||_1 / lam`` — for
-        budget-exhausted partial duals too.  The certificate is measured on
-        the returned object, never extrapolated; if even the exact rung
+        the certified bound ``lam >= lambda_max(sum_i x_i A_i)``: ``x / lam``
+        is feasible with value ``||x||_1 / lam``, without any tolerance —
+        for budget-exhausted partial duals too.  The certificate is measured
+        on the returned object, never extrapolated; if even the exact rung
         fails the dual side is reported ``nan`` and the status ``FAILED``.
 
         ``primal_final`` makes the current iterate's density the primal

@@ -25,8 +25,8 @@ Like the phase-less solver, the iteration core is matrix-free on the
 fast-oracle path: ``Psi`` lives behind a
 :class:`~repro.core.psi_state.PsiState`, and with the implicit state the
 phase boundaries estimate the density's trace products from the oracle's
-engine-applied factor stack (the values vector) and ``lambda_max`` by
-warm-started Lanczos through the factored matvec — the per-phase
+engine-applied factor stack (the values vector) and ``lambda_max`` as the
+certified bound from the smaller Gram twin — the per-phase
 ``O(m^3)`` ``expm_normalized`` of the dense path disappears, and
 ``primal_y`` is densified at most once, on demand, when read off the
 result.  The fast oracle's structured trace estimator

@@ -29,7 +29,9 @@ Lemma 4.2's degree ``k = max(e^2 kappa, ln(2/eps))`` is only valid for
 ``kappa >= ||Phi||_2``, so every ``kappa`` comes from an exact spectrum
 (:func:`~repro.linalg.norms.certified_kappa`).  Each fast-oracle call runs
 eig → kappa → degree → apply → trace, and in Gram trace mode the kappa and
-the trace share one ``R x R`` eigendecomposition.
+the trace share one ``R x R`` eigendecomposition.  Without a spectrum of
+its own a call reads :func:`~repro.linalg.trace_estimation.lambda_max_source`,
+the rule the implicit psi state's ``lambda_max`` bound reads too.
 
 Packed estimates
 ----------------
@@ -107,15 +109,15 @@ import scipy.sparse as sp
 from repro.exceptions import CheckpointError, InvalidProblemError
 from repro.instrumentation.counters import OracleCounters
 from repro.linalg.expm import expm_normalized
-from repro.linalg.norms import KAPPA_EIG_CUTOFF, certified_kappa
+from repro.linalg.norms import certified_kappa
 # Nothing here calls the power iteration any more; the name stays importable
 # because perfbench/tracing.py patches it at this module.
 from repro.linalg.norms import spectral_norm_power  # noqa: F401
 from repro.linalg.sketching import gaussian_sketch, jl_dimension
 from repro.linalg.taylor import taylor_degree, taylor_expm_apply
-from repro.linalg.taylor_blocked import BlockedTaylorKernel, densified_psi
+from repro.linalg.taylor_blocked import BlockedTaylorKernel
 from repro.linalg.taylor_gram import GramTaylorKernel, TaylorEngine
-from repro.linalg.trace_estimation import TraceEstimator, gram_spectrum
+from repro.linalg.trace_estimation import TraceEstimator, lambda_max_source
 from repro.operators.collection import ConstraintCollection
 from repro.operators.packed import PackedGramFactors, segment_sums
 from repro.backend import get_array_backend
@@ -620,32 +622,17 @@ class FastDotExpOracle:
         """Lemma 4.2's ``kappa`` for this call, from an exact spectrum.
 
         With the call's Gram-twin ``spectrum`` (the Gram kernel's, or the
-        bound tracer's in Gram trace mode) it is its top entry.  Otherwise,
-        with ``d = min(m, R)`` at most
-        :data:`~repro.linalg.norms.KAPPA_EIG_CUTOFF`, one ``eigvalsh`` of
-        the smaller Gram twin: ``S`` from the packed view's cached
-        ``Q^T Q`` when ``R <= m`` (draws no randomness), else the ``m x m``
-        ``Psi`` — the dense-psi engine's buffer or a densified copy.  Above
-        the cutoff, Lanczos on ``matvec`` from one ``standard_normal(m)``
-        draw of the oracle's rng, bounded by its residual.  See
+        bound tracer's in Gram trace mode) it is its top entry.  Otherwise
+        :func:`~repro.linalg.trace_estimation.lambda_max_source` picks the
+        smaller Gram twin (``Psi`` from the dense-psi engine's buffer when
+        it holds one) or, above the cutoff, Lanczos on ``matvec`` from one
+        ``standard_normal(m)`` draw of the oracle's rng.  See
         :func:`~repro.linalg.norms.certified_kappa`.
         """
-        packed = self._packed
-        m, r = packed.dim, packed.total_rank
-        if spectrum is not None:
-            source = spectrum
-        elif min(m, r) > KAPPA_EIG_CUTOFF:
-            source = matvec
-        elif r <= m:
-            source = gram_spectrum(
-                packed.gram_matrix(), packed.expand_weights(weights),
-                backend=self._trace_estimator.backend,
-            )
-        elif self._engine is not None and self._engine.psi is not None:
-            source = self._engine.psi
-        else:
-            source = densified_psi(packed.matrix, packed.expand_weights(weights))
-        kappa = certified_kappa(source, dim=m, rng=self.rng)
+        if spectrum is None:
+            psi = self._engine.psi if self._engine is not None else None
+            spectrum = lambda_max_source(self._packed, weights, matvec, psi=psi)
+        kappa = certified_kappa(spectrum, dim=self._packed.dim, rng=self.rng)
         self.counters.add("norm_estimates")
         return kappa
 

@@ -10,22 +10,29 @@ for history records and certificate checks, and handed it to the
 solvers actually perform, with two interchangeable implementations:
 
 * :class:`DensePsiState` — the seed semantics, bit-for-bit: a dense
-  ``Psi`` maintained incrementally (``psi + weighted_sum(delta)``), dense
-  Lanczos for ``lambda_max``, and an eager density matrix for primal
-  tracking.  This is the reference the matrix-free path is certified
-  against, and the only state the exact oracle (which consumes ``Psi``
-  directly) can run on.
+  ``Psi`` maintained incrementally (``psi + weighted_sum(delta)``), and an
+  eager density matrix for primal tracking.  This is the reference the
+  matrix-free path is certified against, and the only state the exact
+  oracle (which consumes ``Psi`` directly) can run on.
 * :class:`ImplicitPsiState` — matrix-free: holds only the weight vector
   ``x`` plus the collection's packed
   :class:`~repro.operators.packed.PackedGramFactors` view.  ``matvec`` is
   two GEMMs against the stacked factors (``O(mR + nnz)`` per block
-  column), ``add_delta`` touches only ``x`` (``O(n)``), ``lambda_max``
-  runs Lanczos through the factored matvec with the previous call's
-  converged eigenvector carried across iterations as a warm start, and
-  ``densify()`` — the *only* way a dense ``(m, m)`` matrix can appear —
-  is lazy, cached, counted, and invalidated by ``add_delta``.  The
-  decision solvers build their ``primal_y`` through it at most once, on
-  demand, at result build.
+  column), ``add_delta`` touches only ``x`` (``O(n)``), and ``densify()``
+  — the *only* way a dense ``(m, m)`` matrix can appear — is lazy,
+  cached, counted, and invalidated by ``add_delta``.  The decision
+  solvers build their ``primal_y`` through it at most once, on demand, at
+  result build.
+
+Every ``lambda_max`` — history records, certificate checks and the final
+dual rescale — is the certified *upper* bound ``(1 + KAPPA_SLACK) lambda``
+of :func:`~repro.linalg.norms.certified_lambda_max`, so ``x / lambda_max``
+is feasible without any tolerance.  The dense state takes ``lambda`` from
+an ``eigvalsh`` of its ``Psi``; the implicit state from the smaller Gram
+twin by the fast oracle's own kappa rule
+(:func:`~repro.linalg.trace_estimation.lambda_max_source`); both run one
+cold, seeded Lanczos plus its residual above
+:data:`~repro.linalg.norms.KAPPA_EIG_CUTOFF`.
 
 Both states expose the same counters (:meth:`PsiState.stats`) which the
 solvers surface in ``DecisionResult.metadata["psi_state"]`` so regression
@@ -40,8 +47,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import InvalidProblemError, NumericalError
-from repro.linalg.norms import top_eigenvalue
-from repro.robustness.faultinject import fault_hook_array
+from repro.linalg.norms import certified_lambda_max
+from repro.linalg.trace_estimation import lambda_max_source
+from repro.robustness.faultinject import fault_hook, fault_hook_array
 from repro.operators.collection import ConstraintCollection
 from repro.utils.random_utils import RandomState, as_generator
 
@@ -76,10 +84,18 @@ class PsiState:
 
     mode: str = "abstract"
 
-    def __init__(self, constraints: ConstraintCollection, x0: np.ndarray) -> None:
+    def __init__(
+        self,
+        constraints: ConstraintCollection,
+        x0: np.ndarray,
+        eig_rng: RandomState = None,
+    ) -> None:
         self.constraints = constraints
         self.dim = int(constraints.dim)
         self.x = np.asarray(x0, dtype=np.float64).copy()
+        # Spawned generator for the Lanczos start vectors above the
+        # eigensolver cutoff (never shared with the oracle's sketch stream).
+        self._eig_rng = as_generator(eig_rng)
         self.matvec_count = 0
         self.densify_count = 0
         self.lambda_max_calls = 0
@@ -101,13 +117,12 @@ class PsiState:
         raise NotImplementedError  # pragma: no cover - subclasses implement
 
     def lambda_max(self, final: bool = False) -> tuple[float, float]:
-        """``(lambda_max(Psi), measured model work)`` for the current weights.
+        """``(bound, measured model work)``, ``bound >= lambda_max(Psi)``.
 
-        ``final=True`` marks the one result-build (dual-rescale) call: the
-        dense state then recomputes ``Psi`` fresh from ``x`` (the seed
-        semantics), and the implicit state skips its warm start so the
-        returned value cannot depend on how many history/certificate calls
-        preceded it.
+        The bound is :func:`~repro.linalg.norms.certified_lambda_max`'s
+        ``(1 + KAPPA_SLACK) lambda``.  ``final=True`` marks the one
+        result-build (dual-rescale) call: the dense state then recomputes
+        ``Psi`` fresh from ``x`` (the seed semantics).
         """
         raise NotImplementedError  # pragma: no cover - subclasses implement
 
@@ -115,17 +130,21 @@ class PsiState:
         """The dense ``(m, m)`` matrix ``Psi`` (lazy and cached when implicit)."""
         raise NotImplementedError  # pragma: no cover - subclasses implement
 
-    def reset_warm_start(self) -> None:
-        """Drop any cross-iteration eigenvector warm start.
+    def _certified(self, source, work_per_matvec: float) -> tuple[float, float]:
+        """The certified rung's bound from ``source``, and its model work.
 
-        The middle rung of the Lanczos demotion ladder
-        (:class:`~repro.robustness.FastPathSupervisor`): a non-converged
-        warm-started call is retried cold before falling back to the exact
-        ``eigvalsh`` rung.  No-op for states without a warm start.
+        ``psi_state.lambda_max`` is the rung's one fault site; it fires on
+        the eigensolver and on the Lanczos branch alike.
         """
+        self.lambda_max_calls += 1
+        fault_hook("psi_state.lambda_max")
+        info: dict = {}
+        value = certified_lambda_max(source, dim=self.dim, rng=self._eig_rng, info=info)
+        self.lambda_max_matvecs += info["matvecs"]
+        return value, info["matvecs"] * work_per_matvec
 
     def lambda_max_exact(self, final: bool = False) -> tuple[float, float]:
-        """Exact ``lambda_max`` via dense ``eigvalsh`` — the ladder's bottom rung.
+        """The bound from a dense ``eigvalsh`` of ``Psi`` — the ladder's bottom rung.
 
         Returns ``(value, model_work)`` with the work charged at the dense
         ``O(m^3)`` eigendecomposition cost.  Always converges (up to LAPACK
@@ -137,7 +156,7 @@ class PsiState:
             return 0.0, 0.0
         self.lambda_max_calls += 1
         matrix = self.constraints.weighted_sum(self.x) if final else self.densify()
-        value = float(np.linalg.eigvalsh(matrix)[-1])
+        value = certified_lambda_max(np.linalg.eigvalsh(matrix))
         self.lambda_max_matvecs += self.dim
         return value, float(self.dim) ** 3
 
@@ -159,9 +178,8 @@ class PsiState:
         """Checkpointable snapshot of the state (weights + counters).
 
         Subclasses extend this with whatever incrementally-maintained
-        buffers they carry (the dense ``Psi``, the implicit warm-start
-        vectors).  Arrays are copied so later ``add_delta`` calls cannot
-        mutate a captured checkpoint.
+        buffers they carry (the dense ``Psi``).  Arrays are copied so later
+        ``add_delta`` calls cannot mutate a captured checkpoint.
         """
         return {
             "mode": self.mode,
@@ -202,8 +220,9 @@ class DensePsiState(PsiState):
     x0:
         Initial weight vector (Claim 3.3's ``1 / (n Tr[A_i])``).
     eig_rng:
-        Spawned generator for the eigenvalue estimator's fallback path
-        (never shared with the oracle's sketch stream).
+        Spawned generator for the Lanczos start vectors above
+        :data:`~repro.linalg.norms.KAPPA_EIG_CUTOFF` (never shared with the
+        oracle's sketch stream).
     """
 
     mode = "dense"
@@ -214,8 +233,7 @@ class DensePsiState(PsiState):
         x0: np.ndarray,
         eig_rng: RandomState = None,
     ) -> None:
-        super().__init__(constraints, x0)
-        self._eig_rng = eig_rng
+        super().__init__(constraints, x0, eig_rng)
         self._psi = constraints.weighted_sum(self.x)
         self.init_work = float(constraints.total_nnz)
 
@@ -242,21 +260,16 @@ class DensePsiState(PsiState):
         return float(self.constraints.total_nnz + n)
 
     def lambda_max(self, final: bool = False) -> tuple[float, float]:
-        """Dense-matrix ``lambda_max`` (Lanczos above the tiny-``m`` cutoff).
+        """The certified bound from ``eigvalsh`` of ``Psi`` (Lanczos above the cutoff).
 
-        The work is the *measured* operator applications times the dense
-        per-matvec cost ``m^2``, replacing the old pessimistic
-        ``m^2 * maxiter`` constant.
+        ``m <= KAPPA_EIG_CUTOFF`` takes one ``eigvalsh`` of ``Psi``; above
+        it, one seeded Lanczos plus its residual.  The work is the measured
+        operator applications times the dense per-matvec cost ``m^2``.
         """
         if self.dim == 0:
             return 0.0, 0.0
-        self.lambda_max_calls += 1
         matrix = self.constraints.weighted_sum(self.x) if final else self._psi
-        info: dict = {}
-        value = top_eigenvalue(matrix, rng=self._eig_rng, info=info)
-        matvecs = int(info.get("matvecs", self.dim))
-        self.lambda_max_matvecs += matvecs
-        return float(value), float(matvecs) * self.dim * self.dim
+        return self._certified(matrix, float(self.dim) ** 2)
 
     def densify(self) -> np.ndarray:
         """The maintained dense matrix (already materialised; not counted)."""
@@ -292,11 +305,10 @@ class ImplicitPsiState(PsiState):
     an ``O(n)`` vector update (the engine's own incremental state is
     maintained separately by the oracle's
     :class:`~repro.linalg.taylor_gram.TaylorEngine`), and ``lambda_max``
-    runs Lanczos through the factored matvec at ``O((mR + nnz) * sweeps)``
-    with the previous call's converged eigenvector carried as a warm
-    start.  ``densify()`` is the single deliberate escape hatch — lazy,
-    cached until the next ``add_delta``, and counted so regressions can
-    assert it never runs during a solve.
+    reads the smaller Gram twin, or runs Lanczos through the factored
+    matvec above the cutoff.  ``densify()`` is the single deliberate escape
+    hatch — lazy, cached until the next ``add_delta``, and counted so
+    regressions can assert it never runs during a solve.
 
     Requires every operator's Gram factor to be exact (``Q Q^T = A`` by
     construction), the same gate that sends the collection's
@@ -319,8 +331,7 @@ class ImplicitPsiState(PsiState):
                 "(Q Q^T = A by construction); dense/sparse eigh-derived "
                 "collections must keep the dense state"
             )
-        super().__init__(constraints, x0)
-        self._eig_rng = as_generator(eig_rng)
+        super().__init__(constraints, x0, eig_rng)
         self._packed = constraints.packed()
         self.init_work = float(len(self.x))
         # Per-block-matvec model cost: two passes over the stacked factor
@@ -328,21 +339,6 @@ class ImplicitPsiState(PsiState):
         self._matvec_work = float(max(2 * self._packed.nnz, self.dim, 1))
         self._matvec_fn = None
         self._dense: np.ndarray | None = None
-        # Converged eigenvector of the previous lambda_max call: Psi moves
-        # mildly per iteration, so warm-starting Lanczos cuts the sweep
-        # count from dozens to a handful (convergence stays certified by
-        # the Ritz residual, so a stale vector costs sweeps, not accuracy).
-        self._eig_vector: np.ndarray | None = None
-        # Start vector for the one final (dual-rescale) call, drawn at
-        # construction: a start drawn at call time would advance with every
-        # cold history/certificate-check call, making the reported
-        # certificate depend on how many of them ran before result build.
-        # A vector fixed per run keeps the final estimate deterministic and
-        # call-history independent while retaining the random start's
-        # overlap guarantee.
-        self._final_v0: np.ndarray | None = (
-            self._eig_rng.standard_normal(self.dim) if self.dim else None
-        )
 
     def _apply(self):
         # The weight-expanded matvec is cached until the next add_delta; the
@@ -380,35 +376,21 @@ class ImplicitPsiState(PsiState):
         return float(len(self.x))
 
     def lambda_max(self, final: bool = False) -> tuple[float, float]:
-        """Warm-started Lanczos through the factored matvec.
+        """The certified bound by the fast oracle's kappa rule.
 
-        ``final=True`` (the one dual-rescale call at result build) ignores
-        the warm vector and starts from a vector drawn once at state
-        construction, so the returned value is independent of how many
-        history/certificate-check calls ran before it — turning history
-        collection on cannot perturb the reported certificate.
+        :func:`~repro.linalg.trace_estimation.lambda_max_source` picks the
+        source: the Gram twin's spectrum (``R <= m``) or ``Psi`` itself
+        (``m < R``) while ``min(m, R) <= KAPPA_EIG_CUTOFF``, charged as one
+        dense eigendecomposition of that size; above it, seeded Lanczos
+        through the factored matvec, charged per sweep.  No state carries
+        over between calls, so ``final`` changes nothing here.
         """
         if self.dim == 0:
             return 0.0, 0.0
-        self.lambda_max_calls += 1
-        info: dict = {}
-        value, vector = top_eigenvalue(
-            self._apply(),
-            dim=self.dim,
-            v0=self._final_v0 if final else self._eig_vector,
-            rng=self._eig_rng,
-            info=info,
-            return_vector=True,
-        )
-        if not final and vector is not None:
-            self._eig_vector = vector
-        matvecs = int(info.get("matvecs", 0))
-        self.lambda_max_matvecs += matvecs
-        return float(value), float(matvecs) * self._matvec_work
-
-    def reset_warm_start(self) -> None:
-        """Forget the carried eigenvector so the next Lanczos call starts cold."""
-        self._eig_vector = None
+        source = lambda_max_source(self._packed, self.x, self._apply())
+        if callable(source):
+            return self._certified(source, self._matvec_work)
+        return self._certified(source, float(len(source)) ** 2)
 
     def densify(self) -> np.ndarray:
         """Materialise ``Psi`` once, on demand (cached until ``add_delta``)."""
@@ -421,33 +403,13 @@ class ImplicitPsiState(PsiState):
         """The fast oracle reads ``x`` only — no dense argument is built."""
         return None
 
-    def export_state(self) -> dict:
-        """Snapshot including the Lanczos warm-start vectors.
-
-        ``_eig_vector`` (the carried converged eigenvector) and
-        ``_final_v0`` (the per-run dual-rescale start vector, drawn once at
-        construction) both feed future ``lambda_max`` calls, so a resumed
-        run must replay them exactly.  The matvec closure and dense cache
-        are derived data and are rebuilt on demand.
-        """
-        out = super().export_state()
-        out["eig_vector"] = (
-            None if self._eig_vector is None
-            else np.array(self._eig_vector, dtype=np.float64)
-        )
-        out["final_v0"] = (
-            None if self._final_v0 is None
-            else np.array(self._final_v0, dtype=np.float64)
-        )
-        return out
-
     def import_state(self, state: dict) -> None:
-        """Restore weights, counters and warm-start vectors; drop caches."""
+        """Restore weights and counters; drop the derived caches.
+
+        Version-1 payloads may carry the retired Lanczos warm-start vectors
+        (``eig_vector``, ``final_v0``); they are ignored.
+        """
         super().import_state(state)
-        vec = state.get("eig_vector")
-        self._eig_vector = None if vec is None else np.array(vec, dtype=np.float64)
-        v0 = state.get("final_v0")
-        self._final_v0 = None if v0 is None else np.array(v0, dtype=np.float64)
         self._matvec_fn = None
         self._dense = None
 

@@ -48,8 +48,8 @@ class SolveStatus(str, enum.Enum):
     BUDGET_EXHAUSTED = "budget_exhausted"
     """A wall-clock or iteration budget ran out before either ε-decision
     certificate was reached.  The returned dual vector is still *feasible*
-    (``sum_i x_i A_i <= I`` is verified by the final measured
-    ``lambda_max`` rescale) — only its value is smaller than the
+    (``sum_i x_i A_i <= I`` holds by the final rescale with a certified
+    ``lambda_max`` bound) — only its value is smaller than the
     Algorithm 3.1 target, so the run proves a weaker lower bound rather
     than deciding the ε-question."""
 
@@ -96,7 +96,7 @@ class DecisionResult:
     primal_min_dot:
         ``min_i A_i . Y`` for the returned ``Y`` (``nan`` if no ``Y``).
     dual_lambda_max:
-        Measured ``lambda_max(sum_i dual_x_i A_i)`` — the feasibility margin.
+        Certified bound on ``lambda_max(sum_i dual_x_i A_i)`` — the feasibility margin.
     iterations:
         Number of iterations executed.
     max_iterations:

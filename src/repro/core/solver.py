@@ -15,11 +15,13 @@ loop:
 3. repeatedly pick the geometric midpoint ``theta`` of the current bracket,
    scale the constraints by ``theta`` (so the question becomes "is
    ``OPT >= theta``?"), and run :func:`~repro.core.decision.decision_psdp`;
+   every operator scales within its own representation, so factorized
+   input keeps its exact factors and each decision call runs matrix-free;
 4. use the *measured* certificate of whichever side the decision solver
-   returned to shrink the bracket: a dual vector ``x`` with measured
-   ``lambda_max`` gives the certified lower bound ``theta ||x||_1 /
-   lambda_max``; a primal matrix with measured ``min_i A_i . Y = mu`` gives
-   the certified upper bound ``theta / mu``;
+   returned to shrink the bracket: a dual vector ``x`` rescaled by a
+   certified ``lambda_max`` bound gives the certified lower bound
+   ``theta ||x||_1 / lambda_max``; a primal matrix with measured
+   ``min_i A_i . Y = mu`` gives the certified upper bound ``theta / mu``;
 5. stop when the bracket's relative width is at most ``eps``.
 
 Because every bracket update is justified by an explicitly verified
@@ -115,7 +117,9 @@ def approx_psdp(
         any field of :class:`~repro.core.decision.DecisionOptions`.  An
         already-constructed oracle object cannot be reused across calls
         here because each decision call re-scales the constraints; use
-        string oracle kinds and ``oracle_eps`` to tune accuracy.
+        string oracle kinds and ``oracle_eps`` to tune accuracy.  The
+        scaled constraints keep the input's representation, so factorized
+        input with ``oracle="fast"`` runs every call matrix-free.
 
     Returns
     -------
@@ -185,8 +189,8 @@ def approx_psdp(
             total_tracker.depth += result.work_depth.depth
             total_tracker.events += result.work_depth.events
 
-        # Dual side: x feasible for the theta-scaled instance with measured
-        # lambda_max -> theta * ||x||_1 / lambda_max is a certified lower bound.
+        # Dual side: x rescaled by a certified lambda_max bound is feasible for
+        # the theta-scaled instance -> theta * ||x||_1 is a certified lower bound.
         if result.dual_x is not None and result.dual_value > 0:
             candidate = theta * result.dual_x / max(result.dual_lambda_max, 1.0)
             cert = verify_dual(constraints, candidate)

@@ -3,8 +3,10 @@
 The solver needs ``||Phi||_2`` upper bounds (to pick the Taylor degree in
 Theorem 4.1, Lemma 3.5 guarantees ``||Phi||_2 <= O(log(n)/eps)`` for the
 matrices it exponentiates) and trace inner products ``A . B = Tr[A B]``
-throughout.  :func:`certified_kappa` is the one rule that turns a spectrum,
-a small matrix or a matvec into the Lemma 4.2 bound ``kappa >= ||Phi||_2``;
+throughout.  :func:`certified_lambda_max` is the one rule that turns a
+spectrum, a small matrix or a matvec into a bound
+``lambda >= lambda_max(Phi)``, and :func:`certified_kappa` floors it at 1
+for the Lemma 4.2 ``kappa >= ||Phi||_2``;
 for matrices given only through matrix–vector products we also provide
 power iteration and a Lanczos-based estimator built on
 ``scipy.sparse.linalg.eigsh``.
@@ -156,13 +158,12 @@ def top_eigenvalue(
     a :class:`scipy.sparse.linalg.LinearOperator`, so the matrix behind the
     callable is never materialised (tiny callables below the cutoff are
     materialised through ``dim`` matvecs and handed to ``eigvalsh``, which
-    is both cheaper and exact at that size).  The decision solvers use
-    this for their periodic certificate checks, history records, and the
-    final dual rescaling, charging the *measured* cost (see ``info``) to
-    the work–depth tracker; the certificate uses demand an accurate value
-    (an underestimate would overstate dual feasibility), which is why
-    Lanczos is preferred over the margin-free power iteration above the
-    cutoff.
+    is both cheaper and exact at that size).  A Ritz value never exceeds
+    the top eigenvalue, so where a *bound* is needed — the Lemma 4.2
+    kappa, and every ``lambda_max`` the decision solvers rescale a dual by
+    — :func:`certified_lambda_max` adds the Ritz residual to it; Lanczos is
+    preferred over the margin-free power iteration for that residual's
+    sake.
 
     Parameters
     ----------
@@ -184,20 +185,15 @@ def top_eigenvalue(
     maxiter:
         Iteration cap forwarded to the power-iteration fallback.
     v0:
-        Optional warm-start vector for the Lanczos iteration.  The decision
-        solvers' iterates change mildly per step, so seeding ARPACK with
-        the previous call's converged eigenvector cuts the sweep count from
-        dozens to a handful.  Unlike power iteration, Lanczos convergence
-        is certified by the Ritz residual rather than Rayleigh-quotient
-        stagnation, so a stale ``v0`` costs extra sweeps but cannot silently
-        return the wrong eigenvalue.  ``None`` draws a Gaussian start
-        vector from ``rng``: ARPACK's own starting residual is seeded from
-        OS entropy, so leaving it to ARPACK would make the returned bits
-        and the sweep count vary from run to run.
+        Optional Lanczos start vector (:func:`certified_lambda_max` passes
+        one ``standard_normal(dim)`` draw of its generator).  ``None`` draws
+        a Gaussian start vector from ``rng``: ARPACK's own starting residual
+        is seeded from OS entropy, so leaving it to ARPACK would make the
+        returned bits and the sweep count vary from run to run.
     return_vector:
         When ``True`` return ``(value, vector)`` where ``vector`` is the
-        converged top eigenvector (the warm start for the next call), or
-        ``None`` on paths that do not produce one.
+        converged top eigenvector (whose residual bounds the Ritz value's
+        error), or ``None`` on paths that do not produce one.
     info:
         Optional dict filled with the measured cost of the call:
         ``info["matvecs"]`` (operator applications performed — ``dim`` for
@@ -293,28 +289,28 @@ def top_eigenvalue(
         return done(estimate, vec, "power", counted["matvecs"])
 
 
-#: Largest ``min(m, R)`` at which the fast oracle takes ``kappa`` from a
-#: dense ``eigvalsh`` of the smaller of ``Psi``'s two Gram twins rather
-#: than from Lanczos.  Measured on a 2-core x86 box with OpenBLAS pinned to
-#: one thread: at ``R = 96`` ``eigvalsh(S)`` takes 0.41 ms, against 0.44 ms
-#: for a warm-started power iteration and 0.63 ms for a warm ARPACK call at
-#: tol 1e-6; ``eigvalsh`` takes 0.79 ms at ``d = 128`` and 9 ms at
-#: ``d = 400``.
+#: Largest ``min(m, R)`` at which the fast oracle's ``kappa`` and the psi
+#: states' ``lambda_max`` come from a dense ``eigvalsh`` of the smaller of
+#: ``Psi``'s two Gram twins rather than from Lanczos.  Measured on a 2-core
+#: x86 box with OpenBLAS pinned to one thread: at ``R = 96``
+#: ``eigvalsh(S)`` takes 0.41 ms, against 0.44 ms for a warm-started power
+#: iteration and 0.63 ms for a warm ARPACK call at tol 1e-6; ``eigvalsh``
+#: takes 0.79 ms at ``d = 128`` and 9 ms at ``d = 400``.
 KAPPA_EIG_CUTOFF = 128
 
-#: Relative slack on the top eigenvalue in :func:`certified_kappa`; it
+#: Relative slack on the top eigenvalue in :func:`certified_lambda_max`; it
 #: covers ``eigvalsh``'s backward error.
 KAPPA_SLACK = 1e-9
 
 
-def certified_kappa(
+def certified_lambda_max(
     source: np.ndarray | sp.spmatrix | Callable[[np.ndarray], np.ndarray],
     dim: int | None = None,
     rng: RandomState = None,
+    info: dict | None = None,
 ) -> float:
-    """Lemma 4.2's ``kappa = max(1, (1 + KAPPA_SLACK) * lambda)``, ``lambda >= ||Psi||_2``.
+    """The certified bound ``(1 + KAPPA_SLACK) * lambda >= lambda_max(Psi)``.
 
-    Theorem 4.1's Taylor degree is only valid for ``kappa >= ||Psi||_2``, so
     ``lambda`` is the top of an exact spectrum wherever one is affordable:
 
     * a 1-D ``source`` is a spectrum already computed — of ``Psi`` or of
@@ -329,10 +325,15 @@ def certified_kappa(
       eigenvalue lies within the residual norm of the Ritz value
       ``theta``, and Lanczos from a random start converges to the top one.
 
+    ``info["matvecs"]`` counts the operator applications: the Lanczos
+    sweeps plus the residual's one, or the size of the eigendecomposed
+    spectrum or matrix (:func:`top_eigenvalue`'s dense convention).
+
     A non-finite ``lambda`` raises
     :class:`~repro.exceptions.NumericalError` at site
-    ``"trace_estimation"`` (``max(1.0, nan)`` would silently read ``1.0``).
+    ``"trace_estimation"``.
     """
+    info = {} if info is None else info
     if callable(source) and not isinstance(source, np.ndarray) and not sp.issparse(source):
         if dim is None:
             raise ValueError("dim is required when passing a matvec callable")
@@ -344,22 +345,33 @@ def certified_kappa(
             dense = source.toarray() if sp.issparse(source) else source
             spectrum = np.linalg.eigvalsh(np.asarray(dense, dtype=np.float64))
         lam = float(np.max(spectrum)) if spectrum.size else 0.0
+        info["matvecs"] = source.shape[0]
     else:
         matrix = source.tocsr() if sp.issparse(source) else np.asarray(source, dtype=np.float64)
         matvec, dim = (lambda v: matrix @ v), matrix.shape[0]  # noqa: E731
     if matvec is not None:
-        lam = 0.0
+        lam, info["matvecs"] = 0.0, 0
         if dim > 0:
             v0 = as_generator(rng).standard_normal(dim)
-            theta, vec = top_eigenvalue(matvec, dim=dim, v0=v0, return_vector=True)
+            theta, vec = top_eigenvalue(matvec, dim=dim, v0=v0, return_vector=True, info=info)
             residual = np.asarray(matvec(vec), dtype=np.float64).ravel() - theta * vec
             lam = theta + float(np.linalg.norm(residual))
+            info["matvecs"] += 1
     if not np.isfinite(lam):
         raise NumericalError(
             "the spectrum bounding ||Psi||_2 is not finite",
             site="trace_estimation",
         )
-    return max(1.0, (1.0 + KAPPA_SLACK) * lam)
+    return (1.0 + KAPPA_SLACK) * lam
+
+
+def certified_kappa(
+    source: np.ndarray | sp.spmatrix | Callable[[np.ndarray], np.ndarray],
+    dim: int | None = None,
+    rng: RandomState = None,
+) -> float:
+    """Lemma 4.2's ``kappa = max(1, certified_lambda_max(source))``; a NaN raises."""
+    return max(1.0, certified_lambda_max(source, dim=dim, rng=rng))
 
 
 def spectral_norm_lanczos(matrix: np.ndarray | sp.spmatrix, tol: float = 1e-8) -> float:

@@ -71,6 +71,8 @@ import scipy.sparse as sp
 
 from repro.backend import NUMPY, get_array_backend
 from repro.exceptions import CheckpointError, InvalidProblemError, NumericalError
+from repro.linalg.norms import KAPPA_EIG_CUTOFF
+from repro.linalg.taylor_blocked import densified_psi
 from repro.linalg.taylor_gram import GRAM_HYSTERESIS, GramTaylorKernel, gram_twin
 from repro.robustness.faultinject import fault_hook
 
@@ -79,6 +81,7 @@ __all__ = [
     "TraceEstimator",
     "gram_exp_trace",
     "gram_spectrum",
+    "lambda_max_source",
     "select_trace_mode",
     "spectrum_exp_trace",
     "truncated_exp_values",
@@ -199,6 +202,26 @@ def gram_spectrum(
     eigenvalues = xp.to_numpy(xp.eigvalsh(xp.asarray(gram_twin(gram, col_weights))))
     np.clip(eigenvalues, 0.0, None, out=eigenvalues)
     return eigenvalues
+
+
+def lambda_max_source(packed, weights: np.ndarray, matvec, psi: np.ndarray | None = None):
+    """What :func:`~repro.linalg.norms.certified_lambda_max` reads for ``Psi = Q diag(w) Q^T``.
+
+    While ``min(m, R) <= KAPPA_EIG_CUTOFF``, the smaller Gram twin: ``S``'s
+    spectrum (:func:`gram_spectrum`) when ``R <= m``, else ``Psi`` itself
+    (``psi`` if the caller holds it).  Above, ``matvec`` for seeded Lanczos.
+    The fast oracle's kappa and the implicit psi state's bound share it.
+    """
+    m, r = packed.dim, packed.total_rank
+    if min(m, r) > KAPPA_EIG_CUTOFF:
+        return matvec
+    if r <= m:
+        return gram_spectrum(
+            packed.gram_matrix(), packed.expand_weights(weights), backend=packed.backend
+        )
+    if psi is not None:
+        return psi
+    return densified_psi(packed.matrix, packed.expand_weights(weights))
 
 
 def spectrum_exp_trace(

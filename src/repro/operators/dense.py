@@ -59,6 +59,9 @@ class DensePSDOperator(PSDOperator):
         """Nonzero entries of the dense matrix."""
         return int(np.count_nonzero(self._matrix))
 
+    def scaled(self, coeff: float) -> "DensePSDOperator":
+        return DensePSDOperator(self._scale_coefficient(coeff) * self._matrix, validate=False)
+
     def spectral_norm(self) -> float:
         if self.dim == 0:
             return 0.0

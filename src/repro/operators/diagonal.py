@@ -75,5 +75,8 @@ class DiagonalPSDOperator(PSDOperator):
         """``diag(sqrt(d)) diag(sqrt(d))^T = diag(d)`` by construction."""
         return True
 
+    def scaled(self, coeff: float) -> "DiagonalPSDOperator":
+        return DiagonalPSDOperator(self._scale_coefficient(coeff) * self._diag, validate=False)
+
     def spectral_norm(self) -> float:
         return float(self._diag.max(initial=0.0))

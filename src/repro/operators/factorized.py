@@ -87,6 +87,10 @@ class FactorizedPSDOperator(PSDOperator):
         """The factor in its native (possibly sparse) representation."""
         return self._factor
 
+    def scaled(self, coeff: float) -> "FactorizedPSDOperator":
+        # sqrt(c) Q (sqrt(c) Q)^T = c A; a CSR factor stays CSR.
+        return FactorizedPSDOperator(self._scale_coefficient(coeff) ** 0.5 * self._factor)
+
     @property
     def nnz(self) -> int:
         """Stored nonzeros of the factor (the Corollary 1.2 work unit)."""

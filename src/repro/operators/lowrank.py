@@ -78,6 +78,9 @@ class LowRankPSDOperator(PSDOperator):
     def gram_factor(self) -> np.ndarray:
         return self._vectors * np.sqrt(self._weights)
 
+    def scaled(self, coeff: float) -> "LowRankPSDOperator":
+        return LowRankPSDOperator(self._vectors, self._scale_coefficient(coeff) * self._weights)
+
     @property
     def nnz(self) -> int:
         """Stored nonzeros across the rank-one vectors and their weights."""

@@ -111,13 +111,16 @@ class PSDOperator(abc.ABC):
 
         return spectral_norm(self.to_dense())
 
+    @abc.abstractmethod
     def scaled(self, coeff: float) -> "PSDOperator":
-        """Return a new operator representing ``coeff * A`` (``coeff >= 0``)."""
-        if coeff < 0:
-            raise ValueError(f"coeff must be >= 0 to preserve positive semidefiniteness, got {coeff}")
-        from repro.operators.dense import DensePSDOperator
+        """``coeff * A`` in this operator's own representation (exact factors stay exact)."""
 
-        return DensePSDOperator(coeff * self.to_dense(), validate=False)
+    @staticmethod
+    def _scale_coefficient(coeff: float) -> float:
+        """``float(coeff)``, or ``ValueError`` unless it is finite and ``>= 0``."""
+        if not (np.isfinite(coeff) and coeff >= 0):
+            raise ValueError(f"coeff must be finite and >= 0 to stay PSD, got {coeff}")
+        return float(coeff)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(dim={self.dim}, nnz={self.nnz})"

@@ -55,6 +55,9 @@ class SparsePSDOperator(PSDOperator):
             self._gram = gram_factor(self.to_dense())
         return self._gram
 
+    def scaled(self, coeff: float) -> "SparsePSDOperator":
+        return SparsePSDOperator(self._scale_coefficient(coeff) * self._matrix, validate=False)
+
     @property
     def nnz(self) -> int:
         """Stored nonzeros of the sparse matrix."""

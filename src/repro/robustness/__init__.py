@@ -4,7 +4,7 @@ The subsystem has two halves:
 
 * :mod:`repro.robustness.supervisor` — the production half.
   :class:`FastPathSupervisor` wraps the decision solvers' fast-path stages
-  (Taylor kernel, trace estimator, warm-started Lanczos, implicit
+  (Taylor kernel, trace estimator, certified ``lambda_max``, implicit
   ``PsiState``) and demotes a failing stage one rung down its ladder
   instead of letting the solve die, recording every event; solve budgets
   (wall-clock / iteration / recovery caps) turn exhaustion into

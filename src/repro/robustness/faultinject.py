@@ -307,6 +307,7 @@ SITES = {
         "per instance row (NonConvergent)"
     ),
     "psi_state.matvec": "implicit PsiState packed matvec output (NaN / Overflow)",
+    "psi_state.lambda_max": "PsiState certified lambda_max, twin or Lanczos branch (NonConvergent)",
     "worker.heartbeat": "executor worker heartbeat (Stall / WorkerCrash)",
 }
 

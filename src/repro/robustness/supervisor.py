@@ -3,7 +3,7 @@
 :class:`FastPathSupervisor` sits between the solver loop and the numerical
 kernels and implements the kernel-demotion ladder: when a fast-path
 computation breaks — non-finite GEMM output, Taylor-degree overflow, an
-injected or organic Lanczos non-convergence, a trace-estimator failure —
+injected or organic eigensolver failure, a trace-estimator failure —
 the failing computation is retried one rung down a ladder of
 strictly-more-conservative implementations, and the event is recorded in a
 structured :attr:`~FastPathSupervisor.recovery_events` log that the solvers
@@ -17,8 +17,8 @@ The ladders (see ``docs/ROBUSTNESS.md`` for the full diagram):
   polynomial, so demotion changes rounding at worst — never the certified
   decision.
 * **Trace estimator**: ``gram`` / ``deflated`` → the exact identity push.
-* **Lanczos** (``lambda_max``): warm-started → cold-started → exact dense
-  ``eigvalsh``.
+* **lambda_max**: the certified bound (Gram-twin / ``Psi`` ``eigvalsh``,
+  or seeded Lanczos above the cutoff) → exact dense ``eigvalsh``.
 * **PsiState**: implicit (matrix-free) → dense maintenance.
 
 Budgets ride along: ``wall_clock_budget`` / ``iteration_budget`` are
@@ -50,8 +50,6 @@ __all__ = ["RecoveryEvent", "FastPathSupervisor"]
 _TAYLOR_SITES = frozenset({"taylor_gram.apply", "taylor_blocked.apply", "taylor.reference"})
 #: Site attributed to the structured trace estimator (demote to identity).
 _TRACE_SITE = "trace_estimation"
-#: The lambda_max ladder rung names, in demotion order.
-_LANCZOS_RUNGS = ("warm", "cold", "exact")
 #: Exceptions the supervisor treats as recoverable numerical breakdowns.
 #: InvalidProblemError (bad input) deliberately stays outside the net.
 _RECOVERABLE = (NumericalError, FloatingPointError, np.linalg.LinAlgError)
@@ -368,21 +366,20 @@ class FastPathSupervisor:
                 self._record(exc, iteration, *handled)
 
     def lambda_max(self, final: bool = False, iteration: int = 0) -> tuple[float, float]:
-        """Supervised ``lambda_max``: warm → cold → exact ``eigvalsh``.
+        """Supervised ``lambda_max``: certified bound → exact ``eigvalsh``.
 
         A ``psi_state.matvec`` failure demotes the state to dense and
         retries the *same* rung (the dense state's matvec no longer routes
-        through the corrupted path); Lanczos failures walk the rung ladder.
-        Returns ``(value, model_work_of_the_successful_attempt)``; failed
-        attempts are charged under ``"recovery"`` as they happen.
+        through the corrupted path); any other failure of the certified
+        rung falls to the exact one.  Returns
+        ``(value, model_work_of_the_successful_attempt)``; failed attempts
+        are charged under ``"recovery"`` as they happen.
         """
-        rung = 0
+        exact = False
         while True:
             try:
-                if rung >= 2:
+                if exact:
                     return self.state.lambda_max_exact(final=final)
-                if rung == 1:
-                    self.state.reset_warm_start()
                 return self.state.lambda_max(final=final)
             except _RECOVERABLE as exc:
                 if getattr(getattr(exc, "kind", None), "fatal", False):
@@ -398,15 +395,11 @@ class FastPathSupervisor:
                     if action is not None:
                         self._record(exc, iteration, site, *action)
                         continue
-                if rung >= 2:
+                if exact:
                     raise BudgetExhaustedError(
                         f"exact lambda_max rung failed: {exc}", budget="recoveries"
                     ) from exc
                 self._record(
-                    exc,
-                    iteration,
-                    site or "lanczos",
-                    _LANCZOS_RUNGS[rung],
-                    _LANCZOS_RUNGS[rung + 1],
+                    exc, iteration, site or "psi_state.lambda_max", "certified", "exact"
                 )
-                rung += 1
+                exact = True

@@ -43,9 +43,14 @@ def fast_opts(**overrides) -> DecisionOptions:
 
 
 def fused_family(seed, m=32, n=8):
-    """Rank-2 Gaussian factors inside every fused-path gate (m <= 64,
-    2R <= 1.1 m, gram trace/taylor modes)."""
+    """Rank-2 Gaussian factors inside every fused-path gate (2R <= 1.1 m,
+    gram trace/taylor modes)."""
     return factorized_family(seed, n=n, m=m, rank=2, scale=0.35)
+
+
+def wide_fused_family(seed):
+    """m = 96, R = 16: inside the Gram gate, which is the only bound on m."""
+    return fused_family(seed, m=96)
 
 
 def fallback_family(seed):
@@ -146,6 +151,7 @@ class TestFusedEligibility:
         opts = self._opts()
         assert _fused_key(opts, fused_family(0)) is not None
         assert _fused_key(opts, fused_family(0, m=48)) is not None
+        assert _fused_key(opts, wide_fused_family(0)) is not None
         assert _fused_key(opts, lowrank_family(0)) is not None
 
     def test_fallback_families_take_the_sequential_path(self):
@@ -165,8 +171,9 @@ class TestBatchedEquivalence:
     @pytest.mark.parametrize(
         "factory",
         [fused_family, fallback_family, dense_family, diagonal_family,
-         lowrank_family, sparse_family],
-        ids=["fused", "fallback-m24", "dense", "diagonal", "lowrank", "sparse"],
+         lowrank_family, sparse_family, wide_fused_family],
+        ids=["fused", "fallback-m24", "dense", "diagonal", "lowrank", "sparse",
+             "fused-m96"],
     )
     def test_operator_kind_matches_sequential(self, factory):
         factories = [(lambda s=s: factory(s)) for s in range(4)]

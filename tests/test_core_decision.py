@@ -74,6 +74,29 @@ class TestDecisionSolver:
         cert = verify_dual(small_problem.constraints, result.dual_x)
         assert cert.feasible
 
+    @pytest.mark.parametrize(
+        "m, n, oracle, budget",
+        [(80, 10, "fast", None), (24, 16, "fast", None), (24, 8, "exact", None),
+         (260, 66, "fast", 3)],
+        ids=["gram-twin", "psi-twin", "dense-state", "lanczos"],
+    )
+    def test_dual_is_feasible_without_tolerance(self, m, n, oracle, budget):
+        # Every lambda_max is a certified upper bound, so the rescaled dual's
+        # top eigenvalue sits below 1 by the bound's slack, not at 1 +- ulp.
+        # The branches: the R x R twin (R = 20 <= m), Psi itself
+        # (m = 24 < R = 32), the dense state's Psi, and seeded Lanczos
+        # (min(m, R) = 132 > KAPPA_EIG_CUTOFF).
+        from helpers import factorized_family
+
+        coll = factorized_family(3, n=n, m=m, rank=2, scale=0.3)
+        result = decision_psdp(
+            coll, epsilon=0.3, oracle=oracle, rng=5, iteration_budget=budget
+        )
+        assert result.metadata["psi_state"]["mode"] == (
+            "dense" if oracle == "exact" else "implicit"
+        )
+        assert np.linalg.eigvalsh(coll.weighted_sum(result.dual_x))[-1] <= 1.0 - 5e-10
+
     def test_primal_candidate_is_density(self, small_problem):
         result = decision_psdp(small_problem, epsilon=0.25)
         if result.primal_y is not None:
@@ -158,15 +181,15 @@ class TestDecisionSolver:
         assert lam_max_seen <= bound + 1e-6
 
     def test_lanczos_solves_repeat_bit_for_bit(self):
-        # m = 80 puts every lambda_max on the Lanczos path; its cold start
-        # is drawn from the run's spawned generator, so two solves of the
-        # same instance and seed return identical bits.
+        # m = 136 puts every lambda_max of the dense state on the Lanczos
+        # path; its cold start is drawn from the run's spawned generator, so
+        # two solves of the same instance and seed return identical bits.
         from helpers import factorized_family
 
         def solve():
             return decision_psdp(
-                factorized_family(3, n=8, m=80), epsilon=0.25, oracle="exact",
-                rng=5, collect_history=True,
+                factorized_family(3, n=8, m=136), epsilon=0.25, oracle="exact",
+                rng=5, collect_history=True, max_iterations=30,
             )
 
         first, second = solve(), solve()

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import InvalidProblemError
+from repro.linalg.norms import KAPPA_SLACK
 from repro.linalg.psd import random_psd
 from repro.operators import ConstraintCollection, FactorizedPSDOperator
 from repro.core.dotexp import ExactDotExpOracle, FastDotExpOracle
@@ -66,7 +67,8 @@ class TestDensePsiState:
         state = DensePsiState(coll, x0)
         value, work = state.lambda_max()
         exact = float(np.linalg.eigvalsh(_reference_psi(coll, x0))[-1])
-        assert value == pytest.approx(exact, rel=1e-9)
+        # The certified bound: (1 + KAPPA_SLACK) lambda, never below it.
+        assert exact <= value <= (1.0 + 2.0 * KAPPA_SLACK) * exact
         assert work > 0
         assert state.lambda_max_calls == 1
         assert state.densify_count == 0  # dense psi exists by construction
@@ -127,13 +129,15 @@ class TestImplicitPsiState:
         assert state.densify_count == 2
         np.testing.assert_allclose(second, _reference_psi(coll, x0 + delta), atol=1e-12)
 
-    @pytest.mark.parametrize("m", [24, 96])
+    @pytest.mark.parametrize("m", [24, 96, 136])
     def test_lambda_max_matches_dense_state(self, m):
-        # Both the tiny (eigvalsh) and the Lanczos regime must agree with
-        # the dense state's estimate to certificate accuracy.
-        coll_a = _collection(seed=18, m=m, n=8)
-        coll_b = _collection(seed=18, m=m, n=8)
-        x0 = np.random.default_rng(19).random(8)
+        # The Gram-twin branch (R = 16 <= m) and, at m = 136 with R = 144,
+        # the Lanczos branch (min(m, R) > KAPPA_EIG_CUTOFF) must agree with
+        # the dense state's bound to certificate accuracy.
+        n = 72 if m > 128 else 8
+        coll_a = _collection(seed=18, m=m, n=n)
+        coll_b = _collection(seed=18, m=m, n=n)
+        x0 = np.random.default_rng(19).random(n)
         implicit = ImplicitPsiState(coll_a, x0, eig_rng=np.random.default_rng(1))
         dense = DensePsiState(coll_b, x0, eig_rng=np.random.default_rng(1))
         val_i, work_i = implicit.lambda_max()
@@ -142,23 +146,8 @@ class TestImplicitPsiState:
         assert work_i > 0
         assert implicit.lambda_max_matvecs > 0
 
-    def test_lambda_max_warm_start_carries_vector(self):
-        coll = _collection(seed=20, m=96, n=8)
-        x0 = np.random.default_rng(21).random(8)
-        state = ImplicitPsiState(coll, x0, eig_rng=np.random.default_rng(2))
-        state.lambda_max()
-        assert state._eig_vector is not None
-        first_sweeps = state.lambda_max_matvecs
-        # A mild weight perturbation keeps the dominant direction close, so
-        # the warm-started call must not exceed the cold sweep count.
-        delta = np.zeros(8)
-        delta[3] = 0.01 * x0[3]
-        state.add_delta(delta)
-        state.lambda_max()
-        assert state.lambda_max_matvecs - first_sweeps <= first_sweeps
-
     def test_final_lambda_max_is_call_history_independent(self):
-        # The result-build call must not depend on how many warm-started
+        # The result-build call must not depend on how many
         # history/certificate calls ran before it (history on/off may not
         # perturb the reported certificate).
         vals = []

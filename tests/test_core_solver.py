@@ -11,7 +11,11 @@ from repro.baselines.exact import exact_packing_value
 from repro.core.certificates import verify_dual, verify_primal
 from repro.core.problem import NormalizedPackingSDP, PositiveSDP
 from repro.core.solver import SolverOptions, approx_psdp
-from repro.problems.random_instances import random_packing_sdp, random_positive_sdp
+from repro.problems.random_instances import (
+    random_factorized_packing_sdp,
+    random_packing_sdp,
+    random_positive_sdp,
+)
 
 
 class TestApproxPSDPOnNormalizedInstances:
@@ -75,6 +79,25 @@ class TestApproxPSDPOnNormalizedInstances:
         problem = random_packing_sdp(3, 4, rng=rng)
         result = approx_psdp(problem, epsilon=0.4, collect_history=True)
         assert all(dec.history is not None for dec in result.decision_results)
+
+
+class TestApproxPSDPOnFactorizedInstances:
+    def test_factorized_input_solves_matrix_free(self):
+        # Each theta-scaled decision call keeps the factors, so the fast
+        # oracle runs the implicit psi state and never densifies Psi.
+        eps = 0.5
+        problem = random_factorized_packing_sdp(16, 64, rank=2, density=1.0, rng=11)
+        result = approx_psdp(problem, epsilon=eps, oracle="fast", rng=3)
+        assert result.decision_results
+        for decision in result.decision_results:
+            assert decision.metadata["psi_state"]["mode"] == "implicit"
+            assert decision.metadata["psi_state"]["densifies"] == 0
+        dual = verify_dual(problem.constraints, result.dual_x)
+        primal = verify_primal(problem.constraints, result.primal_y)
+        assert dual.feasible and primal.feasible
+        assert dual.value == pytest.approx(result.optimum_lower, rel=1e-9)
+        assert primal.value == pytest.approx(result.optimum_upper, rel=1e-9)
+        assert primal.value <= (1.0 + eps) * dual.value
 
 
 class TestApproxPSDPOnGeneralInstances:

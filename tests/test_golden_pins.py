@@ -8,8 +8,9 @@ early-exit flag, oracle counters, the work–depth charge per label and the
 psi-state counters must match exactly; ``dual_x`` and ``primal_min_dot``
 to ``1e-12`` relative.
 
-Every case runs at ``m <= 64``, where every ``lambda_max`` takes the exact
-dense ``eigvalsh`` path, so no case depends on an iterative eigensolver's
+Every case stays below ``KAPPA_EIG_CUTOFF`` in ``min(m, R)``, where every
+``lambda_max`` is the certified bound from one ``eigvalsh`` (of the Gram
+twin or of ``Psi``), so no case depends on an iterative eigensolver's
 start vector.
 
 Regenerate the file only for a change that is *meant* to move solver
@@ -189,6 +190,17 @@ def test_version_1_archive_resumes_to_pinned_result(solver, archive, case):
         options = dict(oracle="fast", collect_history=solver is decision_psdp, **BASE)
         result = solver(family(), resume_from=ckpt, **options)
         actual, expected = pin(result), _load_pins()[case][1]
+    # The archives' psi-state counters were accumulated before the capture
+    # by the retired warm-started Lanczos lambda_max (and the eig_vector /
+    # final_v0 it carried are ignored on import).  The resumed run must add
+    # to them exactly what resuming this build's own capture adds.
+    fresh = CASES[case]()[0].metadata["checkpoint"].psi
+    assert {"eig_vector", "final_v0"} <= set(ckpt.psi)
+    assert not {"eig_vector", "final_v0"} & set(fresh)
+    expected = {**expected, "psi_state": dict(expected["psi_state"])}
+    for stat, key in (("matvecs", "matvec_count"), ("lambda_max_matvecs", "lambda_max_matvecs")):
+        after_capture = expected["psi_state"].pop(stat) - fresh[key]
+        assert actual["psi_state"].pop(stat) - after_capture == ckpt.psi[key]
     assert_pin(actual, expected, f"{archive} resumed")
 
 

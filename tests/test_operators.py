@@ -27,12 +27,18 @@ def _all_representations(rng):
     factor = rng.standard_normal((5, 2))
     vectors = rng.standard_normal((5, 3))
     weights = np.abs(rng.uniform(0.5, 1.5, size=3))
+    sparse_factor = np.where(rng.random((5, 3)) < 0.5, rng.standard_normal((5, 3)), 0.0)
+    sparse_factor[0, 0] = 1.0
     reps = [
         (DensePSDOperator(dense_mat), dense_mat),
         (SparsePSDOperator(sp.csr_matrix(dense_mat)), dense_mat),
         (DiagonalPSDOperator(diag), np.diag(diag)),
         (FactorizedPSDOperator(factor), factor @ factor.T),
         (LowRankPSDOperator(vectors, weights), (vectors * weights) @ vectors.T),
+        (
+            FactorizedPSDOperator(sp.csr_matrix(sparse_factor)),
+            sparse_factor @ sparse_factor.T,
+        ),
     ]
     return reps
 
@@ -84,9 +90,16 @@ class TestOperatorContract:
 
     def test_scaled(self, rng):
         for op, truth in _all_representations(rng):
-            np.testing.assert_allclose(op.scaled(0.5).to_dense(), 0.5 * truth, atol=1e-9)
-            with pytest.raises(ValueError):
-                op.scaled(-1.0)
+            scaled = op.scaled(0.5)
+            np.testing.assert_allclose(scaled.to_dense(), 0.5 * truth, atol=1e-9)
+            # Scaling keeps the representation, and with it the exact factors.
+            assert type(scaled) is type(op)
+            assert scaled.gram_factor_is_exact == op.gram_factor_is_exact
+            if isinstance(op, FactorizedPSDOperator):
+                assert sp.issparse(scaled.factor) == sp.issparse(op.factor)
+            for coeff in (-1.0, np.nan, np.inf):
+                with pytest.raises(ValueError):
+                    op.scaled(coeff)
 
     def test_shape(self, rng):
         for op, _ in _all_representations(rng):

@@ -64,7 +64,17 @@ def dense_psi_collection(m=12, n=8, rank=2, scale=0.4, seed=7):
 
 
 def big_collection(m=80, n=10, rank=2, scale=0.2, seed=7):
-    """m above the dense cutoff (64) so lambda_max runs warm-started Lanczos."""
+    """m = 80, R = 20: lambda_max reads the R x R Gram twin."""
+    return factorized_family(seed + CHAOS_SEED, n=n, m=m, rank=rank, scale=scale)
+
+
+def lanczos_collection(m=260, n=66, rank=2, scale=0.3, seed=7):
+    """min(m, R) = 132 > KAPPA_EIG_CUTOFF: lambda_max runs seeded Lanczos.
+
+    2R <= 1.1 m keeps the oracle on the Gram rung, whose own spectrum gives
+    its kappa, so the ``lanczos`` and ``psi_state.matvec`` sites fire only
+    inside the psi state's ``lambda_max``.
+    """
     return factorized_family(seed + CHAOS_SEED, n=n, m=m, rank=rank, scale=scale)
 
 
@@ -116,25 +126,32 @@ class TestChaosRecovery:
         assert ("gram", "dense-psi") in modes
         assert any(to == "reference" for _, to in modes)
 
-    def test_lanczos_nonconvergence_demotes_to_cold_start(self):
-        coll = big_collection()
+    @pytest.mark.parametrize(
+        "collection", [big_collection, lanczos_collection], ids=["twin", "lanczos"]
+    )
+    def test_lambda_max_fault_demotes_to_exact(self, collection):
+        # The certified rung's one site fires on its Gram-twin and on its
+        # Lanczos branch alike.
+        coll = collection()
         clean = decision_psdp(coll, epsilon=0.3, oracle="fast", rng=5)
-        with inject("lanczos", NonConvergent, at_call=1, seed=CHAOS_SEED) as spec:
+        with inject("psi_state.lambda_max", NonConvergent, at_call=1, seed=CHAOS_SEED) as spec:
             faulty = decision_psdp(coll, epsilon=0.3, oracle="fast", rng=5)
         assert spec.fires == 1
-        assert_recovered(clean, faulty, "lanczos")
-        event = next(e for e in faulty.metadata["recovery_events"] if e["site"] == "lanczos")
-        assert (event["from_mode"], event["to_mode"]) == ("warm", "cold")
+        assert_recovered(clean, faulty, "psi_state.lambda_max")
+        event = next(
+            e for e in faulty.metadata["recovery_events"] if e["site"] == "psi_state.lambda_max"
+        )
+        assert (event["from_mode"], event["to_mode"]) == ("certified", "exact")
 
     def test_lanczos_persistent_failure_falls_back_to_exact(self):
-        coll = big_collection()
+        coll = lanczos_collection()
         clean = decision_psdp(coll, epsilon=0.3, oracle="fast", rng=5)
         with inject("lanczos", NonConvergent, at_call=1, times=2, seed=CHAOS_SEED) as spec:
             faulty = decision_psdp(coll, epsilon=0.3, oracle="fast", rng=5)
         assert spec.fires == 2
         assert_recovered(clean, faulty, "lanczos")
         modes = [(e["from_mode"], e["to_mode"]) for e in faulty.metadata["recovery_events"]]
-        assert ("cold", "exact") in modes
+        assert modes == [("certified", "exact")] * 2
 
     def test_trace_estimation_fault_demotes_to_identity(self):
         coll = gram_collection()
@@ -150,7 +167,7 @@ class TestChaosRecovery:
         assert faulty.metadata["trace_estimator"]["mode"] == "identity"
 
     def test_psi_state_matvec_corruption_densifies(self):
-        coll = big_collection()
+        coll = lanczos_collection()
         clean = decision_psdp(coll, epsilon=0.3, oracle="fast", rng=5)
         assert clean.metadata["psi_state"]["mode"] == "implicit"
         with inject("psi_state.matvec", NaN, at_call=3, seed=CHAOS_SEED) as spec:
@@ -435,14 +452,14 @@ class TestCrashFaults:
     """Crash-style (fatal) faults: not absorbed by the demotion ladder."""
 
     def test_crash_fails_instead_of_recovering(self):
-        with inject("lanczos", Crash, at_call=1, seed=CHAOS_SEED) as spec:
+        with inject("psi_state.lambda_max", Crash, at_call=1, seed=CHAOS_SEED) as spec:
             result = decision_psdp(big_collection(), epsilon=0.25, oracle="fast", rng=3)
         assert spec.fires >= 1
         assert result.status == SolveStatus.FAILED
         assert result.metadata["solve_status"] == "failed"
 
     def test_crash_before_first_capture_has_no_checkpoint(self):
-        with inject("lanczos", Crash, at_call=1, seed=CHAOS_SEED):
+        with inject("psi_state.lambda_max", Crash, at_call=1, seed=CHAOS_SEED):
             result = decision_psdp(
                 big_collection(), epsilon=0.25, oracle="fast", rng=3,
                 checkpoint_every=1000,
@@ -451,14 +468,14 @@ class TestCrashFaults:
         assert "checkpoint" not in result.metadata
 
     def test_crash_after_periodic_capture_resumes_identically(self):
-        # Crash at the 7th Lanczos call: the periodic capture from an
+        # Crash at the 7th lambda_max call: the periodic capture from an
         # earlier iteration survives on the FAILED result, and a clean
         # resume lands on the uninterrupted run's bits.
         baseline = decision_psdp(
             big_collection(), epsilon=0.25, oracle="fast", rng=3,
             collect_history=True,
         )
-        with inject("lanczos", Crash, at_call=7, seed=CHAOS_SEED):
+        with inject("psi_state.lambda_max", Crash, at_call=7, seed=CHAOS_SEED):
             crashed = decision_psdp(
                 big_collection(), epsilon=0.25, oracle="fast", rng=3,
                 checkpoint_every=2, collect_history=True,
@@ -621,7 +638,7 @@ class TestServiceChaos:
             seed=CHAOS_SEED,
             clock=VirtualClock(),
         )
-        with inject("lanczos", Crash, at_call=1, times=2, seed=CHAOS_SEED):
+        with inject("psi_state.lambda_max", Crash, at_call=1, times=2, seed=CHAOS_SEED):
             rid = service.submit(big_collection(), max_attempts=3)
             responses = service.drain()
         response = responses[rid]
