@@ -49,7 +49,7 @@ from common import (  # noqa: E402
 )
 from repro.backend import available_backends, get_array_backend  # noqa: E402
 from repro.core.decision import decision_psdp  # noqa: E402
-from repro.linalg.taylor_blocked import BlockedTaylorKernel  # noqa: E402
+from repro.linalg.taylor_blocked import BlockedTaylorKernel, densified_psi  # noqa: E402
 
 DEFAULT_OUTPUT = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_backend.json"
@@ -91,8 +91,11 @@ def bench_kernels(ops, n: int, m: int, backend_name: str, repeats: int, seed: in
     run("dots", lambda: view.dots(sym), ref.dots(sym))
     run("matvec", lambda: view.matvec_fn(weights)(block), ref.matvec_fn(weights)(block))
 
-    ref_kernel = BlockedTaylorKernel(q, col_w)
-    kernel = BlockedTaylorKernel(q, col_w, backend=backend_name)
+    # Every grid shape has R > m/2, where the engine's Taylor rung is the
+    # dense-Psi recurrence.
+    psi = densified_psi(q, col_w)
+    ref_kernel = BlockedTaylorKernel.from_matrix(psi)
+    kernel = BlockedTaylorKernel.from_matrix(psi, backend=backend_name)
     run(
         "taylor_apply",
         lambda: kernel.apply(block, TAYLOR_DEGREE, scale=0.5),

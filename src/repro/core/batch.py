@@ -70,7 +70,6 @@ from repro.linalg.norms import certified_kappa
 from repro.linalg.sketching import jl_dimension
 from repro.linalg.taylor import taylor_degree
 from repro.linalg.taylor_gram import batched_gram_eigh, spectral_evaluation
-from repro.linalg.trace_estimation import select_trace_mode
 from repro.operators.collection import ConstraintCollection
 from repro.operators.packed import batched_segment_sums
 from repro.robustness.faultinject import fault_hook, fault_hook_array
@@ -164,8 +163,7 @@ def _fused_key(
     if m <= 0 or packed.total_rank <= 0:
         return None
     if packed.auto_taylor_mode() != "gram":
-        return None
-    if select_trace_mode(m, packed.total_rank) != "gram":
+        # The Gram Taylor gate (2R <= 1.1 m) implies R <= m, the Gram trace.
         return None
     if min(jl_dimension(m, float(oracle_eps) / 2.0, constant=8.0), m) < m:
         return None

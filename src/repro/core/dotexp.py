@@ -31,7 +31,8 @@ Lemma 4.2's degree ``k = max(e^2 kappa, ln(2/eps))`` is only valid for
 eig → kappa → degree → apply → trace, and in Gram trace mode the kappa and
 the trace share one ``R x R`` eigendecomposition.  Without a spectrum of
 its own a call reads :func:`~repro.linalg.trace_estimation.lambda_max_source`,
-the rule the implicit psi state's ``lambda_max`` bound reads too.
+the rule the implicit psi state's ``lambda_max`` bound reads too, and its
+work charge includes that eigensolve or Lanczos at the psi state's rates.
 
 Packed estimates
 ----------------
@@ -87,15 +88,12 @@ At tight ``eps`` the JL dimension reaches ``m`` (the default for every
 ``m`` below several thousand) and the sketch degenerates to the identity.
 The kernel path then reads the estimates from the polynomial applied to
 the ``(m, R)`` factor stack itself (mathematically identical — the
-identity "sketch" is a no-op) and the trace from a structured
-:class:`~repro.linalg.trace_estimation.TraceEstimator`: the exact
-``R x R`` Gram-spectrum evaluation when ``2R`` is within the hysteresis
-margin of ``m``, the exact deflated block-Krylov projection of the
-already-transformed factor block while ``R`` stays meaningfully below
-``m``, and the identity push where ``R ~ m`` makes it genuinely optimal.
-The ``identity_taylor_applies`` counter records every ``(m, m)`` identity
-that does pass through the polynomial; the structured paths keep it at
-zero.
+identity "sketch" is a no-op) and, whenever ``R <= m``, the trace from the
+exact ``R x R`` Gram spectrum of a
+:class:`~repro.linalg.trace_estimation.TraceEstimator`; for ``R > m`` the
+``m`` identity columns are the smaller block and carry both.  The
+``identity_taylor_applies`` counter records every ``(m, m)`` identity that
+does pass through the polynomial; the Gram trace keeps it at zero.
 """
 
 from __future__ import annotations
@@ -109,7 +107,7 @@ import scipy.sparse as sp
 from repro.exceptions import CheckpointError, InvalidProblemError
 from repro.instrumentation.counters import OracleCounters
 from repro.linalg.expm import expm_normalized
-from repro.linalg.norms import certified_kappa
+from repro.linalg.norms import certified_kappa, certified_lambda_max
 # Nothing here calls the power iteration any more; the name stays importable
 # because perfbench/tracing.py patches it at this module.
 from repro.linalg.norms import spectral_norm_power  # noqa: F401
@@ -246,8 +244,7 @@ def big_dot_exp(
         Theorem 4.1 estimates are then read from the polynomial applied to
         the factor stack itself (an ``(m, R)`` block — mathematically
         identical, since the identity "sketch" is a no-op) and the trace
-        comes from the estimator's exact Gram-spectrum or deflated
-        projection.
+        comes from the estimator's exact Gram spectrum.
 
     Returns
     -------
@@ -349,7 +346,6 @@ def big_dot_exp(
 
     if isinstance(kernel, GramTaylorKernel) and kernel.stack is packed.matrix:
         # ||p(phi/2) q_c||^2 on the Gram-twin spectrum: no (m, R) block.
-        transformed = None
         col_vals = kernel.factor_column_values(degree, scale=0.5)
     else:
         transformed = transform(packed.dense_columns())
@@ -362,12 +358,7 @@ def big_dot_exp(
     if not return_trace:
         return results
     if structured_trace:
-        # `transformed`, when computed, is already the polynomial applied to
-        # the factor stack — exactly the block the deflated estimator
-        # projects, so the structured trace costs no extra apply.
-        estimate = trace_estimator.estimate(
-            kernel, degree, scale=0.5, transformed_factors=transformed
-        )
+        estimate = trace_estimator.estimate(kernel, degree, scale=0.5)
         if counters is not None:
             counters.add("structured_trace_estimates")
         return results, float(estimate.value)
@@ -449,13 +440,12 @@ class FastDotExpOracle:
     a genuinely reducing sketch it is read off the transformed sketch block
     at no extra cost (``|| Pi exp(Psi/2) ||_F^2``); in the degenerate-sketch
     regime (JL dimension at least ``m`` — the default configuration for
-    every ``m`` below several thousand) it comes from a structured
-    :class:`~repro.linalg.trace_estimation.TraceEstimator` (exact
-    Gram-spectrum or deflated block-Krylov projection) so no ``(m, m)``
-    identity passes through the Taylor polynomial unless ``R ~ m`` makes
-    the identity push the cheaper choice.  Every variant estimates the same
-    quantity, so the returned values are directly comparable to the exact
-    oracle's.
+    every ``m`` below several thousand) it comes from the exact Gram
+    spectrum of a :class:`~repro.linalg.trace_estimation.TraceEstimator`
+    whenever ``R <= m``, so no ``(m, m)`` identity passes through the Taylor
+    polynomial unless ``R > m`` makes the identity push the smaller block.
+    Every variant estimates the same quantity, so the returned values are
+    directly comparable to the exact oracle's.
 
     The oracle rebuilds ``Psi`` from ``x`` through the collection's cached
     :class:`~repro.operators.packed.PackedGramFactors` view and never reads
@@ -580,7 +570,7 @@ class FastDotExpOracle:
             tracer = self._trace_estimator.bind(weights, spectrum=spectrum)
             if spectrum is None:
                 spectrum = tracer.spectrum
-        kappa = self._kappa(weights, matvec, spectrum)
+        kappa, kappa_work = self._kappa(weights, matvec, spectrum)
         trace_calls_before = tracer.calls if tracer is not None else 0
         estimates, trace_estimate = big_dot_exp(
             operator if operator is not None else matvec,
@@ -607,34 +597,41 @@ class FastDotExpOracle:
         # When the structured trace estimator handled the degenerate-regime
         # normalisation, the block is the (m, R) factor stack — not the
         # (m, m) identity — and the estimator's own model work
-        # (eigendecomposition / projection GEMMs) rides along, so the charge
-        # reflects what actually ran.
+        # (the R x R eigendecomposition) rides along, so the charge reflects
+        # what actually ran; so does a kappa eigensolve or Lanczos of its own.
         q = self.constraints.total_nnz
         if tracer is not None and tracer.calls > trace_calls_before:
             columns = self._packed.total_rank
             work = float(columns * degree * max(q, m) + q + tracer.last.extra_work)
         else:
             work = float(sketch_dim * degree * max(q, m) + q)
+        work += kappa_work
         self.counters.flops_estimate += work
         return OracleOutput(values=values, trace=trace_estimate, work=work)
 
-    def _kappa(self, weights: np.ndarray, matvec, spectrum) -> float:
-        """Lemma 4.2's ``kappa`` for this call, from an exact spectrum.
+    def _kappa(self, weights: np.ndarray, matvec, spectrum) -> tuple[float, float]:
+        """Lemma 4.2's ``kappa`` for this call, from an exact spectrum, and its work.
 
         With the call's Gram-twin ``spectrum`` (the Gram kernel's, or the
-        bound tracer's in Gram trace mode) it is its top entry.  Otherwise
+        bound tracer's in Gram trace mode) it is its top entry, already
+        charged with the trace.  Otherwise
         :func:`~repro.linalg.trace_estimation.lambda_max_source` picks the
         smaller Gram twin (``Psi`` from the dense-psi engine's buffer when
         it holds one) or, above the cutoff, Lanczos on ``matvec`` from one
-        ``standard_normal(m)`` draw of the oracle's rng.  See
+        ``standard_normal(m)`` draw of the oracle's rng; the work is its
+        operator applications at the source's per-application cost.  See
         :func:`~repro.linalg.norms.certified_kappa`.
         """
-        if spectrum is None:
+        if spectrum is not None:
+            kappa, work = certified_kappa(spectrum), 0.0
+        else:
             psi = self._engine.psi if self._engine is not None else None
-            spectrum = lambda_max_source(self._packed, weights, matvec, psi=psi)
-        kappa = certified_kappa(spectrum, dim=self._packed.dim, rng=self.rng)
+            source, matvec_work = lambda_max_source(self._packed, weights, matvec, psi=psi)
+            info: dict = {}
+            bound = certified_lambda_max(source, dim=self._packed.dim, rng=self.rng, info=info)
+            kappa, work = max(1.0, bound), info["matvecs"] * matvec_work
         self.counters.add("norm_estimates")
-        return kappa
+        return kappa, work
 
     def export_state(self) -> dict:
         """Checkpointable snapshot of everything a resumed call sequence reads.

@@ -334,9 +334,6 @@ class ImplicitPsiState(PsiState):
         super().__init__(constraints, x0, eig_rng)
         self._packed = constraints.packed()
         self.init_work = float(len(self.x))
-        # Per-block-matvec model cost: two passes over the stacked factor
-        # nonzeros (the Corollary 1.2 representation).
-        self._matvec_work = float(max(2 * self._packed.nnz, self.dim, 1))
         self._matvec_fn = None
         self._dense: np.ndarray | None = None
 
@@ -387,10 +384,7 @@ class ImplicitPsiState(PsiState):
         """
         if self.dim == 0:
             return 0.0, 0.0
-        source = lambda_max_source(self._packed, self.x, self._apply())
-        if callable(source):
-            return self._certified(source, self._matvec_work)
-        return self._certified(source, float(len(source)) ** 2)
+        return self._certified(*lambda_max_source(self._packed, self.x, self._apply()))
 
     def densify(self) -> np.ndarray:
         """Materialise ``Psi`` once, on demand (cached until ``add_delta``)."""

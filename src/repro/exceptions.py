@@ -57,7 +57,7 @@ class NumericalError(ReproError, ArithmeticError):
         ``None`` when the failure predates the supervision layer.
     kernel_mode:
         The kernel/estimator mode that was active when the failure occurred
-        (e.g. ``"gram"``, ``"sparse-psi"``, ``"deflated"``), when known.
+        (e.g. ``"gram"``, ``"sparse-psi"``, ``"dense-psi"``), when known.
     """
 
     def __init__(

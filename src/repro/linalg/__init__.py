@@ -16,18 +16,17 @@ built on:
   rule ``k = max(e^2 * kappa, ln(2/eps))``.
 * :mod:`repro.linalg.taylor_blocked` — the blocked/fused evaluation of the
   same polynomial on an entire ``(m, s)`` block at once: Horner-style fused
-  GEMMs against the packed Gram factors, with an optional column-chunked
-  variant that bounds peak memory.
+  products against a dense or sparse ``Psi`` or a sparse scaled factor
+  stack, with an optional column-chunked variant that bounds peak memory.
 * :mod:`repro.linalg.taylor_gram` — the rank-adaptive exponential engine:
   the ``R x R`` Gram-twin spectral kernel (``2R <= 1.1 m``), the
   sparse-``Psi`` CSR accumulation with symbolic-pattern reuse, the
   measured-cost kernel selection policy, and the incremental
   cross-iteration :class:`~repro.linalg.taylor_gram.TaylorEngine`.
-* :mod:`repro.linalg.trace_estimation` — structured estimation of the
-  oracle's trace normalisation ``Tr[exp(Psi)]`` in the degenerate-sketch
-  regime: the exact ``R x R`` Gram-spectrum evaluation and the exact
-  deflated block-Krylov projection — replacing the per-call full-identity
-  Taylor apply wherever the stacked rank stays below ``m``.
+* :mod:`repro.linalg.trace_estimation` — the oracle's trace normalisation
+  ``Tr[exp(Psi)]`` in the degenerate-sketch regime from the smaller twin:
+  the exact ``R x R`` Gram spectrum whenever ``R <= m``, replacing the
+  per-call full-identity Taylor apply, which stays for ``R > m``.
 * :mod:`repro.linalg.sketching` — Johnson–Lindenstrauss Gaussian sketching
   used by the nearly-linear-work oracle of Theorem 4.1.
 * :mod:`repro.linalg.norms` — the certified Lemma 4.2 ``kappa`` rule,
@@ -66,10 +65,7 @@ from repro.linalg.taylor import (
     taylor_expm_matrix,
     TaylorExpmOperator,
 )
-from repro.linalg.taylor_blocked import (
-    BlockedTaylorKernel,
-    blocked_taylor_apply,
-)
+from repro.linalg.taylor_blocked import BlockedTaylorKernel
 from repro.linalg.taylor_gram import (
     GramTaylorKernel,
     SparsePsiAccumulator,
@@ -81,7 +77,6 @@ from repro.linalg.trace_estimation import (
     TraceEstimator,
     gram_exp_trace,
     select_trace_mode,
-    truncated_exp_values,
 )
 from repro.linalg.sketching import (
     jl_dimension,
@@ -123,7 +118,6 @@ __all__ = [
     "taylor_expm_matrix",
     "TaylorExpmOperator",
     "BlockedTaylorKernel",
-    "blocked_taylor_apply",
     "GramTaylorKernel",
     "SparsePsiAccumulator",
     "TaylorEngine",
@@ -132,7 +126,6 @@ __all__ = [
     "TraceEstimator",
     "gram_exp_trace",
     "select_trace_mode",
-    "truncated_exp_values",
     "jl_dimension",
     "gaussian_sketch",
     "sketch_columns",

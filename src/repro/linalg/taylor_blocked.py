@@ -2,40 +2,26 @@
 
 :func:`repro.linalg.taylor.taylor_expm_apply` evaluates the degree-``k``
 polynomial one *term* at a time through a matvec callable.  That is the
-right reference implementation, but when the operator being exponentiated
-is the solver's weight matrix ``Psi = Q diag(w) Q^T`` (``Q`` the packed
-Gram-factor stack of :class:`~repro.operators.packed.PackedGramFactors`)
-the callable hides structure the kernel can exploit:
+right reference implementation, but it pays a weight-broadcast pass, a
+``scale`` copy, a division copy, and a full finiteness scan *per term*.
+:class:`BlockedTaylorKernel` runs the same Horner-style forward recurrence
+over a whole ``(m, s)`` block in two preallocated ping-pong buffers
+(``matmul(..., out=...)``) and checks finiteness once at the end, in one of
+the three representations the rank-adaptive engine
+(:class:`~repro.linalg.taylor_gram.TaylorEngine`) keeps past the Gram gate:
 
-* each Taylor step ``t <- (scale * Psi) t / i`` is *two* GEMMs against the
-  factor stack — ``Q ((w * scale / i) ∘ (Q^T t))`` — and the generic path
-  additionally pays a weight-broadcast pass, a ``scale`` copy, a division
-  copy, and a full finiteness scan *per term*.  The kernel folds the
-  weights and the step scale into a pre-scaled copy of ``Q`` once, runs the
-  Horner-style forward recurrence in two preallocated ping-pong buffers
-  (``np.matmul(..., out=...)``), and checks finiteness once at the end;
-* when the stacked rank ``R`` exceeds ``m/2`` (dense factors) the two
-  factor GEMMs cost *more* than one dense ``m x m`` product: the kernel
-  then materialises ``Psi`` once (a single ``(m, R) x (R, m)`` GEMM — the
-  cost of one Taylor term) and runs the recurrence with a fused dense GEMM
-  per term, ``m^2 s`` instead of ``2 m R s`` madds.  For the degenerate-
-  sketch regime of Theorem 4.1 (``m ≲ 1000`` at tight eps, where the JL
-  dimension reaches ``m`` and the "sketch" block is the full identity) this
-  is the dominant-cost path and the densified recurrence is ``~2R/m``
-  times cheaper than the factor recurrence.
+* a dense ``Psi`` (:meth:`BlockedTaylorKernel.from_matrix`): one fused
+  ``m^2 s`` GEMM per term — for the degenerate-sketch regime of Theorem
+  4.1 (``m ≲ 1000`` at tight eps, where the JL dimension reaches ``m`` and
+  the "sketch" block is the full identity) the dominant-cost path;
+* a sparse CSR ``Psi`` (:meth:`~BlockedTaylorKernel.from_matrix` again),
+  one sparse product per term;
+* a sparse scaled factor stack ``Q diag(w)``
+  (:meth:`BlockedTaylorKernel.from_scaled_factors`), two sparse products
+  per term.
 
-The *default* densification rule never leaves the Theorem 4.1 work
-regime: it only triggers when the stored factor nonzeros ``q`` already
-satisfy ``2 q > m^2``, so ``m^2 < 2 q`` and the dense recurrence still
-performs ``O(q)`` work per column per term.  The rank-adaptive selection
-policy (:mod:`repro.linalg.taylor_gram`) may force densification earlier
-— when the dense GEMM's throughput beats the sparse products despite more
-madds — in which case the oracle's charges (which always bill the model's
-factored costs, keeping them representation-invariant) undercount the
-hardware madds by at most the policy's discount factor; see the
-work–depth notes in :mod:`repro.core.dotexp`.
-
-Both modes evaluate *exactly the same polynomial* as
+:func:`densified_psi` materialises ``Psi = Q diag(w) Q^T`` for the first.
+Every representation evaluates *exactly the same polynomial* as
 :func:`~repro.linalg.taylor.taylor_expm_apply`; results agree to floating-
 point rounding (~1e-13), which the equivalence tests in
 ``tests/test_linalg_taylor_blocked.py`` pin down per column.
@@ -58,7 +44,7 @@ from repro.backend import NUMPY, get_array_backend
 from repro.exceptions import InvalidProblemError, NumericalError
 from repro.robustness.faultinject import fault_hook_array
 
-__all__ = ["BlockedTaylorKernel", "blocked_taylor_apply", "densified_psi"]
+__all__ = ["BlockedTaylorKernel", "densified_psi"]
 
 
 def _stack_dtype(q: np.ndarray | sp.spmatrix) -> np.dtype:
@@ -107,10 +93,11 @@ def densified_psi(
 ) -> np.ndarray:
     """Materialise ``Psi = Q diag(w) Q^T`` dense, symmetrised.
 
-    The one densification implementation shared by the blocked kernel's
-    construction and the rank-adaptive engine's ``dense-psi`` state build
-    (:class:`~repro.linalg.taylor_gram.TaylorEngine`), so the weight fold
-    and the ``0.5 (Psi + Psi^T)`` symmetrisation can never drift apart.
+    The one densification implementation: the rank-adaptive engine's
+    ``dense-psi`` state build
+    (:class:`~repro.linalg.taylor_gram.TaylorEngine`) and the kappa source
+    of ``R > m`` stacks both use it, so the weight fold and the
+    ``0.5 (Psi + Psi^T)`` symmetrisation can never drift apart.
     """
     if sp.issparse(q):
         qw = q.multiply(np.asarray(col_weights)[None, :]).tocsr()
@@ -118,10 +105,6 @@ def densified_psi(
     else:
         psi = (q * col_weights) @ q.T
     return 0.5 * (psi + psi.T)
-
-#: densify ``Psi`` when twice the stored factor nonzeros exceed ``m^2``
-#: (the break-even point between two factor GEMMs and one dense GEMM).
-DENSIFY_FLOP_RATIO = 2.0
 
 
 class _FusedTaylorApplyBase:
@@ -220,9 +203,8 @@ class _FusedTaylorApplyBase:
 class BlockedTaylorKernel(_FusedTaylorApplyBase):
     """Fused block apply of the truncated Taylor series of ``exp(scale * Psi)``.
 
-    The kernel represents a symmetric PSD operator
-    ``Psi = Q diag(w) Q^T`` (factor form) or an explicit symmetric matrix
-    ``Psi`` (matrix form) and evaluates
+    The kernel holds ``Psi`` as a dense or CSR matrix, or as a sparse factor
+    stack with its weight fold ``Q diag(w)``, and evaluates
 
     .. math::
 
@@ -230,27 +212,9 @@ class BlockedTaylorKernel(_FusedTaylorApplyBase):
 
     for an entire ``(m, s)`` block of vectors ``b`` at once — the Lemma 4.2
     truncated exponential that the Theorem 4.1 oracle pushes its sketch
-    block through.  Construction chooses between the factor-space recurrence
-    and a one-time densification of ``Psi`` by comparing their per-term GEMM
-    cost (see the module docstring); both evaluate the identical polynomial.
-
-    Parameters
-    ----------
-    q:
-        Packed factor stack of shape ``(m, R)`` — a dense array or a scipy
-        sparse matrix (the :attr:`PackedGramFactors.matrix` layout).
-    col_weights:
-        Per-*column* non-negative weights ``w`` of length ``R`` (the
-        constraint weights already expanded by rank, e.g. via
-        :meth:`PackedGramFactors.expand_weights`).
-    chunk_columns:
-        Default column-chunk size for :meth:`apply` (``None`` = unchunked).
-    densify:
-        Force (``True``) or forbid (``False``) the one-time materialisation
-        of ``Psi``; ``None`` (default) keeps the legacy flop-ratio rule
-        ``2 nnz(Q) > m^2``.  The rank-adaptive engine
-        (:class:`~repro.linalg.taylor_gram.TaylorEngine`) passes an explicit
-        choice from its measured-cost policy.
+    block through.  Build one with :meth:`from_matrix` or
+    :meth:`from_scaled_factors`; every representation evaluates the
+    identical polynomial.
 
     Attributes
     ----------
@@ -260,45 +224,20 @@ class BlockedTaylorKernel(_FusedTaylorApplyBase):
         Running count of (model-level) matrix–vector products performed by
         :meth:`apply` — ``s * (degree - 1)`` per call, the same unit
         :class:`~repro.linalg.taylor.TaylorExpmOperator` reports.
-    uses_dense_psi:
-        Whether construction materialised ``Psi`` (diagnostic; both modes
-        produce the same values).
     """
 
-    def __init__(
-        self,
-        q: np.ndarray | sp.spmatrix,
-        col_weights: np.ndarray,
-        chunk_columns: int | None = None,
-        densify: bool | None = None,
-        backend: "str | None" = None,
-    ) -> None:
-        self.backend = get_array_backend(backend)
-        q, col_weights, m, r, self.dtype = _validated_stack(q, col_weights, self.backend)
-        nnz = q.nnz if sp.issparse(q) else m * r
-        self.dim = m
-        self.total_rank = r
-        self.matvec_count = 0
-        self.chunk_columns = chunk_columns
-        self._psi: np.ndarray | None = None
-        self._psi_sparse: sp.csr_matrix | None = None
-        self._q: np.ndarray | sp.csr_matrix | None = None
-        self._qw: np.ndarray | sp.csr_matrix | None = None
+    @classmethod
+    def _empty(cls, backend, dim: int, total_rank: int, dtype) -> "BlockedTaylorKernel":
+        kernel = cls.__new__(cls)
+        kernel.backend = get_array_backend(backend)
+        kernel.matvec_count = 0
+        kernel.chunk_columns = None
+        kernel.dim = dim
+        kernel.total_rank = total_rank
+        kernel.dtype = dtype
+        kernel._psi = kernel._q = kernel._qw = None
+        return kernel
 
-        if densify is None:
-            densify = DENSIFY_FLOP_RATIO * nnz > m * m
-        if densify:
-            # One (m, R) x (R, m) GEMM now — the cost of a single Taylor
-            # term — buys an m^2-per-term recurrence instead of 2 m R.
-            self._psi = self.backend.asarray(densified_psi(q, col_weights))
-        elif sp.issparse(q):
-            self._q = q
-            self._qw = q.multiply(col_weights[None, :]).tocsr()
-        else:
-            self._q = self.backend.asarray(q)
-            self._qw = self.backend.asarray(q * col_weights)
-
-    # ------------------------------------------------------------------ alternates
     @classmethod
     def from_matrix(
         cls, psi: np.ndarray | sp.spmatrix, backend: "str | None" = None
@@ -308,122 +247,70 @@ class BlockedTaylorKernel(_FusedTaylorApplyBase):
         Dense matrices use the fused dense recurrence directly; sparse
         matrices keep sparse matvecs (NumPy backend only).
         """
-        kernel = cls.__new__(cls)
-        kernel.backend = get_array_backend(backend)
-        kernel.matvec_count = 0
-        kernel.chunk_columns = None
-        kernel._q = None
-        kernel._qw = None
-        kernel._psi = None
-        kernel._psi_sparse = None
+        dim = int(psi.shape[0])
+        if psi.shape != (dim, dim):
+            raise InvalidProblemError(f"psi must be square, got shape {psi.shape}")
         if sp.issparse(psi):
+            kernel = cls._empty(backend, dim, dim, np.dtype(np.float64))
             if not kernel.backend.is_numpy:
                 raise InvalidProblemError(
                     "sparse psi matrices are NumPy-only; densify before "
                     "handing them to a non-NumPy backend"
                 )
-            kernel.dtype = np.dtype(np.float64)
-            kernel._psi_sparse = psi.tocsr()
-            kernel.dim = int(psi.shape[0])
+            kernel._psi = psi.tocsr()
         else:
-            kernel.dtype = _stack_dtype(psi)
-            psi = np.asarray(psi, dtype=kernel.dtype)
-            kernel._psi = kernel.backend.asarray(psi)
-            kernel.dim = int(psi.shape[0])
-        kernel.total_rank = kernel.dim
-        if psi.shape != (kernel.dim, kernel.dim):
-            raise InvalidProblemError(f"psi must be square, got shape {psi.shape}")
+            kernel = cls._empty(backend, dim, dim, _stack_dtype(psi))
+            kernel._psi = kernel.backend.asarray(np.asarray(psi, dtype=kernel.dtype))
         return kernel
 
     @classmethod
     def from_scaled_factors(
-        cls,
-        q: np.ndarray | sp.spmatrix,
-        qw: np.ndarray | sp.spmatrix,
-        chunk_columns: int | None = None,
-        backend: "str | None" = None,
+        cls, q: sp.spmatrix, qw: sp.spmatrix
     ) -> "BlockedTaylorKernel":
-        """Kernel over a stack whose weight fold ``Q diag(w)`` already exists.
+        """Kernel over a sparse stack whose weight fold ``Q diag(w)`` already exists.
 
         The :class:`~repro.linalg.taylor_gram.TaylorEngine` maintains the
         scaled stack across solver iterations by rescaling only the active
         columns; this constructor reuses it instead of re-folding the
-        weights (an ``O(nnz)`` pass) on every call.  The factor recurrence
-        is forced — no densification check — because the engine's selection
-        policy already decided against the dense representation.
+        weights (an ``O(nnz)`` pass) on every call.  Sparse stacks are
+        NumPy-only and run in float64.
         """
-        kernel = cls.__new__(cls)
-        kernel.backend = get_array_backend(backend)
-        kernel.matvec_count = 0
-        kernel.chunk_columns = chunk_columns
-        kernel._psi = None
-        kernel._psi_sparse = None
-        if sp.issparse(q) != sp.issparse(qw) or q.shape != qw.shape:
+        if not (sp.issparse(q) and sp.issparse(qw)) or q.shape != qw.shape:
             raise InvalidProblemError(
-                "q and qw must share storage kind and shape, got "
+                "q and qw must be sparse stacks of one shape, got "
                 f"{q.shape} and {qw.shape}"
             )
-        if sp.issparse(q):
-            if not kernel.backend.is_numpy:
-                raise InvalidProblemError(
-                    "sparse factor stacks are NumPy-only; densify the stack "
-                    "before handing it to a non-NumPy backend"
-                )
-            kernel.dtype = np.dtype(np.float64)
-            kernel._q = q.tocsr()
-            kernel._qw = qw
-        else:
-            kernel.dtype = _stack_dtype(q)
-            kernel._q = kernel.backend.asarray(np.asarray(q, dtype=kernel.dtype))
-            kernel._qw = kernel.backend.asarray(np.asarray(qw, dtype=kernel.dtype))
-        kernel.dim = int(q.shape[0])
-        kernel.total_rank = int(q.shape[1])
+        kernel = cls._empty(None, int(q.shape[0]), int(q.shape[1]), np.dtype(np.float64))
+        kernel._q = q.tocsr()
+        kernel._qw = qw
         return kernel
-
-    @property
-    def uses_dense_psi(self) -> bool:
-        """Whether the kernel runs the recurrence on a materialised ``Psi``."""
-        return self._psi is not None
 
     @property
     def mode(self) -> str:
         """Representation tag in the engine's vocabulary (for error attribution)."""
-        if self._psi is not None:
-            return "dense-psi"
-        if self._psi_sparse is not None:
-            return "sparse-psi"
-        if sp.issparse(self._q):
+        if self._psi is None:
             return "sparse-factors"
-        return "dense-factors"
+        return "sparse-psi" if sp.issparse(self._psi) else "dense-psi"
 
     # ------------------------------------------------------------------ matvec
     def matvec(self, block: np.ndarray) -> np.ndarray:
-        """``Psi @ block`` (unscaled) — used for spectral-norm estimation.
-
-        Uses whichever representation the kernel holds; for the densified
-        mode this is a single ``m^2``-madd product per column.
-        """
-        if self._psi_sparse is not None:
-            return self._psi_sparse @ block
-        if sp.issparse(self._q):
+        """``Psi @ block`` (unscaled) — used for spectral-norm estimation."""
+        if self._psi is None:
             return self._qw @ (self._q.T @ block)
+        if sp.issparse(self._psi):
+            return self._psi @ block
         xp = self.backend
-        b = xp.asarray(block, dtype=self.dtype)
-        if self._psi is not None:
-            return xp.to_numpy(xp.matmul(self._psi, b))
-        return xp.to_numpy(xp.matmul(self._qw, xp.matmul(self._q.T, b)))
+        return xp.to_numpy(xp.matmul(self._psi, xp.asarray(block, dtype=self.dtype)))
 
     # ------------------------------------------------------------------ apply
     # apply() is inherited from _FusedTaylorApplyBase; this kernel supplies
     # the per-chunk recurrence for whichever representation it holds.
     def _apply_chunk(self, block: np.ndarray, degree: int, scale: float) -> np.ndarray:
-        if self._psi is not None:
-            return self._apply_dense_psi(block, degree, scale)
-        if self._psi_sparse is not None:
-            return self._apply_sparse_op(self._psi_sparse, None, block, degree, scale)
-        if sp.issparse(self._q):
+        if self._psi is None:
             return self._apply_sparse_op(self._qw, self._q, block, degree, scale)
-        return self._apply_dense_factors(block, degree, scale)
+        if sp.issparse(self._psi):
+            return self._apply_sparse_op(self._psi, None, block, degree, scale)
+        return self._apply_dense_psi(block, degree, scale)
 
     def _apply_dense_psi(self, block: np.ndarray, degree: int, scale: float) -> np.ndarray:
         xp = self.backend
@@ -432,21 +319,6 @@ class BlockedTaylorKernel(_FusedTaylorApplyBase):
         buf = xp.empty_like(term)
         for i in range(1, degree):
             xp.matmul(self._psi, term, out=buf)
-            buf *= scale / i
-            acc += buf
-            term, buf = buf, term
-        return xp.to_numpy(acc)
-
-    def _apply_dense_factors(self, block: np.ndarray, degree: int, scale: float) -> np.ndarray:
-        xp = self.backend
-        acc = xp.copy(xp.asarray(block, dtype=self.dtype))
-        term = xp.copy(acc)
-        buf = xp.empty_like(term)
-        inner = xp.empty((self.total_rank, block.shape[1]), dtype=self.dtype)
-        qw_t = self._qw.T
-        for i in range(1, degree):
-            xp.matmul(qw_t, term, out=inner)
-            xp.matmul(self._q, inner, out=buf)
             buf *= scale / i
             acc += buf
             term, buf = buf, term
@@ -476,23 +348,3 @@ class BlockedTaylorKernel(_FusedTaylorApplyBase):
         return (
             f"BlockedTaylorKernel(dim={self.dim}, R={self.total_rank}, mode={self.mode})"
         )
-
-
-def blocked_taylor_apply(
-    q: np.ndarray | sp.spmatrix,
-    col_weights: np.ndarray,
-    block: np.ndarray,
-    degree: int,
-    scale: float = 1.0,
-    chunk_columns: int | None = None,
-    backend: "str | None" = None,
-) -> np.ndarray:
-    """One-shot convenience wrapper around :class:`BlockedTaylorKernel`.
-
-    Equivalent to ``BlockedTaylorKernel(q, col_weights).apply(block, degree,
-    scale, chunk_columns)``; prefer constructing the kernel once when the
-    same ``(q, w)`` pair is applied to several blocks (the densified ``Psi``
-    and scaled factor copies are then reused across calls).
-    """
-    kernel = BlockedTaylorKernel(q, col_weights, backend=backend)
-    return kernel.apply(block, degree, scale=scale, chunk_columns=chunk_columns)

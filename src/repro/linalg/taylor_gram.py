@@ -1,11 +1,11 @@
 """Rank-adaptive exponential engine (Lemma 4.2, all representations).
 
 :mod:`repro.linalg.taylor_blocked` evaluates the truncated exponential of
-``Psi = Q diag(w) Q^T`` either through the factor stack (``2 m R s`` madds
-per term) or through a one-time densification (``m^2 s`` per term).  Two
-cheaper exact representations exist and this module adds both, plus the
-policy that picks between all of them and an engine that reuses state
-across the solver's mildly-changing weight iterates:
+``Psi = Q diag(w) Q^T`` by recurrence over a densified ``Psi`` (``m^2 s``
+madds per term), a sparse ``Psi`` or the sparse factor stack.  This module
+adds the Gram-twin spectral kernel and the sparse-``Psi`` accumulator, the
+policy that picks between all the representations and an engine that
+reuses state across the solver's mildly-changing weight iterates:
 
 * **Gram-space spectral kernel** (:class:`GramTaylorKernel`): ``Psi`` and
   its ``R x R`` Gram twin ``S = W^{1/2} (Q^T Q) W^{1/2}`` (``W = diag(w)``)
@@ -37,8 +37,7 @@ across the solver's mildly-changing weight iterates:
   per-term costs of all applicable representations — Gram space, densified
   ``Psi``, sparse ``Psi`` (discounted by the measured throughput gap
   between sparse and dense GEMMs, :data:`SPARSE_GEMM_DISCOUNT`), and the
-  sparse factor recurrence — replacing the blocked kernel's single
-  ``2R > m`` densification rule.
+  sparse factor recurrence.
 * **Incremental engine** (:class:`TaylorEngine`): the decision solvers
   change only the qualifying weight coordinates per iteration, so the
   engine keeps the weight-*independent* artifacts (the CSR pattern and its
@@ -889,9 +888,7 @@ class TaylorEngine:
             # Sparse-Psi CSR recurrences are NumPy-only (and only reachable
             # with a NumPy-backed stack — non-NumPy stacks densify).
             return BlockedTaylorKernel.from_matrix(self._psi_csr)
-        return BlockedTaylorKernel.from_scaled_factors(
-            self.packed.matrix, self._qw, backend=self.backend
-        )
+        return BlockedTaylorKernel.from_scaled_factors(self.packed.matrix, self._qw)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -16,7 +16,7 @@ The ladders (see ``docs/ROBUSTNESS.md`` for the full diagram):
   identity trace push.  Every rung evaluates the *same* Lemma 4.2
   polynomial, so demotion changes rounding at worst — never the certified
   decision.
-* **Trace estimator**: ``gram`` / ``deflated`` → the exact identity push.
+* **Trace estimator**: ``gram`` → the exact identity push.
 * **lambda_max**: the certified bound (Gram-twin / ``Psi`` ``eigvalsh``,
   or seeded Lanczos above the cutoff) → exact dense ``eigvalsh``.
 * **PsiState**: implicit (matrix-free) → dense maintenance.

@@ -22,7 +22,7 @@ from repro.backend.numpy_backend import batched_segment_sums, segment_sums
 from repro.core.decision import DecisionOptions, decision_psdp
 from repro.exceptions import BackendError, InvalidProblemError
 from repro.linalg.psd import random_psd
-from repro.linalg.taylor_blocked import blocked_taylor_apply
+from repro.linalg.taylor_blocked import BlockedTaylorKernel, densified_psi
 from repro.linalg.taylor_gram import GramTaylorKernel
 from repro.linalg.trace_estimation import gram_exp_trace
 from repro.operators.collection import ConstraintCollection
@@ -215,8 +215,9 @@ def test_blocked_taylor_apply_conformance(backend):
     q = rng.standard_normal((9, 5))
     col_w = rng.uniform(0.0, 1.0, size=5)
     block = rng.standard_normal((9, 4))
-    want = blocked_taylor_apply(q, col_w, block, degree=6, scale=0.5)
-    got = blocked_taylor_apply(q, col_w, block, degree=6, scale=0.5, backend=backend)
+    psi = densified_psi(q, col_w)
+    want = BlockedTaylorKernel.from_matrix(psi).apply(block, degree=6, scale=0.5)
+    got = BlockedTaylorKernel.from_matrix(psi, backend=backend).apply(block, degree=6, scale=0.5)
     _assert_matches(backend, got, want)
 
 
@@ -311,26 +312,20 @@ def test_blocked_taylor_float32_stack_never_upcasts(backend):
     """A float32 stack stays float32 through the blocked Taylor path.
 
     Guards the latent upcasts the backend refactor removed: the ping-pong
-    buffers, the densified ``Psi``, and the weight scaling used to default
-    to float64 regardless of the stack dtype.
+    buffers and the densified ``Psi`` used to default to float64 regardless
+    of the stack dtype.
     """
-    from repro.linalg.taylor_blocked import BlockedTaylorKernel, densified_psi
-
     rng = np.random.default_rng(13)
     q = rng.standard_normal((8, 3)).astype(np.float32)
     col_w = rng.uniform(0.1, 1.0, size=3).astype(np.float32)
     block = rng.standard_normal((8, 4)).astype(np.float32)
 
-    assert densified_psi(q, col_w).dtype == np.float32
-    for kernel in (
-        BlockedTaylorKernel(q, col_w, backend=backend),
-        BlockedTaylorKernel(q, col_w, densify=True, backend=backend),
-        BlockedTaylorKernel.from_scaled_factors(q, q * col_w, backend=backend),
-    ):
-        assert kernel.dtype == np.float32
-        out = kernel.apply(block, degree=5, scale=0.5)
-        assert out.dtype == np.float32
-        assert kernel.matvec(block).dtype == np.float32
+    psi = densified_psi(q, col_w)
+    assert psi.dtype == np.float32
+    kernel = BlockedTaylorKernel.from_matrix(psi, backend=backend)
+    assert kernel.dtype == np.float32
+    assert kernel.apply(block, degree=5, scale=0.5).dtype == np.float32
+    assert kernel.matvec(block).dtype == np.float32
 
     gram_kernel = GramTaylorKernel(q, col_w, backend=backend)
     assert gram_kernel.dtype == np.float32
@@ -339,10 +334,8 @@ def test_blocked_taylor_float32_stack_never_upcasts(backend):
 
 def test_blocked_taylor_float64_default_dtype_unchanged():
     """Non-float32 inputs (including ints) still compute in float64."""
-    from repro.linalg.taylor_blocked import BlockedTaylorKernel
-
     q = np.arange(12, dtype=np.int64).reshape(4, 3)
-    kernel = BlockedTaylorKernel(q, np.ones(3))
+    kernel = BlockedTaylorKernel.from_matrix(q @ q.T)
     assert kernel.dtype == np.float64
     out = kernel.apply(np.eye(4), degree=4, scale=0.5)
     assert out.dtype == np.float64

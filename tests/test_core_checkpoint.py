@@ -146,12 +146,13 @@ class TestCaptureSemantics:
         [
             (lambda oracle: oracle.update(engine_enabled=False), "per-call blocked"),
             (lambda oracle: oracle["trace"].update(mode="hutchinson"), "no longer exists"),
+            (lambda oracle: oracle["trace"].update(mode="deflated"), "no longer exists"),
             (lambda oracle: oracle.update(trace=None), "without a trace estimator"),
             (lambda oracle: oracle["engine"].update(mode="dense-factors"), "Taylor engine"),
         ],
         ids=[
-            "engine-off-blocked-on", "stochastic-trace", "no-trace-estimator",
-            "dense-factors-engine",
+            "engine-off-blocked-on", "stochastic-trace", "deflated-trace",
+            "no-trace-estimator", "dense-factors-engine",
         ],
     )
     def test_resume_rejects_removed_oracle_options(self, edit, match):

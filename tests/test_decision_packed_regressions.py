@@ -545,12 +545,14 @@ class TestStructuredTraceRegressions:
         stats = result.metadata["trace_estimator"]
         assert stats["identity_fallbacks"] == 0
         assert stats["calls"] == result.iterations
-        assert stats["mode"] in ("gram", "deflated")
+        assert stats["mode"] == "gram"
 
-    def test_deflated_mode_selected_past_gram_gate(self):
-        # 2R > 1.1m but R well below m: the deflated projection.
+    def test_gram_trace_past_gate(self):
+        # 2R > 1.1m, so the Taylor rung is dense-psi, but R <= m: the trace
+        # still comes from the Gram spectrum.
         result, oracle = self._solve(17, 256, 80, "lowrank", cap=5)
-        assert result.metadata["trace_estimator"]["mode"] == "deflated"
+        assert result.metadata["taylor_engine"]["mode"] == "dense-psi"
+        assert result.metadata["trace_estimator"]["mode"] == "gram"
         assert oracle.counters.extra.get("identity_taylor_applies", 0) == 0
 
     def test_phased_solver_surfaces_trace_stats(self):

@@ -2,9 +2,9 @@
 
 The kernel must evaluate exactly the same Lemma 4.2 polynomial as the
 per-term reference :func:`repro.linalg.taylor.taylor_expm_apply` — per
-column, to 1e-10 — in every mode (dense factors, densified ``Psi``, sparse
-factors, explicit matrix), with chunked application bit-for-bit identical
-to unchunked.
+column, to 1e-10 — in every representation (dense ``Psi``, sparse ``Psi``,
+sparse scaled factors), with chunked application matching unchunked to
+last-ulp BLAS reordering.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from repro.exceptions import InvalidProblemError, NumericalError
 from repro.linalg.expm import expm_eigh
 from repro.linalg.taylor import TaylorExpmOperator, taylor_degree, taylor_expm_apply
-from repro.linalg.taylor_blocked import BlockedTaylorKernel, blocked_taylor_apply
+from repro.linalg.taylor_blocked import BlockedTaylorKernel, densified_psi
 from repro.linalg.taylor_gram import TaylorEngine
 from repro.core.dotexp import FastDotExpOracle, big_dot_exp
 from repro.operators import ConstraintCollection, FactorizedPSDOperator, PackedGramFactors
@@ -30,26 +30,44 @@ def _factors(m, r, seed, sparse=False, density=0.2):
     return rng.standard_normal((m, r)) / np.sqrt(m)
 
 
+def _dense_psi_engine():
+    """A ``dense-psi`` engine over two rank-1 constraints in dimension 6."""
+    q = _factors(6, 2, 0)
+    return TaylorEngine(PackedGramFactors([q[:, :1], q[:, 1:]]), mode="dense-psi")
+
+
+def _kernel(q, w):
+    """The blocked kernel the engine builds for stack ``q`` at weights ``w``:
+    the dense-``Psi`` recurrence for a dense stack, the scaled factor
+    recurrence for a sparse one."""
+    if sp.issparse(q):
+        return BlockedTaylorKernel.from_scaled_factors(q, q.multiply(w[None, :]).tocsr())
+    return BlockedTaylorKernel.from_matrix(densified_psi(q, w))
+
+
 class TestKernelEquivalence:
     """Per-column agreement with the reference recurrence, all modes."""
 
-    @pytest.mark.parametrize("r", [6, 60])  # r=6: factor mode, r=60: densified
+    @pytest.mark.parametrize("r", [6, 60])  # R below and above m
     def test_matches_reference_per_column(self, r):
         m, s, degree = 24, 9, 18
         q = _factors(m, r, seed=r)
         w = np.random.default_rng(r + 1).random(r)
         psi = (q * w) @ q.T
         block = np.random.default_rng(2).standard_normal((m, s))
-        kernel = BlockedTaylorKernel(q, w)
+        kernel = _kernel(q, w)
         out = kernel.apply(block, degree)
         for j in range(s):
             ref = taylor_expm_apply(psi, block[:, j], degree)
             np.testing.assert_allclose(out[:, j], ref, atol=1e-10, rtol=0)
 
     def test_mode_selection(self):
-        m = 24
-        assert not BlockedTaylorKernel(_factors(m, 6, 0), np.ones(6)).uses_dense_psi
-        assert BlockedTaylorKernel(_factors(m, 60, 0), np.ones(60)).uses_dense_psi
+        # The constructor fixes the representation the kernel reports.
+        psi = densified_psi(_factors(24, 6, 0), np.ones(6))
+        sparse_q = _factors(24, 6, 0, sparse=True)
+        assert BlockedTaylorKernel.from_matrix(psi).mode == "dense-psi"
+        assert BlockedTaylorKernel.from_matrix(sp.csr_matrix(psi)).mode == "sparse-psi"
+        assert BlockedTaylorKernel.from_scaled_factors(sparse_q, sparse_q).mode == "sparse-factors"
 
     def test_scale_half_matches_reference(self):
         m, r, degree = 16, 5, 14
@@ -57,7 +75,7 @@ class TestKernelEquivalence:
         w = np.random.default_rng(5).random(r)
         psi = (q * w) @ q.T
         vec = np.random.default_rng(6).standard_normal(m)
-        out = BlockedTaylorKernel(q, w).apply(vec, degree, scale=0.5)
+        out = _kernel(q, w).apply(vec, degree, scale=0.5)
         ref = taylor_expm_apply(0.5 * psi, vec, degree)
         np.testing.assert_allclose(out, ref, atol=1e-12)
 
@@ -67,7 +85,8 @@ class TestKernelEquivalence:
         w = np.random.default_rng(9).random(r)
         psi = np.asarray((q.multiply(w[None, :]) @ q.T).todense())
         block = np.random.default_rng(10).standard_normal((m, 4))
-        kernel = BlockedTaylorKernel(q, w)
+        kernel = _kernel(q, w)
+        assert kernel.mode == "sparse-factors"
         np.testing.assert_allclose(
             kernel.apply(block, degree), taylor_expm_apply(psi, block, degree), atol=1e-10
         )
@@ -87,16 +106,6 @@ class TestKernelEquivalence:
             atol=1e-10,
         )
 
-    def test_convenience_wrapper(self):
-        m, r = 12, 3
-        q = _factors(m, r, seed=13)
-        w = np.ones(r)
-        block = np.random.default_rng(14).standard_normal((m, 2))
-        np.testing.assert_array_equal(
-            blocked_taylor_apply(q, w, block, 9),
-            BlockedTaylorKernel(q, w).apply(block, 9),
-        )
-
 
 class TestChunking:
     # Columns are independent, so chunking computes the same per-column
@@ -104,11 +113,11 @@ class TestChunking:
     # blocking) may differ, bounded here at 1e-12.
     @pytest.mark.parametrize("chunk", [1, 3, 7, 100])
     def test_chunked_identical_to_unchunked(self, chunk):
-        m, r, s, degree = 20, 40, 13, 15  # densified mode
+        m, r, s, degree = 20, 40, 13, 15  # dense Psi
         q = _factors(m, r, seed=20)
         w = np.random.default_rng(21).random(r)
         block = np.random.default_rng(22).standard_normal((m, s))
-        kernel = BlockedTaylorKernel(q, w)
+        kernel = _kernel(q, w)
         np.testing.assert_allclose(
             kernel.apply(block, degree),
             kernel.apply(block, degree, chunk_columns=chunk),
@@ -117,14 +126,14 @@ class TestChunking:
         )
 
     def test_factor_mode_chunked_identical(self):
-        m, r, s = 20, 4, 11  # factor mode
-        q = _factors(m, r, seed=23)
+        m, r, s = 20, 4, 11  # sparse scaled factors
+        q = _factors(m, r, seed=23, sparse=True)
         w = np.random.default_rng(24).random(r)
         block = np.random.default_rng(25).standard_normal((m, s))
-        kernel = BlockedTaylorKernel(q, w, chunk_columns=4)
-        unchunked = BlockedTaylorKernel(q, w)
+        kernel = _kernel(q, w)
         np.testing.assert_allclose(
-            kernel.apply(block, 10), unchunked.apply(block, 10), rtol=1e-12, atol=1e-12
+            kernel.apply(block, 10, chunk_columns=4), kernel.apply(block, 10),
+            rtol=1e-12, atol=1e-12,
         )
 
 
@@ -133,41 +142,45 @@ class TestKernelValidation:
         q = _factors(10, 3, seed=30)
         block = np.random.default_rng(31).standard_normal((10, 4))
         np.testing.assert_array_equal(
-            BlockedTaylorKernel(q, np.ones(3)).apply(block, 1), block
+            _kernel(q, np.ones(3)).apply(block, 1), block
         )
 
     def test_single_vector_shape(self):
         q = _factors(10, 3, seed=32)
         vec = np.random.default_rng(33).standard_normal(10)
-        out = BlockedTaylorKernel(q, np.ones(3)).apply(vec, 8)
+        out = _kernel(q, np.ones(3)).apply(vec, 8)
         assert out.shape == (10,)
 
     def test_invalid_degree(self):
-        kernel = BlockedTaylorKernel(_factors(6, 2, 0), np.ones(2))
+        kernel = _kernel(_factors(6, 2, 0), np.ones(2))
         with pytest.raises(ValueError):
             kernel.apply(np.ones(6), 0)
 
     def test_weight_length_mismatch(self):
+        # Weights reach a blocked kernel through the engine's weight fold.
         with pytest.raises(InvalidProblemError):
-            BlockedTaylorKernel(_factors(6, 2, 0), np.ones(3))
+            _dense_psi_engine().kernel_for(np.ones(3))
+        q = _factors(6, 2, 0, sparse=True)
+        with pytest.raises(InvalidProblemError):
+            BlockedTaylorKernel.from_scaled_factors(q, q[:, :1])
 
     def test_negative_weights_rejected(self):
         with pytest.raises(InvalidProblemError):
-            BlockedTaylorKernel(_factors(6, 2, 0), np.array([1.0, -1.0]))
+            _dense_psi_engine().kernel_for(np.array([1.0, -1.0]))
 
     def test_wrong_block_rows(self):
-        kernel = BlockedTaylorKernel(_factors(6, 2, 0), np.ones(2))
+        kernel = _kernel(_factors(6, 2, 0), np.ones(2))
         with pytest.raises(InvalidProblemError):
             kernel.apply(np.ones((5, 2)), 3)
 
     def test_overflow_detection(self):
         q = np.diag([30.0, 0.0])  # Psi = diag(900, 0), huge spectral norm
-        kernel = BlockedTaylorKernel(q, np.ones(2))
+        kernel = _kernel(q, np.ones(2))
         with pytest.raises(NumericalError):
             kernel.apply(np.full(2, 1e300), 60)
 
     def test_matvec_count(self):
-        kernel = BlockedTaylorKernel(_factors(8, 2, 0), np.ones(2))
+        kernel = _kernel(_factors(8, 2, 0), np.ones(2))
         kernel.apply(np.ones((8, 5)), 7)
         assert kernel.matvec_count == 5 * 6
         kernel.apply(np.ones(8), 4)
@@ -175,11 +188,14 @@ class TestKernelValidation:
 
     def test_matvec_matches_psi(self):
         m, r = 14, 40
-        q = _factors(m, r, seed=40)
         w = np.random.default_rng(41).random(r)
-        kernel = BlockedTaylorKernel(q, w)
         vec = np.random.default_rng(42).standard_normal(m)
-        np.testing.assert_allclose(kernel.matvec(vec), ((q * w) @ q.T) @ vec, atol=1e-12)
+        for sparse in (False, True):
+            q = _factors(m, r, seed=40, sparse=sparse)
+            dense_q = q.toarray() if sparse else q
+            np.testing.assert_allclose(
+                _kernel(q, w).matvec(vec), ((dense_q * w) @ dense_q.T) @ vec, atol=1e-12
+            )
 
 
 class TestTaylorExpmOperatorBlockedPath:
@@ -196,7 +212,7 @@ class TestTaylorExpmOperatorBlockedPath:
     def test_kernel_input(self):
         q = _factors(12, 3, seed=50)
         w = np.random.default_rng(51).random(3)
-        kernel = BlockedTaylorKernel(q, w)
+        kernel = _kernel(q, w)
         op = TaylorExpmOperator(kernel, kappa=1.0, eps=0.1)
         vec = np.random.default_rng(52).standard_normal(12)
         ref = taylor_expm_apply(0.5 * ((q * w) @ q.T), vec, op.degree)

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from repro.exceptions import InvalidProblemError, NumericalError
 from repro.linalg.taylor import taylor_degree, taylor_expm_apply
-from repro.linalg.taylor_blocked import BlockedTaylorKernel
+from repro.linalg.taylor_blocked import BlockedTaylorKernel, densified_psi
 from repro.linalg.taylor_gram import (
     GRAM_HYSTERESIS,
     SPARSE_GEMM_DISCOUNT,
@@ -84,7 +84,9 @@ class TestGramKernelEquivalence:
         block = np.random.default_rng(12).standard_normal((m, 5))
         np.testing.assert_allclose(
             GramTaylorKernel(q, w).apply(block, degree, scale=0.5),
-            BlockedTaylorKernel(q, w).apply(block, degree, scale=0.5),
+            BlockedTaylorKernel.from_matrix(densified_psi(q, w)).apply(
+                block, degree, scale=0.5
+            ),
             atol=1e-11,
         )
 
@@ -167,7 +169,7 @@ class TestGramKernelEquivalence:
             q, w, tol = q.astype(np.float32), w.astype(np.float32), 1e-4
         dtype = np.float32 if case == "float32" else np.float64
         gram = GramTaylorKernel(q, w)
-        dense = BlockedTaylorKernel(q, w, densify=True)
+        dense = BlockedTaylorKernel.from_matrix(densified_psi(q, w))
         block = rng.standard_normal((m, 5)).astype(dtype)
         q_cols = q.toarray() if sp.issparse(q) else q
         transformed = dense.apply(q_cols, degree, scale=0.5)

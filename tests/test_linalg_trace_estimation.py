@@ -1,12 +1,12 @@
 """Tests for repro.linalg.trace_estimation (structured degenerate-regime trace).
 
-Both estimator modes — the Gram-spectrum evaluation and the deflated
-block-Krylov projection — must agree with the dense reference, the full
+The Gram-spectrum evaluation must agree with the dense reference, the full
 ``(m, m)`` identity pushed through the Taylor polynomial,
-``Tr[p(Psi/2)^2] = ||p(Psi/2) I||_F^2``, to rounding level.  The mode
-policy and the oracle threading (zero full-identity Taylor applies on the
-structured paths) are pinned here; the end-to-end solver regressions live
-in ``tests/test_decision_packed_regressions.py``.
+``Tr[p(Psi/2)^2] = ||p(Psi/2) I||_F^2``, to rounding level, and with the
+Gram kernel's own trace bitwise.  The smaller-twin mode rule (Gram iff
+``R <= m``) and the oracle threading (zero full-identity Taylor applies on
+the Gram trace) are pinned here; the end-to-end solver regressions live in
+``tests/test_decision_packed_regressions.py``.
 """
 
 from __future__ import annotations
@@ -17,18 +17,18 @@ import scipy.sparse as sp
 
 from repro.core.dotexp import ExactDotExpOracle, FastDotExpOracle, big_dot_exp
 from repro.exceptions import InvalidProblemError
-from repro.linalg.taylor_gram import GRAM_HYSTERESIS, TaylorEngine
+from repro.linalg.taylor_gram import GRAM_HYSTERESIS, GramTaylorKernel, TaylorEngine
 from repro.linalg.trace_estimation import (
-    TRACE_DEFLATED_SLACK,
-    TRACE_IDENTITY_MARGIN,
     TraceEstimator,
     gram_exp_trace,
+    lambda_max_source,
     select_trace_mode,
-    truncated_exp_values,
+    spectrum_exp_trace,
 )
 from repro.operators import ConstraintCollection, FactorizedPSDOperator
 
 from helpers import factorized_family
+from test_oracle_differential import BAND, EPS, _mid_run_weights
 
 
 def _collection(seed, n=10, m=48, rank=2, kind="dense", density=0.1, support=None):
@@ -72,40 +72,49 @@ def _reference_trace(packed, weights, degree, scale=0.5):
     return float(np.sum(eye_t * eye_t))
 
 
+def _truncated_exp_values(x, degree, scale=1.0):
+    """``p(scale * x)`` per entry, read off one-eigenvalue traces (``m = R = 1``
+    makes :func:`spectrum_exp_trace` return ``p^2``)."""
+    return np.sqrt(
+        [spectrum_exp_trace(np.array([v]), 1, degree, scale=scale) for v in x]
+    )
+
+
 class TestTruncatedExpValues:
+    """The one scalar Lemma 4.2 evaluation, ``p(s lambda) = 1 + lambda r``."""
+
     def test_matches_exp_at_high_degree(self):
         x = np.linspace(0.0, 3.0, 7)
         np.testing.assert_allclose(
-            truncated_exp_values(x, 40), np.exp(x), rtol=1e-12
+            _truncated_exp_values(x, 40), np.exp(x), rtol=1e-12
         )
 
     def test_scale_and_low_degree(self):
         x = np.array([0.0, 1.0, 2.0])
         # degree 2: 1 + 0.5 x
         np.testing.assert_allclose(
-            truncated_exp_values(x, 2, scale=0.5), 1.0 + 0.5 * x
+            _truncated_exp_values(x, 2, scale=0.5), 1.0 + 0.5 * x
         )
 
     def test_degree_validation(self):
         with pytest.raises(InvalidProblemError):
-            truncated_exp_values(np.ones(3), 0)
+            spectrum_exp_trace(np.ones(3), 3, 0)
 
 
 class TestSelectTraceMode:
     def test_gram_under_hysteresis_gate(self):
         assert select_trace_mode(100, 0) == "gram"
         assert select_trace_mode(100, 50) == "gram"
-        # The hysteresis margin keeps near-threshold stacks on the gram path.
+        # Every stack the Gram Taylor gate admits has its trace on the Gram
+        # spectrum too.
         assert select_trace_mode(100, int(GRAM_HYSTERESIS * 100 / 2)) == "gram"
 
-    def test_deflated_midrange(self):
-        assert select_trace_mode(100, 60) == "deflated"
-        margin = int(TRACE_IDENTITY_MARGIN * 100) - TRACE_DEFLATED_SLACK
-        assert select_trace_mode(100, margin) == "deflated"
-        assert select_trace_mode(100, margin + 1) == "identity"
+    def test_gram_up_to_full_rank(self):
+        assert select_trace_mode(100, 60) == "gram"
+        assert select_trace_mode(100, 100) == "gram"
 
     def test_identity_near_full_rank(self):
-        assert select_trace_mode(100, 95) == "identity"
+        assert select_trace_mode(100, 101) == "identity"
         assert select_trace_mode(100, 150) == "identity"
 
     def test_negative_shapes_rejected(self):
@@ -127,21 +136,6 @@ class TestGramExpTrace:
             packed.dim,
             degree,
             scale=0.5,
-            squared=True,
-        )
-        assert value == pytest.approx(ref, rel=1e-10)
-
-    def test_unsquared_matches_eigen_sum(self):
-        coll = _collection(5, n=6, m=30)
-        packed = coll.packed()
-        w = np.full(len(coll), 0.4)
-        col_w = packed.expand_weights(w)
-        psi = packed.weighted_sum(w)
-        degree = 25
-        lam = np.linalg.eigvalsh(psi)
-        ref = float(truncated_exp_values(lam, degree, scale=0.5).sum())
-        value = gram_exp_trace(
-            packed.gram_matrix(), col_w, packed.dim, degree, scale=0.5, squared=False
         )
         assert value == pytest.approx(ref, rel=1e-10)
 
@@ -153,7 +147,6 @@ class TestGramExpTrace:
             np.zeros(packed.total_rank),
             packed.dim,
             10,
-            squared=True,
         )
         assert value == pytest.approx(float(packed.dim))
 
@@ -164,7 +157,7 @@ class TestGramExpTrace:
 
 class TestTraceEstimatorModes:
     @pytest.mark.parametrize("kind", ["dense", "sparse", "concentrated"])
-    @pytest.mark.parametrize("mode", ["gram", "deflated"])
+    @pytest.mark.parametrize("mode", ["gram"])
     def test_exact_modes_match_reference(self, kind, mode):
         coll = _collection(7, n=9, m=44, kind=kind)
         packed = coll.packed()
@@ -176,21 +169,6 @@ class TestTraceEstimatorModes:
         estimate = estimator.estimate(kernel, degree, scale=0.5)
         assert estimate.mode == mode
         assert estimate.value == pytest.approx(ref, rel=1e-9)
-
-    def test_deflated_reuses_transformed_block(self):
-        coll = _collection(9, n=8, m=40)
-        packed = coll.packed()
-        w = np.full(len(coll), 0.3)
-        degree = 18
-        kernel = _kernel(packed, w)
-        transformed = kernel.apply(packed.dense_columns(), degree, scale=0.5)
-        estimator = TraceEstimator(packed, mode="deflated").bind(w)
-        with_block = estimator.estimate(
-            kernel, degree, scale=0.5, transformed_factors=transformed
-        )
-        fresh = TraceEstimator(packed, mode="deflated").bind(w)
-        without = fresh.estimate(kernel, degree, scale=0.5)
-        assert with_block.value == pytest.approx(without.value, rel=1e-12)
 
     def test_identity_mode_refuses_estimates(self):
         coll = _collection(17, n=4, m=10, rank=4)
@@ -209,8 +187,9 @@ class TestTraceEstimatorModes:
 
     def test_unknown_mode_rejected(self):
         coll = _collection(21, n=4, m=16)
-        with pytest.raises(InvalidProblemError):
-            TraceEstimator(coll.packed(), mode="krylov++")
+        for mode in ("krylov++", "deflated"):
+            with pytest.raises(InvalidProblemError):
+                TraceEstimator(coll.packed(), mode=mode)
 
 
 class TestBigDotExpThreading:
@@ -281,7 +260,7 @@ class TestBigDotExpThreading:
         legacy_vals, legacy_trace = big_dot_exp(
             kernel, packed, kappa=4.0, eps=0.05, use_sketch=False, return_trace=True
         )
-        estimator = TraceEstimator(packed, mode="deflated").bind(w)
+        estimator = TraceEstimator(packed, mode="gram").bind(w)
         vals, trace = big_dot_exp(
             kernel,
             packed,
@@ -341,3 +320,56 @@ class TestFastOracleTraceModes:
         assert stats["mode"] == "gram"
         assert stats["calls"] == 1
         assert stats["identity_fallbacks"] == 0
+
+
+def _boundary_collection(kind, m, r, seed=41):
+    """``r`` rank-1 exact factors in dimension ``m``, dense or sparse."""
+    if kind == "dense":
+        return factorized_family(seed, n=r, m=m, rank=1, scale=0.4, validate=False)
+    return _collection(seed, n=r, m=m, rank=1, kind="sparse", density=0.3)
+
+
+class TestSmallerTwinBoundary:
+    """Gram trace if and only if ``R <= m``, on both sides of ``R = m``."""
+
+    M = 24
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_mode_rule_and_kappa_source_agree(self, kind, offset):
+        coll = _boundary_collection(kind, self.M, self.M + offset)
+        packed = coll.packed()
+        gram = packed.total_rank <= packed.dim
+        assert (TraceEstimator(packed).mode == "gram") == gram
+        assert (select_trace_mode(packed.dim, packed.total_rank) == "gram") == gram
+        source, _ = lambda_max_source(
+            packed, np.ones(len(coll)), packed.matvec_fn(np.ones(len(coll)))
+        )
+        # The Gram twin's spectrum (length R), else Psi itself.
+        assert (np.ndim(source) == 1) == gram
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    def test_full_rank_oracle_matches_exact(self, kind):
+        coll = _boundary_collection(kind, self.M, self.M)
+        x = _mid_run_weights(coll)
+        fast = FastDotExpOracle(coll, eps=EPS, rng=0)
+        out = fast(None, x)
+        exact = ExactDotExpOracle(coll)(coll.weighted_sum(x), x)
+        assert fast.trace_estimator.mode == "gram"
+        if kind == "dense":
+            assert fast.taylor_engine.mode == "dense-psi"
+        assert fast.counters.extra.get("identity_taylor_applies", 0) == 0
+        np.testing.assert_allclose(out.values, exact.values, rtol=BAND)
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    @pytest.mark.parametrize("offset", [-1, 0])
+    def test_spectrum_trace_is_the_gram_kernel_trace(self, kind, offset):
+        coll = _boundary_collection(kind, self.M, self.M + offset)
+        packed = coll.packed()
+        kernel = GramTaylorKernel(
+            packed.matrix, packed.expand_weights(_mid_run_weights(coll))
+        )
+        for degree in (1, 9, 30):
+            assert spectrum_exp_trace(
+                kernel.spectrum, packed.dim, degree, scale=0.5
+            ) == kernel.exp_trace(degree, scale=0.5)

@@ -13,7 +13,8 @@ a mode unnoticed.  Per shape:
   gram shape with its factors scaled by 3;
 * the Lemma 4.2 ``kappa`` each call hands to ``big_dot_exp`` is a certified
   and tight bound on ``lambda_max(Psi)``, on the grid and on the Lanczos,
-  trace-demoted and reference-floor branches of the kappa rule.
+  trace-demoted and reference-floor branches of the kappa rule;
+* a kappa the call computes itself, off the Gram trace, is in its work.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ import repro.core.dotexp as dotexp
 from repro.core.decision import decision_psdp
 from repro.core.dotexp import ExactDotExpOracle, FastDotExpOracle
 from repro.core.result import DecisionOutcome, SolveStatus
+from repro.linalg.sketching import jl_dimension
+from repro.linalg.taylor import taylor_degree
 
 from helpers import factorized_family
 from test_decision_packed_regressions import (
@@ -46,18 +49,18 @@ GRID = {
     "gram/gram": (
         lambda: factorized_family(0, n=6, m=24, rank=1, scale=0.3), "gram", "gram",
     ),
-    "dense-psi/deflated": (
+    "dense-psi/gram": (
         lambda: factorized_family(0, n=24, m=64, rank=2, scale=0.2),
-        "dense-psi", "deflated",
+        "dense-psi", "gram",
     ),
     "dense-psi/identity": (
         lambda: factorized_family(0, n=8, m=12, rank=2, scale=0.4),
         "dense-psi", "identity",
     ),
     "sparse-psi/identity": (_concentrated_sparse_collection, "sparse-psi", "identity"),
-    "sparse-factors/deflated": (
+    "sparse-factors/gram": (
         lambda: _trace_collection(11, 120, 40, kind="sparse"),
-        "sparse-factors", "deflated",
+        "sparse-factors", "gram",
     ),
 }
 
@@ -105,13 +108,13 @@ def test_decisions_match_exact(case, outcome):
 
 #: name -> (instance builder, oracle preparation, kappa branch).  The five
 #: grid shapes take kappa from an exact ``eigvalsh``; the rest cover the
-#: Lanczos branch (``min(m, R) = 160``) and the gram shape off its Gram
-#: trace mode: after the supervisor's trace demotion and on the reference
-#: floor.
+#: Lanczos branch (``R = 160 > m = 136 > 128``) and the gram shape off its
+#: Gram trace mode: after the supervisor's trace demotion and on the
+#: reference floor.
 KAPPA_CASES = {
     **{name: (GRID[name][0], None, "eig") for name in GRID},
-    "dense-psi/deflated-lanczos": (
-        lambda: _trace_collection(17, 256, 80), None, "lanczos",
+    "dense-psi/identity-lanczos": (
+        lambda: _trace_collection(17, 136, 80), None, "lanczos",
     ),
     "gram/identity-demoted": (
         GRID["gram/gram"][0],
@@ -154,3 +157,39 @@ def test_kappa_is_certified_and_tight(name, monkeypatch):
         replay = np.random.default_rng(0)
         replay.standard_normal(coll.dim)
         assert oracle.rng.bit_generator.state == replay.bit_generator.state
+
+
+@pytest.mark.parametrize("name", ["dense-psi/identity", "dense-psi/identity-lanczos"])
+def test_kappa_work_is_charged(name, monkeypatch):
+    # Off the Gram trace the call computes kappa itself: one eigvalsh of the
+    # smaller twin (here Psi, m x m, charged m^3) or a Lanczos charged
+    # max(2 nnz(Q), m) per sweep.  The rest is the identity push's work.
+    make, prepare, branch = KAPPA_CASES[name]
+    coll = make()
+    oracle = FastDotExpOracle(coll, eps=EPS, rng=0)
+    kappas, sweeps = [], []
+    inner_dot, inner_bound = dotexp.big_dot_exp, dotexp.certified_lambda_max
+
+    def spy_dot(*args, **kwargs):
+        kappas.append(kwargs["kappa"])
+        return inner_dot(*args, **kwargs)
+
+    def spy_bound(*args, **kwargs):
+        value = inner_bound(*args, **kwargs)
+        sweeps.append(kwargs["info"]["matvecs"])
+        return value
+
+    monkeypatch.setattr(dotexp, "big_dot_exp", spy_dot)
+    monkeypatch.setattr(dotexp, "certified_lambda_max", spy_bound)
+    out = oracle(None, _mid_run_weights(coll))
+    m, q = coll.dim, coll.total_nnz
+    assert oracle.trace_estimator.mode == "identity"
+    assert jl_dimension(m, EPS / 2.0, constant=oracle.sketch_constant) >= m
+    degree = taylor_degree(kappas[0] / 2.0, EPS / 2.0)
+    push = float(m * degree * max(q, m) + q)
+    if branch == "eig":
+        assert out.work - push == float(m) ** 3
+    else:
+        packed = oracle.packed
+        assert sweeps[0] > 1
+        assert out.work - push == sweeps[0] * float(max(2 * packed.nnz, m))
