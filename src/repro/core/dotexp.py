@@ -60,10 +60,10 @@ a one-time densification of ``Psi`` (``m^2 s`` per term), a sparse-CSR
 the sparse factor recurrence (``2 nnz(Q) s``).  On the Gram rung one
 ``eigh`` of ``S = W^{1/2} Q^T Q W^{1/2}`` per call gives the kappa, the
 trace and all ``n`` estimates, with no degree-dependent loop and no
-``m``-sized work; the other representations keep weight-dependent state
-(the CSR values, the densified ``Psi``, the scaled stack) across oracle
-calls by updating only the weight coordinates the solver actually
-changed, charging the backend work proportional to the active columns.
+``m``-sized work; the other representations (the densified ``Psi``, the
+CSR values, the scaled stack) are built from each call's weights, and the
+build's work is charged to the backend.  No kernel carries state from one
+call to the next.
 Every representation evaluates the identical polynomial, so the
 :class:`~repro.robustness.FastPathSupervisor` can demote a failing kernel
 to another one — down to the per-term matvec recurrence, the
@@ -460,9 +460,9 @@ class FastDotExpOracle:
     :class:`~repro.linalg.taylor_gram.TaylorEngine`, built on the first
     call: the representation (Gram-twin spectrum / densified ``Psi`` /
     sparse-CSR ``Psi`` / sparse factor recurrence) is selected once per
-    stack by measured ``nnz`` and stacked rank; the stateful ones are
-    maintained across oracle calls by updating only the active columns
-    (work charged to ``backend`` under ``taylor-engine-update``).  The
+    stack by measured ``nnz`` and stacked rank, and each call's kernel is
+    built from that call's ``x`` (outside the Gram rung, the build's work is
+    charged to ``backend`` under ``taylor-engine-update``).  The
     :class:`~repro.robustness.FastPathSupervisor` demotes a failing
     representation and, at the floor of its ladder, sets :attr:`reference`:
     the per-term matvec recurrence through the packed factors with the
@@ -481,8 +481,8 @@ class FastDotExpOracle:
     rng:
         Randomness source (a fresh sketch is drawn every call).
     backend:
-        Optional execution backend charged with the engine's
-        ``taylor-engine-update`` work.
+        Optional execution backend charged with the engine's kernel builds
+        (``taylor-engine-update``).
     array_backend:
         Array backend of the packed view (``None``/``"numpy"``/``"torch"``
         or an :class:`~repro.backend.ArrayBackend` instance); the Taylor
@@ -525,11 +525,10 @@ class FastDotExpOracle:
 
     @property
     def taylor_engine(self) -> TaylorEngine | None:
-        """The incremental Taylor engine, once the first call has built it.
+        """The Taylor engine, once the first call has built it.
 
         The decision solvers read its :meth:`~repro.linalg.taylor_gram.TaylorEngine.stats`
-        into the result metadata so regressions can assert the
-        active-column update discipline.
+        (mode and stacked rank) into the result metadata.
         """
         return self._engine
 
@@ -554,23 +553,27 @@ class FastDotExpOracle:
         if self.reference:
             # Ladder floor: the per-term recurrence through the factored
             # matvec Q (w ∘ (Q^T v)), with the identity trace push.
-            operator = None
+            operator = host_psi = None
             matvec = self._packed.matvec_fn(weights)
             tracer = spectrum = None
         else:
             # The kernel is built from x rather than from the caller's psi
             # (callers may pass psi=None).  On the Gram rung its one eigh
             # is the call's spectrum; otherwise binding the tracer computes
-            # it in Gram trace mode.
+            # it in Gram trace mode, and a dense-psi kernel's host Psi is
+            # the kappa source when R > m.
             if self._engine is None:
                 self._engine = TaylorEngine(self._packed)
             operator = self._engine.kernel_for(weights, backend=self.backend)
             matvec = operator.matvec
-            spectrum = operator.spectrum if isinstance(operator, GramTaylorKernel) else None
+            if isinstance(operator, GramTaylorKernel):
+                spectrum, host_psi = operator.spectrum, None
+            else:
+                spectrum, host_psi = None, operator.host_psi
             tracer = self._trace_estimator.bind(weights, spectrum=spectrum)
             if spectrum is None:
                 spectrum = tracer.spectrum
-        kappa, kappa_work = self._kappa(weights, matvec, spectrum)
+        kappa, kappa_work = self._kappa(weights, matvec, spectrum, host_psi)
         trace_calls_before = tracer.calls if tracer is not None else 0
         estimates, trace_estimate = big_dot_exp(
             operator if operator is not None else matvec,
@@ -609,23 +612,24 @@ class FastDotExpOracle:
         self.counters.flops_estimate += work
         return OracleOutput(values=values, trace=trace_estimate, work=work)
 
-    def _kappa(self, weights: np.ndarray, matvec, spectrum) -> tuple[float, float]:
+    def _kappa(
+        self, weights: np.ndarray, matvec, spectrum, psi: np.ndarray | None
+    ) -> tuple[float, float]:
         """Lemma 4.2's ``kappa`` for this call, from an exact spectrum, and its work.
 
         With the call's Gram-twin ``spectrum`` (the Gram kernel's, or the
         bound tracer's in Gram trace mode) it is its top entry, already
         charged with the trace.  Otherwise
         :func:`~repro.linalg.trace_estimation.lambda_max_source` picks the
-        smaller Gram twin (``Psi`` from the dense-psi engine's buffer when
-        it holds one) or, above the cutoff, Lanczos on ``matvec`` from one
-        ``standard_normal(m)`` draw of the oracle's rng; the work is its
-        operator applications at the source's per-application cost.  See
-        :func:`~repro.linalg.norms.certified_kappa`.
+        smaller Gram twin (``psi``, the host ``Psi`` this call's dense-psi
+        kernel was built from, when there is one) or, above the cutoff,
+        Lanczos on ``matvec`` from one ``standard_normal(m)`` draw of the
+        oracle's rng; the work is its operator applications at the source's
+        per-application cost.  See :func:`~repro.linalg.norms.certified_kappa`.
         """
         if spectrum is not None:
             kappa, work = certified_kappa(spectrum), 0.0
         else:
-            psi = self._engine.psi if self._engine is not None else None
             source, matvec_work = lambda_max_source(self._packed, weights, matvec, psi=psi)
             info: dict = {}
             bound = certified_lambda_max(source, dim=self._packed.dim, rng=self.rng, info=info)
@@ -638,7 +642,7 @@ class FastDotExpOracle:
 
         Captures the sketch rng (``bit_generator.state``), the counters,
         the trace estimator's state and — when built — the Taylor engine's
-        mode/buffers.  The ladder floor rides along (as the
+        mode.  The ladder floor rides along (as the
         ``engine_enabled``/``blocked`` pair of checkpoint format version 1)
         so a resume lands on the exact demotion rung the checkpoint was
         captured on.  Version 1 also has a ``norm_vector`` slot, the warm
@@ -661,10 +665,9 @@ class FastDotExpOracle:
     def import_state(self, state: dict) -> None:
         """Restore a snapshot produced by :meth:`export_state`.
 
-        The Taylor engine is rebuilt at the checkpointed mode and its
-        buffers restored from the snapshot, so the resumed oracle never
-        aliases the interrupted run's engine, whose buffers have advanced
-        past the checkpoint.  Snapshots that only a removed oracle option
+        The Taylor engine is rebuilt at the checkpointed mode; its kernels
+        depend only on the weights, so nothing else of it is restored.
+        Snapshots that only a removed oracle option
         could have produced (the per-call blocked kernel, a missing trace
         estimator, the ``dense-factors`` engine mode) raise
         :class:`~repro.exceptions.CheckpointError`.
@@ -736,14 +739,14 @@ class FastDotExpOracle:
 
 
 def oracle_engine_metadata(oracle) -> dict:
-    """Result-metadata fragment with the oracle's engine/estimator counters.
+    """Result-metadata fragment with the oracle's engine/estimator stats.
 
-    Returns ``{"taylor_engine": stats}`` when ``oracle`` is a fast oracle
-    whose rank-adaptive engine has been built, plus
-    ``{"trace_estimator": stats}`` when it carries a trace estimator — the
-    one helper both decision solvers merge into their
-    result metadata so regressions can assert the incremental-update and
-    zero-identity-apply disciplines.
+    Returns ``{"taylor_engine": stats}`` (mode and stacked rank) when
+    ``oracle`` is a fast oracle whose rank-adaptive engine has been built,
+    plus ``{"trace_estimator": stats}`` when it carries a trace estimator —
+    the one helper both decision solvers merge into their result metadata
+    so regressions can assert the selected mode and the zero-identity-apply
+    discipline.
     """
     out: dict = {}
     engine = getattr(oracle, "taylor_engine", None)

@@ -302,9 +302,9 @@ class ImplicitPsiState(PsiState):
 
     Never materialises ``Psi`` during the iteration: ``matvec`` is
     ``Q (w_cols ∘ (Q^T v))`` through the stacked factors, ``add_delta`` is
-    an ``O(n)`` vector update (the engine's own incremental state is
-    maintained separately by the oracle's
-    :class:`~repro.linalg.taylor_gram.TaylorEngine`), and ``lambda_max``
+    an ``O(n)`` vector update (the oracle's
+    :class:`~repro.linalg.taylor_gram.TaylorEngine` builds its kernels
+    from the weights on its own), and ``lambda_max``
     reads the smaller Gram twin, or runs Lanczos through the factored
     matvec above the cutoff.  ``densify()`` is the single deliberate escape
     hatch — lazy, cached until the next ``add_delta``, and counted so

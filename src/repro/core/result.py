@@ -135,8 +135,8 @@ class DecisionResult:
     #: Free-form run facts.  The decision solvers record the Algorithm 3.1
     #: constants (``K``/``alpha``/``R``), the oracle kind, and the
     #: fast-path discipline counters: ``psi_state`` (matrix-free
-    #: densify/matvec counts), ``taylor_engine`` (incremental-update
-    #: counts), and ``trace_estimator`` (structured-trace mode, calls,
+    #: densify/matvec counts), ``taylor_engine`` (selected mode and
+    #: stacked rank), and ``trace_estimator`` (structured-trace mode, calls,
     #: identity fallbacks, extra model work).  A
     #: ``BUDGET_EXHAUSTED`` result (and a ``FAILED`` one, when periodic
     #: captures were on via ``DecisionOptions.checkpoint_every``) also

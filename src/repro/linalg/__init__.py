@@ -17,12 +17,13 @@ built on:
 * :mod:`repro.linalg.taylor_blocked` — the blocked/fused evaluation of the
   same polynomial on an entire ``(m, s)`` block at once: Horner-style fused
   products against a dense or sparse ``Psi`` or a sparse scaled factor
-  stack, with an optional column-chunked variant that bounds peak memory.
+  stack.
 * :mod:`repro.linalg.taylor_gram` — the rank-adaptive exponential engine:
   the ``R x R`` Gram-twin spectral kernel (``2R <= 1.1 m``), the
   sparse-``Psi`` CSR accumulation with symbolic-pattern reuse, the
-  measured-cost kernel selection policy, and the incremental
-  cross-iteration :class:`~repro.linalg.taylor_gram.TaylorEngine`.
+  measured-cost kernel selection policy, and the
+  :class:`~repro.linalg.taylor_gram.TaylorEngine` that builds each call's
+  kernel from that call's weights.
 * :mod:`repro.linalg.trace_estimation` — the oracle's trace normalisation
   ``Tr[exp(Psi)]`` in the degenerate-sketch regime from the smaller twin:
   the exact ``R x R`` Gram spectrum whenever ``R <= m``, replacing the

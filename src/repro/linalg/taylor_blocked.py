@@ -8,7 +8,7 @@ right reference implementation, but it pays a weight-broadcast pass, a
 over a whole ``(m, s)`` block in two preallocated ping-pong buffers
 (``matmul(..., out=...)``) and checks finiteness once at the end, in one of
 the three representations the rank-adaptive engine
-(:class:`~repro.linalg.taylor_gram.TaylorEngine`) keeps past the Gram gate:
+(:class:`~repro.linalg.taylor_gram.TaylorEngine`) builds past the Gram gate:
 
 * a dense ``Psi`` (:meth:`BlockedTaylorKernel.from_matrix`): one fused
   ``m^2 s`` GEMM per term — for the degenerate-sketch regime of Theorem
@@ -25,14 +25,6 @@ Every representation evaluates *exactly the same polynomial* as
 :func:`~repro.linalg.taylor.taylor_expm_apply`; results agree to floating-
 point rounding (~1e-13), which the equivalence tests in
 ``tests/test_linalg_taylor_blocked.py`` pin down per column.
-
-The optional ``chunk_columns`` argument bounds peak memory: the block is
-processed in column slices, so the working set is ``O((m + R) * chunk)``
-instead of ``O((m + R) * s)``.  Columns are independent, so chunking
-computes exactly the same per-column quantities; results can differ from
-the unchunked apply only by the last-ulp reordering inside the BLAS GEMM
-kernels (different widths select different internal blockings), which the
-tests bound at ``1e-12``.
 """
 
 from __future__ import annotations
@@ -94,7 +86,7 @@ def densified_psi(
     """Materialise ``Psi = Q diag(w) Q^T`` dense, symmetrised.
 
     The one densification implementation: the rank-adaptive engine's
-    ``dense-psi`` state build
+    ``dense-psi`` kernel build
     (:class:`~repro.linalg.taylor_gram.TaylorEngine`) and the kappa source
     of ``R > m`` stacks both use it, so the weight fold and the
     ``0.5 (Psi + Psi^T)`` symmetrisation can never drift apart.
@@ -108,20 +100,18 @@ def densified_psi(
 
 
 class _FusedTaylorApplyBase:
-    """Shared chunked block-apply driver of the fused Taylor kernels.
+    """Shared block-apply driver of the fused Taylor kernels.
 
     Subclasses (:class:`BlockedTaylorKernel`,
     :class:`~repro.linalg.taylor_gram.GramTaylorKernel`) provide
-    ``_apply_chunk(block, degree, scale)`` plus ``dim``/``chunk_columns``/
-    ``matvec_count`` attributes; this base owns the one implementation of
-    input validation, the column-chunk loop, the model-level matvec
-    bookkeeping, and the final fault hook and finiteness check
-    (:meth:`_checked`), so the kernels cannot drift apart on those
-    behaviours.
+    ``_apply_block(block, degree, scale)`` plus ``dim``/``matvec_count``
+    attributes; this base owns the one implementation of input validation,
+    the model-level matvec bookkeeping, and the final fault hook and
+    finiteness check (:meth:`_checked`), so the kernels cannot drift apart
+    on those behaviours.
     """
 
     dim: int
-    chunk_columns: int | None
     matvec_count: int
 
     #: Fault-injection / error-attribution site identifier; Gram-space
@@ -135,13 +125,7 @@ class _FusedTaylorApplyBase:
     #: is float32, the reference float64 otherwise (constructors override).
     dtype: np.dtype = np.dtype(np.float64)
 
-    def apply(
-        self,
-        block: np.ndarray,
-        degree: int,
-        scale: float = 1.0,
-        chunk_columns: int | None = None,
-    ) -> np.ndarray:
+    def apply(self, block: np.ndarray, degree: int, scale: float = 1.0) -> np.ndarray:
         """Apply ``sum_{i<degree} (scale * Psi)^i / i!`` to every column of ``block``.
 
         Parameters
@@ -155,11 +139,6 @@ class _FusedTaylorApplyBase:
             Scalar multiplier on ``Psi`` inside the exponential — the
             Theorem 4.1 oracle passes ``0.5`` so the result approximates
             ``exp(Psi/2) block``.
-        chunk_columns:
-            Process the block in column slices of this width, bounding peak
-            memory; ``None`` uses the kernel default, ``0`` forces
-            unchunked.  Columns are independent, so chunking changes the
-            result only by last-ulp BLAS reordering effects.
         """
         if degree < 1:
             raise ValueError(f"degree must be >= 1, got {degree}")
@@ -171,16 +150,8 @@ class _FusedTaylorApplyBase:
             raise InvalidProblemError(
                 f"block must have {self.dim} rows, got {block.shape[0]}"
             )
-        chunk = self.chunk_columns if chunk_columns is None else chunk_columns
-        s = block.shape[1]
-        if chunk and 0 < chunk < s:
-            out = np.empty((self.dim, s), dtype=self.dtype)
-            for lo in range(0, s, chunk):
-                hi = min(lo + chunk, s)
-                out[:, lo:hi] = self._apply_chunk(block[:, lo:hi], degree, scale)
-        else:
-            out = self._apply_chunk(block, degree, scale)
-        self.matvec_count += s * (degree - 1)
+        out = self._apply_block(block, degree, scale)
+        self.matvec_count += block.shape[1] * (degree - 1)
         out = self._checked(out)
         return out[:, 0] if single else out
 
@@ -196,7 +167,7 @@ class _FusedTaylorApplyBase:
             )
         return out
 
-    def _apply_chunk(self, block: np.ndarray, degree: int, scale: float) -> np.ndarray:
+    def _apply_block(self, block: np.ndarray, degree: int, scale: float) -> np.ndarray:
         raise NotImplementedError  # pragma: no cover - subclasses implement
 
 
@@ -224,6 +195,10 @@ class BlockedTaylorKernel(_FusedTaylorApplyBase):
         Running count of (model-level) matrix–vector products performed by
         :meth:`apply` — ``s * (degree - 1)`` per call, the same unit
         :class:`~repro.linalg.taylor.TaylorExpmOperator` reports.
+    host_psi:
+        The host ``ndarray`` a dense :meth:`from_matrix` kernel was built
+        from (the fast oracle's kappa source when ``R > m``); ``None`` for
+        the sparse representations.
     """
 
     @classmethod
@@ -231,11 +206,10 @@ class BlockedTaylorKernel(_FusedTaylorApplyBase):
         kernel = cls.__new__(cls)
         kernel.backend = get_array_backend(backend)
         kernel.matvec_count = 0
-        kernel.chunk_columns = None
         kernel.dim = dim
         kernel.total_rank = total_rank
         kernel.dtype = dtype
-        kernel._psi = kernel._q = kernel._qw = None
+        kernel._psi = kernel._q = kernel._qw = kernel.host_psi = None
         return kernel
 
     @classmethod
@@ -260,6 +234,7 @@ class BlockedTaylorKernel(_FusedTaylorApplyBase):
             kernel._psi = psi.tocsr()
         else:
             kernel = cls._empty(backend, dim, dim, _stack_dtype(psi))
+            kernel.host_psi = psi
             kernel._psi = kernel.backend.asarray(np.asarray(psi, dtype=kernel.dtype))
         return kernel
 
@@ -267,13 +242,12 @@ class BlockedTaylorKernel(_FusedTaylorApplyBase):
     def from_scaled_factors(
         cls, q: sp.spmatrix, qw: sp.spmatrix
     ) -> "BlockedTaylorKernel":
-        """Kernel over a sparse stack whose weight fold ``Q diag(w)`` already exists.
+        """Kernel over a sparse stack ``Q`` and its weight fold ``Q diag(w)``.
 
-        The :class:`~repro.linalg.taylor_gram.TaylorEngine` maintains the
-        scaled stack across solver iterations by rescaling only the active
-        columns; this constructor reuses it instead of re-folding the
-        weights (an ``O(nnz)`` pass) on every call.  Sparse stacks are
-        NumPy-only and run in float64.
+        The :class:`~repro.linalg.taylor_gram.TaylorEngine` folds each
+        call's weights into its cached CSC copy of the stack (one pass over
+        ``nnz(Q)``) and hands both here.  Sparse stacks are NumPy-only and
+        run in float64.
         """
         if not (sp.issparse(q) and sp.issparse(qw)) or q.shape != qw.shape:
             raise InvalidProblemError(
@@ -304,8 +278,8 @@ class BlockedTaylorKernel(_FusedTaylorApplyBase):
 
     # ------------------------------------------------------------------ apply
     # apply() is inherited from _FusedTaylorApplyBase; this kernel supplies
-    # the per-chunk recurrence for whichever representation it holds.
-    def _apply_chunk(self, block: np.ndarray, degree: int, scale: float) -> np.ndarray:
+    # the recurrence for whichever representation it holds.
+    def _apply_block(self, block: np.ndarray, degree: int, scale: float) -> np.ndarray:
         if self._psi is None:
             return self._apply_sparse_op(self._qw, self._q, block, degree, scale)
         if sp.issparse(self._psi):

@@ -5,7 +5,7 @@
 madds per term), a sparse ``Psi`` or the sparse factor stack.  This module
 adds the Gram-twin spectral kernel and the sparse-``Psi`` accumulator, the
 policy that picks between all the representations and an engine that
-reuses state across the solver's mildly-changing weight iterates:
+builds each call's kernel from that call's weights:
 
 * **Gram-space spectral kernel** (:class:`GramTaylorKernel`): ``Psi`` and
   its ``R x R`` Gram twin ``S = W^{1/2} (Q^T Q) W^{1/2}`` (``W = diag(w)``)
@@ -28,9 +28,9 @@ reuses state across the solver's mildly-changing weight iterates:
   factors are sparse, ``Psi = (Q w) Q^T`` is assembled as a CSR matrix
   whose *symbolic* pattern is weight-independent; the accumulator maps
   column weights to the CSR value array through one sparse matrix ``M``
-  (``values = M w_cols``), so rebuilding ``Psi`` for new weights — or
-  updating it for a sparse weight delta — never repeats the symbolic
-  product.  The Horner recurrence then runs with one sparse GEMM per term
+  (``values = M w_cols``), so building ``Psi`` for new weights never
+  repeats the symbolic product.  The Horner recurrence then runs with one
+  sparse GEMM per term
   (``nnz(Psi) s`` madds) via
   :meth:`~repro.linalg.taylor_blocked.BlockedTaylorKernel.from_matrix`.
 * **Selection policy** (:func:`select_taylor_mode`): compares the measured
@@ -38,17 +38,15 @@ reuses state across the solver's mildly-changing weight iterates:
   ``Psi``, sparse ``Psi`` (discounted by the measured throughput gap
   between sparse and dense GEMMs, :data:`SPARSE_GEMM_DISCOUNT`), and the
   sparse factor recurrence.
-* **Incremental engine** (:class:`TaylorEngine`): the decision solvers
-  change only the qualifying weight coordinates per iteration, so the
-  engine keeps the weight-*independent* artifacts (the CSR pattern and its
-  accumulator) forever and maintains the weight-*dependent* state of the
-  stateful representations (the CSR values, the densified ``Psi``, the
-  scaled sparse stack) by updating only the active columns — work
-  proportional to the touched columns, charged to the
-  :class:`~repro.parallel.backends.ExecutionBackend` under the
-  ``taylor-engine-update`` label, never a silent full rebuild.  The Gram
-  rung keeps no weight-dependent state: each call's kernel starts from the
-  packed view's cached ``Q^T Q``.
+* **Engine** (:class:`TaylorEngine`): keeps only weight-*independent*
+  artifacts (the packed view's ``Q^T Q``, the CSR pattern and its
+  accumulator, a CSC copy of a sparse stack) and builds every kernel from
+  the weights of the call that asks for it, so a kernel is a function of
+  (stack, mode, weights) alone.  The densified ``Psi``, the CSR values and
+  the scaled sparse stack are rebuilt per call and their work charged to
+  the :class:`~repro.parallel.backends.ExecutionBackend` under the
+  ``taylor-engine-update`` label.  The Gram rung's kernel starts from the
+  cached ``Q^T Q`` and charges nothing.
 
 Every representation evaluates the *identical* Lemma 4.2 polynomial; the
 modes differ only in floating-point rounding order, which the tests in
@@ -64,7 +62,12 @@ import scipy.sparse as sp
 
 from repro.backend import NUMPY, get_array_backend
 from repro.exceptions import InvalidProblemError, NumericalError
-from repro.linalg.taylor_blocked import _FusedTaylorApplyBase, _validated_stack
+from repro.linalg.taylor_blocked import (
+    BlockedTaylorKernel,
+    _FusedTaylorApplyBase,
+    _validated_stack,
+    densified_psi,
+)
 
 __all__ = [
     "GramTaylorKernel",
@@ -348,8 +351,6 @@ class GramTaylorKernel(_FusedTaylorApplyBase):
         ``Q^T Q`` — :class:`TaylorEngine` passes the packed view's cached
         :meth:`~repro.operators.packed.PackedGramFactors.gram_matrix`; when
         omitted it is computed here (one ``R x m x R`` product).
-    chunk_columns:
-        Default column-chunk size for :meth:`apply` (``None`` = unchunked).
     backend:
         Array backend spec (``None``/name/instance, resolved through
         :func:`repro.backend.get_array_backend`).  The eigendecomposition
@@ -367,7 +368,6 @@ class GramTaylorKernel(_FusedTaylorApplyBase):
         q: np.ndarray | sp.spmatrix,
         col_weights: np.ndarray,
         gram: np.ndarray | None = None,
-        chunk_columns: int | None = None,
         backend=None,
     ) -> None:
         self.backend = get_array_backend(backend)
@@ -377,7 +377,6 @@ class GramTaylorKernel(_FusedTaylorApplyBase):
         self.dim = m
         self.total_rank = r
         self.matvec_count = 0
-        self.chunk_columns = chunk_columns
         if gram is None:
             if sp.issparse(q):
                 gram = (q.T @ q).toarray()
@@ -497,9 +496,9 @@ class GramTaylorKernel(_FusedTaylorApplyBase):
             self._evaluate(degree, scale)
         return self._trace[2]
 
-    # apply() is inherited from _FusedTaylorApplyBase (the shared validation,
-    # chunk loop and finiteness check); the spectral evaluation lives here.
-    def _apply_chunk(self, block: np.ndarray, degree: int, scale: float) -> np.ndarray:
+    # apply() is inherited from _FusedTaylorApplyBase (the shared validation
+    # and finiteness check); the spectral evaluation lives here.
+    def _apply_block(self, block: np.ndarray, degree: int, scale: float) -> np.ndarray:
         if self.total_rank == 0 or degree == 1:
             return np.array(block, dtype=self.dtype, copy=True)
         xp = self.backend
@@ -537,10 +536,8 @@ class SparsePsiAccumulator:
         \\qquad M[e, c] = Q[i_e, c]\\, Q[j_e, c],
 
     mapping per-column weights to the CSR value array: ``values(w) = M w``.
-    Rebuilding ``Psi`` for new weights is one SpMV over ``nnz(M) = sum_c
-    nnz(Q_{:,c})^2`` entries, and updating it for a sparse weight delta
-    touches only the active columns of ``M`` — the cross-iteration reuse
-    the decision solvers exploit through :class:`TaylorEngine`.
+    Building ``Psi`` for new weights is one SpMV over ``nnz(M) = sum_c
+    nnz(Q_{:,c})^2`` entries; :class:`TaylorEngine` runs it once per call.
 
     Parameters
     ----------
@@ -597,15 +594,8 @@ class SparsePsiAccumulator:
 
     @property
     def map_nnz(self) -> int:
-        """Stored entries of the weight-to-values map ``M`` (build/update cost)."""
+        """Stored entries of the weight-to-values map ``M`` (the build cost)."""
         return int(self._m.nnz)
-
-    def column_cost(self, columns: np.ndarray) -> int:
-        """Entries of ``M`` touched when updating the given weight columns."""
-        columns = np.asarray(columns, dtype=np.int64)
-        return int(
-            np.sum(self._m.indptr[columns + 1] - self._m.indptr[columns])
-        )
 
     def values(self, col_weights: np.ndarray) -> np.ndarray:
         """CSR value array of ``Psi`` for the given per-column weights."""
@@ -615,14 +605,6 @@ class SparsePsiAccumulator:
                 f"expected {self.total_rank} column weights, got {col_weights.shape[0]}"
             )
         return self._m @ col_weights
-
-    def update_values(
-        self, values: np.ndarray, columns: np.ndarray, delta: np.ndarray
-    ) -> None:
-        """In-place ``values += M[:, columns] @ delta`` (active columns only)."""
-        if columns.shape[0] == 0:
-            return
-        values += self._m[:, columns] @ np.asarray(delta, dtype=np.float64)
 
     def psi(self, values: np.ndarray) -> sp.csr_matrix:
         """CSR ``Psi`` sharing the fixed pattern with the given value array."""
@@ -638,35 +620,28 @@ class SparsePsiAccumulator:
 
 
 class TaylorEngine:
-    """Incrementally-updated factory of Taylor kernels over one factor stack.
+    """Factory of Taylor kernels over one factor stack.
 
     One engine per oracle: each
     :class:`~repro.core.dotexp.FastDotExpOracle` constructs its own over the
     shared, immutable :class:`~repro.operators.packed.PackedGramFactors`
-    view, so no solve ever sees another's weight-dependent buffers.
-    Construction selects the representation once — the mode depends only on
-    the weight-independent shape quantities ``(m, R, nnz, nnz(Psi))`` — and
-    :meth:`kernel_for` then maintains the weight-dependent state across
-    calls:
+    view.  Construction selects the representation once — the mode depends
+    only on the weight-independent shape quantities ``(m, R, nnz,
+    nnz(Psi))`` — and :meth:`kernel_for` builds each kernel from the
+    weights it is given and the engine's weight-independent caches:
 
-    ==================  ==================================  ======================
-    mode                persistent state                    per-active-column cost
-    ==================  ==================================  ======================
-    ``gram``            none (the packed view's ``Q^T Q``)  none
-    ``dense-psi``       densified ``Psi`` buffer            ``m^2`` (rank-1 update)
-    ``sparse-psi``      CSR values via the accumulator      ``nnz(M[:, col])``
-    ``sparse-factors``  scaled stack ``Q diag(w)``          column nnz (rescale)
-    ==================  ==================================  ======================
+    ==================  ====================================================  ==========
+    mode                kernel built per call                                 charge
+    ==================  ====================================================  ==========
+    ``gram``            :class:`GramTaylorKernel` over the cached ``Q^T Q``   none
+    ``dense-psi``       ``from_matrix(densified_psi(Q, w))``                  ``m^2 R``
+    ``sparse-psi``      ``from_matrix(acc.psi(acc.values(w)))``               ``nnz(M)``
+    ``sparse-factors``  ``from_scaled_factors(Q, Q diag(w))``                 ``nnz(Q)``
+    ==================  ====================================================  ==========
 
-    In the stateful modes the first :meth:`kernel_for` call performs the one
-    full build; every later call updates only the columns whose weights
-    changed — there is no staleness detector that silently falls back to a
-    full rebuild, and the :attr:`full_builds` / :attr:`columns_updated`
-    counters (plus the ``taylor-engine-update`` work recorded on the
-    backend's tracker) let regression tests assert exactly that.  In
-    ``gram`` mode every call's :class:`GramTaylorKernel` starts from the
-    cached ``Q^T Q`` and its own eigendecomposition, so the counters never
-    move and nothing is charged.
+    The charge is recorded on the backend's tracker under the
+    ``taylor-engine-update`` label.  No kernel depends on an earlier call,
+    so a resumed or reordered run needs only the weights and the mode.
 
     Parameters
     ----------
@@ -681,9 +656,9 @@ class TaylorEngine:
 
     def __init__(self, packed, mode: str = "auto") -> None:
         self.packed = packed
-        # The engine's host state (CSR values, densified Psi, scaled
-        # stacks) stays NumPy; the stack's array backend is only handed to
-        # the kernels it builds, which transfer their inputs at construction.
+        # The kernels' host inputs (densified Psi, CSR values, scaled
+        # stacks) are built in NumPy; the stack's array backend is only
+        # handed to the kernels, which transfer their inputs at construction.
         self.backend = getattr(packed, "backend", NUMPY)
         self.dim = int(packed.dim)
         self.total_rank = int(packed.total_rank)
@@ -696,202 +671,65 @@ class TaylorEngine:
         if mode in ("sparse-psi", "sparse-factors") and not packed.is_sparse:
             raise InvalidProblemError(f"mode {mode!r} requires a sparse factor stack")
         self.mode = mode
-        self.full_builds = 0
-        self.incremental_updates = 0
-        self.columns_updated = 0
-        self.charged_work = 0.0
-        self._w_cols: np.ndarray | None = None
-        # Weight-dependent state, populated by the first kernel_for call.
-        self._psi: np.ndarray | None = None
-        self._psi_values: np.ndarray | None = None
-        self._psi_csr: sp.csr_matrix | None = None
-        self._qw: sp.csc_matrix | None = None
-        self._q_csc: sp.csc_matrix | None = (
-            packed.matrix.tocsc() if packed.is_sparse else None
-        )
+        self._q_csc = packed.matrix.tocsc() if mode == "sparse-factors" else None
         self._depth = math.log2(max(self.dim * max(self.total_rank, 1), 2))
 
-    # ------------------------------------------------------------------ stats
     def stats(self) -> dict:
-        """Counters for regression tests and solver metadata."""
-        return {
-            "mode": self.mode,
-            "total_rank": self.total_rank,
-            "full_builds": self.full_builds,
-            "incremental_updates": self.incremental_updates,
-            "columns_updated": self.columns_updated,
-            "charged_work": self.charged_work,
-        }
-
-    @property
-    def psi(self) -> np.ndarray | None:
-        """The densified ``Psi`` buffer in ``dense-psi`` mode once built, else ``None``."""
-        return self._psi if self.mode == "dense-psi" else None
+        """The engine's ``mode`` and ``total_rank`` for solver metadata."""
+        return {"mode": self.mode, "total_rank": self.total_rank}
 
     # ------------------------------------------------------------------ checkpointing
     def export_state(self) -> dict:
-        """Checkpointable snapshot of the weight-dependent engine state.
-
-        Only the genuinely path-dependent buffers are captured: the
-        ``dense-psi`` matrix and ``sparse-psi`` value vector accumulate
-        rank-1 bumps per iteration, so their bits depend on the update
-        history and must round-trip exactly.  The ``sparse-factors`` stack
-        is an elementwise function of the expanded column weights (full
-        build and incremental update apply the same per-element product),
-        so :meth:`import_state` rebuilds it from ``w_cols`` bit-identically
-        instead of storing it.  ``gram`` mode has no state (``w_cols`` is
-        ``None``).
-        """
-        return {
-            "mode": self.mode,
-            "full_builds": int(self.full_builds),
-            "incremental_updates": int(self.incremental_updates),
-            "columns_updated": int(self.columns_updated),
-            "charged_work": float(self.charged_work),
-            "w_cols": None if self._w_cols is None else np.array(self._w_cols),
-            "psi": (
-                np.array(self._psi)
-                if self.mode == "dense-psi" and self._psi is not None
-                else None
-            ),
-            "psi_values": (
-                np.array(self._psi_values)
-                if self.mode == "sparse-psi" and self._psi_values is not None
-                else None
-            ),
-        }
+        """Checkpointable snapshot: the mode, the engine's only state."""
+        return {"mode": self.mode}
 
     def import_state(self, state: dict) -> None:
-        """Restore a snapshot produced by :meth:`export_state`.
+        """Check a snapshot produced by :meth:`export_state` against this engine.
 
-        A ``gram``-mode snapshot written when that mode still kept a Gram
-        buffer carries ``w_cols`` and non-zero counters; the weights are
-        ignored (the mode has no state) and the counters restored as
-        recorded.
+        Version-1 snapshots may also carry an older engine's weight-dependent
+        buffers (``w_cols``, ``psi``, ``psi_values``) and update counters.
+        Kernels depend only on the weights, so those fields are ignored.
         """
         if state["mode"] != self.mode:
             raise InvalidProblemError(
                 f"cannot import taylor-engine state for mode {state['mode']!r} "
                 f"into an engine in mode {self.mode!r}"
             )
-        w_cols = state.get("w_cols")
-        if self.mode != "gram" and w_cols is not None:
-            self._w_cols = np.array(w_cols, dtype=np.float64)
-            if self.mode == "dense-psi":
-                self._psi = np.array(state["psi"], dtype=np.float64)
-            elif self.mode == "sparse-psi":
-                self._psi_values = np.array(state["psi_values"], dtype=np.float64)
-                self._psi_csr = self.packed.psi_accumulator().psi(self._psi_values)
-            else:
-                self._full_build(self._w_cols)
-        self.full_builds = int(state["full_builds"])
-        self.incremental_updates = int(state["incremental_updates"])
-        self.columns_updated = int(state["columns_updated"])
-        self.charged_work = float(state["charged_work"])
-
-    # ------------------------------------------------------------------ builds
-    def _full_build(self, col_w: np.ndarray) -> float:
-        m, r = self.dim, self.total_rank
-        packed = self.packed
-        if self.mode == "dense-psi":
-            from repro.linalg.taylor_blocked import densified_psi
-
-            self._psi = densified_psi(packed.matrix, col_w)
-            return float(m) * m * r
-        if self.mode == "sparse-psi":
-            acc = packed.psi_accumulator()
-            self._psi_values = acc.values(col_w)
-            self._psi_csr = acc.psi(self._psi_values)
-            return float(acc.map_nnz)
-        # sparse-factors: keep the scaled stack Q diag(w), scaling the data
-        # array per column in one vectorised pass so the symbolic pattern
-        # (and therefore in-place column updates) survives zero weights.
-        qw = self._q_csc.copy()
-        qw.data *= np.repeat(col_w, np.diff(qw.indptr))
-        self._qw = qw
-        return float(self._q_csc.nnz)
-
-    def _update(self, col_w: np.ndarray, active: np.ndarray, delta: np.ndarray) -> float:
-        m = self.dim
-        a = active.shape[0]
-        if self.mode == "dense-psi":
-            if self.packed.is_sparse:
-                sub = self._q_csc[:, active]
-                bump = (sub.multiply(delta[None, :]) @ sub.T).toarray()
-            else:
-                sub = self.packed.matrix[:, active]
-                bump = (sub * delta) @ sub.T
-            self._psi += 0.5 * (bump + bump.T)
-            return float(m) * m * a
-        if self.mode == "sparse-psi":
-            acc = self.packed.psi_accumulator()
-            acc.update_values(self._psi_values, active, delta)
-            return float(acc.column_cost(active))
-        # sparse-factors: one fancy-indexed pass over the active columns'
-        # data ranges — the multi-range gather keeps the update off the
-        # Python per-column path the packed kernels exist to avoid.
-        q_csc, qw = self._q_csc, self._qw
-        starts = qw.indptr[active].astype(np.int64)
-        widths = qw.indptr[active + 1].astype(np.int64) - starts
-        touched = int(widths.sum())
-        if touched:
-            before = np.concatenate([[0], np.cumsum(widths)[:-1]])
-            idx = np.arange(touched) + np.repeat(starts - before, widths)
-            qw.data[idx] = q_csc.data[idx] * np.repeat(col_w[active], widths)
-        return float(touched)
-
-    def _advance(self, col_w: np.ndarray, backend) -> None:
-        """Move the stateful representation to ``col_w``, charging the work."""
-        if self._w_cols is None:
-            cost = self._full_build(col_w)
-            self.full_builds += 1
-        else:
-            delta = col_w - self._w_cols
-            active = np.flatnonzero(delta)
-            cost = 0.0
-            if active.shape[0]:
-                cost = self._update(col_w, active, delta[active])
-                self.incremental_updates += 1
-                self.columns_updated += int(active.shape[0])
-        if cost:
-            self.charged_work += cost
-            if backend is not None:
-                backend.charge(cost, self._depth, label="taylor-engine-update")
-        self._w_cols = col_w
 
     # ------------------------------------------------------------------ kernels
     def kernel_for(self, weights: np.ndarray, backend=None):
         """A Taylor kernel for ``Psi = sum_i weights[i] Q_i Q_i^T``.
 
-        In ``gram`` mode this is a fresh :class:`GramTaylorKernel` over the
-        cached ``Q^T Q`` — no state, no charge.  In the stateful modes the
-        first call performs the one full build of the weight-dependent
-        state and every later call updates only the columns whose expanded
-        weights changed relative to the previous call, charging
-        ``taylor-engine-update`` work proportional to those active columns
-        on ``backend`` (when given).  The returned kernel is a lightweight
-        view over the engine's buffers — use it before the next
-        ``kernel_for`` call.
+        Built from ``weights`` alone (see the class table).  Outside
+        ``gram`` mode the build's work is charged to ``backend`` (when
+        given) under ``taylor-engine-update``.
         """
-        from repro.linalg.taylor_blocked import BlockedTaylorKernel
-
         col_w = self.packed.expand_weights(weights)
+        q = self.packed.matrix
         if self.mode == "gram":
             return GramTaylorKernel(
-                self.packed.matrix, col_w, gram=self.packed.gram_matrix(),
-                backend=self.backend,
+                q, col_w, gram=self.packed.gram_matrix(), backend=self.backend
             )
-        self._advance(col_w, backend)
         if self.mode == "dense-psi":
-            return BlockedTaylorKernel.from_matrix(self._psi, backend=self.backend)
-        if self.mode == "sparse-psi":
+            kernel = BlockedTaylorKernel.from_matrix(
+                densified_psi(q, col_w), backend=self.backend
+            )
+            cost = float(self.dim) * self.dim * self.total_rank
+        elif self.mode == "sparse-psi":
             # Sparse-Psi CSR recurrences are NumPy-only (and only reachable
             # with a NumPy-backed stack — non-NumPy stacks densify).
-            return BlockedTaylorKernel.from_matrix(self._psi_csr)
-        return BlockedTaylorKernel.from_scaled_factors(self.packed.matrix, self._qw)
+            acc = self.packed.psi_accumulator()
+            kernel = BlockedTaylorKernel.from_matrix(acc.psi(acc.values(col_w)))
+            cost = float(acc.map_nnz)
+        else:
+            # Scale the data array per column in one vectorised pass.
+            qw = self._q_csc.copy()
+            qw.data *= np.repeat(col_w, np.diff(qw.indptr))
+            kernel = BlockedTaylorKernel.from_scaled_factors(q, qw)
+            cost = float(self._q_csc.nnz)
+        if cost and backend is not None:
+            backend.charge(cost, self._depth, label="taylor-engine-update")
+        return kernel
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"TaylorEngine(dim={self.dim}, R={self.total_rank}, mode={self.mode}, "
-            f"full_builds={self.full_builds}, updates={self.incremental_updates})"
-        )
+        return f"TaylorEngine(dim={self.dim}, R={self.total_rank}, mode={self.mode})"

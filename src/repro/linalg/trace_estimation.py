@@ -285,7 +285,7 @@ class TraceEstimator:
 
         The decision solvers surface this dict as
         ``result.metadata["trace_estimator"]`` next to the ``psi_state``
-        and ``taylor_engine`` counters, so tests can assert the
+        counters and the ``taylor_engine`` mode, so tests can assert the
         zero-identity-apply discipline.
         """
         return {

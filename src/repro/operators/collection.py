@@ -40,7 +40,7 @@ wall-clock constants change.
 
 The packed view also caches the weight-independent Taylor artifacts (the
 ``R x R`` Gram matrix ``Q^T Q``, the sparse-``Psi`` symbolic pattern, the
-auto-selected representation).  Weight-dependent state — the incremental
+auto-selected representation).  Per-solve state — the
 :class:`~repro.linalg.taylor_gram.TaylorEngine`, the trace estimator, the
 psi state — lives on the solve that owns it.
 
@@ -72,8 +72,8 @@ DENSE_STACK_MAX_BYTES = 1 << 27
 class ConstraintCollection:
     """An immutable ordered collection of PSD constraint operators.
 
-    One collection may be solved by several solves at once (the solve
-    service's hedge twins share the request's collection across threads).
+    One collection may be solved by several solves at once (thread-mode
+    service jobs that carry the same submitted collection share it).
     That is safe because every lazily built attribute of a collection and
     of its packed view is written once, from the operators alone, and
     never mutated in place: a concurrent first build at worst computes the

@@ -290,7 +290,7 @@ class PackedGramFactors:
 
     def column_nnz(self) -> np.ndarray:
         """Stored nonzeros per stacked column (cached; drives the selection
-        policy's ``nnz(Psi)`` bound and the engine's per-column charges)."""
+        policy's ``nnz(Psi)`` bound)."""
         if self._column_nnz is None:
             if self.total_rank == 0:
                 self._column_nnz = np.zeros(0, dtype=np.int64)

@@ -91,10 +91,10 @@ class ExecutionBackend(abc.ABC):
 
         Thin passthrough to :meth:`WorkDepthTracker.charge` so components
         that are handed a backend (rather than a tracker) can record model
-        costs — e.g. the rank-adaptive Taylor engine charges its
-        active-column state updates under the ``taylor-engine-update``
-        label, work proportional to the touched columns.  A backend without
-        a tracker ignores the charge.
+        costs — e.g. the rank-adaptive Taylor engine charges each call's
+        kernel build (densified ``Psi``, CSR values or scaled stack) under
+        the ``taylor-engine-update`` label.  A backend without a tracker
+        ignores the charge.
         """
         if self.tracker is not None:
             self.tracker.charge(work, depth, label=label)

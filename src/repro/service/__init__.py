@@ -11,7 +11,7 @@ graceful load shedding — every terminal condition is a typed
 :mod:`repro.service.executor` adds the concurrent execution layer: a
 :class:`WorkerPool` over the :mod:`repro.parallel` backends (inline /
 thread / process), heartbeat watchdogs with checkpointed kill-and-requeue,
-straggler hedging, per-instance-family :class:`CircuitBreaker` isolation,
+per-instance-family :class:`CircuitBreaker` isolation,
 and graceful drain-to-:attr:`RequestOutcome.SUSPENDED` shutdown — all
 without perturbing a single result bit.
 """

@@ -89,9 +89,8 @@ def instance_family(constraints: ConstraintCollection) -> tuple:
     instance family.
     """
     ops = list(constraints.operators)
-    m = int(ops[0].to_dense().shape[0]) if ops else 0
     ranks = tuple(getattr(op, "rank", None) for op in ops)
-    return (m, len(ops), ranks)
+    return (int(constraints.dim), len(ops), ranks)
 
 
 # --------------------------------------------------------------------------
@@ -118,8 +117,6 @@ class JobSpec:
     fault_plan: list[dict] | None = None
     plan_pid: int = 0
     hard_crash: bool = False
-    #: Set on speculative duplicates: the job id this spec hedges.
-    hedge_of: int | None = None
     #: True when the job crosses a process boundary (strip unpicklables).
     cross_process: bool = False
 
@@ -354,18 +351,13 @@ class _ActiveJob:
     spec: JobSpec
     future: Any
     channel: Any
-    submitted_at: float
     seen_beats: int = 0
     last_progress: float = 0.0
     #: Latest shipped checkpoint per request id (harvested at each poll).
     shipped: dict[int, SolverCheckpoint] = field(default_factory=dict)
     #: Why the parent killed it (``None`` while alive): ``"watchdog"`` /
-    #: ``"hedge-loser"`` / ``"shutdown"``.
+    #: ``"shutdown"``.
     killed: str | None = None
-    #: Set when a hedge twin already finalized this job's requests.
-    superseded: bool = False
-    #: True when it was ever hedged (so it is not hedged twice).
-    hedged: bool = False
 
 
 class WorkerPool:
@@ -429,14 +421,9 @@ class WorkerPool:
         channel = self._make_channel(spec.job_id)
         if self.mode == "process":
             spec = dataclasses.replace(spec, cross_process=True, hard_crash=self.hard_crash)
-        now = self.clock()
         future = self._backend.submit(_run_job, spec, channel)
         job = _ActiveJob(
-            spec=spec,
-            future=future,
-            channel=channel,
-            submitted_at=now,
-            last_progress=now,
+            spec=spec, future=future, channel=channel, last_progress=self.clock()
         )
         self._jobs[spec.job_id] = job
         return job

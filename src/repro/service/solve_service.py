@@ -9,7 +9,7 @@ bit-reproducibility contract:
   :func:`~repro.core.batch.solve_many` would give it as instance
   ``request_id`` of one big batch — pinned through the ``rng_indices``
   parameter, so results do not depend on how requests happen to be
-  batched, retried, hedged, or resumed.
+  batched, retried, or resumed.
 * **Deadline-aware queue.**  Requests carry an absolute ``deadline`` on
   the service clock plus a ``priority``; expired work is finalized as
   :attr:`RequestOutcome.DEADLINE_EXCEEDED` (with the last verified
@@ -32,10 +32,8 @@ bit-reproducibility contract:
   ``mode="thread"``/``"process"`` the service dispatches jobs to a
   :class:`~repro.service.executor.WorkerPool` instead of solving inline:
   heartbeat-watchdogged workers are killed and their requests requeued
-  from the latest shipped checkpoint, stragglers are hedged with a
-  speculative duplicate (first finisher wins; replicas share rng
-  streams and collections, so the race can never change bits),
-  repeatedly-failing ``(m, n, ranks)`` instance families are isolated behind a per-family
+  from the latest shipped checkpoint, repeatedly-failing
+  ``(m, n, ranks)`` instance families are isolated behind a per-family
   :class:`~repro.service.executor.CircuitBreaker` with half-open
   probing (:attr:`RequestOutcome.CIRCUIT_OPEN`), in-flight work is
   bounded, and :meth:`SolveService.shutdown` drains gracefully —
@@ -48,7 +46,7 @@ bit-reproducibility contract:
 All time flows through an injectable clock; :class:`VirtualClock` makes
 the chaos tests fully deterministic.  The invariant the chaos suite
 proves: on a fixed seed, every terminal result's bits are independent of
-worker count, hedging, and injected crashes/stalls — scheduling only
+worker count and injected crashes/stalls — scheduling only
 moves *when* work happens, checkpointed resume makes *what* it computes
 exact.
 """
@@ -68,7 +66,8 @@ import numpy as np
 from repro.core.batch import instance_rng, solve_many
 from repro.core.decision import DecisionOptions, decision_psdp, _resolve_constraints
 from repro.core.result import DecisionOutcome, DecisionResult, SolveStatus
-from repro.exceptions import InvalidProblemError
+from repro.exceptions import InvalidProblemError, NumericalError
+from repro.linalg.norms import certified_lambda_max
 from repro.operators.collection import ConstraintCollection
 from repro.robustness import faultinject
 from repro.service.executor import (
@@ -272,11 +271,6 @@ class SolveService:
         Seconds (service clock) a job may go without a heartbeat before
         the supervisor kills it and requeues its requests from their
         latest shipped checkpoints.  ``None`` disables the watchdog.
-    hedge_after:
-        Seconds in flight after which a straggler job is hedged with a
-        speculative duplicate (same rng streams, so replicas are
-        bit-identical; first finisher wins, the loser is cancelled).
-        ``None`` disables hedging.
     max_requeues:
         Cap on watchdog/stall requeues per request (they never consume
         retry attempts; this cap is the escape valve for a request that
@@ -315,7 +309,6 @@ class SolveService:
         workers: int = 1,
         heartbeat_every: int | None = None,
         watchdog_timeout: float | None = None,
-        hedge_after: float | None = None,
         max_requeues: int = 3,
         breaker_threshold: int = 3,
         breaker_cooldown: float = 60.0,
@@ -339,10 +332,6 @@ class SolveService:
             raise InvalidProblemError(
                 f"watchdog_timeout must be positive seconds, got {watchdog_timeout}"
             )
-        if hedge_after is not None and hedge_after < 0:
-            raise InvalidProblemError(
-                f"hedge_after must be >= 0 seconds (0 hedges immediately), got {hedge_after}"
-            )
         if max_requeues < 0:
             raise InvalidProblemError(f"max_requeues must be >= 0, got {max_requeues}")
         self.options = options or DecisionOptions()
@@ -358,7 +347,6 @@ class SolveService:
         self.mode = mode
         self.heartbeat_every = heartbeat_every
         self.watchdog_timeout = watchdog_timeout
-        self.hedge_after = hedge_after
         self.max_requeues = int(max_requeues)
         self.breaker_threshold = int(breaker_threshold)
         self.breaker_cooldown = float(breaker_cooldown)
@@ -377,11 +365,8 @@ class SolveService:
         self._cache_order: list[str] = []
         self._next_id = 0
         self._accepting = True
-        #: job id -> the requests it carries (primary jobs only; hedge
-        #: twins resolve through ``_hedges``).
+        #: job id -> the requests it carries.
         self._dispatched: dict[int, list[_Request]] = {}
-        #: primary job id -> its hedge twin's job id (and back via spec).
-        self._hedges: dict[int, int] = {}
         self._breakers: dict[tuple, CircuitBreaker] = {}
 
     # ------------------------------------------------------------------ admission
@@ -483,7 +468,7 @@ class SolveService:
         self, request_id: int, constraints: ConstraintCollection, opts: DecisionOptions
     ) -> ServiceResponse:
         """Overload path: degrade gracefully before rejecting outright."""
-        warm = self._warm_start_certificate(constraints, opts)
+        warm = self._warm_start_certificate(request_id, constraints, opts)
         if warm is not None:
             return ServiceResponse(
                 request_id=request_id,
@@ -502,15 +487,18 @@ class SolveService:
         )
 
     def _warm_start_certificate(
-        self, constraints: ConstraintCollection, opts: DecisionOptions
+        self, request_id: int, constraints: ConstraintCollection, opts: DecisionOptions
     ) -> DecisionResult | None:
         """Try to certify the new instance with a cached dual witness.
 
-        Takes any cached dual vector of matching length, measures
-        ``lambda_max(sum_i x_i A_i)`` **on the new instance**, and accepts
-        only when the rescaled value clears the ``1 - eps`` target — the
-        certificate is exactly verified on the instance it is returned
-        for, so a stale cache can never produce an unsound answer.
+        Takes any cached dual vector of matching length, bounds
+        ``lambda_max(sum_i x_i A_i)`` **on the new instance** from above
+        (:func:`~repro.linalg.norms.certified_lambda_max`, the bound every
+        solver exit rescales by, on the request's own
+        ``default_rng((seed, request_id))`` stream), and accepts only when
+        the rescaled value clears the ``1 - eps`` target — the certificate
+        is exactly verified on the instance it is returned for, so a stale
+        cache can never produce an unsound answer.
         """
         n = len(constraints)
         eps = float(opts.epsilon)
@@ -520,8 +508,13 @@ class SolveService:
             if x is None or len(x) != n or not np.all(np.isfinite(x)):
                 continue
             summed = constraints.weighted_sum(np.asarray(x, dtype=np.float64))
-            lam = float(np.linalg.eigvalsh(summed)[-1])
-            if not np.isfinite(lam) or lam <= 0:
+            try:
+                lam = certified_lambda_max(
+                    summed, rng=np.random.default_rng((self.seed, request_id))
+                )
+            except NumericalError:
+                continue
+            if lam <= 0:
                 continue
             value = float(np.sum(x)) / lam
             if value >= 1.0 - eps:
@@ -577,7 +570,7 @@ class SolveService:
         """Serve one scheduling round; returns the number of requests finalized.
 
         Expires overdue deadlines, absorbs finished pool jobs, kills
-        watchdog-stale workers, hedges stragglers, and dispatches ready
+        watchdog-stale workers, and dispatches ready
         requests (breaker-gated, backpressure-bounded) to the pool.  In
         inline mode the dispatched job executes synchronously inside this
         call, so the pre-executor one-batch-per-step cadence is
@@ -599,7 +592,6 @@ class SolveService:
 
         finalized += self._collect()
         self._run_watchdog()
-        self._run_hedging()
         finalized += self._dispatch()
         finalized += self._collect()
         return finalized
@@ -617,34 +609,10 @@ class SolveService:
             return
         now = self._clock()
         for job in self._pool.in_flight():
-            if job.killed is None and not job.superseded:
-                # Inclusive: drain advances a VirtualClock exactly onto
-                # the deadline, and landing on it must trigger the kill.
-                if now - job.last_progress >= self.watchdog_timeout:
-                    self._pool.kill(job.spec.job_id, "watchdog")
-
-    def _run_hedging(self) -> None:
-        """Launch speculative duplicates of straggler jobs."""
-        if self.hedge_after is None:
-            return
-        now = self._clock()
-        for job in list(self._pool.in_flight()):
-            if (
-                job.killed is None
-                and not job.superseded
-                and not job.hedged
-                and job.spec.hedge_of is None
-                and now - job.submitted_at >= self.hedge_after
-            ):
-                # The twin solves the primary's own collections (see the
-                # ConstraintCollection sharing condition).
-                twin_id = self._pool.next_job_id()
-                twin_spec = dataclasses.replace(
-                    job.spec, job_id=twin_id, hedge_of=job.spec.job_id
-                )
-                job.hedged = True
-                self._hedges[job.spec.job_id] = twin_id
-                self._pool.submit(twin_spec)
+            # Inclusive: drain advances a VirtualClock exactly onto the
+            # deadline, and landing on it must trigger the kill.
+            if job.killed is None and now - job.last_progress >= self.watchdog_timeout:
+                self._pool.kill(job.spec.job_id, "watchdog")
 
     def _dispatch(self) -> int:
         """Form jobs from the ready queue and launch them; returns finalized.
@@ -736,46 +704,15 @@ class SolveService:
     # ------------------------------------------------------------------ absorption
     def _absorb_report(self, job: _ActiveJob, report: WorkerReport) -> int:
         """Fold one finished job back into service state; returns finalized."""
-        job_id = job.spec.job_id
-        primary_id = job.spec.hedge_of if job.spec.hedge_of is not None else job_id
         if report.usage:
             faultinject.consume_plan_usage(report.usage)
-
         requests = [
             r
-            for r in self._dispatched.get(primary_id, [])
+            for r in self._dispatched.pop(job.spec.job_id, [])
             if r.request_id not in self._responses
         ]
         if not requests:
-            # Hedge twin of an already-delivered job (or a fully-expired
-            # batch): nothing left to absorb.
-            self._dispatched.pop(primary_id, None)
-            self._hedges.pop(primary_id, None)
-            return 0
-
-        twin_id = self._hedges.get(primary_id)
-        sibling_id = None
-        if twin_id is not None:
-            sibling_id = twin_id if job_id == primary_id else primary_id
-        sibling = next(
-            (j for j in self._pool.in_flight() if j.spec.job_id == sibling_id), None
-        )
-
-        if report.status != "done" and sibling is not None and job.killed != "shutdown":
-            # This replica died but its hedge twin is still computing the
-            # same requests on the same streams — let the survivor deliver.
-            if report.status in ("crashed", "error"):
-                now = self._clock()
-                for request in requests:
-                    self._breaker(request.family).record_failure(now)
-            return 0
-
-        # This report delivers: claim the requests and retire the sibling.
-        self._dispatched.pop(primary_id, None)
-        self._hedges.pop(primary_id, None)
-        if sibling is not None:
-            sibling.superseded = True
-            self._pool.kill(sibling.spec.job_id, "hedge-loser")
+            return 0  # a fully-expired batch: nothing left to absorb
 
         if report.status == "done":
             finalized = 0
@@ -784,8 +721,6 @@ class SolveService:
             return finalized
 
         if report.status == "cancelled":
-            if job.killed == "hedge-loser":  # pragma: no cover - claimed above
-                return 0
             if job.killed == "shutdown":
                 return sum(self._suspend(request, job) for request in requests)
             # Watchdog kill, or an injected stall that self-cancelled
@@ -883,8 +818,8 @@ class SolveService:
         Between rounds the loop waits (real time) for in-flight futures
         and heartbeats; only when nothing is genuinely progressing does it
         advance a :class:`VirtualClock` to the next timer — a backoff
-        ``next_ready``, a watchdog or hedge deadline, or a breaker
-        cooldown expiry.  A stalled worker therefore *cannot* freeze the
+        ``next_ready``, a watchdog deadline, or a breaker cooldown
+        expiry.  A stalled worker therefore *cannot* freeze the
         drain: its missing heartbeats are exactly what lets the clock
         jump to the watchdog deadline that kills it.
         """
@@ -924,13 +859,10 @@ class SolveService:
             times.append(request.next_ready)
             if request.deadline is not None:
                 times.append(request.deadline)
-        for job in self._pool.in_flight():
-            if job.killed is not None or job.superseded:
-                continue
-            if self.watchdog_timeout is not None:
-                times.append(job.last_progress + self.watchdog_timeout)
-            if self.hedge_after is not None and not job.hedged and job.spec.hedge_of is None:
-                times.append(job.submitted_at + self.hedge_after)
+        if self.watchdog_timeout is not None:
+            for job in self._pool.in_flight():
+                if job.killed is None:
+                    times.append(job.last_progress + self.watchdog_timeout)
         for breaker in self._breakers.values():
             transition = breaker.next_transition()
             if transition is not None:
@@ -951,8 +883,7 @@ class SolveService:
         """
         self._accepting = False
         for job in self._pool.in_flight():
-            if not job.superseded:
-                self._pool.kill(job.spec.job_id, "shutdown")
+            self._pool.kill(job.spec.job_id, "shutdown")
         deadline = time.monotonic() + wait_timeout
         while self._pool.in_flight() and time.monotonic() < deadline:
             self._pool.wait(timeout=0.05)
@@ -961,12 +892,9 @@ class SolveService:
         # parent-side shipped state; their threads die with the pool.
         self._pool.observe()
         for job in self._pool.in_flight():
-            primary_id = (
-                job.spec.hedge_of if job.spec.hedge_of is not None else job.spec.job_id
-            )
             requests = [
                 r
-                for r in self._dispatched.pop(primary_id, [])
+                for r in self._dispatched.pop(job.spec.job_id, [])
                 if r.request_id not in self._responses
             ]
             for request in requests:

@@ -1,8 +1,8 @@
 """Regression tests riding with the packed fast-path and blocked-Taylor PRs.
 
 Covers the history-record NaN bug, caller-option mutation, the
-top-eigenvalue certificate routine, the Taylor engine's incremental-update
-discipline, the matrix-free core and the structured trace estimator.  The
+top-eigenvalue certificate routine, the Taylor engine's per-call build
+charges, the matrix-free core and the structured trace estimator.  The
 fast-versus-exact decision equivalence lives in
 ``tests/test_oracle_differential.py``.
 """
@@ -211,24 +211,20 @@ def _concentrated_sparse_collection(seed=31, m=60, n=40, support=10, col_nnz=8):
 
 
 class TestTaylorEngineRegressions:
-    """The stateful engine modes must update incrementally — one full build,
-    then work proportional to the active columns; the stateless Gram mode
-    must charge nothing."""
+    """Every oracle call builds its kernel from that call's weights: the
+    non-Gram modes charge one full build per call, the Gram mode nothing."""
 
     def test_gram_engine_charges_proportional_work(self):
-        # The Gram mode evaluates each call on its own eigendecomposition:
-        # no buffer, so no build, no update and no charge.
+        # The Gram mode evaluates each call on its own eigendecomposition
+        # of the twin of the cached Q^T Q: nothing to build, no charge.
         gram = decision_psdp(
             _factorized_collection(seed=41, m=40, n=10),  # R = 20 <= m/2
             epsilon=0.25, oracle="fast", rng=3, max_iterations=25,
         )
-        stats = gram.metadata["taylor_engine"]
-        assert stats["mode"] == "gram"
-        assert stats["full_builds"] == stats["incremental_updates"] == 0
-        assert stats["columns_updated"] == 0 and stats["charged_work"] == 0.0
+        assert gram.metadata["taylor_engine"] == {"mode": "gram", "total_rank": 20}
         assert "taylor-engine-update" not in gram.work_depth.by_label
-        # The dense-psi buffer (R = 32 is past the Gram gate at m = 24) keeps
-        # the proportional discipline.
+        # R = 32 is past the Gram gate at m = 24: every call densifies Psi
+        # at m^2 R, including calls that see only some weights change.
         m = 24
         result = decision_psdp(
             _factorized_collection(seed=41, m=m, n=16),
@@ -238,22 +234,10 @@ class TestTaylorEngineRegressions:
             max_iterations=25,
             collect_history=True,
         )
-        stats = result.metadata["taylor_engine"]
-        assert stats["mode"] == "dense-psi"
-        assert stats["full_builds"] == 1
-        assert stats["incremental_updates"] == result.iterations - 1
-        # Every oracle call after the first sees exactly the coordinates the
-        # previous iteration multiplied (rank 2 each): the engine's touched
-        # columns must equal the solver's per-iteration update counts — a
-        # full rebuild would touch all R columns every time.
-        history_updates = [rec.updated for rec in result.history]
-        assert stats["columns_updated"] == 2 * sum(history_updates[:-1])
-        # The tracker's label records the same charges: full Psi build plus
-        # the exact per-column update rate (m^2 per touched column).
-        charged = result.work_depth.by_label["taylor-engine-update"]
-        assert charged == pytest.approx(stats["charged_work"])
-        assert charged == pytest.approx(
-            m * m * (stats["total_rank"] + stats["columns_updated"])
+        assert result.metadata["taylor_engine"] == {"mode": "dense-psi", "total_rank": 32}
+        assert result.counters.calls == result.iterations
+        assert result.work_depth.by_label["taylor-engine-update"] == (
+            m * m * 32 * result.counters.calls
         )
 
     def test_sparse_psi_engine_charges_proportional_work(self):
@@ -266,21 +250,12 @@ class TestTaylorEngineRegressions:
             max_iterations=20,
             collect_history=True,
         )
-        stats = result.metadata["taylor_engine"]
-        assert stats["mode"] == "sparse-psi"
-        assert stats["full_builds"] == 1
-        assert stats["incremental_updates"] == result.iterations - 1
-        history_updates = [rec.updated for rec in result.history]
-        assert stats["columns_updated"] == 2 * sum(history_updates[:-1])
+        assert result.metadata["taylor_engine"]["mode"] == "sparse-psi"
+        # One pass over the weight-to-values map per oracle call.
         acc = coll.packed().psi_accumulator()
-        charged = result.work_depth.by_label["taylor-engine-update"]
-        assert charged == pytest.approx(stats["charged_work"])
-        # Every incremental update costs at most one pass over the
-        # weight-to-values map; proportionality caps the total at the
-        # per-column map density times the touched columns.
-        incremental = charged - acc.map_nnz  # full build = one map pass
-        per_column_cap = acc.map_nnz / stats["total_rank"]
-        assert incremental <= per_column_cap * stats["columns_updated"] * 1.0001
+        assert result.work_depth.by_label["taylor-engine-update"] == (
+            acc.map_nnz * result.counters.calls
+        )
 
     def test_phased_solver_surfaces_engine_stats(self):
         for m, n, mode in ((24, 16, "dense-psi"), (40, 10, "gram")):
@@ -288,12 +263,10 @@ class TestTaylorEngineRegressions:
             result = decision_psdp_phased(
                 coll, epsilon=0.3, oracle="fast", rng=7, max_iterations=15
             )
-            stats = result.metadata["taylor_engine"]
-            assert stats["mode"] == mode
-            assert stats["full_builds"] == int(mode != "gram")
+            assert result.metadata["taylor_engine"] == {"mode": mode, "total_rank": 2 * n}
             charged = result.work_depth.by_label.get("taylor-engine-update", 0.0)
-            assert charged == pytest.approx(stats["charged_work"])
-            assert (charged > 0) == (mode != "gram")
+            build = m * m * 2 * n if mode == "dense-psi" else 0.0
+            assert charged == build * result.counters.calls
 
     def test_exact_oracle_has_no_engine_metadata(self, small_collection):
         result = decision_psdp(small_collection, epsilon=0.3, max_iterations=4)

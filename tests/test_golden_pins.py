@@ -204,8 +204,8 @@ def test_version_1_archive_resumes_to_pinned_result(solver, archive, case):
     ckpt = SolverCheckpoint.load(os.path.join(DATA_DIR, archive))
     if case == "resume-solve-many":
         # Instance 0 of the fused group, captured while the Gram engine
-        # still kept a buffer: its payload carries w_cols and counters, and
-        # its tracker the engine-update work charged before the capture.
+        # still kept a buffer: its tracker carries the engine-update work
+        # charged before the capture.
         result = decision_psdp(family(m=32, seed=0), oracle="fast", resume_from=ckpt, **BASE)
         actual, resumed = pin(result), pins[case][4]
         assert actual["by_label"].pop("taylor-engine-update") == ckpt.tracker["by_label"][
@@ -217,11 +217,18 @@ def test_version_1_archive_resumes_to_pinned_result(solver, archive, case):
         actual, resumed = pin(result), pins[case][1]
     if archive in ARCHIVE_CASES:
         assert_pin(actual, pins[ARCHIVE_CASES[archive]][0], f"{archive} resumed")
+    # The archives' Taylor-engine payloads carry the buffers and update
+    # counters of an engine that patched its kernels from call to call;
+    # the import ignores them, and this build's capture holds the mode alone.
+    capture = CASES[case]()[0].metadata["checkpoint"]
+    engine = ckpt.oracle["engine"]
+    assert {"w_cols", "full_builds", "charged_work"} <= set(engine)
+    assert capture.oracle["engine"] == {"mode": engine["mode"]}
     # The archives' psi-state counters were accumulated before the capture
     # by the retired warm-started Lanczos lambda_max (and the eig_vector /
     # final_v0 it carried are ignored on import).  The resumed run must add
     # to them exactly what resuming this build's own capture adds.
-    fresh = CASES[case]()[0].metadata["checkpoint"].psi
+    fresh = capture.psi
     assert {"eig_vector", "final_v0"} <= set(ckpt.psi)
     assert not {"eig_vector", "final_v0"} & set(fresh)
     expected = {**resumed, "psi_state": dict(resumed["psi_state"])}

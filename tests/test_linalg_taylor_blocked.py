@@ -3,8 +3,7 @@
 The kernel must evaluate exactly the same Lemma 4.2 polynomial as the
 per-term reference :func:`repro.linalg.taylor.taylor_expm_apply` — per
 column, to 1e-10 — in every representation (dense ``Psi``, sparse ``Psi``,
-sparse scaled factors), with chunked application matching unchunked to
-last-ulp BLAS reordering.
+sparse scaled factors).
 """
 
 from __future__ import annotations
@@ -104,36 +103,6 @@ class TestKernelEquivalence:
             BlockedTaylorKernel.from_matrix(sp.csr_matrix(psi)).apply(block, degree),
             ref,
             atol=1e-10,
-        )
-
-
-class TestChunking:
-    # Columns are independent, so chunking computes the same per-column
-    # quantities; only last-ulp BLAS reordering (width-dependent internal
-    # blocking) may differ, bounded here at 1e-12.
-    @pytest.mark.parametrize("chunk", [1, 3, 7, 100])
-    def test_chunked_identical_to_unchunked(self, chunk):
-        m, r, s, degree = 20, 40, 13, 15  # dense Psi
-        q = _factors(m, r, seed=20)
-        w = np.random.default_rng(21).random(r)
-        block = np.random.default_rng(22).standard_normal((m, s))
-        kernel = _kernel(q, w)
-        np.testing.assert_allclose(
-            kernel.apply(block, degree),
-            kernel.apply(block, degree, chunk_columns=chunk),
-            rtol=1e-12,
-            atol=1e-12,
-        )
-
-    def test_factor_mode_chunked_identical(self):
-        m, r, s = 20, 4, 11  # sparse scaled factors
-        q = _factors(m, r, seed=23, sparse=True)
-        w = np.random.default_rng(24).random(r)
-        block = np.random.default_rng(25).standard_normal((m, s))
-        kernel = _kernel(q, w)
-        np.testing.assert_allclose(
-            kernel.apply(block, 10, chunk_columns=4), kernel.apply(block, 10),
-            rtol=1e-12, atol=1e-12,
         )
 
 

@@ -3,9 +3,9 @@
 Every representation the engine can select — Gram-twin spectrum, densified
 ``Psi``, sparse-CSR ``Psi``, scaled factor recurrence — must evaluate exactly
 the same Lemma 4.2 polynomial as the per-term reference
-:func:`repro.linalg.taylor.taylor_expm_apply`; the stateful engine modes
-must reach the same state as a from-scratch build while touching only the
-active columns, and the stateless Gram mode must charge nothing.
+:func:`repro.linalg.taylor.taylor_expm_apply`; every engine kernel must be
+a function of the call's weights alone (bitwise equal to a fresh engine's),
+each non-Gram call must charge its full build, and the Gram mode nothing.
 """
 
 from __future__ import annotations
@@ -120,20 +120,6 @@ class TestGramKernelEquivalence:
         kernel = GramTaylorKernel(np.zeros((7, 0)), np.zeros(0))
         np.testing.assert_array_equal(kernel.apply(block, 9), block)
 
-    def test_chunked_identical_to_unchunked(self):
-        m, r, s = 20, 6, 13
-        q = _stack(m, r, seed=22)
-        w = np.random.default_rng(23).random(r)
-        block = np.random.default_rng(24).standard_normal((m, s))
-        kernel = GramTaylorKernel(q, w)
-        for chunk in (1, 4, 7, 100):
-            np.testing.assert_allclose(
-                kernel.apply(block, 12),
-                kernel.apply(block, 12, chunk_columns=chunk),
-                rtol=1e-12,
-                atol=1e-12,
-            )
-
     def test_matvec_and_count(self):
         m, r = 14, 4
         q = _stack(m, r, seed=25)
@@ -229,22 +215,6 @@ class TestSparsePsiAccumulator:
         np.testing.assert_array_equal(psi_a.indices, psi_b.indices)
         np.testing.assert_array_equal(psi_a.indptr, psi_b.indptr)
 
-    def test_incremental_update_matches_rebuild(self):
-        q, acc = self._accumulator()
-        r = q.shape[1]
-        rng = np.random.default_rng(43)
-        w = rng.random(r)
-        values = acc.values(w)
-        for _ in range(4):
-            w_new = w.copy()
-            touched = rng.choice(r, size=3, replace=False)
-            w_new[touched] = rng.random(3)
-            delta = w_new - w
-            active = np.flatnonzero(delta)
-            acc.update_values(values, active, delta[active])
-            np.testing.assert_allclose(values, acc.values(w_new), atol=1e-12)
-            w = w_new
-
     def test_zero_rank_columns_contribute_nothing(self):
         q = sp.hstack(
             [_stack(12, 3, seed=44, sparse=True), sp.csr_matrix((12, 2))], format="csr"
@@ -254,13 +224,7 @@ class TestSparsePsiAccumulator:
         np.testing.assert_allclose(
             acc.psi(acc.values(w)).toarray(), _psi_of(q, w), atol=1e-12
         )
-        assert acc.column_cost(np.array([3, 4])) == 0
-
-    def test_column_cost_proportional(self):
-        q, acc = self._accumulator()
-        all_cols = np.arange(q.shape[1])
-        assert acc.column_cost(all_cols) == acc.map_nnz
-        assert acc.column_cost(all_cols[:2]) <= acc.map_nnz
+        assert acc.map_nnz == SparsePsiAccumulator(q[:, :3]).map_nnz
 
     def test_rejects_dense_input(self):
         with pytest.raises(InvalidProblemError):
@@ -368,67 +332,62 @@ class TestTaylorEngine:
         ],
     )
     def test_incremental_state_matches_rebuild(self, mode, sparse):
+        # A kernel is a function of (stack, mode, weights): after a run of
+        # incremental weight changes it applies bitwise equal to a fresh
+        # engine's rebuild for the same weights, and both evaluate the
+        # Lemma 4.2 polynomial.
         packed = _packed(8, 18, sparse=sparse, seed=51)
         engine = TaylorEngine(packed, mode=mode)
         rng = np.random.default_rng(52)
         block = rng.standard_normal((18, 5))
         x = rng.random(8)
         for step in range(4):
-            kernel = engine.kernel_for(x)
-            col_w = packed.expand_weights(x)
-            psi = _psi_of(packed.matrix, col_w)
+            out = engine.kernel_for(x).apply(block, 12, scale=0.5)
+            fresh = TaylorEngine(packed, mode=mode).kernel_for(x)
+            np.testing.assert_array_equal(out, fresh.apply(block, 12, scale=0.5))
+            psi = _psi_of(packed.matrix, packed.expand_weights(x))
             np.testing.assert_allclose(
-                kernel.apply(block, 12, scale=0.5),
-                taylor_expm_apply(0.5 * psi, block, 12),
-                atol=1e-9,
+                out, taylor_expm_apply(0.5 * psi, block, 12), atol=1e-9
             )
             # Perturb a couple of coordinates, as the solver does.
             x = x.copy()
             x[rng.integers(0, 8)] *= 1.4
             x[rng.integers(0, 8)] = 0.0
-        # The Gram mode keeps no state; every other mode builds once.
-        assert engine.full_builds == (0 if mode == "gram" else 1)
-        assert (engine.incremental_updates >= 1) == (mode != "gram")
-
-    def test_updates_touch_only_active_columns(self):
-        packed = _packed(10, 40, seed=53)  # R = 20 <= m/2 -> gram
-        gram = TaylorEngine(packed)
-        engine = TaylorEngine(packed, mode="dense-psi")
-        assert gram.mode == "gram"
-        x = np.random.default_rng(54).random(10)
-        x2 = x.copy()
-        x2[3] *= 2.0
-        for weights in (x, x2):
-            engine.kernel_for(weights)
-            gram.kernel_for(weights)
-        assert engine.full_builds == 1
-        assert engine.incremental_updates == 1
-        assert engine.columns_updated == int(packed.ranks[3])
-        # Unchanged weights: no update at all.
-        engine.kernel_for(x2)
-        assert engine.incremental_updates == 1
-        # The Gram mode has nothing to update.
-        assert gram.stats() == TaylorEngine(packed).stats()
 
     def test_charges_backend_proportionally(self):
-        packed = _packed(10, 40, seed=55)
-        engine = TaylorEngine(packed, mode="dense-psi")
-        tracker = WorkDepthTracker()
-        backend = SerialBackend(tracker=tracker)
+        # Every non-Gram call charges its whole build, whatever the previous
+        # call's weights were: m^2 R to densify Psi, nnz(M) for the CSR
+        # values, nnz(Q) for the scaled stack.  The Gram rung charges nothing.
+        dense = _packed(10, 40, seed=55)
+        sparse = _packed(10, 40, sparse=True, seed=55)
         x = np.random.default_rng(56).random(10)
-        TaylorEngine(packed).kernel_for(x, backend=backend)
-        assert "taylor-engine-update" not in tracker.by_label  # Gram: no charge
-        engine.kernel_for(x, backend=backend)
-        full_charge = tracker.by_label["taylor-engine-update"]
         x2 = x.copy()
         x2[0] *= 1.5
-        engine.kernel_for(x2, backend=backend)
-        incremental = tracker.by_label["taylor-engine-update"] - full_charge
-        # One active constraint of rank 2 out of R=20 columns: the update
-        # charge must be the per-column rate, not another full build.
-        assert incremental == pytest.approx(engine.dim**2 * packed.ranks[0])
-        assert incremental < full_charge
-        assert tracker.by_label["taylor-engine-update"] == engine.charged_work
+        builds = [
+            ("gram", dense, 0.0),
+            ("dense-psi", dense, 40 * 40 * dense.total_rank),
+            ("sparse-psi", sparse, sparse.psi_accumulator().map_nnz),
+            ("sparse-factors", sparse, sparse.nnz),
+        ]
+        for mode, packed, build in builds:
+            tracker = WorkDepthTracker()
+            backend = SerialBackend(tracker=tracker)
+            engine = TaylorEngine(packed, mode=mode)
+            for weights in (x, x2, x2):
+                engine.kernel_for(weights, backend=backend)
+            assert tracker.by_label.get("taylor-engine-update", 0.0) == 3 * build, mode
+            assert engine.stats() == {"mode": mode, "total_rank": packed.total_rank}
+
+    def test_export_state_is_the_mode(self):
+        packed = _packed(8, 18, sparse=True, seed=58)
+        for mode in ("gram", "dense-psi", "sparse-psi", "sparse-factors"):
+            engine = TaylorEngine(packed, mode=mode)
+            engine.kernel_for(np.random.default_rng(59).random(8))
+            assert engine.export_state() == {"mode": mode}
+            # Buffers and counters of older snapshots are ignored.
+            engine.import_state({"mode": mode, "w_cols": np.ones(3), "full_builds": 1})
+            with pytest.raises(InvalidProblemError):
+                engine.import_state({"mode": "gram" if mode != "gram" else "dense-psi"})
 
     def test_zero_rank_engine(self):
         packed = PackedGramFactors([np.zeros((6, 0)), np.zeros((6, 0))])
@@ -470,7 +429,10 @@ class TestOracleIntegration:
     def test_oracle_reuses_engine_across_calls(self):
         for n, m, mode in ((16, 24, "dense-psi"), (10, 40, "gram")):
             coll = self._collection(n=n, m=m)
-            oracle = FastDotExpOracle(coll, eps=0.1, rng=20)
+            tracker = WorkDepthTracker()
+            oracle = FastDotExpOracle(
+                coll, eps=0.1, rng=20, backend=SerialBackend(tracker=tracker)
+            )
             x = np.random.default_rng(63).random(len(coll)) / len(coll)
             assert oracle.taylor_engine is None
             oracle(np.zeros((coll.dim, coll.dim)), x)
@@ -480,10 +442,9 @@ class TestOracleIntegration:
             x2[4] *= 1.2
             oracle(np.zeros((coll.dim, coll.dim)), x2)
             assert oracle.taylor_engine is engine
-            # dense-psi builds once, then updates; the Gram mode keeps no state.
-            stateful = mode != "gram"
-            assert engine.full_builds == int(stateful)
-            assert engine.incremental_updates == int(stateful)
+            # dense-psi densifies Psi on both calls; the Gram mode charges nothing.
+            build = m * m * 2 * n if mode == "dense-psi" else 0.0
+            assert tracker.by_label.get("taylor-engine-update", 0.0) == 2 * build
 
     def test_oracles_own_their_engines(self):
         coll = self._collection()

@@ -286,12 +286,13 @@ class TestLoadShedding:
         result = response.result
         assert result.metadata["warm_start"]
         # Soundness: the certificate is exactly verified on the instance
-        # it was returned for.
+        # it was returned for, and rescaled by a certified bound, so it is
+        # feasible without a rounding tolerance.
         fresh = factorized_family(11, n=8, m=24, rank=2, scale=0.349)
         lam = float(
             np.linalg.eigvalsh(fresh.weighted_sum(result.dual_x))[-1]
         )
-        assert lam <= 1.0 + 1e-9
+        assert lam <= 1.0 - 5e-10
         assert result.dual_value >= 1.0 - result.epsilon
 
     def test_shed_never_raises_never_drops(self):

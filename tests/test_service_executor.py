@@ -7,8 +7,6 @@ fields regardless of
 * the worker pool mode and worker count (inline vs thread x {1, 2, 8}),
 * injected worker crashes and stalls (kill-and-requeue resumes from the
   latest shipped checkpoint, the PR 8 bit-identical-resume contract),
-* hedging races (replicas share ``instance_rng`` streams, so whichever
-  finisher wins delivers the same bytes),
 * graceful shutdown (suspended work resumes bit-identically via
   ``submit(resume_from=...)``).
 
@@ -196,36 +194,6 @@ class TestStallWatchdog:
         assert response.outcome is RequestOutcome.RETRY_EXHAUSTED
         assert "stall" in response.detail
         assert response.checkpoint is not None
-
-
-class TestHedging:
-    """Stragglers get a speculative duplicate; the race cannot change bits."""
-
-    def test_hedge_rescues_stalled_straggler(self):
-        clean = make_service()
-        rid_clean = clean.submit(collection())
-        reference = clean.drain()[rid_clean]
-
-        # The primary stalls (one-shot fault); no watchdog — only the
-        # hedge twin, launched after 1s in flight, can finish the job.
-        service = make_service(mode="thread", workers=2, hedge_after=1.0)
-        with inject("worker.heartbeat", Stall, at_call=2, seed=CHAOS_SEED) as spec:
-            rid = service.submit(collection())
-            response = service.drain()[rid]
-        service.shutdown()
-        assert spec.fires == 1
-        assert response.outcome is RequestOutcome.COMPLETED
-        assert_same_solve(response.result, reference.result, label="hedged")
-
-    def test_hedge_on_healthy_job_is_harmless(self):
-        baseline = solve_fleet(make_service(), n_instances=2)
-        hedged = solve_fleet(
-            make_service(mode="thread", workers=2, batch_size=1, hedge_after=0.0),
-            n_instances=2,
-        )
-        for ref, got in zip(baseline, hedged):
-            assert got.outcome is ref.outcome
-            assert_same_solve(got.result, ref.result, label="hedge-healthy")
 
 
 class TestCircuitBreaker:
