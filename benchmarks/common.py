@@ -1,10 +1,10 @@
-"""Shared harness for the standalone E14 and E16-E20 benchmarks.
+"""Shared harness for the standalone E14 and E16-E19 benchmarks.
 
 The scripts share the same skeleton: a grid with a reduced ``--quick``
-variant for the CI smoke job, a best-of-``repeats`` timing loop, the random
-factorized instance family, a JSON payload written next to the repository
-root, and a failure list that drives the exit code.  This module holds
-those pieces so each benchmark contains only its measurements.
+variant for the CI smoke job, the random factorized instance family, a JSON
+payload written next to the repository root, and a failure list that
+drives the exit code.  This module holds those pieces so each benchmark
+contains only its measurements.
 
 Nothing here imports the ``repro`` package at module level — callers are
 expected to have put ``src`` on ``sys.path`` (the benchmarks do it
@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import platform
-import time
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,16 +34,6 @@ def make_argparser(description: str, default_output: str) -> argparse.ArgumentPa
     parser.add_argument("--output", default=default_output, help="JSON output path")
     parser.add_argument("--seed", type=int, default=7, help="instance seed")
     return parser
-
-
-def time_call(fn, repeats: int) -> float:
-    """Best-of-``repeats`` wall-clock latency of ``fn()`` in seconds."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def make_operators(

@@ -55,7 +55,6 @@ from repro.exceptions import (
     CertificateError,
     CheckpointError,
     FaultInjected,
-    InfeasibleError,
     InvalidProblemError,
     NotPositiveSemidefiniteError,
     NumericalError,
@@ -100,7 +99,6 @@ __all__ = [
     "CertificateError",
     "CheckpointError",
     "FaultInjected",
-    "InfeasibleError",
     "InvalidProblemError",
     "NotPositiveSemidefiniteError",
     "NumericalError",

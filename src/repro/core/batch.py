@@ -29,10 +29,11 @@ Fusion gate and lockstep layout
 Instances are grouped by ``(m, n, ranks)``; each shape-homogeneous group
 runs the fused loop when the options and the instance land on the fast
 oracle's degenerate-sketch Gram path (see ``_fused_key``).  Everything
-else — exact oracles, history collection, custom backends, sparse stacks,
-shapes past the Gram gate — transparently falls back to
-per-instance :func:`~repro.core.decision.decision_psdp` calls with the
-same per-index rng streams, so the contract above holds unconditionally.
+else — exact oracles, history collection, caller-supplied execution
+backends, sparse stacks, shapes past the Gram gate — transparently falls
+back to per-instance :func:`~repro.core.decision.decision_psdp` calls with
+the same per-index rng streams, so the contract above holds
+unconditionally.
 
 Inside a fused group every instance is its **own**
 :class:`~repro.core.decision.DecisionRun` — oracle, Taylor engine, trace
@@ -63,7 +64,6 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.backend import get_array_backend
 from repro.config import get_config
 from repro.exceptions import BudgetExhaustedError, InvalidProblemError, NumericalError
 from repro.linalg.norms import certified_kappa
@@ -135,10 +135,6 @@ def _fused_key(
     if not (isinstance(opts.oracle, str) and opts.oracle == "fast"):
         return None
     if opts.backend is not None:
-        return None
-    if not get_array_backend(opts.array_backend).is_numpy:
-        # The fused lockstep kernels are NumPy-resident; non-NumPy array
-        # backends take the sequential per-instance path.
         return None
     if opts.collect_history:
         return None

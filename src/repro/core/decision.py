@@ -144,18 +144,9 @@ class DecisionOptions:
         ignores this knob: it always averages its phase densities on the
         dense path.
     backend:
-        Execution backend for the batched per-constraint operations.  A
-        *string* here is interpreted as an array-backend name and moved to
-        ``array_backend`` (``DecisionOptions(backend="torch")`` reads
-        naturally and cannot collide: execution backends are objects).
-    array_backend:
-        Array backend for the fast oracle's packed kernels — ``"numpy"``
-        (default), ``"torch"``, or an :class:`~repro.backend.ArrayBackend`
-        instance.  Work–depth charges are shape-derived and identical
-        across array backends; only the
-        kernel arithmetic (and its rounding) moves.  Ignored when
-        ``oracle`` is a pre-built oracle object (the object already fixed
-        its backend at construction).
+        Execution backend (:class:`~repro.parallel.backends.ExecutionBackend`)
+        for the batched per-constraint operations and the work–depth
+        charges; ``None`` runs a fresh serial backend.
     rng:
         Randomness source (the fast oracle's sketches; a spawned child
         seeds the eigenvalue estimator).
@@ -200,9 +191,10 @@ class DecisionOptions:
         mechanism.  Excluded from options-identity comparisons (like
         ``rng``): it affects observability, never result bits.
 
-    Budgets and the checkpoint cadence are validated at construction:
-    negative ``wall_clock_budget``/``iteration_budget``/``max_recoveries``
-    and non-positive ``checkpoint_every`` raise
+    The backend, the budgets and the checkpoint cadence are validated at
+    construction: a ``backend`` that is not an execution backend, negative
+    ``wall_clock_budget``/``iteration_budget``/``max_recoveries`` and
+    non-positive ``checkpoint_every`` raise
     :class:`~repro.exceptions.InvalidProblemError` immediately instead of
     misbehaving iterations deep into a solve.
     """
@@ -216,7 +208,6 @@ class DecisionOptions:
     collect_history: bool = False
     track_primal_average: bool | None = None
     backend: ExecutionBackend | None = None
-    array_backend: Any = "numpy"
     rng: RandomState = None
     psi_state: str = "auto"
     wall_clock_budget: float | None = None
@@ -227,12 +218,10 @@ class DecisionOptions:
     metadata: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if isinstance(self.backend, str):
-            # DecisionOptions(backend="torch") selects the array backend;
-            # execution backends are always objects, so a bare name cannot
-            # be one.
-            self.array_backend = self.backend
-            self.backend = None
+        if self.backend is not None and not isinstance(self.backend, ExecutionBackend):
+            raise InvalidProblemError(
+                f"backend must be an ExecutionBackend or None, got {self.backend!r}"
+            )
         if self.wall_clock_budget is not None and self.wall_clock_budget < 0:
             raise InvalidProblemError(
                 f"wall_clock_budget must be >= 0 seconds, got {self.wall_clock_budget}"
@@ -402,7 +391,6 @@ class DecisionRun:
                 eps=opts.oracle_eps if opts.oracle_eps is not None else eps / 4.0,
                 rng=opts.rng,
                 backend=backend,
-                array_backend=opts.array_backend,
             )
             self.oracle_kind = opts.oracle
         else:

@@ -118,7 +118,6 @@ from repro.linalg.taylor_gram import GramTaylorKernel, TaylorEngine
 from repro.linalg.trace_estimation import TraceEstimator, lambda_max_source
 from repro.operators.collection import ConstraintCollection
 from repro.operators.packed import PackedGramFactors, segment_sums
-from repro.backend import get_array_backend
 from repro.parallel.backends import ExecutionBackend
 from repro.utils.random_utils import RandomState, as_generator
 
@@ -483,10 +482,6 @@ class FastDotExpOracle:
     backend:
         Optional execution backend charged with the engine's kernel builds
         (``taylor-engine-update``).
-    array_backend:
-        Array backend of the packed view (``None``/``"numpy"``/``"torch"``
-        or an :class:`~repro.backend.ArrayBackend` instance); the Taylor
-        engine and trace estimator adopt it from there.
     """
 
     #: The fast oracle reads ``x`` only; the decision solvers may therefore
@@ -500,7 +495,6 @@ class FastDotExpOracle:
         sketch_constant: float = 8.0,
         rng: RandomState = None,
         backend: ExecutionBackend | None = None,
-        array_backend=None,
     ) -> None:
         if eps <= 0 or eps >= 1:
             raise InvalidProblemError(f"eps must be in (0, 1), got {eps}")
@@ -515,7 +509,7 @@ class FastDotExpOracle:
         self.reference = False
         self.counters = OracleCounters()
         self._engine: TaylorEngine | None = None
-        self._packed = constraints.packed(backend=array_backend)
+        self._packed = constraints.packed()
         self._trace_estimator = TraceEstimator(self._packed)
 
     @property
@@ -764,29 +758,11 @@ def make_oracle(
     eps: float = 0.05,
     rng: RandomState = None,
     backend: ExecutionBackend | None = None,
-    array_backend=None,
 ) -> DotExpOracle:
-    """Factory for the decision solver's oracle (``"exact"`` or ``"fast"``).
-
-    ``array_backend`` selects the array backend of the fast oracle's packed
-    kernels (``None``/``"numpy"``/``"torch"`` or an
-    :class:`~repro.backend.ArrayBackend` instance); the exact oracle is
-    NumPy-resident and rejects non-NumPy backends.
-    """
+    """Factory for the decision solver's oracle (``"exact"`` or ``"fast"``)."""
     kind = kind.lower()
     if kind == "exact":
-        if not get_array_backend(array_backend).is_numpy:
-            raise InvalidProblemError(
-                "the exact oracle is NumPy-resident; use kind='fast' with a "
-                "non-NumPy array backend"
-            )
         return ExactDotExpOracle(constraints, backend=backend)
     if kind == "fast":
-        return FastDotExpOracle(
-            constraints,
-            eps=eps,
-            rng=rng,
-            backend=backend,
-            array_backend=array_backend,
-        )
+        return FastDotExpOracle(constraints, eps=eps, rng=rng, backend=backend)
     raise InvalidProblemError(f"unknown oracle kind {kind!r}; expected 'exact' or 'fast'")

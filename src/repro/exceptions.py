@@ -142,10 +142,6 @@ class BudgetExhaustedError(SolverError):
         self.budget = budget
 
 
-class InfeasibleError(SolverError):
-    """The problem instance was detected to be infeasible (or unbounded)."""
-
-
 class CertificateError(ReproError, RuntimeError):
     """A returned solution failed certificate verification.
 

@@ -11,11 +11,9 @@ for matrices given only through matrix–vector products we also provide
 power iteration and a Lanczos-based estimator built on
 ``scipy.sparse.linalg.eigsh``.
 
-The estimators here are host-side drivers: they hand NumPy vectors to the
-caller's matvec callable and consume NumPy vectors back.  Array-backend
-acceleration (see :mod:`repro.backend`) happens *inside* those callables —
-the packed/Taylor kernels transfer at their own boundaries — so the
-Lanczos/power iterations themselves are backend-agnostic by construction.
+The estimators here are drivers over the caller's matvec callable: they
+hand it NumPy vectors and consume NumPy vectors back, so the packed and
+Taylor kernels plug in unchanged.
 """
 
 from __future__ import annotations

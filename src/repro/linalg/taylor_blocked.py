@@ -32,7 +32,6 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.backend import NUMPY, get_array_backend
 from repro.exceptions import InvalidProblemError, NumericalError
 from repro.robustness.faultinject import fault_hook_array
 
@@ -47,19 +46,14 @@ def _stack_dtype(q: np.ndarray | sp.spmatrix) -> np.dtype:
     return np.dtype(np.float32) if dtype == np.float32 else np.dtype(np.float64)
 
 
-def _validated_stack(q, col_weights, backend):
+def _validated_stack(q, col_weights):
     """``(q, col_weights, m, R, dtype)`` of a factor stack, validated for a kernel.
 
-    Sparse stacks become CSR and run in float64 (NumPy backend only); dense
-    float32 stacks keep their dtype (:func:`_stack_dtype`), and the weights
-    follow the stack's dtype.
+    Sparse stacks become CSR and run in float64; dense float32 stacks keep
+    their dtype (:func:`_stack_dtype`), and the weights follow the stack's
+    dtype.
     """
     if sp.issparse(q):
-        if not backend.is_numpy:
-            raise InvalidProblemError(
-                "sparse factor stacks are NumPy-only; densify the stack "
-                "before handing it to a non-NumPy backend"
-            )
         q = q.tocsr()
         dtype = np.dtype(np.float64)
     else:
@@ -117,9 +111,6 @@ class _FusedTaylorApplyBase:
     #: Fault-injection / error-attribution site identifier; Gram-space
     #: subclasses override it so supervisors can tell the kernels apart.
     fault_site = "taylor_blocked.apply"
-
-    #: Array backend executing the recurrence (constructors override).
-    backend = NUMPY
 
     #: Working dtype of the recurrence buffers: the stack's dtype when it
     #: is float32, the reference float64 otherwise (constructors override).
@@ -202,9 +193,8 @@ class BlockedTaylorKernel(_FusedTaylorApplyBase):
     """
 
     @classmethod
-    def _empty(cls, backend, dim: int, total_rank: int, dtype) -> "BlockedTaylorKernel":
+    def _empty(cls, dim: int, total_rank: int, dtype) -> "BlockedTaylorKernel":
         kernel = cls.__new__(cls)
-        kernel.backend = get_array_backend(backend)
         kernel.matvec_count = 0
         kernel.dim = dim
         kernel.total_rank = total_rank
@@ -213,29 +203,22 @@ class BlockedTaylorKernel(_FusedTaylorApplyBase):
         return kernel
 
     @classmethod
-    def from_matrix(
-        cls, psi: np.ndarray | sp.spmatrix, backend: "str | None" = None
-    ) -> "BlockedTaylorKernel":
+    def from_matrix(cls, psi: np.ndarray | sp.spmatrix) -> "BlockedTaylorKernel":
         """Kernel over an explicit symmetric matrix ``Psi`` (no factor form).
 
         Dense matrices use the fused dense recurrence directly; sparse
-        matrices keep sparse matvecs (NumPy backend only).
+        matrices keep sparse matvecs.
         """
         dim = int(psi.shape[0])
         if psi.shape != (dim, dim):
             raise InvalidProblemError(f"psi must be square, got shape {psi.shape}")
         if sp.issparse(psi):
-            kernel = cls._empty(backend, dim, dim, np.dtype(np.float64))
-            if not kernel.backend.is_numpy:
-                raise InvalidProblemError(
-                    "sparse psi matrices are NumPy-only; densify before "
-                    "handing them to a non-NumPy backend"
-                )
+            kernel = cls._empty(dim, dim, np.dtype(np.float64))
             kernel._psi = psi.tocsr()
         else:
-            kernel = cls._empty(backend, dim, dim, _stack_dtype(psi))
+            kernel = cls._empty(dim, dim, _stack_dtype(psi))
             kernel.host_psi = psi
-            kernel._psi = kernel.backend.asarray(np.asarray(psi, dtype=kernel.dtype))
+            kernel._psi = np.asarray(psi, dtype=kernel.dtype)
         return kernel
 
     @classmethod
@@ -246,15 +229,14 @@ class BlockedTaylorKernel(_FusedTaylorApplyBase):
 
         The :class:`~repro.linalg.taylor_gram.TaylorEngine` folds each
         call's weights into its cached CSC copy of the stack (one pass over
-        ``nnz(Q)``) and hands both here.  Sparse stacks are NumPy-only and
-        run in float64.
+        ``nnz(Q)``) and hands both here.  Sparse stacks run in float64.
         """
         if not (sp.issparse(q) and sp.issparse(qw)) or q.shape != qw.shape:
             raise InvalidProblemError(
                 "q and qw must be sparse stacks of one shape, got "
                 f"{q.shape} and {qw.shape}"
             )
-        kernel = cls._empty(None, int(q.shape[0]), int(q.shape[1]), np.dtype(np.float64))
+        kernel = cls._empty(int(q.shape[0]), int(q.shape[1]), np.dtype(np.float64))
         kernel._q = q.tocsr()
         kernel._qw = qw
         return kernel
@@ -273,8 +255,7 @@ class BlockedTaylorKernel(_FusedTaylorApplyBase):
             return self._qw @ (self._q.T @ block)
         if sp.issparse(self._psi):
             return self._psi @ block
-        xp = self.backend
-        return xp.to_numpy(xp.matmul(self._psi, xp.asarray(block, dtype=self.dtype)))
+        return self._psi @ np.asarray(block, dtype=self.dtype)
 
     # ------------------------------------------------------------------ apply
     # apply() is inherited from _FusedTaylorApplyBase; this kernel supplies
@@ -287,16 +268,15 @@ class BlockedTaylorKernel(_FusedTaylorApplyBase):
         return self._apply_dense_psi(block, degree, scale)
 
     def _apply_dense_psi(self, block: np.ndarray, degree: int, scale: float) -> np.ndarray:
-        xp = self.backend
-        acc = xp.copy(xp.asarray(block, dtype=self.dtype))
-        term = xp.copy(acc)
-        buf = xp.empty_like(term)
+        acc = np.array(block, dtype=self.dtype, copy=True)
+        term = np.array(acc, copy=True)
+        buf = np.empty_like(term)
         for i in range(1, degree):
-            xp.matmul(self._psi, term, out=buf)
+            np.matmul(self._psi, term, out=buf)
             buf *= scale / i
             acc += buf
             term, buf = buf, term
-        return xp.to_numpy(acc)
+        return acc
 
     @staticmethod
     def _apply_sparse_op(

@@ -60,7 +60,6 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from repro.backend import NUMPY, get_array_backend
 from repro.exceptions import InvalidProblemError, NumericalError
 from repro.linalg.taylor_blocked import (
     BlockedTaylorKernel,
@@ -249,15 +248,13 @@ def batched_gram_eigh(
     good = np.flatnonzero(np.isfinite(twins).all(axis=(1, 2)))
     if r == 0 or good.size == 0:
         return eigenvalues, eigenvectors
-    # The fused batch path is NumPy-resident by contract; the stacked
-    # eigendecomposition routes through the shared NumPy backend object.
     try:
-        eigenvalues[good], eigenvectors[good] = NUMPY.eigh(twins[good])
+        eigenvalues[good], eigenvectors[good] = np.linalg.eigh(twins[good])
     except np.linalg.LinAlgError:
         # Isolate non-converging slices so the rest of the batch survives.
         for b in good:
             try:
-                eigenvalues[b], eigenvectors[b] = NUMPY.eigh(twins[b])
+                eigenvalues[b], eigenvectors[b] = np.linalg.eigh(twins[b])
             except np.linalg.LinAlgError:
                 pass
     np.clip(eigenvalues, 0.0, None, out=eigenvalues)
@@ -298,7 +295,6 @@ def spectral_evaluation(
     degrees: np.ndarray,
     dim: int,
     scale: float = 0.5,
-    xp=NUMPY,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(values, traces)`` of the Theorem 4.1 oracle, from ``eig(S)``.
 
@@ -319,8 +315,8 @@ def spectral_evaluation(
         poly = 1.0 + eigenvalues * ratio
         h = ratio * (1.0 + poly)
         root = np.sqrt(col_weights)
-        proj = xp.matmul(xp.asarray(eigenvectors).mT, xp.asarray(root[:, :, None] * gram))
-        tail = xp.to_numpy(xp.matmul(xp.asarray(h[:, None, :]), proj * proj))
+        proj = eigenvectors.mT @ (root[:, :, None] * gram)
+        tail = h[:, None, :] @ (proj * proj)
         values = np.diagonal(gram, axis1=1, axis2=2) + tail[:, 0, :]
         traces = float(dim - poly.shape[1]) + (poly * poly).sum(axis=1)
     return values, traces
@@ -351,10 +347,6 @@ class GramTaylorKernel(_FusedTaylorApplyBase):
         ``Q^T Q`` — :class:`TaylorEngine` passes the packed view's cached
         :meth:`~repro.operators.packed.PackedGramFactors.gram_matrix`; when
         omitted it is computed here (one ``R x m x R`` product).
-    backend:
-        Array backend spec (``None``/name/instance, resolved through
-        :func:`repro.backend.get_array_backend`).  The eigendecomposition
-        and the products run on the backend; sparse stacks are NumPy-only.
 
     Attributes
     ----------
@@ -368,10 +360,8 @@ class GramTaylorKernel(_FusedTaylorApplyBase):
         q: np.ndarray | sp.spmatrix,
         col_weights: np.ndarray,
         gram: np.ndarray | None = None,
-        backend=None,
     ) -> None:
-        self.backend = get_array_backend(backend)
-        q, col_weights, m, r, self.dtype = _validated_stack(q, col_weights, self.backend)
+        q, col_weights, m, r, self.dtype = _validated_stack(q, col_weights)
         self._q = q
         self._col_w = col_weights
         self.dim = m
@@ -387,20 +377,10 @@ class GramTaylorKernel(_FusedTaylorApplyBase):
                 f"gram matrix must have shape {(r, r)}, got {np.shape(gram)}"
             )
         self._qtq = np.asarray(gram, dtype=self.dtype)
-        # Lazily computed (eigenvalues, device eigenvectors) of the twin, the
-        # last (degree, scale, trace) evaluated, and device copies of
-        # (q, w, sqrt(w)); on the NumPy backend asarray is a pass-through,
-        # so the latter is the host state itself.
+        # Lazily computed (eigenvalues, eigenvectors) of the twin and the
+        # last (degree, scale, trace) evaluated.
         self._eig = None
         self._trace = None
-        self._dev = None
-
-    def _device_state(self):
-        if self._dev is None:
-            xp = self.backend
-            q = self._q if sp.issparse(self._q) else xp.asarray(self._q)
-            self._dev = (q, xp.asarray(self._col_w), xp.asarray(np.sqrt(self._col_w)))
-        return self._dev
 
     def _eigenpairs(self):
         """``(lambda, V)`` of the Gram twin, computed once per kernel.
@@ -411,12 +391,10 @@ class GramTaylorKernel(_FusedTaylorApplyBase):
         the supervisor demotes the Gram rung like any other kernel failure.
         """
         if self._eig is None:
-            xp = self.backend
             try:
-                eigenvalues, eigenvectors = xp.eigh(
-                    xp.asarray(gram_twin(self._qtq, self._col_w))
+                eigenvalues, eigenvectors = np.linalg.eigh(
+                    gram_twin(self._qtq, self._col_w)
                 )
-                eigenvalues = xp.to_numpy(eigenvalues)
             except np.linalg.LinAlgError:
                 eigenvalues = None
             if eigenvalues is None or not np.isfinite(eigenvalues).all():
@@ -449,17 +427,12 @@ class GramTaylorKernel(_FusedTaylorApplyBase):
 
     def matvec(self, block: np.ndarray) -> np.ndarray:
         """``Psi @ block`` (unscaled) through the factors — two projections."""
-        if sp.issparse(self._q):
-            inner = self._q.T @ block
-            if inner.ndim == 1:
-                return self._q @ (self._col_w * inner)
-            return self._q @ (self._col_w[:, None] * inner)
-        xp = self.backend
-        q, col_w, _ = self._device_state()
-        b = xp.asarray(np.asarray(block, dtype=self.dtype))
-        inner = xp.matmul(q.T, b)
-        scaled = col_w * inner if inner.ndim == 1 else col_w[:, None] * inner
-        return xp.to_numpy(xp.matmul(q, scaled))
+        if not sp.issparse(self._q):
+            block = np.asarray(block, dtype=self.dtype)
+        inner = self._q.T @ block
+        if inner.ndim == 1:
+            return self._q @ (self._col_w * inner)
+        return self._q @ (self._col_w[:, None] * inner)
 
     def _evaluate(self, degree: int, scale: float) -> np.ndarray:
         """Column values at ``(degree, scale)``; keeps the trace for :meth:`exp_trace`."""
@@ -472,7 +445,6 @@ class GramTaylorKernel(_FusedTaylorApplyBase):
             values, traces = spectral_evaluation(
                 self._qtq[None], self._col_w[None], eigenvalues[None],
                 eigenvectors[None], np.array([degree]), self.dim, scale=scale,
-                xp=self.backend,
             )
             values, trace = values[0], float(traces[0])
         self._trace = (degree, scale, trace)
@@ -501,24 +473,13 @@ class GramTaylorKernel(_FusedTaylorApplyBase):
     def _apply_block(self, block: np.ndarray, degree: int, scale: float) -> np.ndarray:
         if self.total_rank == 0 or degree == 1:
             return np.array(block, dtype=self.dtype, copy=True)
-        xp = self.backend
         eigenvalues, eigenvectors = self._eigenpairs()
-        ratio = xp.asarray(_ratio_series(eigenvalues[None], np.array([degree]), scale)[0])
-        q, _, root = self._device_state()
-        sparse_q = sp.issparse(self._q)
-        if sparse_q:
-            # Sparse stacks are NumPy-resident (xp is the NumPy backend).
-            b = block
-            inner = np.asarray(self._q.T @ block, dtype=self.dtype)
-        else:
-            b = xp.asarray(block)
-            inner = xp.matmul(q.T, b)
+        ratio = _ratio_series(eigenvalues[None], np.array([degree]), scale)[0]
+        root = np.sqrt(self._col_w)
         # W^{1/2} V diag(r) V^T W^{1/2} (Q^T B)
-        inner = xp.matmul(eigenvectors.T, root[:, None] * inner)
-        inner = root[:, None] * xp.matmul(eigenvectors, ratio[:, None] * inner)
-        if sparse_q:
-            return block + self._q @ xp.to_numpy(inner)
-        return xp.to_numpy(b + xp.matmul(q, inner))
+        inner = eigenvectors.T @ (root[:, None] * (self._q.T @ block))
+        inner = root[:, None] * (eigenvectors @ (ratio[:, None] * inner))
+        return block + self._q @ inner
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"GramTaylorKernel(dim={self.dim}, R={self.total_rank})"
@@ -656,10 +617,6 @@ class TaylorEngine:
 
     def __init__(self, packed, mode: str = "auto") -> None:
         self.packed = packed
-        # The kernels' host inputs (densified Psi, CSR values, scaled
-        # stacks) are built in NumPy; the stack's array backend is only
-        # handed to the kernels, which transfer their inputs at construction.
-        self.backend = getattr(packed, "backend", NUMPY)
         self.dim = int(packed.dim)
         self.total_rank = int(packed.total_rank)
         if mode == "auto":
@@ -707,17 +664,11 @@ class TaylorEngine:
         col_w = self.packed.expand_weights(weights)
         q = self.packed.matrix
         if self.mode == "gram":
-            return GramTaylorKernel(
-                q, col_w, gram=self.packed.gram_matrix(), backend=self.backend
-            )
+            return GramTaylorKernel(q, col_w, gram=self.packed.gram_matrix())
         if self.mode == "dense-psi":
-            kernel = BlockedTaylorKernel.from_matrix(
-                densified_psi(q, col_w), backend=self.backend
-            )
+            kernel = BlockedTaylorKernel.from_matrix(densified_psi(q, col_w))
             cost = float(self.dim) * self.dim * self.total_rank
         elif self.mode == "sparse-psi":
-            # Sparse-Psi CSR recurrences are NumPy-only (and only reachable
-            # with a NumPy-backed stack — non-NumPy stacks densify).
             acc = self.packed.psi_accumulator()
             kernel = BlockedTaylorKernel.from_matrix(acc.psi(acc.values(col_w)))
             cost = float(acc.map_nnz)

@@ -46,7 +46,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend import NUMPY, get_array_backend
 from repro.exceptions import CheckpointError, InvalidProblemError, NumericalError
 from repro.linalg.norms import KAPPA_EIG_CUTOFF
 from repro.linalg.taylor_blocked import densified_psi
@@ -82,9 +81,7 @@ def select_trace_mode(dim: int, total_rank: int) -> str:
     return "gram" if total_rank <= dim else "identity"
 
 
-def gram_spectrum(
-    gram: np.ndarray, col_weights: np.ndarray, backend=None
-) -> np.ndarray:
+def gram_spectrum(gram: np.ndarray, col_weights: np.ndarray) -> np.ndarray:
     """Nonzero spectrum of ``Psi = Q diag(w) Q^T`` from its ``R x R`` Gram twin.
 
     ``Psi`` and ``S = diag(sqrt(w)) (Q^T Q) diag(sqrt(w))`` share their
@@ -102,9 +99,6 @@ def gram_spectrum(
         (:meth:`~repro.operators.packed.PackedGramFactors.gram_matrix`).
     col_weights:
         Per-column non-negative weights ``w`` of length ``R``.
-    backend:
-        Array backend spec for the ``R x R`` eigendecomposition; the
-        weighted Gram build stays host-side.
     """
     col_weights = np.asarray(col_weights, dtype=np.float64).ravel()
     gram = np.asarray(gram, dtype=np.float64)
@@ -117,8 +111,7 @@ def gram_spectrum(
         raise InvalidProblemError("column weights must be non-negative")
     if r == 0:
         return np.zeros(0)
-    xp = get_array_backend(backend)
-    eigenvalues = xp.to_numpy(xp.eigvalsh(xp.asarray(gram_twin(gram, col_weights))))
+    eigenvalues = np.linalg.eigvalsh(gram_twin(gram, col_weights))
     np.clip(eigenvalues, 0.0, None, out=eigenvalues)
     return eigenvalues
 
@@ -139,9 +132,7 @@ def lambda_max_source(packed, weights: np.ndarray, matvec, psi: np.ndarray | Non
     if min(m, r) > KAPPA_EIG_CUTOFF:
         return matvec, float(max(2 * packed.nnz, m, 1))
     if r <= m:
-        source = gram_spectrum(
-            packed.gram_matrix(), packed.expand_weights(weights), backend=packed.backend
-        )
+        source = gram_spectrum(packed.gram_matrix(), packed.expand_weights(weights))
     elif psi is not None:
         source = psi
     else:
@@ -192,13 +183,12 @@ def gram_exp_trace(
     dim: int,
     degree: int,
     scale: float = 1.0,
-    backend=None,
 ) -> float:
     """Exact ``Tr[p(scale * Psi)^2]`` of ``Psi = Q diag(w) Q^T`` in dimension
     ``dim``, from the Gram matrix ``Q^T Q`` and the column weights:
     :func:`gram_spectrum` followed by :func:`spectrum_exp_trace`."""
     return spectrum_exp_trace(
-        gram_spectrum(gram, col_weights, backend=backend), dim, degree, scale=scale
+        gram_spectrum(gram, col_weights), dim, degree, scale=scale
     )
 
 
@@ -247,10 +237,6 @@ class TraceEstimator:
 
     def __init__(self, packed, mode: str = "auto") -> None:
         self.packed = packed
-        # Adopt the stack's array backend for the eigendecompositions; all
-        # other estimator state (counters, caches) is host NumPy regardless
-        # of backend.
-        self.backend = getattr(packed, "backend", NUMPY)
         self.dim = int(packed.dim)
         self.total_rank = int(packed.total_rank)
         if mode == "auto":
@@ -368,8 +354,7 @@ class TraceEstimator:
             self.spectrum = spectrum
         else:
             self.spectrum = gram_spectrum(
-                self.packed.gram_matrix(), self.packed.expand_weights(weights),
-                backend=self.backend,
+                self.packed.gram_matrix(), self.packed.expand_weights(weights)
             )
         return self
 

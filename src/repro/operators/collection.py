@@ -104,7 +104,6 @@ class ConstraintCollection:
         self.dim = ops[0].dim
         self.size = len(ops)
         self._packed: PackedGramFactors | None = None
-        self._packed_by_backend: dict[str, PackedGramFactors] = {}
         self._exact_factors = all(op.gram_factor_is_exact for op in ops)
         self._dense_stack: np.ndarray | None = None
         self._dense_stack_checked = False
@@ -153,31 +152,16 @@ class ConstraintCollection:
             self._op_work = [float(max(op.nnz, 1)) for op in self._operators]
         return self._op_work
 
-    def packed(self, backend=None) -> PackedGramFactors:
+    def packed(self) -> PackedGramFactors:
         """The cached packed Gram-factor view (built on first access).
 
         Building the view requires a Gram factor per operator — free for
         factorized/low-rank/diagonal representations, one eigendecomposition
         for dense ones — so it is only constructed on demand.
-
-        ``backend`` selects the array backend of the returned view (see
-        :mod:`repro.backend`).  Views are cached per backend name; the
-        default NumPy view is the one the collection's own batched
-        operations use, so requesting a torch view never perturbs the
-        NumPy fast path.
         """
-        from repro.backend import get_array_backend
-
-        resolved = get_array_backend(backend)
-        if resolved.is_numpy:
-            if self._packed is None:
-                self._packed = PackedGramFactors.from_collection(self)
-            return self._packed
-        cached = self._packed_by_backend.get(resolved.name)
-        if cached is None:
-            cached = PackedGramFactors.from_collection(self, backend=resolved)
-            self._packed_by_backend[resolved.name] = cached
-        return cached
+        if self._packed is None:
+            self._packed = PackedGramFactors.from_collection(self)
+        return self._packed
 
     @property
     def packed_view(self) -> PackedGramFactors | None:

@@ -34,15 +34,8 @@ Sparse factors are supported: when the stacked matrix would be sparse the
 packing keeps a CSR/CSC pair and the same primitives run through
 ``scipy.sparse`` matrix products.
 
-The dense primitives route their GEMMs, column dots, and segment sums
-through an :class:`~repro.backend.base.ArrayBackend` namespace object
-(NumPy by default — a bit-identical pass-through; torch optional).
-The host-side layout (offsets, ranks, the canonical NumPy stack) is always
-NumPy; a non-NumPy backend holds a lazily transferred device copy of the
-stack, densifies sparse inputs (scipy representations are NumPy-only), and
-converts results back to host arrays at each primitive's boundary.  The
-reference segment-sum implementations live in
-:mod:`repro.backend.numpy_backend` and are re-exported here unchanged.
+The segment reductions (:func:`segment_sums`, :func:`batched_segment_sums`)
+live here too; the fused batch path reuses them row-wise.
 """
 
 from __future__ import annotations
@@ -52,8 +45,6 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from repro.backend import get_array_backend
-from repro.backend.numpy_backend import batched_segment_sums, segment_sums
 from repro.exceptions import InvalidProblemError
 
 __all__ = [
@@ -65,6 +56,64 @@ __all__ = [
 
 #: stacked density above which sparse inputs are densified when packing
 DENSIFY_THRESHOLD = 0.25
+
+
+def segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Per-segment sums of ``values`` over ``[offsets[i], offsets[i+1])``.
+
+    Uses ``np.add.reduceat`` when every segment is non-empty; falls back to
+    a cumulative-sum difference otherwise (``reduceat`` silently returns
+    ``values[offsets[i]]`` for empty segments instead of 0).  ``offsets``
+    may be any integer array-like (lists included); zero-width segments —
+    rank-zero factor blocks — always sum to 0.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    if offsets.ndim != 1:
+        raise InvalidProblemError(
+            f"offsets must be 1-dimensional, got ndim={offsets.ndim}"
+        )
+    if offsets.shape[0] < 2:
+        return np.zeros(max(offsets.shape[0] - 1, 0), dtype=np.float64)
+    widths = np.diff(offsets)
+    if values.shape[0] == 0:
+        return np.zeros(widths.shape[0], dtype=np.float64)
+    if np.all(widths > 0):
+        return np.add.reduceat(values, offsets[:-1])
+    csum = np.concatenate([[0.0], np.cumsum(values)])
+    return csum[offsets[1:]] - csum[offsets[:-1]]
+
+
+def batched_segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`segment_sums` over a ``(B, R)`` batch of value rows.
+
+    All ``B`` instances share one segment layout (``offsets``), so the
+    reduction is a single ``np.add.reduceat`` along ``axis=1`` (or one
+    cumulative-sum difference when some segment is empty).  Each output row
+    matches ``segment_sums(values[b], offsets)`` bitwise.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    if values.ndim != 2:
+        raise InvalidProblemError(
+            f"batched values must be 2-dimensional, got ndim={values.ndim}"
+        )
+    if offsets.ndim != 1:
+        raise InvalidProblemError(
+            f"offsets must be 1-dimensional, got ndim={offsets.ndim}"
+        )
+    batch = values.shape[0]
+    if offsets.shape[0] < 2:
+        return np.zeros((batch, max(offsets.shape[0] - 1, 0)), dtype=np.float64)
+    widths = np.diff(offsets)
+    if values.shape[1] == 0:
+        return np.zeros((batch, widths.shape[0]), dtype=np.float64)
+    if np.all(widths > 0):
+        return np.add.reduceat(values, offsets[:-1], axis=1)
+    csum = np.concatenate(
+        [np.zeros((batch, 1), dtype=np.float64), np.cumsum(values, axis=1)], axis=1
+    )
+    return csum[:, offsets[1:]] - csum[:, offsets[:-1]]
 
 
 class PackedGramFactors:
@@ -79,24 +128,15 @@ class PackedGramFactors:
     densify_threshold:
         When the stacked matrix's density is at least this value, sparse
         inputs are densified so the primitives run through dense BLAS.
-    backend:
-        Array backend (name or :class:`~repro.backend.base.ArrayBackend`)
-        executing the dense primitives; default NumPy.  Non-NumPy backends
-        force densification — the scipy sparse representations (CSR/CSC
-        products, the sparse-``Psi`` accumulator) are NumPy-only, so the
-        sparse stack falls back to its dense form and the Taylor-mode
-        policy is automatically restricted to the dense representations.
     """
 
     def __init__(
         self,
         factors: Sequence[np.ndarray | sp.spmatrix],
         densify_threshold: float = DENSIFY_THRESHOLD,
-        backend: "str | None" = None,
     ) -> None:
         if len(factors) == 0:
             raise InvalidProblemError("packed factors require at least one constraint")
-        self.backend = get_array_backend(backend)
         blocks: list[np.ndarray | sp.spmatrix] = []
         ranks = np.empty(len(factors), dtype=np.int64)
         any_sparse = False
@@ -132,13 +172,7 @@ class PackedGramFactors:
                 format="csr",
             )
             cells = max(stacked.shape[0] * stacked.shape[1], 1)
-            if (
-                stacked.nnz / cells >= densify_threshold
-                or not self.backend.is_numpy
-            ):
-                # Dense fallback: non-NumPy backends cannot run the scipy
-                # sparse representations, so the stack densifies regardless
-                # of its density and every primitive takes the dense path.
+            if stacked.nnz / cells >= densify_threshold:
                 self._q: np.ndarray | sp.csr_matrix = stacked.toarray()
                 self._qc = None
                 self._sparse = False
@@ -156,9 +190,6 @@ class PackedGramFactors:
             self._qc = None
             self._sparse = False
         self._dense_cache: np.ndarray | None = None
-        # Lazily transferred device copy of the dense stack (the identity
-        # on the NumPy backend — see device_matrix()).
-        self._q_dev = None
         # Weight-independent Taylor-engine artifacts, built lazily and
         # shared by every kernel/engine over this stack (the stack is
         # immutable): the dense Gram matrix Q^T Q, the sparse-Psi
@@ -171,14 +202,14 @@ class PackedGramFactors:
 
     # ------------------------------------------------------------------ basics
     @classmethod
-    def from_collection(cls, collection, backend: "str | None" = None) -> "PackedGramFactors":
+    def from_collection(cls, collection) -> "PackedGramFactors":
         """Pack the Gram factors of a :class:`ConstraintCollection`, keeping
         native sparse factors sparse when an operator exposes them."""
         factors = []
         for op in collection:
             raw = getattr(op, "gram_factor_raw", None)
             factors.append(raw() if raw is not None else op.gram_factor())
-        return cls(factors, backend=backend)
+        return cls(factors)
 
     @property
     def is_sparse(self) -> bool:
@@ -214,24 +245,6 @@ class PackedGramFactors:
             self._dense_cache = self._q.toarray() if self._sparse else self._q
         return self._dense_cache
 
-    def device_matrix(self):
-        """The dense stack as the backend's native array (cached transfer).
-
-        On the NumPy backend this is literally ``self.matrix`` — the same
-        object, the same bits — so routing the dense primitives through it
-        cannot perturb the default path.  Sparse stacks (NumPy-only) have
-        no device form; callers take the scipy branch instead.
-        """
-        if self._sparse:
-            raise InvalidProblemError(
-                "sparse stacks are NumPy-resident and have no device form"
-            )
-        if self.backend.is_numpy:
-            return self._q
-        if self._q_dev is None:
-            self._q_dev = self.backend.asarray(self._q)
-        return self._q_dev
-
     def factor(self, index: int) -> np.ndarray | sp.csr_matrix:
         """The ``index``-th constraint's factor block ``Q_i``."""
         lo, hi = self.offsets[index], self.offsets[index + 1]
@@ -259,32 +272,15 @@ class PackedGramFactors:
 
     def matvec_fn(self, weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """Closure form of :meth:`matvec` with the weight expansion hoisted
-        out (the oracle applies the same ``Psi`` to many blocks).  Accepts
-        and returns host arrays; the two GEMMs run on the backend."""
+        out (the oracle applies the same ``Psi`` to many blocks)."""
         col_w = self.expand_weights(weights)
-        if self._sparse:
-            q = self._q
-
-            def apply_sparse(block: np.ndarray) -> np.ndarray:
-                inner = q.T @ block
-                if inner.ndim == 1:
-                    return q @ (col_w * inner)
-                return q @ (col_w[:, None] * inner)
-
-            return apply_sparse
-
-        xp = self.backend
-        q = self.device_matrix()
-        w = xp.asarray(col_w)
+        q = self._q
 
         def apply(block: np.ndarray) -> np.ndarray:
-            b = xp.asarray(block)
-            inner = xp.matmul(q.T, b)
+            inner = q.T @ block
             if inner.ndim == 1:
-                out = xp.matmul(q, w * inner)
-            else:
-                out = xp.matmul(q, w[:, None] * inner)
-            return xp.to_numpy(out)
+                return q @ (col_w * inner)
+            return q @ (col_w[:, None] * inner)
 
         return apply
 
@@ -414,21 +410,15 @@ class PackedGramFactors:
         active = np.flatnonzero(col_w)
         if active.shape[0] == 0:
             return np.zeros((self.dim, self.dim), dtype=np.float64)
-        if self._sparse:
-            if active.shape[0] == self.total_rank:
-                sub, w = self._qc, col_w
-            else:
-                sub, w = self._qc[:, active], col_w[active]
-            scaled = sub @ sp.diags(w)
-            acc = (scaled @ sub.T).toarray()
+        q = self._qc if self._sparse else self._q
+        if active.shape[0] == self.total_rank:
+            sub, w = q, col_w
         else:
-            xp = self.backend
-            q = self.device_matrix()
-            if active.shape[0] == self.total_rank:
-                sub, w = q, xp.asarray(col_w)
-            else:
-                sub, w = xp.take_columns(q, active), xp.asarray(col_w[active])
-            acc = xp.to_numpy(xp.matmul(sub * w, sub.T))
+            sub, w = q[:, active], col_w[active]
+        if self._sparse:
+            acc = (sub @ sp.diags(w) @ sub.T).toarray()
+        else:
+            acc = (sub * w) @ sub.T
         return 0.5 * (acc + acc.T)
 
     def dots(self, weight_matrix: np.ndarray) -> np.ndarray:
@@ -442,12 +432,9 @@ class PackedGramFactors:
         if self._sparse:
             wq = (self._q.T @ weight_matrix.T).T
             col_vals = np.asarray(self._q.multiply(wq).sum(axis=0)).ravel()
-            return segment_sums(col_vals, self.offsets)
-        xp = self.backend
-        q = self.device_matrix()
-        wq = xp.matmul(xp.asarray(weight_matrix), q)
-        col_vals = xp.einsum("ij,ij->j", wq, q)
-        return xp.to_numpy(xp.segment_sums(col_vals, self.offsets))
+        else:
+            col_vals = np.einsum("ij,ij->j", weight_matrix @ self._q, self._q)
+        return segment_sums(col_vals, self.offsets)
 
     def column_sq_norms(self) -> np.ndarray:
         """Squared column norms ``||q_c||^2`` of the stack (cached).
@@ -461,9 +448,7 @@ class PackedGramFactors:
                     self._q.multiply(self._q).sum(axis=0)
                 ).ravel()
             else:
-                xp = self.backend
-                q = self.device_matrix()
-                self._column_sq_norms = xp.to_numpy(xp.einsum("ij,ij->j", q, q))
+                self._column_sq_norms = np.einsum("ij,ij->j", self._q, self._q)
         return self._column_sq_norms
 
     def traces(self) -> np.ndarray:
@@ -483,12 +468,9 @@ class PackedGramFactors:
                 f"transform block must have shape (d, {self.dim}), "
                 f"got {transformed.shape}"
             )
-        xp = self.backend
         if self._sparse:
-            # Sparse stacks are NumPy-resident (xp is the NumPy backend).
             sketched = (self._q.T @ transformed.T).T
-            col_vals = xp.einsum("ij,ij->j", sketched, sketched)
-            return segment_sums(col_vals, self.offsets)
-        sketched = xp.matmul(xp.asarray(transformed), self.device_matrix())
-        col_vals = xp.einsum("ij,ij->j", sketched, sketched)
-        return xp.to_numpy(xp.segment_sums(col_vals, self.offsets))
+        else:
+            sketched = transformed @ self._q
+        col_vals = np.einsum("ij,ij->j", sketched, sketched)
+        return segment_sums(col_vals, self.offsets)

@@ -5,18 +5,17 @@ computation: an algorithm is an NC algorithm when its depth (critical-path
 length) is polylogarithmic and its work (total operation count) is
 polynomial, and Corollary 1.2 bounds both quantities for the positive-SDP
 solver.  Reproducing those claims requires a substrate that (a) executes
-the bulk primitives the algorithm is built from, and (b) *accounts* for the
-work and depth each of them contributes.
+the solver's per-constraint maps, and (b) *accounts* for the work and depth
+each step contributes.
 
 * :mod:`repro.parallel.workdepth` — the cost model: :class:`WorkDepthTracker`
   accumulates work/depth, supports nested parallel regions (work adds,
   depth takes the maximum across parallel branches), and produces
   :class:`WorkDepthReport` summaries.
-* :mod:`repro.parallel.primitives` — cost-annotated bulk primitives
-  (parallel map, reduce, prefix scan, filter/pack) built on top of a
-  backend.
 * :mod:`repro.parallel.backends` — execution backends: serial (default),
-  thread pool, and process pool.  The backend only changes how the work is
+  thread pool, and process pool.  Each runs a cost-annotated parallel
+  ``map`` and charges the solver's bulk steps (``charge``,
+  ``charge_batched``).  The backend only changes how the work is
   *executed*; the work–depth accounting is identical across backends, which
   is what lets the cost model act as the machine-independent measurement
   the paper's bounds refer to.
@@ -33,7 +32,6 @@ from repro.parallel.backends import (
     ProcessBackend,
     get_backend,
 )
-from repro.parallel.primitives import parallel_map, parallel_reduce, parallel_scan, parallel_filter
 from repro.parallel.scheduler import BrentSchedule, simulate_schedule
 
 __all__ = [
@@ -45,10 +43,6 @@ __all__ = [
     "ThreadBackend",
     "ProcessBackend",
     "get_backend",
-    "parallel_map",
-    "parallel_reduce",
-    "parallel_scan",
-    "parallel_filter",
     "BrentSchedule",
     "simulate_schedule",
 ]

@@ -1,13 +1,13 @@
-"""Execution backends for the bulk parallel primitives.
+"""Execution backends: how the solver's parallel maps run, and what they cost.
 
 A backend decides *how* a parallel map is executed (serially, in a thread
 pool, or in a process pool) and owns an optional
-:class:`~repro.parallel.workdepth.WorkDepthTracker` so that executed
-primitives are charged to the cost model regardless of the execution
-strategy.  The cost accounting is deliberately identical across backends:
-the paper's work/depth bounds are machine-independent model quantities, so
-the choice of backend must not change the measured work or depth — only the
-wall-clock time.
+:class:`~repro.parallel.workdepth.WorkDepthTracker` so that executed maps
+and the solver's direct ``charge`` calls are charged to the cost model
+regardless of the execution strategy.  The cost accounting is deliberately
+identical across backends: the paper's work/depth bounds are
+machine-independent model quantities, so the choice of backend must not
+change the measured work or depth — only the wall-clock time.
 
 Notes on Python parallelism: thread pools only help for workloads that
 release the GIL (large NumPy operations do); process pools require the

@@ -3,8 +3,8 @@
 Work = total number of primitive operations; depth (span) = length of the
 longest chain of sequentially dependent operations.  The paper's Theorem 1.1
 and Corollary 1.2 are statements about these two quantities, so the
-reproduction measures them directly: every bulk primitive in
-:mod:`repro.parallel.primitives` and every solver iteration charges its work
+reproduction measures them directly: every execution-backend ``map`` in
+:mod:`repro.parallel.backends` and every solver iteration charges its work
 and depth to a :class:`WorkDepthTracker`.
 
 Composition rules implemented here (the standard ones, see e.g. JáJá 1992):
@@ -34,7 +34,7 @@ class WorkDepthReport:
     events:
         Number of charge events (useful to sanity check instrumentation).
     by_label:
-        Work broken down by the label passed to ``charge``/primitives.
+        Work broken down by the label passed to ``charge``/``map``.
     """
 
     work: float

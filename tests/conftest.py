@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backend import available_backends, get_array_backend
 from repro.linalg.psd import random_psd
 from repro.operators.collection import ConstraintCollection
 from repro.core.problem import NormalizedPackingSDP
@@ -15,18 +14,6 @@ from repro.core.problem import NormalizedPackingSDP
 def rng() -> np.random.Generator:
     """A deterministic random generator shared by tests."""
     return np.random.default_rng(20120522)
-
-
-@pytest.fixture(params=available_backends())
-def backend(request):
-    """Every installed array backend, resolved to an instance.
-
-    Parameterising over :func:`repro.backend.available_backends` makes the
-    conformance suite self-extending: tests written against this fixture
-    run NumPy-only where torch is absent and pick it up automatically
-    (no skip bookkeeping) where it is installed.
-    """
-    return get_array_backend(request.param)
 
 
 @pytest.fixture

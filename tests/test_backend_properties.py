@@ -1,14 +1,15 @@
-"""Hypothesis property tests for the backend kernel invariants (tier-1).
+"""Hypothesis property tests for the packed-kernel invariants (tier-1).
 
-Exercised on the NumPy backend only — the properties pin the *reference*
-semantics the conformance suite then compares other backends against:
+The properties pin the reference semantics of the segment reductions, the
+packed stack and the Gram-spectrum trace:
 
 * segment sums respect arbitrary (possibly empty / zero-rank) offset
   layouts and always total to the grand sum;
 * the packed round-trip ``build -> weighted_sum`` equals the naive
   ``sum_i w_i A_i``;
-* the truncated-exponential Gram recurrence is monotone in the degree on
-  PSD inputs (each added Taylor term of ``exp`` is PSD, so traces grow).
+* the Gram-spectrum trace of the truncated exponential is monotone in the
+  degree on PSD inputs (each added Taylor term of ``exp`` is PSD, so
+  traces grow).
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.backend.numpy_backend import batched_segment_sums, segment_sums
 from repro.linalg.trace_estimation import gram_exp_trace
-from repro.operators.packed import PackedGramFactors
+from repro.operators.packed import PackedGramFactors, batched_segment_sums, segment_sums
 
 
 @st.composite

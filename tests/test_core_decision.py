@@ -150,6 +150,12 @@ class TestDecisionSolver:
         with pytest.raises(TypeError):
             decision_psdp(small_problem, epsilon=0.3, bogus_option=1)
 
+    def test_non_execution_backend_rejected(self):
+        # A name is not an execution backend; it must fail here, not when
+        # the solve first reads ``backend.tracker``.
+        with pytest.raises(InvalidProblemError, match="ExecutionBackend"):
+            DecisionOptions(backend="numpy")
+
     def test_zero_trace_constraint_rejected(self):
         problem = NormalizedPackingSDP([np.zeros((3, 3)), np.eye(3)], validate=False)
         with pytest.raises(InvalidProblemError):

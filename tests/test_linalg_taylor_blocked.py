@@ -16,7 +16,7 @@ from repro.exceptions import InvalidProblemError, NumericalError
 from repro.linalg.expm import expm_eigh
 from repro.linalg.taylor import TaylorExpmOperator, taylor_degree, taylor_expm_apply
 from repro.linalg.taylor_blocked import BlockedTaylorKernel, densified_psi
-from repro.linalg.taylor_gram import TaylorEngine
+from repro.linalg.taylor_gram import GramTaylorKernel, TaylorEngine
 from repro.core.dotexp import FastDotExpOracle, big_dot_exp
 from repro.operators import ConstraintCollection, FactorizedPSDOperator, PackedGramFactors
 
@@ -260,3 +260,35 @@ class TestBigDotExpKernelPath:
         engine = TaylorEngine(coll.packed())
         with pytest.raises(InvalidProblemError):
             engine.kernel_for(np.ones(len(coll) + 1))
+
+
+def test_blocked_taylor_float32_stack_never_upcasts():
+    """A float32 stack stays float32 through the blocked and Gram Taylor paths.
+
+    The ping-pong buffers and the densified ``Psi`` adopt the stack's dtype
+    instead of defaulting to float64.
+    """
+    rng = np.random.default_rng(13)
+    q = rng.standard_normal((8, 3)).astype(np.float32)
+    col_w = rng.uniform(0.1, 1.0, size=3).astype(np.float32)
+    block = rng.standard_normal((8, 4)).astype(np.float32)
+
+    psi = densified_psi(q, col_w)
+    assert psi.dtype == np.float32
+    kernel = BlockedTaylorKernel.from_matrix(psi)
+    assert kernel.dtype == np.float32
+    assert kernel.apply(block, degree=5, scale=0.5).dtype == np.float32
+    assert kernel.matvec(block).dtype == np.float32
+
+    gram_kernel = GramTaylorKernel(q, col_w)
+    assert gram_kernel.dtype == np.float32
+    assert gram_kernel.apply(block, degree=5, scale=0.5).dtype == np.float32
+
+
+def test_blocked_taylor_float64_default_dtype_unchanged():
+    """Non-float32 inputs (including ints) still compute in float64."""
+    q = np.arange(12, dtype=np.int64).reshape(4, 3)
+    kernel = BlockedTaylorKernel.from_matrix(q @ q.T)
+    assert kernel.dtype == np.float64
+    out = kernel.apply(np.eye(4), degree=4, scale=0.5)
+    assert out.dtype == np.float64

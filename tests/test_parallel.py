@@ -1,8 +1,7 @@
-"""Tests for the work-depth cost model, backends, primitives, and scheduler."""
+"""Tests for the work-depth cost model, execution backends, and scheduler."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,10 +13,6 @@ from repro.parallel import (
     ThreadBackend,
     WorkDepthTracker,
     get_backend,
-    parallel_filter,
-    parallel_map,
-    parallel_reduce,
-    parallel_scan,
     simulate_schedule,
 )
 from repro.parallel.scheduler import speedup_curve
@@ -149,38 +144,6 @@ class TestBackends:
     def test_context_manager(self):
         with ThreadBackend(max_workers=2) as backend:
             assert backend.map(len, ["ab", "c"]) == [2, 1]
-
-
-class TestPrimitives:
-    def test_parallel_map_default_backend(self):
-        assert parallel_map(lambda v: v + 1, [1, 2, 3]) == [2, 3, 4]
-
-    def test_parallel_reduce_matches_sum(self):
-        values = np.linspace(0, 1, 101)
-        assert parallel_reduce(values) == pytest.approx(float(values.sum()))
-
-    def test_reduce_charges_log_depth(self):
-        tracker = WorkDepthTracker()
-        backend = SerialBackend(tracker=tracker)
-        parallel_reduce(range(64), backend=backend)
-        assert tracker.work == 64
-        assert tracker.depth == pytest.approx(6.0)
-
-    def test_scan_inclusive_and_exclusive(self):
-        inclusive = parallel_scan([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(inclusive, [1.0, 3.0, 6.0])
-        exclusive = parallel_scan([1.0, 2.0, 3.0], inclusive=False)
-        np.testing.assert_allclose(exclusive, [0.0, 1.0, 3.0])
-
-    def test_filter_matches_builtin(self):
-        items = list(range(20))
-        assert parallel_filter(lambda v: v % 3 == 0, items) == [v for v in items if v % 3 == 0]
-
-    def test_filter_charges_pack_step(self):
-        tracker = WorkDepthTracker()
-        backend = SerialBackend(tracker=tracker)
-        parallel_filter(lambda v: True, range(16), backend=backend)
-        assert tracker.work >= 16
 
 
 class TestScheduler:

@@ -331,9 +331,12 @@ class TestBackpressure:
     def test_in_flight_bound_is_respected(self):
         service = make_service(mode="thread", workers=2, batch_size=1, max_in_flight=1)
         rids = [service.submit(collection(seed=40 + i)) for i in range(3)]
-        service.step()
+        # The worker may finish its one job before step() returns, so
+        # assert the bound itself rather than that the job is still running.
+        finalized = service.step()
         assert len(service._pool.in_flight()) <= 1
-        assert service.pending() == 3
+        assert len(service._queue) == 2  # only one request was dispatched
+        assert service.pending() + finalized == 3  # nothing was dropped
         responses = service.drain()
         service.shutdown()
         assert all(responses[rid].outcome is RequestOutcome.COMPLETED for rid in rids)

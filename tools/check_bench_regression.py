@@ -3,8 +3,7 @@
 
 Every perf PR commits a ``BENCH_*.json`` payload whose speedup columns are
 the PR's acceptance evidence (E14 matrix-free core, E17 batched solving,
-E18 service, E19 executor, E20 array backend).
-Nothing previously stopped a later PR
+E18 service, E19 executor).  Nothing previously stopped a later PR
 from re-running a benchmark, measuring a slower result, and committing the
 worse numbers without anyone noticing — this gate does.  For each committed
 payload it checks:
@@ -160,59 +159,6 @@ def check_executor_payload(path: str) -> list[str]:
     return problems
 
 
-def check_backend_payload(path: str) -> list[str]:
-    """PR 10's array-backend gates on the committed E20 payload.
-
-    The NumPy rows are unconditional: the NumPy backend is a literal
-    pass-through, so every kernel row must report *zero* error against the
-    reference path, and the end-to-end decision rows must exist.  The torch
-    gates — float64 kernel agreement within the payload's ``err_ceiling``
-    and per-shape throughput at or above the ``parity_floor`` (0.8x NumPy
-    on CPU) — only apply when the payload was produced on a machine with
-    torch installed (``torch_available``), mirroring
-    :func:`check_executor_payload`'s machine-conditional floors.
-    """
-    name = os.path.basename(path)
-    if not os.path.exists(path):
-        return [f"{name}: committed payload is missing"]
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("quick"):
-        return [f"{name}: committed payload is a --quick smoke run, not a full grid"]
-    problems = []
-    kernels = payload.get("kernels") or []
-    numpy_rows = [row for row in kernels if row["backend"] == "numpy"]
-    if not numpy_rows:
-        problems.append(f"{name}: no NumPy kernel rows")
-    for row in numpy_rows:
-        if float(row["max_abs_err"]) != 0.0:
-            problems.append(
-                f"{name}: NumPy backend is not a pass-through "
-                f"(err={row['max_abs_err']:.2e} at n={row['n']}, m={row['m']})"
-            )
-    if not payload.get("decision"):
-        problems.append(f"{name}: decision section is missing or empty")
-    if payload.get("torch_available"):
-        config = payload.get("config", {})
-        floor = float(config.get("parity_floor", 0.8))
-        ceiling = float(config.get("err_ceiling", 1e-9))
-        torch_rows = [row for row in kernels if row["backend"] == "torch"]
-        if not torch_rows:
-            problems.append(f"{name}: torch_available but no torch kernel rows")
-        for row in torch_rows:
-            if float(row["max_abs_err"]) > ceiling:
-                problems.append(
-                    f"{name}: torch kernel error {row['max_abs_err']:.2e} "
-                    f"above {ceiling:.0e} at n={row['n']}, m={row['m']}"
-                )
-            if float(row["throughput_vs_numpy"]) < floor:
-                problems.append(
-                    f"{name}: torch parity {row['throughput_vs_numpy']:.2f}x "
-                    f"below the {floor}x floor at n={row['n']}, m={row['m']}"
-                )
-    return problems
-
-
 def main() -> int:
     """Run every floor and ceiling check; print results and return the exit code."""
     failures: list[str] = []
@@ -237,13 +183,6 @@ def main() -> int:
         failures.extend(executor_problems)
     else:
         print("[ok] BENCH_executor.json (core-aware throughput + recovery gates)")
-    backend_problems = check_backend_payload(
-        os.path.join(REPO_ROOT, "BENCH_backend.json")
-    )
-    if backend_problems:
-        failures.extend(backend_problems)
-    else:
-        print("[ok] BENCH_backend.json (pass-through + conditional torch parity gates)")
     for line in failures:
         print(f"[FAIL] {line}")
     return 1 if failures else 0

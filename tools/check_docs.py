@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Lightweight documentation gate for CI.
 
-Four checks, any failure exits non-zero:
+Six checks, any failure exits non-zero:
 
 1. **README snippets run.**  Every fenced ``python`` code block in
    ``README.md`` is executed (in order, each in a fresh namespace), so the
@@ -19,6 +19,12 @@ Four checks, any failure exits non-zero:
 5. **Examples run.**  Every ``examples/*.py`` script is executed in its
    ``--smoke`` mode (a tiny-instance variant each example must provide),
    so the worked examples can never drift away from the library API.
+6. **File references resolve.**  In ``README.md`` and ``docs/*.md``, every
+   relative Markdown link target must exist, and so must every backticked
+   path under a top-level directory (``src/``, ``tests/``, ``tools/``,
+   ``benchmarks/``, ``docs/``, ``perfbench/``, ``examples/``) or naming a
+   root ``BENCH_*.json`` — so a deleted file cannot leave its mentions
+   behind.
 
 Run from the repository root::
 
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import ast
 import doctest
+import glob
 import importlib
 import inspect
 import io
@@ -225,6 +232,49 @@ def check_example_smoke_runs() -> list[str]:
     return failures
 
 
+#: Top-level directories whose backticked paths must exist.
+REFERENCE_ROOTS = (
+    "src/", "tests/", "tools/", "benchmarks/", "docs/", "perfbench/", "examples/",
+)
+
+
+def _path_exists(path: str) -> bool:
+    """Whether ``path`` exists; a path with ``*`` must match at least one file."""
+    return bool(glob.glob(path)) if "*" in path else os.path.exists(path)
+
+
+def check_file_references() -> list[str]:
+    """Resolve the file references of README.md and docs/*.md, collecting misses.
+
+    Relative Markdown link targets resolve against the linking file's
+    directory (a ``#fragment`` is ignored); backticked paths resolve against
+    the repository root (a ``::test`` suffix and anything after the first
+    space are ignored).  Fenced code blocks are skipped.
+    """
+    failures = []
+    docs = sorted(glob.glob(os.path.join(REPO_ROOT, "docs", "*.md")))
+    for path in [os.path.join(REPO_ROOT, "README.md")] + docs:
+        rel = os.path.relpath(path, REPO_ROOT)
+        with open(path, encoding="utf-8") as handle:
+            text = re.sub(r"```.*?```", "", handle.read(), flags=re.DOTALL)
+        for target in re.findall(r"\]\(([^)\s]+)\)", text):
+            if target.startswith("#") or re.match(r"[A-Za-z][\w+.-]*:", target):
+                continue  # an anchor, or a URL such as https: or mailto:
+            target = target.split("#", 1)[0]
+            if not _path_exists(os.path.join(os.path.dirname(path), target)):
+                failures.append(f"{rel}: link target {target} does not exist")
+        for span in re.findall(r"`([^`\n]+)`", text):
+            token = span.split()[0].split("::", 1)[0] if span.strip() else ""
+            if not (
+                token.startswith(REFERENCE_ROOTS)
+                or re.fullmatch(r"BENCH_[\w*]+\.json", token)
+            ):
+                continue
+            if not _path_exists(os.path.join(REPO_ROOT, token)):
+                failures.append(f"{rel}: `{token}` does not exist")
+    return failures
+
+
 def main() -> int:
     """Run every documentation check and return the process exit code."""
     sections = (
@@ -233,6 +283,7 @@ def main() -> int:
         ("docstring coverage", check_docstrings),
         ("script docstring coverage", check_script_docstrings),
         ("example --smoke runs", check_example_smoke_runs),
+        ("file references", check_file_references),
     )
     any_failed = False
     for title, check in sections:
