@@ -55,15 +55,14 @@ its own :class:`~repro.linalg.taylor_gram.TaylorEngine`, whose
 representation is picked once per factor stack by
 :func:`~repro.linalg.taylor_gram.select_taylor_mode`: the ``R x R``
 Gram-twin spectrum when ``2R <= 1.1 m`` (the hysteresis-margined gate),
-a one-time densification of ``Psi`` (``m^2 s`` per term), a sparse-CSR
-``Psi`` accumulated with a reusable symbolic pattern (``nnz(Psi) s``), or
-the sparse factor recurrence (``2 nnz(Q) s``).  On the Gram rung one
-``eigh`` of ``S = W^{1/2} Q^T Q W^{1/2}`` per call gives the kappa, the
-trace and all ``n`` estimates, with no degree-dependent loop and no
-``m``-sized work; the other representations (the densified ``Psi``, the
-CSR values, the scaled stack) are built from each call's weights, and the
-build's work is charged to the backend.  No kernel carries state from one
-call to the next.
+a one-time densification of ``Psi`` (``m^2 s`` per term), or the sparse
+factor recurrence (``2 nnz(Q) s``), chosen from ``(m, R, nnz(Q))`` alone.
+On the Gram rung one ``eigh`` of ``S = W^{1/2} Q^T Q W^{1/2}`` per call
+gives the kappa, the trace and all ``n`` estimates, with no
+degree-dependent loop and no ``m``-sized work; the other representations
+(the densified ``Psi``, the scaled stack) are built from each call's
+weights, and the build's work is charged to the backend.  No kernel
+carries state from one call to the next.
 Every representation evaluates the identical polynomial, so the
 :class:`~repro.robustness.FastPathSupervisor` can demote a failing kernel
 to another one — down to the per-term matvec recurrence, the
@@ -71,12 +70,11 @@ to another one — down to the per-term matvec recurrence, the
 are *representation-invariant*: the model bills the factored
 Corollary 1.2 costs (the paper algorithm's work) no matter which kernel
 representation executes.  The Gram mode performs strictly less arithmetic
-than the billed factor recurrence; the sparse-``Psi`` and
-throughput-driven densified modes may perform *more* hardware madds than
-the model bills — by at most the policy's
-:data:`~repro.linalg.taylor_gram.SPARSE_GEMM_DISCOUNT` factor — whenever
-that is measurably faster in wall clock, the same madds-for-throughput
-trade dense BLAS kernels already make internally.
+than the billed factor recurrence; the throughput-driven densified mode
+may perform *more* hardware madds than the model bills — by at most the
+policy's :data:`~repro.linalg.taylor_gram.SPARSE_GEMM_DISCOUNT` factor —
+whenever that is measurably faster in wall clock, the same
+madds-for-throughput trade dense BLAS kernels already make internally.
 
 ``big_dot_exp`` accepts a kernel directly as ``phi``; matrix-valued ``phi``
 is routed through a blocked kernel automatically, while matvec-callable
@@ -458,8 +456,8 @@ class FastDotExpOracle:
     The Taylor kernels come from the oracle's own rank-adaptive
     :class:`~repro.linalg.taylor_gram.TaylorEngine`, built on the first
     call: the representation (Gram-twin spectrum / densified ``Psi`` /
-    sparse-CSR ``Psi`` / sparse factor recurrence) is selected once per
-    stack by measured ``nnz`` and stacked rank, and each call's kernel is
+    sparse factor recurrence) is selected once per stack from its
+    dimension, stacked rank and ``nnz``, and each call's kernel is
     built from that call's ``x`` (outside the Gram rung, the build's work is
     charged to ``backend`` under ``taylor-engine-update``).  The
     :class:`~repro.robustness.FastPathSupervisor` demotes a failing
@@ -661,9 +659,9 @@ class FastDotExpOracle:
 
         The Taylor engine is rebuilt at the checkpointed mode; its kernels
         depend only on the weights, so nothing else of it is restored.
-        Snapshots that only a removed oracle option
-        could have produced (the per-call blocked kernel, a missing trace
-        estimator, the ``dense-factors`` engine mode) raise
+        Snapshots that only a removed oracle option could have produced
+        (the per-call blocked kernel, a missing trace estimator, an engine
+        mode that no longer exists such as ``dense-factors``) raise
         :class:`~repro.exceptions.CheckpointError`.
         """
         if state.get("kind") != "fast":

@@ -20,7 +20,6 @@ built on:
   stack.
 * :mod:`repro.linalg.taylor_gram` — the rank-adaptive exponential engine:
   the ``R x R`` Gram-twin spectral kernel (``2R <= 1.1 m``), the
-  sparse-``Psi`` CSR accumulation with symbolic-pattern reuse, the
   measured-cost kernel selection policy, and the
   :class:`~repro.linalg.taylor_gram.TaylorEngine` that builds each call's
   kernel from that call's weights.
@@ -69,7 +68,6 @@ from repro.linalg.taylor import (
 from repro.linalg.taylor_blocked import BlockedTaylorKernel
 from repro.linalg.taylor_gram import (
     GramTaylorKernel,
-    SparsePsiAccumulator,
     TaylorEngine,
     select_taylor_mode,
 )
@@ -120,7 +118,6 @@ __all__ = [
     "TaylorExpmOperator",
     "BlockedTaylorKernel",
     "GramTaylorKernel",
-    "SparsePsiAccumulator",
     "TaylorEngine",
     "select_taylor_mode",
     "TraceEstimate",

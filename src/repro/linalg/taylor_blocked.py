@@ -7,18 +7,21 @@ right reference implementation, but it pays a weight-broadcast pass, a
 :class:`BlockedTaylorKernel` runs the same Horner-style forward recurrence
 over a whole ``(m, s)`` block in two preallocated ping-pong buffers
 (``matmul(..., out=...)``) and checks finiteness once at the end, in one of
-the three representations the rank-adaptive engine
-(:class:`~repro.linalg.taylor_gram.TaylorEngine`) builds past the Gram gate:
+three representations:
 
 * a dense ``Psi`` (:meth:`BlockedTaylorKernel.from_matrix`): one fused
   ``m^2 s`` GEMM per term — for the degenerate-sketch regime of Theorem
   4.1 (``m ≲ 1000`` at tight eps, where the JL dimension reaches ``m`` and
   the "sketch" block is the full identity) the dominant-cost path;
-* a sparse CSR ``Psi`` (:meth:`~BlockedTaylorKernel.from_matrix` again),
-  one sparse product per term;
 * a sparse scaled factor stack ``Q diag(w)``
   (:meth:`BlockedTaylorKernel.from_scaled_factors`), two sparse products
-  per term.
+  per term;
+* an explicit sparse CSR ``Psi`` (:meth:`~BlockedTaylorKernel.from_matrix`
+  again), one sparse product per term — what
+  :func:`~repro.core.dotexp.big_dot_exp` runs on a sparse matrix ``phi``.
+
+The rank-adaptive engine (:class:`~repro.linalg.taylor_gram.TaylorEngine`)
+builds the first two past the Gram gate.
 
 :func:`densified_psi` materialises ``Psi = Q diag(w) Q^T`` for the first.
 Every representation evaluates *exactly the same polynomial* as
@@ -243,7 +246,12 @@ class BlockedTaylorKernel(_FusedTaylorApplyBase):
 
     @property
     def mode(self) -> str:
-        """Representation tag in the engine's vocabulary (for error attribution)."""
+        """Representation tag for error attribution.
+
+        ``"dense-psi"`` and ``"sparse-factors"`` name the engine's modes;
+        a kernel over an explicit CSR ``Psi`` reports ``"sparse-psi"``,
+        which no engine builds.
+        """
         if self._psi is None:
             return "sparse-factors"
         return "sparse-psi" if sp.issparse(self._psi) else "dense-psi"

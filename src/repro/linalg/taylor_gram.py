@@ -2,10 +2,10 @@
 
 :mod:`repro.linalg.taylor_blocked` evaluates the truncated exponential of
 ``Psi = Q diag(w) Q^T`` by recurrence over a densified ``Psi`` (``m^2 s``
-madds per term), a sparse ``Psi`` or the sparse factor stack.  This module
-adds the Gram-twin spectral kernel and the sparse-``Psi`` accumulator, the
-policy that picks between all the representations and an engine that
-builds each call's kernel from that call's weights:
+madds per term) or the sparse factor stack.  This module adds the
+Gram-twin spectral kernel, the policy that picks between the
+representations and an engine that builds each call's kernel from that
+call's weights:
 
 * **Gram-space spectral kernel** (:class:`GramTaylorKernel`): ``Psi`` and
   its ``R x R`` Gram twin ``S = W^{1/2} (Q^T Q) W^{1/2}`` (``W = diag(w)``)
@@ -24,27 +24,19 @@ builds each call's kernel from that call's weights:
   ``||p(s Psi) q_c||^2`` need no ``m``-sized work at all
   (:func:`spectral_evaluation`).  The win when the stacked rank
   satisfies ``2R <= GRAM_HYSTERESIS * m``.
-* **Sparse-Psi accumulation** (:class:`SparsePsiAccumulator`): when the
-  factors are sparse, ``Psi = (Q w) Q^T`` is assembled as a CSR matrix
-  whose *symbolic* pattern is weight-independent; the accumulator maps
-  column weights to the CSR value array through one sparse matrix ``M``
-  (``values = M w_cols``), so building ``Psi`` for new weights never
-  repeats the symbolic product.  The Horner recurrence then runs with one
-  sparse GEMM per term
-  (``nnz(Psi) s`` madds) via
-  :meth:`~repro.linalg.taylor_blocked.BlockedTaylorKernel.from_matrix`.
-* **Selection policy** (:func:`select_taylor_mode`): compares the measured
-  per-term costs of all applicable representations — Gram space, densified
-  ``Psi``, sparse ``Psi`` (discounted by the measured throughput gap
-  between sparse and dense GEMMs, :data:`SPARSE_GEMM_DISCOUNT`), and the
-  sparse factor recurrence.
+* **Selection policy** (:func:`select_taylor_mode`): compares the modelled
+  per-term costs of the applicable representations — Gram space, densified
+  ``Psi`` and the sparse factor recurrence (discounted by the measured
+  throughput gap between sparse and dense GEMMs,
+  :data:`SPARSE_GEMM_DISCOUNT`) — from ``(m, R, nnz(Q))`` and the storage
+  kind alone, so choosing builds nothing.
 * **Engine** (:class:`TaylorEngine`): keeps only weight-*independent*
-  artifacts (the packed view's ``Q^T Q``, the CSR pattern and its
-  accumulator, a CSC copy of a sparse stack) and builds every kernel from
-  the weights of the call that asks for it, so a kernel is a function of
-  (stack, mode, weights) alone.  The densified ``Psi``, the CSR values and
-  the scaled sparse stack are rebuilt per call and their work charged to
-  the :class:`~repro.parallel.backends.ExecutionBackend` under the
+  artifacts (the packed view's ``Q^T Q``, a CSC copy of a sparse stack)
+  and builds every kernel from the weights of the call that asks for it,
+  so a kernel is a function of (stack, mode, weights) alone.  The
+  densified ``Psi`` and the scaled sparse stack are rebuilt per call and
+  their work charged to the
+  :class:`~repro.parallel.backends.ExecutionBackend` under the
   ``taylor-engine-update`` label.  The Gram rung's kernel starts from the
   cached ``Q^T Q`` and charges nothing.
 
@@ -70,7 +62,6 @@ from repro.linalg.taylor_blocked import (
 
 __all__ = [
     "GramTaylorKernel",
-    "SparsePsiAccumulator",
     "TaylorEngine",
     "batched_gram_eigh",
     "gram_twin",
@@ -78,7 +69,6 @@ __all__ = [
     "spectral_evaluation",
     "taylor_mode_cost",
     "GRAM_HYSTERESIS",
-    "REFINEMENT_MARGIN",
     "SPARSE_GEMM_DISCOUNT",
 ]
 
@@ -99,36 +89,19 @@ SPARSE_GEMM_DISCOUNT = 8.0
 #: it would change which stacks run which kernel.
 GRAM_HYSTERESIS = 1.1
 
-#: Required relative win before `auto_taylor_mode`'s two-stage refinement
-#: builds the exact sparse-``Psi`` pattern: the candidate's optimistic cost
-#: must undercut the current winner by at least this factor.  Refinement
-#: that could at best *match* the already-selected kernel would pay the
-#: pattern build only to flip-flop between equal-cost modes.
-REFINEMENT_MARGIN = 0.9
-
 #: Modes understood by :func:`select_taylor_mode` / :class:`TaylorEngine`.
-_MODES = ("gram", "dense-psi", "sparse-psi", "sparse-factors")
+_MODES = ("gram", "dense-psi", "sparse-factors")
 
 
-def taylor_mode_cost(
-    mode: str,
-    dim: int,
-    total_rank: int,
-    nnz: int,
-    psi_nnz: int | None = None,
-) -> float:
+def taylor_mode_cost(mode: str, dim: int, total_rank: int, nnz: int) -> float:
     """Estimated per-term cost (dense-madd units, per block column) of a mode.
 
-    The single cost model behind :func:`select_taylor_mode` and the
-    exact-pattern refinement in
-    :meth:`~repro.operators.packed.PackedGramFactors.auto_taylor_mode`:
+    The single cost model behind :func:`select_taylor_mode`:
 
     * ``gram``: ``R^2``;
     * ``dense-psi``: ``m^2``;
     * ``sparse-factors``: ``2 nnz(Q)`` discounted by
-      :data:`SPARSE_GEMM_DISCOUNT`;
-    * ``sparse-psi``: ``nnz(Psi)`` with the same discount (``inf`` when
-      ``psi_nnz`` is unknown).
+      :data:`SPARSE_GEMM_DISCOUNT`.
     """
     if mode == "gram":
         return float(total_rank) * total_rank
@@ -136,20 +109,10 @@ def taylor_mode_cost(
         return float(dim) * dim
     if mode == "sparse-factors":
         return SPARSE_GEMM_DISCOUNT * 2.0 * float(nnz)
-    if mode == "sparse-psi":
-        if psi_nnz is None:
-            return float("inf")
-        return SPARSE_GEMM_DISCOUNT * float(psi_nnz)
     raise InvalidProblemError(f"unknown taylor mode {mode!r}")
 
 
-def select_taylor_mode(
-    dim: int,
-    total_rank: int,
-    nnz: int,
-    is_sparse: bool,
-    psi_nnz: int | None = None,
-) -> str:
+def select_taylor_mode(dim: int, total_rank: int, nnz: int, is_sparse: bool) -> str:
     """Pick the cheapest exact Taylor representation for ``Psi = Q w Q^T``.
 
     Parameters
@@ -162,18 +125,13 @@ def select_taylor_mode(
         Stored nonzeros of ``Q`` (``m * R`` for a dense stack).
     is_sparse:
         Whether the stack is stored sparse (CSR/CSC).
-    psi_nnz:
-        Nonzero count (or a cheap upper bound, e.g.
-        :meth:`~repro.operators.packed.PackedGramFactors.psi_nnz_bound`) of
-        the assembled ``Psi``; only consulted for sparse stacks.  ``None``
-        disables the sparse-``Psi`` candidate.
 
     Returns
     -------
     str
-        One of ``"gram"``, ``"dense-psi"``, ``"sparse-psi"``,
-        ``"sparse-factors"`` — the mode whose :func:`taylor_mode_cost` is
-        smallest among the applicable candidates:
+        One of ``"gram"``, ``"dense-psi"``, ``"sparse-factors"`` — the
+        mode whose :func:`taylor_mode_cost` is smallest among the
+        applicable candidates:
 
         * dense stacks: gram whenever ``2R <= GRAM_HYSTERESIS * dim``
           (``R^2 <= m^2/4`` at the nominal boundary beats both the dense
@@ -184,16 +142,16 @@ def select_taylor_mode(
           otherwise;
         * sparse stacks: the argmin over gram (gated on the same
           hysteresis boundary, and costed at the *dense* ``R^2`` rate
-          since ``G`` is materialised dense), densified ``Psi``, sparse
-          ``Psi``, and the sparse factor recurrence — so a very sparse
-          stack never pays a dense ``R x R`` Gram matrix its factor
-          recurrence undercuts.
+          since ``G`` is materialised dense), densified ``Psi`` and the
+          sparse factor recurrence — so a very sparse stack never pays a
+          dense ``R x R`` Gram matrix its factor recurrence undercuts.
 
         Ties break toward the earlier entry in the order above (denser
         representations are preferred at equal cost: their constants are
         more predictable).  The decision depends only on the immutable
-        shape quantities ``(m, R, nnz, nnz(Psi))``, so repeated calls for
-        the same stack can never flip-flop between modes.
+        shape quantities ``(m, R, nnz)`` and the storage kind, so choosing
+        builds nothing and repeated calls for the same stack can never
+        flip-flop between modes.
     """
     if dim < 0 or total_rank < 0:
         raise InvalidProblemError(
@@ -204,14 +162,10 @@ def select_taylor_mode(
     gram_ok = 2 * total_rank <= GRAM_HYSTERESIS * dim
     if not is_sparse:
         return "gram" if gram_ok else "dense-psi"
-    candidates = (["gram"] if gram_ok else []) + [
-        "dense-psi",
-        "sparse-psi",
-        "sparse-factors",
-    ]
+    candidates = (["gram"] if gram_ok else []) + ["dense-psi", "sparse-factors"]
     best_mode, best_cost = None, float("inf")
     for mode in candidates:
-        cost = taylor_mode_cost(mode, dim, total_rank, nnz, psi_nnz=psi_nnz)
+        cost = taylor_mode_cost(mode, dim, total_rank, nnz)
         if cost < best_cost:
             best_mode, best_cost = mode, cost
     return best_mode
@@ -485,101 +439,6 @@ class GramTaylorKernel(_FusedTaylorApplyBase):
         return f"GramTaylorKernel(dim={self.dim}, R={self.total_rank})"
 
 
-class SparsePsiAccumulator:
-    """Weight-to-CSR-values map for ``Psi = Q diag(w) Q^T`` with a fixed pattern.
-
-    The symbolic pattern of ``Psi`` depends only on the sparsity structure
-    of ``Q``: entry ``(i, j)`` can be nonzero iff some column of ``Q`` has
-    nonzeros in both rows.  The accumulator computes that pattern once (a
-    structural ``|Q| |Q|^T`` product) and assembles the sparse matrix
-
-    .. math:: M \\in \\mathbb{R}^{\\mathrm{nnz}(\\Psi) \\times R},
-        \\qquad M[e, c] = Q[i_e, c]\\, Q[j_e, c],
-
-    mapping per-column weights to the CSR value array: ``values(w) = M w``.
-    Building ``Psi`` for new weights is one SpMV over ``nnz(M) = sum_c
-    nnz(Q_{:,c})^2`` entries; :class:`TaylorEngine` runs it once per call.
-
-    Parameters
-    ----------
-    q:
-        Sparse ``(m, R)`` factor stack (any scipy format; converted to CSC).
-    """
-
-    def __init__(self, q: sp.spmatrix) -> None:
-        if not sp.issparse(q):
-            raise InvalidProblemError("SparsePsiAccumulator requires a sparse stack")
-        q_csc = q.tocsc()
-        m, r = q_csc.shape
-        self.dim = int(m)
-        self.total_rank = int(r)
-        structure = abs(q_csc)
-        pattern = (structure @ structure.T).tocsr()
-        pattern.sort_indices()
-        self._indptr = pattern.indptr.copy()
-        self._indices = pattern.indices.copy()
-        self.psi_nnz = int(self._indices.shape[0])
-        # Composite row-major keys make the per-row sorted index arrays one
-        # globally sorted array, so every (i, j) -> entry-id lookup is a
-        # single vectorised searchsorted.
-        entry_rows = np.repeat(np.arange(m, dtype=np.int64), np.diff(self._indptr))
-        pattern_keys = entry_rows * m + self._indices.astype(np.int64)
-
-        entry_ids: list[np.ndarray] = []
-        col_ids: list[np.ndarray] = []
-        data: list[np.ndarray] = []
-        for c in range(r):
-            lo, hi = q_csc.indptr[c], q_csc.indptr[c + 1]
-            rows_c = q_csc.indices[lo:hi].astype(np.int64)
-            vals_c = q_csc.data[lo:hi]
-            k = rows_c.shape[0]
-            if k == 0:
-                continue
-            ii = np.repeat(rows_c, k)
-            jj = np.tile(rows_c, k)
-            keys = ii * m + jj
-            entry_ids.append(np.searchsorted(pattern_keys, keys))
-            col_ids.append(np.full(k * k, c, dtype=np.int64))
-            data.append(np.repeat(vals_c, k) * np.tile(vals_c, k))
-        if entry_ids:
-            coo = sp.coo_matrix(
-                (
-                    np.concatenate(data),
-                    (np.concatenate(entry_ids), np.concatenate(col_ids)),
-                ),
-                shape=(self.psi_nnz, r),
-            )
-            self._m = coo.tocsc()
-        else:
-            self._m = sp.csc_matrix((self.psi_nnz, r), dtype=np.float64)
-
-    @property
-    def map_nnz(self) -> int:
-        """Stored entries of the weight-to-values map ``M`` (the build cost)."""
-        return int(self._m.nnz)
-
-    def values(self, col_weights: np.ndarray) -> np.ndarray:
-        """CSR value array of ``Psi`` for the given per-column weights."""
-        col_weights = np.asarray(col_weights, dtype=np.float64).ravel()
-        if col_weights.shape[0] != self.total_rank:
-            raise InvalidProblemError(
-                f"expected {self.total_rank} column weights, got {col_weights.shape[0]}"
-            )
-        return self._m @ col_weights
-
-    def psi(self, values: np.ndarray) -> sp.csr_matrix:
-        """CSR ``Psi`` sharing the fixed pattern with the given value array."""
-        return sp.csr_matrix(
-            (values, self._indices, self._indptr), shape=(self.dim, self.dim)
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"SparsePsiAccumulator(dim={self.dim}, R={self.total_rank}, "
-            f"psi_nnz={self.psi_nnz}, map_nnz={self.map_nnz})"
-        )
-
-
 class TaylorEngine:
     """Factory of Taylor kernels over one factor stack.
 
@@ -587,8 +446,8 @@ class TaylorEngine:
     :class:`~repro.core.dotexp.FastDotExpOracle` constructs its own over the
     shared, immutable :class:`~repro.operators.packed.PackedGramFactors`
     view.  Construction selects the representation once — the mode depends
-    only on the weight-independent shape quantities ``(m, R, nnz,
-    nnz(Psi))`` — and :meth:`kernel_for` builds each kernel from the
+    only on the weight-independent shape quantities ``(m, R, nnz)`` and the
+    storage kind — and :meth:`kernel_for` builds each kernel from the
     weights it is given and the engine's weight-independent caches:
 
     ==================  ====================================================  ==========
@@ -596,7 +455,6 @@ class TaylorEngine:
     ==================  ====================================================  ==========
     ``gram``            :class:`GramTaylorKernel` over the cached ``Q^T Q``   none
     ``dense-psi``       ``from_matrix(densified_psi(Q, w))``                  ``m^2 R``
-    ``sparse-psi``      ``from_matrix(acc.psi(acc.values(w)))``               ``nnz(M)``
     ``sparse-factors``  ``from_scaled_factors(Q, Q diag(w))``                 ``nnz(Q)``
     ==================  ====================================================  ==========
 
@@ -625,7 +483,7 @@ class TaylorEngine:
             raise InvalidProblemError(
                 f"unknown taylor mode {mode!r}; expected one of {_MODES} or 'auto'"
             )
-        if mode in ("sparse-psi", "sparse-factors") and not packed.is_sparse:
+        if mode == "sparse-factors" and not packed.is_sparse:
             raise InvalidProblemError(f"mode {mode!r} requires a sparse factor stack")
         self.mode = mode
         self._q_csc = packed.matrix.tocsc() if mode == "sparse-factors" else None
@@ -668,10 +526,6 @@ class TaylorEngine:
         if self.mode == "dense-psi":
             kernel = BlockedTaylorKernel.from_matrix(densified_psi(q, col_w))
             cost = float(self.dim) * self.dim * self.total_rank
-        elif self.mode == "sparse-psi":
-            acc = self.packed.psi_accumulator()
-            kernel = BlockedTaylorKernel.from_matrix(acc.psi(acc.values(col_w)))
-            cost = float(acc.map_nnz)
         else:
             # Scale the data array per column in one vectorised pass.
             qw = self._q_csc.copy()

@@ -87,15 +87,6 @@ class PackingLP:
         """Constraint slacks ``1 - P x`` (negative entries indicate violations)."""
         return 1.0 - self.matrix @ np.asarray(x, dtype=np.float64)
 
-    def greedy_upper_bound(self) -> float:
-        """Simple upper bound on the optimum: ``sum_j 1 / max_i P_ij`` is not
-        valid in general, but ``m / min_j max_i P_ij``-style bounds are; here
-        we use the LP-duality-free bound ``sum over constraints of
-        1 / min positive entry`` truncated to the trivial ``n * max_j (1 /
-        max_i P_ij)``."""
-        col_max = self.matrix.max(axis=0)
-        return float(np.sum(1.0 / col_max))
-
 
 def packing_lp_from_diagonal_sdp(problem: NormalizedPackingSDP) -> PackingLP:
     """Convert a packing SDP whose constraints are all diagonal into a packing LP.

@@ -39,8 +39,7 @@ factor nonzeros) and polylogarithmic depth in the cost model; only the
 wall-clock constants change.
 
 The packed view also caches the weight-independent Taylor artifacts (the
-``R x R`` Gram matrix ``Q^T Q``, the sparse-``Psi`` symbolic pattern, the
-auto-selected representation).  Per-solve state — the
+``R x R`` Gram matrix ``Q^T Q`` and the auto-selected representation).  Per-solve state — the
 :class:`~repro.linalg.taylor_gram.TaylorEngine`, the trace estimator, the
 psi state — lives on the solve that owns it.
 

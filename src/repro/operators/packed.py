@@ -192,12 +192,10 @@ class PackedGramFactors:
         self._dense_cache: np.ndarray | None = None
         # Weight-independent Taylor-engine artifacts, built lazily and
         # shared by every kernel/engine over this stack (the stack is
-        # immutable): the dense Gram matrix Q^T Q, the sparse-Psi
-        # accumulator and the auto-selected representation.
+        # immutable): the dense Gram matrix Q^T Q and the auto-selected
+        # representation.
         self._gram_cache: np.ndarray | None = None
-        self._psi_accumulator = None
         self._auto_mode: str | None = None
-        self._column_nnz: np.ndarray | None = None
         self._column_sq_norms: np.ndarray | None = None
 
     # ------------------------------------------------------------------ basics
@@ -284,26 +282,6 @@ class PackedGramFactors:
 
         return apply
 
-    def column_nnz(self) -> np.ndarray:
-        """Stored nonzeros per stacked column (cached; drives the selection
-        policy's ``nnz(Psi)`` bound)."""
-        if self._column_nnz is None:
-            if self.total_rank == 0:
-                self._column_nnz = np.zeros(0, dtype=np.int64)
-            elif self._sparse:
-                qc = self._qc
-                self._column_nnz = np.diff(qc.indptr).astype(np.int64)
-            else:
-                self._column_nnz = np.count_nonzero(self._q, axis=0).astype(np.int64)
-        return self._column_nnz
-
-    def psi_nnz_bound(self) -> int:
-        """Upper bound on ``nnz(Psi)`` for ``Psi = (Q w) Q^T``: the sum of
-        squared column nonzeros (every column contributes its support's
-        outer product; overlaps only merge), capped at ``m^2``."""
-        col_nnz = self.column_nnz()
-        return int(min(np.sum(col_nnz.astype(np.float64) ** 2), self.dim * self.dim))
-
     def gram_matrix(self) -> np.ndarray:
         """Dense ``(R, R)`` Gram matrix ``Q^T Q`` of the stack (cached).
 
@@ -323,81 +301,16 @@ class PackedGramFactors:
                 self._gram_cache = self._q.T @ self._q
         return self._gram_cache
 
-    def psi_accumulator(self):
-        """The cached :class:`~repro.linalg.taylor_gram.SparsePsiAccumulator`
-        over the stack (sparse stacks only; the symbolic pattern and the
-        weight-to-values map are weight-independent, so one accumulator
-        serves every kernel and engine built from this view)."""
-        if not self._sparse:
-            raise InvalidProblemError(
-                "the sparse-Psi accumulator requires a sparse factor stack"
-            )
-        if self._psi_accumulator is None:
-            from repro.linalg.taylor_gram import SparsePsiAccumulator
-
-            self._psi_accumulator = SparsePsiAccumulator(self._q)
-        return self._psi_accumulator
-
     def auto_taylor_mode(self) -> str:
         """The representation :func:`~repro.linalg.taylor_gram.select_taylor_mode`
-        picks for this stack (cached — it depends only on the immutable
-        shape quantities ``m``, ``R``, ``nnz`` and ``nnz(Psi)``).
-
-        Sparse stacks use a two-stage decision: the cheap
-        :meth:`psi_nnz_bound` first (it never under-counts, so a
-        sparse-``Psi`` verdict from it is final), and when the bound rejects
-        sparse-``Psi`` but a lower bound on ``nnz(Psi)`` — the largest
-        single-column outer product — says the exact pattern could still
-        *meaningfully* win (heavily overlapping supports make the upper
-        bound arbitrarily loose), the weight-independent accumulator is
-        built once and the decision repeated with the exact count.  The
-        second stage only runs when the optimistic sparse-``Psi`` cost
-        undercuts the current winner by the
-        :data:`~repro.linalg.taylor_gram.REFINEMENT_MARGIN` hysteresis
-        (~10%): paying the pattern build to at best *match* the selected
-        kernel — the near-threshold adversary shape — is a pure loss, and
-        skipping it also pins the selection so it cannot flip-flop between
-        equal-cost modes.
-        """
+        picks for this stack (cached).  It reads only the immutable ``m``,
+        ``R``, ``nnz`` and storage kind, so picking builds nothing."""
         if self._auto_mode is None:
-            from repro.linalg.taylor_gram import (
-                REFINEMENT_MARGIN,
-                SPARSE_GEMM_DISCOUNT,
-                select_taylor_mode,
-                taylor_mode_cost,
-            )
+            from repro.linalg.taylor_gram import select_taylor_mode
 
-            if not self._sparse:
-                self._auto_mode = select_taylor_mode(
-                    self.dim, self.total_rank, self.nnz, False
-                )
-                return self._auto_mode
-            mode = select_taylor_mode(
-                self.dim,
-                self.total_rank,
-                self.nnz,
-                True,
-                psi_nnz=self.psi_nnz_bound(),
+            self._auto_mode = select_taylor_mode(
+                self.dim, self.total_rank, self.nnz, self._sparse
             )
-            if mode != "sparse-psi":
-                winner_cost = taylor_mode_cost(
-                    mode, self.dim, self.total_rank, self.nnz
-                )
-                col_nnz = self.column_nnz()
-                psi_lower = float(col_nnz.max()) ** 2 if col_nnz.size else 0.0
-                build_cost = float(np.sum(col_nnz.astype(np.float64) ** 2))
-                if (
-                    SPARSE_GEMM_DISCOUNT * psi_lower < REFINEMENT_MARGIN * winner_cost
-                    and build_cost <= 16.0 * self.dim * self.dim
-                ):
-                    mode = select_taylor_mode(
-                        self.dim,
-                        self.total_rank,
-                        self.nnz,
-                        True,
-                        psi_nnz=self.psi_accumulator().psi_nnz,
-                    )
-            self._auto_mode = mode
         return self._auto_mode
 
     def weighted_sum(self, weights: np.ndarray) -> np.ndarray:

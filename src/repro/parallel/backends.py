@@ -92,7 +92,7 @@ class ExecutionBackend(abc.ABC):
         Thin passthrough to :meth:`WorkDepthTracker.charge` so components
         that are handed a backend (rather than a tracker) can record model
         costs — e.g. the rank-adaptive Taylor engine charges each call's
-        kernel build (densified ``Psi``, CSR values or scaled stack) under
+        kernel build (densified ``Psi`` or scaled stack) under
         the ``taylor-engine-update`` label.  A backend without a tracker
         ignores the charge.
         """

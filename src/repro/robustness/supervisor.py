@@ -11,9 +11,9 @@ surface as ``DecisionResult.metadata["recovery_events"]``.
 
 The ladders (see ``docs/ROBUSTNESS.md`` for the full diagram):
 
-* **Taylor kernel**: ``gram`` → ``sparse-psi`` (sparse stacks) →
-  ``dense-psi`` → ``reference``, the per-term matvec apply with the
-  identity trace push.  Every rung evaluates the *same* Lemma 4.2
+* **Taylor kernel**: ``gram`` → ``dense-psi`` → ``reference``, the
+  per-term matvec apply with the identity trace push (``dense-psi`` and
+  ``sparse-factors`` fall straight to ``reference``).  Every rung evaluates the *same* Lemma 4.2
   polynomial, so demotion changes rounding at worst — never the certified
   decision.
 * **Trace estimator**: ``gram`` → the exact identity push.
@@ -260,20 +260,11 @@ class FastPathSupervisor:
             return None  # already on the floor (or not a fast oracle)
         engine = getattr(oracle, "_engine", None)
         current = engine.mode if engine is not None else packed.auto_taylor_mode()
-        ladder = ["gram"]
-        if getattr(packed, "is_sparse", False):
-            ladder.append("sparse-psi")
-        ladder.append("dense-psi")
-        try:
-            start = ladder.index(current) + 1
-        except ValueError:
-            # Factor-recurrence modes have no intermediate rung.
-            start = len(ladder)
-        for mode in ladder[start:]:
+        if current == "gram":
             from repro.linalg.taylor_gram import TaylorEngine
 
-            oracle._engine = TaylorEngine(packed, mode=mode)
-            return (current, mode)
+            oracle._engine = TaylorEngine(packed, mode="dense-psi")
+            return (current, "dense-psi")
         # Floor: the per-term reference apply through the packed matvec,
         # which also disengages the structured tracer.
         oracle.reference = True

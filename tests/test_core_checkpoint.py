@@ -31,6 +31,7 @@ from repro.exceptions import CheckpointError, InvalidProblemError, Serialization
 from repro.io.serialization import load_checkpoint, save_checkpoint, save_normalized_sdp
 
 from helpers import assert_results_identical, factorized_family
+from test_decision_packed_regressions import _concentrated_sparse_collection
 
 
 def small_collection(seed=11, n=8, m=24):
@@ -142,28 +143,35 @@ class TestCaptureSemantics:
             decision_psdp(small_collection(), **solve_opts(), resume_from=ckpt)
 
     @pytest.mark.parametrize(
-        "edit, match",
+        "edit, match, make",
         [
-            (lambda oracle: oracle.update(engine_enabled=False), "per-call blocked"),
-            (lambda oracle: oracle["trace"].update(mode="hutchinson"), "no longer exists"),
-            (lambda oracle: oracle["trace"].update(mode="deflated"), "no longer exists"),
-            (lambda oracle: oracle.update(trace=None), "without a trace estimator"),
-            (lambda oracle: oracle["engine"].update(mode="dense-factors"), "Taylor engine"),
+            (lambda oracle: oracle.update(engine_enabled=False), "per-call blocked", None),
+            (lambda oracle: oracle["trace"].update(mode="hutchinson"), "no longer exists", None),
+            (lambda oracle: oracle["trace"].update(mode="deflated"), "no longer exists", None),
+            (lambda oracle: oracle.update(trace=None), "without a trace estimator", None),
+            (lambda oracle: oracle["engine"].update(mode="dense-factors"), "Taylor engine", None),
+            # The removed sparse-Psi engine mode, on a sparse stack it ran on.
+            (
+                lambda oracle: oracle["engine"].update(mode="sparse-psi"),
+                "Taylor engine",
+                _concentrated_sparse_collection,
+            ),
         ],
         ids=[
             "engine-off-blocked-on", "stochastic-trace", "deflated-trace",
-            "no-trace-estimator", "dense-factors-engine",
+            "no-trace-estimator", "dense-factors-engine", "sparse-psi-engine",
         ],
     )
-    def test_resume_rejects_removed_oracle_options(self, edit, match):
+    def test_resume_rejects_removed_oracle_options(self, edit, match, make):
         # Version-1 oracle payloads that only a removed fast-oracle option
         # could have written fail typed instead of resuming on another path.
+        make = make or small_collection
         ckpt = decision_psdp(
-            small_collection(), **solve_opts(iteration_budget=3)
+            make(), **solve_opts(iteration_budget=3)
         ).metadata["checkpoint"]
         edit(ckpt.oracle)
         with pytest.raises(CheckpointError, match=match):
-            decision_psdp(small_collection(), **solve_opts(), resume_from=ckpt)
+            decision_psdp(make(), **solve_opts(), resume_from=ckpt)
 
 
 class TestResumeBitIdentical:

@@ -193,8 +193,11 @@ class TestDenseStackWeightedSum:
 
 
 def _concentrated_sparse_collection(seed=31, m=60, n=40, support=10, col_nnz=8):
-    """Sparse factorized constraints whose supports share `support` rows, the
-    regime where the exact Psi pattern beats every other representation."""
+    """Sparse factorized constraints whose supports share `support` rows.
+
+    The stack stays sparse (density ~0.13), but with ``2R > 1.1 m`` and a
+    factor recurrence costlier than ``m^2`` it runs the densified
+    ``dense-psi`` kernel with the identity trace push."""
     import scipy.sparse as sp
 
     rng = np.random.default_rng(seed)
@@ -238,23 +241,6 @@ class TestTaylorEngineRegressions:
         assert result.counters.calls == result.iterations
         assert result.work_depth.by_label["taylor-engine-update"] == (
             m * m * 32 * result.counters.calls
-        )
-
-    def test_sparse_psi_engine_charges_proportional_work(self):
-        coll = _concentrated_sparse_collection()
-        result = decision_psdp(
-            coll,
-            epsilon=0.25,
-            oracle="fast",
-            rng=5,
-            max_iterations=20,
-            collect_history=True,
-        )
-        assert result.metadata["taylor_engine"]["mode"] == "sparse-psi"
-        # One pass over the weight-to-values map per oracle call.
-        acc = coll.packed().psi_accumulator()
-        assert result.work_depth.by_label["taylor-engine-update"] == (
-            acc.map_nnz * result.counters.calls
         )
 
     def test_phased_solver_surfaces_engine_stats(self):

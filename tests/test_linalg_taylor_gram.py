@@ -1,8 +1,8 @@
 """Tests for repro.linalg.taylor_gram (the rank-adaptive exponential engine).
 
 Every representation the engine can select — Gram-twin spectrum, densified
-``Psi``, sparse-CSR ``Psi``, scaled factor recurrence — must evaluate exactly
-the same Lemma 4.2 polynomial as the per-term reference
+``Psi``, scaled factor recurrence — must evaluate exactly the same Lemma 4.2
+polynomial as the per-term reference
 :func:`repro.linalg.taylor.taylor_expm_apply`; every engine kernel must be
 a function of the call's weights alone (bitwise equal to a fresh engine's),
 each non-Gram call must charge its full build, and the Gram mode nothing.
@@ -21,7 +21,6 @@ from repro.linalg.taylor_gram import (
     GRAM_HYSTERESIS,
     SPARSE_GEMM_DISCOUNT,
     GramTaylorKernel,
-    SparsePsiAccumulator,
     TaylorEngine,
     select_taylor_mode,
 )
@@ -196,46 +195,6 @@ class TestGramKernelEquivalence:
             GramTaylorKernel(q, np.ones(2)).apply(np.full(2, 1e300), 60)
 
 
-class TestSparsePsiAccumulator:
-    def _accumulator(self, m=24, r=10, seed=40, density=0.15):
-        q = _stack(m, r, seed=seed, sparse=True, density=density)
-        return q, SparsePsiAccumulator(q)
-
-    def test_values_match_direct_product(self):
-        q, acc = self._accumulator()
-        w = np.random.default_rng(41).random(q.shape[1])
-        psi = acc.psi(acc.values(w))
-        np.testing.assert_allclose(psi.toarray(), _psi_of(q, w), atol=1e-12)
-
-    def test_pattern_is_weight_independent(self):
-        q, acc = self._accumulator()
-        r = q.shape[1]
-        psi_a = acc.psi(acc.values(np.ones(r)))
-        psi_b = acc.psi(acc.values(np.random.default_rng(42).random(r)))
-        np.testing.assert_array_equal(psi_a.indices, psi_b.indices)
-        np.testing.assert_array_equal(psi_a.indptr, psi_b.indptr)
-
-    def test_zero_rank_columns_contribute_nothing(self):
-        q = sp.hstack(
-            [_stack(12, 3, seed=44, sparse=True), sp.csr_matrix((12, 2))], format="csr"
-        )
-        acc = SparsePsiAccumulator(q)
-        w = np.ones(5)
-        np.testing.assert_allclose(
-            acc.psi(acc.values(w)).toarray(), _psi_of(q, w), atol=1e-12
-        )
-        assert acc.map_nnz == SparsePsiAccumulator(q[:, :3]).map_nnz
-
-    def test_rejects_dense_input(self):
-        with pytest.raises(InvalidProblemError):
-            SparsePsiAccumulator(np.ones((4, 2)))
-
-    def test_rejects_wrong_weight_length(self):
-        _, acc = self._accumulator()
-        with pytest.raises(InvalidProblemError):
-            acc.values(np.ones(acc.total_rank + 1))
-
-
 class TestSelectTaylorMode:
     def test_gram_at_and_below_half_rank(self):
         # The 2R == m boundary belongs to the Gram-space path.
@@ -275,12 +234,6 @@ class TestSelectTaylorMode:
         assert engine.mode == "gram"
         assert engine.kernel_for(x).mode == "gram"
 
-    def test_sparse_psi_when_pattern_is_small(self):
-        m, r = 512, 600
-        assert (
-            select_taylor_mode(m, r, 1200, True, psi_nnz=2000) == "sparse-psi"
-        )
-
     def test_sparse_dense_boundary(self):
         # At the densification threshold the discounted factor cost equals
         # m^2 exactly; ties break toward the denser representation.
@@ -289,13 +242,6 @@ class TestSelectTaylorMode:
         assert select_taylor_mode(m, r, nnz_at_threshold, True) == "dense-psi"
         assert select_taylor_mode(m, r, nnz_at_threshold - 1, True) == "sparse-factors"
         assert select_taylor_mode(m, r, nnz_at_threshold + 1, True) == "dense-psi"
-
-    def test_sparse_factor_beats_psi_on_tall_patterns(self):
-        # Columns with many nonzeros blow up nnz(Psi) quadratically; the
-        # factor recurrence stays linear in nnz(Q).
-        assert (
-            select_taylor_mode(512, 600, 1200, True, psi_nnz=10**5) == "sparse-factors"
-        )
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(InvalidProblemError):
@@ -328,7 +274,6 @@ class TestTaylorEngine:
             ("dense-psi", False),
             ("dense-psi", True),
             ("sparse-factors", True),
-            ("sparse-psi", True),
         ],
     )
     def test_incremental_state_matches_rebuild(self, mode, sparse):
@@ -356,8 +301,8 @@ class TestTaylorEngine:
 
     def test_charges_backend_proportionally(self):
         # Every non-Gram call charges its whole build, whatever the previous
-        # call's weights were: m^2 R to densify Psi, nnz(M) for the CSR
-        # values, nnz(Q) for the scaled stack.  The Gram rung charges nothing.
+        # call's weights were: m^2 R to densify Psi, nnz(Q) for the scaled
+        # stack.  The Gram rung charges nothing.
         dense = _packed(10, 40, seed=55)
         sparse = _packed(10, 40, sparse=True, seed=55)
         x = np.random.default_rng(56).random(10)
@@ -366,7 +311,6 @@ class TestTaylorEngine:
         builds = [
             ("gram", dense, 0.0),
             ("dense-psi", dense, 40 * 40 * dense.total_rank),
-            ("sparse-psi", sparse, sparse.psi_accumulator().map_nnz),
             ("sparse-factors", sparse, sparse.nnz),
         ]
         for mode, packed, build in builds:
@@ -380,7 +324,7 @@ class TestTaylorEngine:
 
     def test_export_state_is_the_mode(self):
         packed = _packed(8, 18, sparse=True, seed=58)
-        for mode in ("gram", "dense-psi", "sparse-psi", "sparse-factors"):
+        for mode in ("gram", "dense-psi", "sparse-factors"):
             engine = TaylorEngine(packed, mode=mode)
             engine.kernel_for(np.random.default_rng(59).random(8))
             assert engine.export_state() == {"mode": mode}
@@ -399,7 +343,10 @@ class TestTaylorEngine:
     def test_mode_validation(self):
         dense = _packed(4, 12)
         with pytest.raises(InvalidProblemError):
-            TaylorEngine(dense, mode="sparse-psi")
+            TaylorEngine(dense, mode="sparse-factors")  # needs a sparse stack
+        with pytest.raises(InvalidProblemError):
+            # No longer a mode, not even on a sparse stack.
+            TaylorEngine(_packed(4, 12, sparse=True), mode="sparse-psi")
         with pytest.raises(InvalidProblemError):
             TaylorEngine(dense, mode="bogus")
         with pytest.raises(InvalidProblemError):
@@ -463,14 +410,11 @@ class TestSelectionCostModel:
         # 1500 rank-1 constraints with ~4 nnz each in m=4000: 2R <= m, but
         # a dense 1500x1500 Gram matrix (R^2 per term) would be a large
         # regression over the 2*nnz-per-term sparse factor recurrence.
-        assert (
-            select_taylor_mode(4000, 1500, 6000, True, psi_nnz=24000)
-            == "sparse-factors"
-        )
+        assert select_taylor_mode(4000, 1500, 6000, True) == "sparse-factors"
 
     def test_sparse_gram_still_wins_when_cheapest(self):
         # Dense-ish sparse stack with small R: R^2 undercuts everything.
-        assert select_taylor_mode(100, 20, 1000, True, psi_nnz=5000) == "gram"
+        assert select_taylor_mode(100, 20, 1000, True) == "gram"
 
     def test_mode_costs_are_single_source(self):
         from repro.linalg.taylor_gram import taylor_mode_cost
@@ -480,10 +424,6 @@ class TestSelectionCostModel:
         assert taylor_mode_cost("sparse-factors", 100, 20, 500) == pytest.approx(
             2 * 500 * SPARSE_GEMM_DISCOUNT
         )
-        assert taylor_mode_cost("sparse-psi", 100, 20, 500) == float("inf")
-        assert taylor_mode_cost(
-            "sparse-psi", 100, 20, 500, psi_nnz=300
-        ) == pytest.approx(300 * SPARSE_GEMM_DISCOUNT)
         with pytest.raises(InvalidProblemError):
             taylor_mode_cost("bogus", 1, 1, 1)
 

@@ -324,7 +324,6 @@ class TestZeroRankStacks:
             packed.estimates_from_transform(np.ones((3, 4))), np.zeros(2)
         )
         assert packed.dense_columns().shape == (4, 0)
-        assert packed.psi_nnz_bound() == 0
         assert packed.gram_matrix().shape == (0, 0)
 
     @pytest.mark.parametrize("sparse", [False, True])
@@ -435,16 +434,6 @@ class TestSparseCSRBranches:
             packed.weighted_sum(weights), dense.weighted_sum(weights), atol=1e-12
         )
 
-    def test_column_nnz_and_psi_bound(self):
-        packed, dense = self._sparse_packed()
-        col_nnz = packed.column_nnz()
-        assert col_nnz.shape == (packed.total_rank,)
-        assert int(col_nnz.sum()) == packed.nnz
-        acc = packed.psi_accumulator()
-        assert acc.psi_nnz <= packed.psi_nnz_bound()
-        # Dense stacks count explicit nonzeros instead of stored entries.
-        assert dense.column_nnz().sum() == packed.nnz
-
     def test_sparse_taylor_kernel_modes_agree(self, rng):
         packed, dense = self._sparse_packed()
         weights = rng.random(6)
@@ -452,7 +441,7 @@ class TestSparseCSRBranches:
         reference = TaylorEngine(packed, mode="sparse-factors").kernel_for(
             weights
         ).apply(block, 12)
-        for mode in ("sparse-psi", "dense-psi", "gram"):
+        for mode in ("dense-psi", "gram"):
             np.testing.assert_allclose(
                 TaylorEngine(packed, mode=mode).kernel_for(weights).apply(block, 12),
                 reference,
@@ -486,9 +475,29 @@ class TestSparseCSRBranches:
         # pure policy function on the stack's measured quantities.
         packed, _ = self._sparse_packed()
         assert packed.auto_taylor_mode() == select_taylor_mode(
-            packed.dim,
-            packed.total_rank,
-            packed.nnz,
-            True,
-            psi_nnz=packed.psi_nnz_bound(),
+            packed.dim, packed.total_rank, packed.nnz, True
         )
+
+    def test_picking_a_mode_builds_nothing(self):
+        # A decision-sparse-shaped stack (m = 1024, R = 400, ~5% dense): the
+        # mode is a function of (m, R, nnz(Q), storage kind), so picking it
+        # allocates nothing of the size of Psi or its sparsity pattern.
+        import tracemalloc
+
+        from repro.linalg.taylor_gram import select_taylor_mode
+        from repro.problems.random_instances import random_factorized_packing_sdp
+
+        problem = random_factorized_packing_sdp(200, 1024, rank=2, density=0.05, rng=0)
+        packed = problem.constraints.packed()
+        assert packed.is_sparse
+        tracemalloc.start()
+        try:
+            mode = packed.auto_taylor_mode()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mode == "gram"
+        assert mode == select_taylor_mode(
+            packed.dim, packed.total_rank, packed.nnz, True
+        )
+        assert peak < 1 << 20

@@ -3,7 +3,8 @@
 ``ExactDotExpOracle`` (one eigendecomposition per call) is the only
 reference the fast oracle is checked against.  The grid holds one instance
 for each (Taylor representation, trace mode) pair the engine selects on its
-own, and every test asserts the selected pair so the grid cannot drift off
+own, plus a sparse stack with overlapping supports that runs off the Gram
+rung, and every test asserts the selected pair so the grid cannot drift off
 a mode unnoticed.  Per shape:
 
 * one oracle call at a mid-run spectrum (``lambda_max(Psi) = 4``) stays
@@ -57,7 +58,9 @@ GRID = {
         lambda: factorized_family(0, n=8, m=12, rank=2, scale=0.4),
         "dense-psi", "identity",
     ),
-    "sparse-psi/identity": (_concentrated_sparse_collection, "sparse-psi", "identity"),
+    "dense-psi/identity-sparse": (
+        _concentrated_sparse_collection, "dense-psi", "identity",
+    ),
     "sparse-factors/gram": (
         lambda: _trace_collection(11, 120, 40, kind="sparse"),
         "sparse-factors", "gram",

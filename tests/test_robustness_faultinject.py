@@ -58,6 +58,24 @@ def gram_collection(m=24, n=6, rank=1, scale=0.3, seed=7):
     return factorized_family(seed + CHAOS_SEED, n=n, m=m, rank=rank, scale=scale)
 
 
+def sparse_gram_collection(m=200, n=30, rank=2, density=0.15, scale=0.3, seed=7):
+    """A stack that stays sparse (~15% dense) with 2R = 120 <= 1.1 m: the
+    engine auto-selects gram mode on it too."""
+    rng = np.random.default_rng(seed + CHAOS_SEED)
+    return ConstraintCollection(
+        [
+            FactorizedPSDOperator(
+                sp.csr_matrix(
+                    scale
+                    * rng.standard_normal((m, rank))
+                    * (rng.random((m, rank)) < density)
+                )
+            )
+            for _ in range(n)
+        ]
+    )
+
+
 def dense_psi_collection(m=12, n=8, rank=2, scale=0.4, seed=7):
     """Total rank > m so the engine auto-selects dense-psi (blocked site)."""
     return factorized_family(seed + CHAOS_SEED, n=n, m=m, rank=rank, scale=scale)
@@ -113,18 +131,20 @@ class TestChaosRecovery:
 
     def test_multi_rung_descent_to_reference_kernel(self):
         """Persistent faults on every engine rung walk the full ladder down
-        to the reference (legacy per-term) kernel and still certify."""
-        coll = gram_collection()
-        clean = decision_psdp(coll, epsilon=0.25, oracle="fast", rng=3)
-        with inject("taylor_gram.apply", NaN, at_call=1, times=10**6, seed=CHAOS_SEED), \
-             inject("taylor_blocked.apply", NaN, at_call=1, times=10**6, seed=CHAOS_SEED):
-            faulty = decision_psdp(coll, epsilon=0.25, oracle="fast", rng=3)
-        assert faulty.status == SolveStatus.DEGRADED
-        assert faulty.outcome == clean.outcome
-        np.testing.assert_allclose(faulty.dual_value, clean.dual_value, rtol=1e-6)
-        modes = [(e["from_mode"], e["to_mode"]) for e in faulty.metadata["recovery_events"]]
-        assert ("gram", "dense-psi") in modes
-        assert any(to == "reference" for _, to in modes)
+        to the reference (legacy per-term) kernel and still certify, from a
+        dense and from a sparse stack alike: gram -> dense-psi -> reference."""
+        for coll, sparse in ((gram_collection(), False), (sparse_gram_collection(), True)):
+            assert coll.packed().is_sparse == sparse
+            clean = decision_psdp(coll, epsilon=0.25, oracle="fast", rng=3)
+            assert clean.metadata["taylor_engine"]["mode"] == "gram"
+            with inject("taylor_gram.apply", NaN, at_call=1, times=10**6, seed=CHAOS_SEED), \
+                 inject("taylor_blocked.apply", NaN, at_call=1, times=10**6, seed=CHAOS_SEED):
+                faulty = decision_psdp(coll, epsilon=0.25, oracle="fast", rng=3)
+            assert faulty.status == SolveStatus.DEGRADED
+            assert faulty.outcome == clean.outcome
+            np.testing.assert_allclose(faulty.dual_value, clean.dual_value, rtol=1e-6)
+            modes = [(e["from_mode"], e["to_mode"]) for e in faulty.metadata["recovery_events"]]
+            assert modes == [("gram", "dense-psi"), ("dense-psi", "reference")]
 
     @pytest.mark.parametrize(
         "collection", [big_collection, lanczos_collection], ids=["twin", "lanczos"]

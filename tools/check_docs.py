@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Lightweight documentation gate for CI.
 
-Six checks, any failure exits non-zero:
+Seven checks, any failure exits non-zero:
 
 1. **README snippets run.**  Every fenced ``python`` code block in
    ``README.md`` is executed (in order, each in a fresh namespace), so the
@@ -25,6 +25,12 @@ Six checks, any failure exits non-zero:
    ``benchmarks/``, ``docs/``, ``perfbench/``, ``examples/``) or naming a
    root ``BENCH_*.json`` — so a deleted file cannot leave its mentions
    behind.
+7. **Code names resolve.**  In the same files, every backticked bare or
+   dotted identifier (optionally called, ``name()``) that is not a file
+   name is split at its dots, and each part with an inner underscore or a
+   camelCase hump must occur as a word in some ``src/`` or ``tests/``
+   Python file — so a deleted class, function or constant cannot leave its
+   mentions behind either.
 
 Run from the repository root::
 
@@ -243,6 +249,14 @@ def _path_exists(path: str) -> bool:
     return bool(glob.glob(path)) if "*" in path else os.path.exists(path)
 
 
+def _doc_texts():
+    """Yield ``(path, text)`` for README.md and each docs/*.md, minus fenced code."""
+    docs = sorted(glob.glob(os.path.join(REPO_ROOT, "docs", "*.md")))
+    for path in [os.path.join(REPO_ROOT, "README.md")] + docs:
+        with open(path, encoding="utf-8") as handle:
+            yield path, re.sub(r"```.*?```", "", handle.read(), flags=re.DOTALL)
+
+
 def check_file_references() -> list[str]:
     """Resolve the file references of README.md and docs/*.md, collecting misses.
 
@@ -252,11 +266,8 @@ def check_file_references() -> list[str]:
     space are ignored).  Fenced code blocks are skipped.
     """
     failures = []
-    docs = sorted(glob.glob(os.path.join(REPO_ROOT, "docs", "*.md")))
-    for path in [os.path.join(REPO_ROOT, "README.md")] + docs:
+    for path, text in _doc_texts():
         rel = os.path.relpath(path, REPO_ROOT)
-        with open(path, encoding="utf-8") as handle:
-            text = re.sub(r"```.*?```", "", handle.read(), flags=re.DOTALL)
         for target in re.findall(r"\]\(([^)\s]+)\)", text):
             if target.startswith("#") or re.match(r"[A-Za-z][\w+.-]*:", target):
                 continue  # an anchor, or a URL such as https: or mailto:
@@ -275,6 +286,46 @@ def check_file_references() -> list[str]:
     return failures
 
 
+#: A bare or dotted identifier, optionally followed by ``()``.
+CODE_NAME = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*(?:\(\))?")
+#: Last parts that make a dotted name a file name (section 6's concern).
+FILE_EXTENSIONS = ("py", "md", "json", "npz", "txt", "yml", "yaml", "toml", "cfg", "sh")
+#: An inner underscore or a camelCase hump: the parts worth resolving.
+CODE_LIKE = re.compile(r"[A-Za-z0-9]_[A-Za-z0-9]|[a-z][A-Z]")
+
+
+def check_code_names() -> list[str]:
+    """Resolve the code names backticked in README.md and docs/*.md, collecting misses.
+
+    Every part of a :data:`CODE_NAME` span that matches :data:`CODE_LIKE`
+    must occur as a word in a ``src/`` or ``tests/`` Python file — in code,
+    a docstring or a comment, so paper notation such as ``A_i`` resolves;
+    spans ending in one of :data:`FILE_EXTENSIONS` are skipped.
+    """
+    known = set()
+    for root in ("src", "tests"):
+        pattern = os.path.join(REPO_ROOT, root, "**", "*.py")
+        for path in glob.glob(pattern, recursive=True):
+            with open(path, encoding="utf-8") as handle:
+                known.update(re.findall(r"[A-Za-z_]\w*", handle.read()))
+    failures = []
+    for path, text in _doc_texts():
+        rel = os.path.relpath(path, REPO_ROOT)
+        for span in re.findall(r"`([^`\n]+)`", text):
+            span = span.strip()
+            if not CODE_NAME.fullmatch(span):
+                continue
+            parts = span.removesuffix("()").split(".")
+            if len(parts) > 1 and parts[-1] in FILE_EXTENSIONS:
+                continue
+            for part in parts:
+                if CODE_LIKE.search(part) and part not in known:
+                    failures.append(
+                        f"{rel}: `{span}`: `{part}` occurs nowhere in src/ or tests/"
+                    )
+    return failures
+
+
 def main() -> int:
     """Run every documentation check and return the process exit code."""
     sections = (
@@ -284,6 +335,7 @@ def main() -> int:
         ("script docstring coverage", check_script_docstrings),
         ("example --smoke runs", check_example_smoke_runs),
         ("file references", check_file_references),
+        ("code names", check_code_names),
     )
     any_failed = False
     for title, check in sections:
