@@ -3,8 +3,8 @@
 A :class:`SolverCheckpoint` captures everything a decision solve needs to
 continue **bit-identically**: the weight vector and iteration index, the
 solver's loop accumulators (primal averages, last oracle values, the phased
-solver's mid-phase mask), the psi-state's incrementally-maintained buffers
-and the Lanczos start-vector stream, the fast oracle's sketch rng / Taylor-engine
+solver's mid-phase mask), the psi-state's incrementally-maintained buffers,
+the fast oracle's sketch rng / Taylor-engine
 mode / trace-estimator stream position, the supervisor's
 ladder position and recovery-event trail, and the work–depth totals.  The
 contract — certified by the chaos suite — is::
@@ -104,7 +104,9 @@ class SolverCheckpoint:
     oracle / psi / supervisor / tracker:
         The component snapshots (each component's ``export_state()``).
     eig_rng:
-        ``bit_generator.state`` of the spawned eigenvalue generator.
+        ``bit_generator.state`` of the spawned eigenvalue generator.  The
+        Lanczos starts are seeded by its seed sequence and the iteration,
+        so nothing draws from it; format 1 still writes and restores it.
     history:
         Recorded :class:`~repro.instrumentation.history.IterationRecord`
         dicts up to the capture point (``None`` when history was off).

@@ -59,10 +59,14 @@ a one-time densification of ``Psi`` (``m^2 s`` per term), or the sparse
 factor recurrence (``2 nnz(Q) s``), chosen from ``(m, R, nnz(Q))`` alone.
 On the Gram rung one ``eigh`` of ``S = W^{1/2} Q^T Q W^{1/2}`` per call
 gives the kappa, the trace and all ``n`` estimates, with no
-degree-dependent loop and no ``m``-sized work; the other representations
-(the densified ``Psi``, the scaled stack) are built from each call's
-weights, and the build's work is charged to the backend.  No kernel
-carries state from one call to the next.
+degree-dependent loop and no ``m``-sized work.  With the Gram trace and a
+degenerate sketch (every benchmarked input) the call is one flat pass —
+twin, ``eigh``, kappa, degree, the one-row spectral formula, the checks —
+that builds no kernel object and books exactly what one row of the fused
+``solve_many`` group books.  The other representations (the densified
+``Psi``, the scaled stack) are built from each call's weights, and the
+build's work is charged to the backend.  No kernel carries state from one
+call to the next.
 Every representation evaluates the identical polynomial, so the
 :class:`~repro.robustness.FastPathSupervisor` can demote a failing kernel
 to another one — down to the per-term matvec recurrence, the
@@ -87,9 +91,10 @@ At tight ``eps`` the JL dimension reaches ``m`` (the default for every
 The kernel path then reads the estimates from the polynomial applied to
 the ``(m, R)`` factor stack itself (mathematically identical — the
 identity "sketch" is a no-op) and, whenever ``R <= m``, the trace from the
-exact ``R x R`` Gram spectrum of a
-:class:`~repro.linalg.trace_estimation.TraceEstimator`; for ``R > m`` the
-``m`` identity columns are the smaller block and carry both.  The
+exact ``R x R`` Gram spectrum: the Gram rung's own, booked with the
+:class:`~repro.linalg.trace_estimation.TraceEstimator`, or off that rung
+the estimator's; for ``R > m`` the ``m`` identity columns are the smaller
+block and carry both.  The
 ``identity_taylor_applies`` counter records every ``(m, m)`` identity that
 does pass through the polynomial; the Gram trace keeps it at zero.
 """
@@ -111,12 +116,18 @@ from repro.linalg.norms import certified_kappa, certified_lambda_max
 from repro.linalg.norms import spectral_norm_power  # noqa: F401
 from repro.linalg.sketching import gaussian_sketch, jl_dimension
 from repro.linalg.taylor import taylor_degree, taylor_expm_apply
-from repro.linalg.taylor_blocked import BlockedTaylorKernel
-from repro.linalg.taylor_gram import GramTaylorKernel, TaylorEngine
-from repro.linalg.trace_estimation import TraceEstimator, lambda_max_source
+from repro.linalg.taylor_blocked import BlockedTaylorKernel, checked_kernel_output
+from repro.linalg.taylor_gram import (
+    GramTaylorKernel,
+    TaylorEngine,
+    gram_eigenpairs,
+    spectral_evaluation_row,
+)
+from repro.linalg.trace_estimation import TraceEstimator, finite_trace, lambda_max_source
 from repro.operators.collection import ConstraintCollection
-from repro.operators.packed import PackedGramFactors, segment_sums
+from repro.operators.packed import PackedGramFactors
 from repro.parallel.backends import ExecutionBackend
+from repro.robustness.faultinject import fault_hook
 from repro.utils.random_utils import RandomState, as_generator
 
 
@@ -347,7 +358,7 @@ def big_dot_exp(
     else:
         transformed = transform(packed.dense_columns())
         col_vals = np.einsum("ij,ij->j", transformed, transformed)
-    results = segment_sums(col_vals, packed.offsets)
+    results = packed.constraint_sums(col_vals)
     if counters is not None:
         counters.matvecs += packed.total_rank * (degree - 1)
         counters.factor_passes += len(packed)
@@ -355,7 +366,7 @@ def big_dot_exp(
     if not return_trace:
         return results
     if structured_trace:
-        estimate = trace_estimator.estimate(kernel, degree, scale=0.5)
+        estimate = trace_estimator.estimate(degree, scale=0.5)
         if counters is not None:
             counters.add("structured_trace_estimates")
         return results, float(estimate.value)
@@ -438,11 +449,21 @@ class FastDotExpOracle:
     at no extra cost (``|| Pi exp(Psi/2) ||_F^2``); in the degenerate-sketch
     regime (JL dimension at least ``m`` — the default configuration for
     every ``m`` below several thousand) it comes from the exact Gram
-    spectrum of a :class:`~repro.linalg.trace_estimation.TraceEstimator`
-    whenever ``R <= m``, so no ``(m, m)`` identity passes through the Taylor
-    polynomial unless ``R > m`` makes the identity push the smaller block.
-    Every variant estimates the same quantity, so the returned values are
-    directly comparable to the exact oracle's.
+    spectrum whenever ``R <= m``, so no ``(m, m)`` identity passes through
+    the Taylor polynomial unless ``R > m`` makes the identity push the
+    smaller block.  Every variant estimates the same quantity, so the
+    returned values are directly comparable to the exact oracle's.
+
+    A call on the Gram rung with the Gram trace and a degenerate sketch
+    takes one flat pass (:meth:`_gram_call`): one ``eigh`` of the Gram
+    twin gives kappa, the degree, the estimates and the trace, with the
+    checks, counters and work charge of the kernel route and no kernel
+    object.  Whether the sketch degenerates is decided at construction; it
+    reads only ``m``, ``eps`` and the sketch constant.  Every other case
+    (the dense-psi, sparse-factors and reference rungs, a demoted trace, a
+    reducing sketch, ``R = 0``) builds its kernel through the engine and
+    runs :func:`big_dot_exp`, with the trace from a bound
+    :class:`~repro.linalg.trace_estimation.TraceEstimator`.
 
     The oracle rebuilds ``Psi`` from ``x`` through the collection's cached
     :class:`~repro.operators.packed.PackedGramFactors` view and never reads
@@ -457,9 +478,10 @@ class FastDotExpOracle:
     :class:`~repro.linalg.taylor_gram.TaylorEngine`, built on the first
     call: the representation (Gram-twin spectrum / densified ``Psi`` /
     sparse factor recurrence) is selected once per stack from its
-    dimension, stacked rank and ``nnz``, and each call's kernel is
-    built from that call's ``x`` (outside the Gram rung, the build's work is
-    charged to ``backend`` under ``taylor-engine-update``).  The
+    dimension, stacked rank and ``nnz``, and each call off the flat pass
+    builds its kernel from that call's ``x`` (outside the Gram rung, the
+    build's work is charged to ``backend`` under ``taylor-engine-update``).
+    The
     :class:`~repro.robustness.FastPathSupervisor` demotes a failing
     representation and, at the floor of its ladder, sets :attr:`reference`:
     the per-term matvec recurrence through the packed factors with the
@@ -509,6 +531,17 @@ class FastDotExpOracle:
         self._engine: TaylorEngine | None = None
         self._packed = constraints.packed()
         self._trace_estimator = TraceEstimator(self._packed)
+        m = constraints.dim
+        # Rows of the JL sketch; at m the sketch is the identity, and the
+        # estimates come off the factor stack itself.
+        self._sketch_dim = (
+            min(jl_dimension(m, self.eps / 2.0, constant=self.sketch_constant), m)
+            if m else 0
+        )
+        #: Whether a call on the Gram rung with the Gram trace takes the
+        #: flat pass (:meth:`_gram_call`): the sketch is degenerate and the
+        #: stack is not empty.
+        self._flat_gram = self._sketch_dim == m and self._packed.total_rank > 0
 
     @property
     def packed(self) -> PackedGramFactors:
@@ -540,7 +573,6 @@ class FastDotExpOracle:
             raise InvalidProblemError(
                 "the fast oracle requires the weight vector x (psi may be None)"
             )
-        m = self.constraints.dim
         weights = np.asarray(x, dtype=np.float64)
         if self.reference:
             # Ladder floor: the per-term recurrence through the factored
@@ -549,22 +581,26 @@ class FastDotExpOracle:
             matvec = self._packed.matvec_fn(weights)
             tracer = spectrum = None
         else:
-            # The kernel is built from x rather than from the caller's psi
-            # (callers may pass psi=None).  On the Gram rung its one eigh
-            # is the call's spectrum; otherwise binding the tracer computes
-            # it in Gram trace mode, and a dense-psi kernel's host Psi is
-            # the kappa source when R > m.
             if self._engine is None:
                 self._engine = TaylorEngine(self._packed)
+            if (
+                self._flat_gram
+                and self._engine.mode == "gram"
+                and self._trace_estimator.mode == "gram"
+            ):
+                return self._gram_call(weights)
+            # The kernel is built from x rather than from the caller's psi
+            # (callers may pass psi=None).  A Gram kernel's one eigh is the
+            # call's spectrum; otherwise the bound tracer's, in Gram trace
+            # mode, and a dense-psi kernel's host Psi is the kappa source
+            # when R > m.
             operator = self._engine.kernel_for(weights, backend=self.backend)
             matvec = operator.matvec
+            tracer = self._trace_estimator.bind(weights)
             if isinstance(operator, GramTaylorKernel):
                 spectrum, host_psi = operator.spectrum, None
             else:
-                spectrum, host_psi = None, operator.host_psi
-            tracer = self._trace_estimator.bind(weights, spectrum=spectrum)
-            if spectrum is None:
-                spectrum = tracer.spectrum
+                spectrum, host_psi = tracer.spectrum, operator.host_psi
         kappa, kappa_work = self._kappa(weights, matvec, spectrum, host_psi)
         trace_calls_before = tracer.calls if tracer is not None else 0
         estimates, trace_estimate = big_dot_exp(
@@ -575,34 +611,82 @@ class FastDotExpOracle:
             rng=self.rng,
             sketch_constant=self.sketch_constant,
             counters=self.counters,
-            dim=m,
+            dim=self.constraints.dim,
             return_trace=True,
             trace_estimator=tracer,
         )
-        if trace_estimate <= 0:
-            raise InvalidProblemError(
-                "sketched trace estimate is non-positive; increase the sketch dimension"
-            )
+        _check_positive(trace_estimate)
         values = estimates / trace_estimate
-        sketch_dim = min(jl_dimension(m, self.eps / 2.0, constant=self.sketch_constant), m)
         degree = taylor_degree(kappa / 2.0, self.eps / 2.0)
-        # Work in the Corollary 1.2 units: each of the `degree` polynomial
-        # steps applies Psi to the block through the factors (O(q) per
-        # column), plus one pass over the factor nonzeros for the estimates.
         # When the structured trace estimator handled the degenerate-regime
         # normalisation, the block is the (m, R) factor stack — not the
-        # (m, m) identity — and the estimator's own model work
-        # (the R x R eigendecomposition) rides along, so the charge reflects
-        # what actually ran; so does a kappa eigensolve or Lanczos of its own.
-        q = self.constraints.total_nnz
+        # (m, m) identity — and the estimator's own model work (the R x R
+        # eigendecomposition) rides along, so the charge reflects what
+        # actually ran; so does a kappa eigensolve or Lanczos of its own.
         if tracer is not None and tracer.calls > trace_calls_before:
-            columns = self._packed.total_rank
-            work = float(columns * degree * max(q, m) + q + tracer.last.extra_work)
+            work = self._model_work(self._packed.total_rank, degree, tracer.last.extra_work)
         else:
-            work = float(sketch_dim * degree * max(q, m) + q)
+            work = self._model_work(self._sketch_dim, degree)
         work += kappa_work
         self.counters.flops_estimate += work
         return OracleOutput(values=values, trace=trace_estimate, work=work)
+
+    def _gram_call(self, weights: np.ndarray) -> OracleOutput:
+        """One call on the Gram rung with the Gram trace and a degenerate sketch.
+
+        The kernel route (``kernel_for`` → :class:`GramTaylorKernel` →
+        ``bind`` → :func:`big_dot_exp` → ``estimate``) flattened, with each
+        of its checks at the same fault site: one ``eigh`` of the Gram twin
+        (:func:`~repro.linalg.taylor_gram.gram_eigenpairs`) gives kappa,
+        the degree, and through
+        :func:`~repro.linalg.taylor_gram.spectral_evaluation_row` the
+        column values and the trace.  The trace, the counters and the work
+        are booked as for one row of the fused ``solve_many`` group.
+        """
+        packed = self._packed
+        gram = packed.gram_matrix()
+        col_w = packed.expand_weights(weights)
+        eigenvalues, eigenvectors = gram_eigenpairs(gram, col_w)
+        degree = taylor_degree(certified_kappa(eigenvalues) / 2.0, self.eps / 2.0)
+        col_vals, trace = spectral_evaluation_row(
+            gram, col_w, eigenvalues, eigenvectors, degree, packed.dim
+        )
+        checked_kernel_output(col_vals, GramTaylorKernel.fault_site, "gram")
+        estimates = packed.constraint_sums(col_vals)
+        fault_hook("trace_estimation", kernel_mode="gram")
+        _check_positive(finite_trace(trace))
+        estimate = self._trace_estimator.record_gram_estimate(trace, degree)
+        work = self._book_gram_call(degree, estimate)
+        return OracleOutput(values=estimates / trace, trace=trace, work=work)
+
+    def _model_work(self, columns: int, degree: int, extra: float = 0.0) -> float:
+        """A call's work in the Corollary 1.2 units, plus ``extra``.
+
+        Each of the ``degree`` polynomial steps applies ``Psi`` to the
+        ``columns``-wide block through the factors (``O(q)`` per column),
+        plus one pass over the factor nonzeros for the estimates.
+        """
+        q = self.constraints.total_nnz
+        return float(columns * degree * max(q, self.constraints.dim) + q + extra)
+
+    def _book_gram_call(self, degree: int, trace_estimate) -> float:
+        """The counters and work charge of one Gram-rung pass, flat or fused.
+
+        ``trace_estimate`` is the pass's booked
+        :class:`~repro.linalg.trace_estimation.TraceEstimate`.  Returns the
+        work in model units.
+        """
+        packed = self._packed
+        counters = self.counters
+        counters.add("norm_estimates")
+        counters.record_call()
+        counters.matvecs += packed.total_rank * (degree - 1)
+        counters.factor_passes += len(packed)
+        counters.add("packed_estimate_gemms")
+        counters.add("structured_trace_estimates")
+        work = self._model_work(packed.total_rank, degree, trace_estimate.extra_work)
+        counters.flops_estimate += work
+        return work
 
     def _kappa(
         self, weights: np.ndarray, matvec, spectrum, psi: np.ndarray | None
@@ -706,28 +790,23 @@ class FastDotExpOracle:
         sequential call would have — the kappa's ``norm_estimates`` tally
         included.  ``trace_estimate`` is the
         :class:`~repro.linalg.trace_estimation.TraceEstimate` the instance's
-        own estimator returned for this pass (the estimator updates its own
-        call/extra-work tallies inside ``estimate``).  Returns the work
-        charge in model units.  The first pass builds the engine, as the
-        first sequential call does, so the ``taylor_engine`` metadata
-        matches.
+        own estimator booked for this pass
+        (:meth:`~repro.linalg.trace_estimation.TraceEstimator.record_gram_estimate`).
+        Returns the work charge in model units.  The first pass builds the
+        engine, as the first sequential call does, so the ``taylor_engine``
+        metadata matches.
         """
-        packed = self._packed
         if self._engine is None:
-            self._engine = TaylorEngine(packed)
-        self.counters.add("norm_estimates")
-        self.counters.record_call()
-        self.counters.matvecs += packed.total_rank * (degree - 1)
-        self.counters.factor_passes += len(packed)
-        self.counters.add("packed_estimate_gemms")
-        self.counters.add("structured_trace_estimates")
-        q = self.constraints.total_nnz
-        m = self.constraints.dim
-        work = float(
-            packed.total_rank * degree * max(q, m) + q + trace_estimate.extra_work
+            self._engine = TaylorEngine(self._packed)
+        return self._book_gram_call(degree, trace_estimate)
+
+
+def _check_positive(trace: float) -> None:
+    """Reject a non-positive trace normalisation."""
+    if trace <= 0:
+        raise InvalidProblemError(
+            "sketched trace estimate is non-positive; increase the sketch dimension"
         )
-        self.counters.flops_estimate += work
-        return work
 
 
 def oracle_engine_metadata(oracle) -> dict:

@@ -31,8 +31,11 @@ is feasible without any tolerance.  The dense state takes ``lambda`` from
 an ``eigvalsh`` of its ``Psi``; the implicit state from the smaller Gram
 twin by the fast oracle's own kappa rule
 (:func:`~repro.linalg.trace_estimation.lambda_max_source`); both run one
-cold, seeded Lanczos plus its residual above
-:data:`~repro.linalg.norms.KAPPA_EIG_CUTOFF`.
+cold Lanczos plus its residual above
+:data:`~repro.linalg.norms.KAPPA_EIG_CUTOFF`.  The Lanczos start is seeded
+by ``(run seed, iteration)`` alone, so every bound is a function of ``x``,
+the seed and the iteration, whatever ``lambda_max`` calls (history
+records, certificate checks) came before it.
 
 Both states expose the same counters (:meth:`PsiState.stats`) which the
 solvers surface in ``DecisionResult.metadata["psi_state"]`` so regression
@@ -93,8 +96,9 @@ class PsiState:
         self.constraints = constraints
         self.dim = int(constraints.dim)
         self.x = np.asarray(x0, dtype=np.float64).copy()
-        # Spawned generator for the Lanczos start vectors above the
-        # eigensolver cutoff (never shared with the oracle's sketch stream).
+        # Spawned generator whose seed sequence seeds the Lanczos starts
+        # above the eigensolver cutoff (never shared with the oracle's
+        # sketch stream).
         self._eig_rng = as_generator(eig_rng)
         self.matvec_count = 0
         self.densify_count = 0
@@ -116,13 +120,15 @@ class PsiState:
         """
         raise NotImplementedError  # pragma: no cover - subclasses implement
 
-    def lambda_max(self, final: bool = False) -> tuple[float, float]:
+    def lambda_max(self, final: bool = False, iteration: int = 0) -> tuple[float, float]:
         """``(bound, measured model work)``, ``bound >= lambda_max(Psi)``.
 
         The bound is :func:`~repro.linalg.norms.certified_lambda_max`'s
         ``(1 + KAPPA_SLACK) lambda``.  ``final=True`` marks the one
         result-build (dual-rescale) call: the dense state then recomputes
-        ``Psi`` fresh from ``x`` (the seed semantics).
+        ``Psi`` fresh from ``x`` (the seed semantics).  ``iteration`` seeds
+        the Lanczos start (:meth:`_lanczos_seed`), so calls at one
+        iteration return the same bound for the same ``x``.
         """
         raise NotImplementedError  # pragma: no cover - subclasses implement
 
@@ -130,7 +136,22 @@ class PsiState:
         """The dense ``(m, m)`` matrix ``Psi`` (lazy and cached when implicit)."""
         raise NotImplementedError  # pragma: no cover - subclasses implement
 
-    def _certified(self, source, work_per_matvec: float) -> tuple[float, float]:
+    def _lanczos_seed(self, iteration: int) -> np.random.SeedSequence:
+        """The Lanczos start's seed at ``iteration``: the spawned stream's own
+        seed sequence extended by the iteration (its ``iteration``-th child).
+
+        Nothing is drawn from the stream itself, so no call shifts a later
+        call's start.
+        """
+        seq = self._eig_rng.bit_generator.seed_seq
+        return np.random.SeedSequence(
+            seq.entropy, spawn_key=tuple(seq.spawn_key) + (int(iteration),),
+            pool_size=seq.pool_size,
+        )
+
+    def _certified(
+        self, source, work_per_matvec: float, iteration: int
+    ) -> tuple[float, float]:
         """The certified rung's bound from ``source``, and its model work.
 
         ``psi_state.lambda_max`` is the rung's one fault site; it fires on
@@ -139,7 +160,9 @@ class PsiState:
         self.lambda_max_calls += 1
         fault_hook("psi_state.lambda_max")
         info: dict = {}
-        value = certified_lambda_max(source, dim=self.dim, rng=self._eig_rng, info=info)
+        value = certified_lambda_max(
+            source, dim=self.dim, rng=self._lanczos_seed(iteration), info=info
+        )
         self.lambda_max_matvecs += info["matvecs"]
         return value, info["matvecs"] * work_per_matvec
 
@@ -259,17 +282,18 @@ class DensePsiState(PsiState):
                 )
         return float(self.constraints.total_nnz + n)
 
-    def lambda_max(self, final: bool = False) -> tuple[float, float]:
+    def lambda_max(self, final: bool = False, iteration: int = 0) -> tuple[float, float]:
         """The certified bound from ``eigvalsh`` of ``Psi`` (Lanczos above the cutoff).
 
         ``m <= KAPPA_EIG_CUTOFF`` takes one ``eigvalsh`` of ``Psi``; above
-        it, one seeded Lanczos plus its residual.  The work is the measured
-        operator applications times the dense per-matvec cost ``m^2``.
+        it, one Lanczos from the ``iteration``'s seeded start plus its
+        residual.  The work is the measured operator applications times
+        the dense per-matvec cost ``m^2``.
         """
         if self.dim == 0:
             return 0.0, 0.0
         matrix = self.constraints.weighted_sum(self.x) if final else self._psi
-        return self._certified(matrix, float(self.dim) ** 2)
+        return self._certified(matrix, float(self.dim) ** 2, iteration)
 
     def densify(self) -> np.ndarray:
         """The maintained dense matrix (already materialised; not counted)."""
@@ -372,19 +396,21 @@ class ImplicitPsiState(PsiState):
         self._dense = None
         return float(len(self.x))
 
-    def lambda_max(self, final: bool = False) -> tuple[float, float]:
+    def lambda_max(self, final: bool = False, iteration: int = 0) -> tuple[float, float]:
         """The certified bound by the fast oracle's kappa rule.
 
         :func:`~repro.linalg.trace_estimation.lambda_max_source` picks the
         source: the Gram twin's spectrum (``R <= m``) or ``Psi`` itself
         (``m < R``) while ``min(m, R) <= KAPPA_EIG_CUTOFF``, charged as one
-        dense eigendecomposition of that size; above it, seeded Lanczos
-        through the factored matvec, charged per sweep.  No state carries
-        over between calls, so ``final`` changes nothing here.
+        dense eigendecomposition of that size; above it, Lanczos from the
+        ``iteration``'s seeded start through the factored matvec, charged
+        per sweep.  No state carries over between calls, so ``final``
+        changes nothing here.
         """
         if self.dim == 0:
             return 0.0, 0.0
-        return self._certified(*lambda_max_source(self._packed, self.x, self._apply()))
+        source, work = lambda_max_source(self._packed, self.x, self._apply())
+        return self._certified(source, work, iteration)
 
     def densify(self) -> np.ndarray:
         """Materialise ``Psi`` once, on demand (cached until ``add_delta``)."""

@@ -342,7 +342,7 @@ def certified_lambda_max(
         if source.ndim == 2 and source.shape[0] > 0:
             dense = source.toarray() if sp.issparse(source) else source
             spectrum = np.linalg.eigvalsh(np.asarray(dense, dtype=np.float64))
-        lam = float(np.max(spectrum)) if spectrum.size else 0.0
+        lam = float(spectrum.max()) if spectrum.size else 0.0
         info["matvecs"] = source.shape[0]
     else:
         matrix = source.tocsr() if sp.issparse(source) else np.asarray(source, dtype=np.float64)

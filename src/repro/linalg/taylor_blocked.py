@@ -38,7 +38,7 @@ import scipy.sparse as sp
 from repro.exceptions import InvalidProblemError, NumericalError
 from repro.robustness.faultinject import fault_hook_array
 
-__all__ = ["BlockedTaylorKernel", "densified_psi"]
+__all__ = ["BlockedTaylorKernel", "checked_kernel_output", "densified_psi"]
 
 
 def _stack_dtype(q: np.ndarray | sp.spmatrix) -> np.dtype:
@@ -96,6 +96,24 @@ def densified_psi(
     return 0.5 * (psi + psi.T)
 
 
+def checked_kernel_output(out: np.ndarray, site: str, mode: str | None) -> np.ndarray:
+    """``out`` after the fault hook and finiteness check of a kernel at ``site``.
+
+    A non-finite entry raises :class:`~repro.exceptions.NumericalError`
+    attributed to ``site`` and ``mode``, which the supervisor's ladder
+    demotes on.
+    """
+    fault_hook_array(site, out)
+    if not np.isfinite(out).all():
+        raise NumericalError(
+            "fused Taylor expm evaluation overflowed; reduce the spectral "
+            "norm of psi (e.g. by splitting exp(psi) = exp(psi/2)^2) or the degree",
+            site=site,
+            kernel_mode=mode,
+        )
+    return out
+
+
 class _FusedTaylorApplyBase:
     """Shared block-apply driver of the fused Taylor kernels.
 
@@ -151,15 +169,7 @@ class _FusedTaylorApplyBase:
 
     def _checked(self, out: np.ndarray) -> np.ndarray:
         """The fault hook and finiteness check every kernel output passes."""
-        fault_hook_array(self.fault_site, out)
-        if not np.all(np.isfinite(out)):
-            raise NumericalError(
-                "fused Taylor expm evaluation overflowed; reduce the spectral "
-                "norm of psi (e.g. by splitting exp(psi) = exp(psi/2)^2) or the degree",
-                site=self.fault_site,
-                kernel_mode=getattr(self, "mode", None),
-            )
-        return out
+        return checked_kernel_output(out, self.fault_site, getattr(self, "mode", None))
 
     def _apply_block(self, block: np.ndarray, degree: int, scale: float) -> np.ndarray:
         raise NotImplementedError  # pragma: no cover - subclasses implement

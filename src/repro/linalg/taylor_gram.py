@@ -22,8 +22,9 @@ call's weights:
   a block apply is two ``(m, R)`` projections around ``R x R`` products at
   a cost independent of the degree, and the oracle's factor-column values
   ``||p(s Psi) q_c||^2`` need no ``m``-sized work at all
-  (:func:`spectral_evaluation`).  The win when the stacked rank
-  satisfies ``2R <= GRAM_HYSTERESIS * m``.
+  (:func:`spectral_evaluation_row` for one weight vector,
+  :func:`spectral_evaluation` for a batch of them).  The win when the
+  stacked rank satisfies ``2R <= GRAM_HYSTERESIS * m``.
 * **Selection policy** (:func:`select_taylor_mode`): compares the modelled
   per-term costs of the applicable representations — Gram space, densified
   ``Psi`` and the sparse factor recurrence (discounted by the measured
@@ -47,6 +48,7 @@ modes differ only in floating-point rounding order, which the tests in
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -64,9 +66,11 @@ __all__ = [
     "GramTaylorKernel",
     "TaylorEngine",
     "batched_gram_eigh",
+    "gram_eigenpairs",
     "gram_twin",
     "select_taylor_mode",
     "spectral_evaluation",
+    "spectral_evaluation_row",
     "taylor_mode_cost",
     "GRAM_HYSTERESIS",
     "SPARSE_GEMM_DISCOUNT",
@@ -215,6 +219,39 @@ def batched_gram_eigh(
     return eigenvalues, eigenvectors
 
 
+def gram_eigenpairs(gram: np.ndarray, col_weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(eigenvalues, eigenvectors)`` of one :func:`gram_twin`, eigenvalues clipped at 0.
+
+    A failed eigensolver or a non-finite spectrum (``eigh`` returns ``nan``
+    for a non-finite twin) raises :class:`~repro.exceptions.NumericalError`
+    at ``taylor_gram.apply``, so the supervisor demotes the Gram rung like
+    any other kernel failure.
+    """
+    try:
+        eigenvalues, eigenvectors = np.linalg.eigh(gram_twin(gram, col_weights))
+    except np.linalg.LinAlgError:
+        eigenvalues = None
+    if eigenvalues is None or not np.isfinite(eigenvalues).all():
+        raise NumericalError(
+            "Gram-twin eigendecomposition failed",
+            site=GramTaylorKernel.fault_site,
+            kernel_mode="gram",
+        )
+    # np.clip(x, 0.0, None) is this ufunc, without the wrapper's overhead.
+    np.maximum(eigenvalues, 0.0, out=eigenvalues)
+    return eigenvalues, eigenvectors
+
+
+@functools.lru_cache(maxsize=64)
+def _horner_coefficients(degree: int, scale: float) -> tuple[float, ...]:
+    """``scale / i!`` for ``i = degree - 1, ..., 1``: the ratio series' Horner order."""
+    coef, c = [], scale
+    for i in range(1, degree):
+        c /= i  # scale / i!; dividing by 1 is exact
+        coef.append(c)
+    return tuple(reversed(coef))
+
+
 def _ratio_series(eigenvalues: np.ndarray, degrees: np.ndarray, scale: float) -> np.ndarray:
     """``r(lambda) = (p(scale * lambda) - 1) / lambda`` at each row's degree.
 
@@ -222,22 +259,29 @@ def _ratio_series(eigenvalues: np.ndarray, degrees: np.ndarray, scale: float) ->
     ``y = scale * lambda``: non-negative terms for ``lambda >= 0``, so no
     cancellation, and ``r(0) = scale`` (``0`` at ``k = 1``).  A row below
     the top degree gets zero leading coefficients, which leaves it bitwise
-    equal to a one-row call.
+    equal to :func:`_ratio_row`.
     """
     degrees = np.asarray(degrees, dtype=np.int64)
     top = int(degrees.max(initial=1))
-    coef = [scale]  # coef[i - 1] = scale / i!
-    for i in range(2, top):
-        coef.append(coef[-1] / i)
     ragged = int(degrees.min()) < top
     y = eigenvalues * scale
     ratio = np.zeros_like(eigenvalues)
-    for i in range(top - 1, 0, -1):
+    for i, c in zip(range(top - 1, 0, -1), _horner_coefficients(top, scale)):
         ratio *= y
         if ragged:
-            ratio += np.where(degrees > i, coef[i - 1], 0.0)[:, None]
+            ratio += np.where(degrees > i, c, 0.0)[:, None]
         else:
-            ratio += coef[i - 1]
+            ratio += c
+    return ratio
+
+
+def _ratio_row(eigenvalues: np.ndarray, degree: int, scale: float) -> np.ndarray:
+    """:func:`_ratio_series` of one spectrum at one degree, bitwise."""
+    y = eigenvalues * scale
+    ratio = np.zeros(eigenvalues.shape, eigenvalues.dtype)
+    for c in _horner_coefficients(degree, scale):
+        ratio *= y
+        ratio += c
     return ratio
 
 
@@ -262,7 +306,9 @@ def spectral_evaluation(
 
     and ``Tr[p(s Psi)^2] = (m - R) + sum_j p_j^2``: one ``R x R`` GEMM per
     row, no ``m``-sized work.  Non-finite results are left for the caller
-    to detect.  The sequential kernel calls this with ``B = 1``.
+    to detect.  The fused ``solve_many`` group runs this; a single oracle
+    call runs :func:`spectral_evaluation_row`, which equals row ``b``
+    bitwise.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         ratio = _ratio_series(eigenvalues, degrees, scale)
@@ -274,6 +320,31 @@ def spectral_evaluation(
         values = np.diagonal(gram, axis1=1, axis2=2) + tail[:, 0, :]
         traces = float(dim - poly.shape[1]) + (poly * poly).sum(axis=1)
     return values, traces
+
+
+def spectral_evaluation_row(
+    gram: np.ndarray,
+    col_weights: np.ndarray,
+    eigenvalues: np.ndarray,
+    eigenvectors: np.ndarray,
+    degree: int,
+    dim: int,
+    scale: float = 0.5,
+) -> tuple[np.ndarray, float]:
+    """``(values, trace)`` of :func:`spectral_evaluation` for one weight vector.
+
+    The same operations in the same order, without the batch axis and on
+    the cached ratio-series coefficients, so every bit equals the batched
+    row's.  Non-finite results are left for the caller to detect.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = _ratio_row(eigenvalues, degree, scale)
+        poly = 1.0 + eigenvalues * ratio
+        h = ratio * (1.0 + poly)
+        proj = eigenvectors.T @ (np.sqrt(col_weights)[:, None] * gram)
+        values = gram.diagonal() + h @ (proj * proj)
+        trace = float(dim - poly.shape[0]) + (poly * poly).sum()
+    return values, float(trace)
 
 
 class GramTaylorKernel(_FusedTaylorApplyBase):
@@ -337,27 +408,9 @@ class GramTaylorKernel(_FusedTaylorApplyBase):
         self._trace = None
 
     def _eigenpairs(self):
-        """``(lambda, V)`` of the Gram twin, computed once per kernel.
-
-        A failed eigensolver or a non-finite spectrum (``eigh`` returns
-        ``nan`` for a non-finite twin) raises
-        :class:`~repro.exceptions.NumericalError` at :attr:`fault_site`, so
-        the supervisor demotes the Gram rung like any other kernel failure.
-        """
+        """``(lambda, V)`` of the Gram twin (:func:`gram_eigenpairs`), once per kernel."""
         if self._eig is None:
-            try:
-                eigenvalues, eigenvectors = np.linalg.eigh(
-                    gram_twin(self._qtq, self._col_w)
-                )
-            except np.linalg.LinAlgError:
-                eigenvalues = None
-            if eigenvalues is None or not np.isfinite(eigenvalues).all():
-                raise NumericalError(
-                    "Gram-twin eigendecomposition failed",
-                    site=self.fault_site,
-                    kernel_mode=self.mode,
-                )
-            self._eig = (np.clip(eigenvalues, 0.0, None), eigenvectors)
+            self._eig = gram_eigenpairs(self._qtq, self._col_w)
         return self._eig
 
     @property
@@ -395,12 +448,9 @@ class GramTaylorKernel(_FusedTaylorApplyBase):
         if self.total_rank == 0:
             values, trace = np.zeros(0, dtype=self.dtype), float(self.dim)
         else:
-            eigenvalues, eigenvectors = self._eigenpairs()
-            values, traces = spectral_evaluation(
-                self._qtq[None], self._col_w[None], eigenvalues[None],
-                eigenvectors[None], np.array([degree]), self.dim, scale=scale,
+            values, trace = spectral_evaluation_row(
+                self._qtq, self._col_w, *self._eigenpairs(), degree, self.dim, scale=scale
             )
-            values, trace = values[0], float(traces[0])
         self._trace = (degree, scale, trace)
         return values
 
@@ -428,7 +478,7 @@ class GramTaylorKernel(_FusedTaylorApplyBase):
         if self.total_rank == 0 or degree == 1:
             return np.array(block, dtype=self.dtype, copy=True)
         eigenvalues, eigenvectors = self._eigenpairs()
-        ratio = _ratio_series(eigenvalues[None], np.array([degree]), scale)[0]
+        ratio = _ratio_row(eigenvalues, degree, scale)
         root = np.sqrt(self._col_w)
         # W^{1/2} V diag(r) V^T W^{1/2} (Q^T B)
         inner = eigenvectors.T @ (root[:, None] * (self._q.T @ block))

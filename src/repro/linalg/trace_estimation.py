@@ -22,15 +22,18 @@ oracle call: ``Tr[p(Psi/2)^2] = || p(Psi/2) I ||_F^2``.
   one ``R x R`` symmetric eigendecomposition plus ``R`` scalar polynomial
   evaluations.  ``p(s lambda) = 1 + lambda r(lambda)`` comes from the Gram
   kernel's own ratio series
-  (:func:`~repro.linalg.taylor_gram.spectral_evaluation`), so every
+  (:func:`~repro.linalg.taylor_gram.spectral_evaluation_row`), so every
   representation evaluates the one scalar Lemma 4.2 polynomial.  The
   largest ``lambda_j`` is ``||Psi||_2`` exactly, so the fast oracle takes
-  its Lemma 4.2 ``kappa`` from the same spectrum
-  (:attr:`TraceEstimator.spectrum`, set once per call by
-  :meth:`TraceEstimator.bind`).  On the Gram Taylor rung that spectrum is
-  the :class:`~repro.linalg.taylor_gram.GramTaylorKernel`'s own ``eigh``,
-  which also yields the Theorem 4.1 estimates, so the call runs one
-  eigendecomposition in all.
+  its Lemma 4.2 ``kappa`` from the same spectrum.  Where that spectrum
+  comes from depends on the Taylor rung.  On the Gram rung the oracle's
+  flat pass takes it, the Theorem 4.1 estimates and the trace from one
+  ``eigh`` of the twin and books the trace through
+  :meth:`TraceEstimator.record_gram_estimate`, as the fused ``solve_many``
+  group does for each of its rows.  Off the Gram rung the spectrum is
+  :attr:`TraceEstimator.spectrum`, one ``eigvalsh`` of the twin for the
+  weights :meth:`TraceEstimator.bind` bound, and
+  :meth:`TraceEstimator.estimate` evaluates the trace on it.
 * **Identity push** (mode ``"identity"``, when ``R > m``) — the ``m``
   identity columns are fewer than the ``R`` factor columns and carry both
   the estimates and the trace.  It is also the floor the supervisor
@@ -49,12 +52,13 @@ import numpy as np
 from repro.exceptions import CheckpointError, InvalidProblemError, NumericalError
 from repro.linalg.norms import KAPPA_EIG_CUTOFF
 from repro.linalg.taylor_blocked import densified_psi
-from repro.linalg.taylor_gram import GramTaylorKernel, _ratio_series, gram_twin
+from repro.linalg.taylor_gram import _ratio_row, gram_twin
 from repro.robustness.faultinject import fault_hook
 
 __all__ = [
     "TraceEstimate",
     "TraceEstimator",
+    "finite_trace",
     "gram_exp_trace",
     "gram_spectrum",
     "lambda_max_source",
@@ -160,12 +164,12 @@ def spectrum_exp_trace(
     if degree < 1:
         raise InvalidProblemError(f"degree must be >= 1, got {degree}")
     with np.errstate(over="ignore", invalid="ignore"):
-        poly = 1.0 + eigenvalues * _ratio_series(eigenvalues[None], np.array([degree]), scale)
-        trace = float(dim - r) + float((poly * poly).sum(axis=1)[0])
-    return _finite_trace(trace)
+        poly = 1.0 + eigenvalues * _ratio_row(eigenvalues, degree, scale)
+        trace = float(dim - r) + float((poly * poly).sum())
+    return finite_trace(trace)
 
 
-def _finite_trace(trace: float) -> float:
+def finite_trace(trace: float) -> float:
     """``trace``, or :class:`~repro.exceptions.NumericalError` if it overflowed."""
     if not np.isfinite(trace):
         raise NumericalError(
@@ -221,7 +225,9 @@ class TraceEstimator:
     degenerate-sketch regime and the ``use_sketch=False`` path).  The mode
     is resolved once at construction from the stack's immutable shape
     (:func:`select_trace_mode`); weight-dependent inputs are rebound per
-    oracle call through :meth:`bind`.
+    oracle call through :meth:`bind`.  Traces computed elsewhere from a
+    Gram-twin spectrum (the oracle's flat Gram pass, the fused batch) are
+    booked through :meth:`record_gram_estimate`.
 
     Parameters
     ----------
@@ -256,10 +262,10 @@ class TraceEstimator:
         self.extra_work = 0.0
         self.last: TraceEstimate | None = None
         self._mode_counts: dict[str, int] = {}
-        #: Gram-twin spectrum of ``Psi`` at the bound weights (mode
-        #: ``"gram"`` only, else ``None``): the oracle's ``kappa`` reads its
-        #: top entry and the Gram trace estimate reuses it.
-        self.spectrum: np.ndarray | None = None
+        # The weights of the last bind() and their Gram-twin spectrum, which
+        # the first read of `spectrum` computes.
+        self._weights: np.ndarray | None = None
+        self._spectrum: np.ndarray | None = None
 
     @property
     def structured(self) -> bool:
@@ -298,8 +304,8 @@ class TraceEstimator:
     def export_state(self) -> dict:
         """Checkpointable snapshot of the estimator's mutable state.
 
-        :attr:`spectrum` (rebound per oracle call) is derived data and
-        deliberately absent.
+        The bound weights and :attr:`spectrum` (rebound per oracle call)
+        are derived data and deliberately absent.
         """
         return {
             "mode": self.mode,
@@ -334,56 +340,55 @@ class TraceEstimator:
         self._mode_counts = dict(state["mode_counts"])
         self.last = None
 
-    def bind(
-        self, weights: np.ndarray, spectrum: np.ndarray | None = None
-    ) -> "TraceEstimator":
+    def bind(self, weights: np.ndarray) -> "TraceEstimator":
         """Bind the per-constraint weights of the current oracle call.
 
-        In mode ``"gram"`` this sets :attr:`spectrum` — from which the
-        oracle takes its Lemma 4.2 ``kappa`` before the Taylor step and the
-        Gram trace estimate its value after it: the given ``spectrum``
-        (the Gram Taylor kernel's, on the Gram rung), else one ``R x R``
-        ``eigvalsh``.  Returns ``self`` so the oracle can hand the bound
-        estimator straight to :func:`~repro.core.dotexp.big_dot_exp`
-        (which has no weight argument of its own — the weights are exactly
-        what generated its ``phi``).
+        Binding computes nothing: in mode ``"gram"`` the first read of
+        :attr:`spectrum` after it runs the one ``R x R`` ``eigvalsh``.
+        Returns ``self`` so the oracle can hand the bound estimator straight
+        to :func:`~repro.core.dotexp.big_dot_exp` (which has no weight
+        argument of its own — the weights are exactly what generated its
+        ``phi``).
         """
-        if self.mode != "gram":
-            self.spectrum = None
-        elif spectrum is not None:
-            self.spectrum = spectrum
-        else:
-            self.spectrum = gram_spectrum(
-                self.packed.gram_matrix(), self.packed.expand_weights(weights)
-            )
+        self._weights = weights
+        self._spectrum = None
         return self
 
+    @property
+    def spectrum(self) -> np.ndarray | None:
+        """Gram-twin spectrum of ``Psi`` at the bound weights (:func:`gram_spectrum`).
+
+        ``None`` outside mode ``"gram"`` or before :meth:`bind`.  The
+        oracle's ``kappa`` reads its top entry and the Gram trace estimate
+        reuses it.
+        """
+        if self.mode != "gram" or self._weights is None:
+            return None
+        if self._spectrum is None:
+            self._spectrum = gram_spectrum(
+                self.packed.gram_matrix(), self.packed.expand_weights(self._weights)
+            )
+        return self._spectrum
+
     # ------------------------------------------------------------------ modes
-    def _gram_estimate(self, kernel, degree: int, scale: float) -> TraceEstimate:
-        if self.spectrum is None:
+    def _gram_estimate(self, degree: int, scale: float) -> TraceEstimate:
+        spectrum = self.spectrum
+        if spectrum is None:
             raise InvalidProblemError(
                 "bind(weights) must be called before a Gram trace estimate"
             )
-        if isinstance(kernel, GramTaylorKernel):
-            # The Gram rung's spectrum is the kernel's, which has already
-            # evaluated p on it for the estimates.
-            value = _finite_trace(kernel.exp_trace(degree, scale))
-        else:
-            value = spectrum_exp_trace(self.spectrum, self.dim, degree, scale=scale)
+        value = spectrum_exp_trace(spectrum, self.dim, degree, scale=scale)
         r = self.total_rank
         return TraceEstimate(
             value=value, mode="gram", extra_work=float(r) ** 3 + float(r) * degree
         )
 
     # ------------------------------------------------------------------ entry
-    def estimate(self, kernel, degree: int, scale: float = 0.5) -> TraceEstimate:
+    def estimate(self, degree: int, scale: float = 0.5) -> TraceEstimate:
         """Estimate ``Tr[p(scale * Psi)^2]`` for the currently-bound weights.
 
         Parameters
         ----------
-        kernel:
-            The Taylor kernel over the current ``Psi`` (any representation;
-            a Gram kernel's own evaluation supplies the value).
         degree:
             Taylor truncation degree of ``p``.
         scale:
@@ -402,18 +407,20 @@ class TraceEstimator:
                 "should not engage the estimator (structured is False)"
             )
         self.calls += 1
-        return self._book(self._gram_estimate(kernel, degree, scale))
+        return self._book(self._gram_estimate(degree, scale))
 
     def record_gram_estimate(self, value: float, degree: int) -> TraceEstimate:
-        """Account a Gram-mode trace computed externally (the batched path).
+        """Account a Gram-mode trace computed from the Gram-twin spectrum elsewhere.
 
+        The fast oracle's flat Gram pass computes one call's trace with
+        :func:`~repro.linalg.taylor_gram.spectral_evaluation_row`;
         :func:`~repro.core.batch.solve_many` computes a whole instance
         group's spectra in one stacked eigendecomposition
         (:func:`~repro.linalg.taylor_gram.batched_gram_eigh`) and their
-        traces with :func:`~repro.linalg.taylor_gram.spectral_evaluation`,
-        then books each row here so
-        counters, work charges and :attr:`last` advance exactly as a
-        :meth:`estimate` call in mode ``"gram"`` would have.
+        traces with :func:`~repro.linalg.taylor_gram.spectral_evaluation`.
+        Both book each trace here so counters, work charges and
+        :attr:`last` advance exactly as a :meth:`estimate` call in mode
+        ``"gram"`` would have.
         """
         if self.mode != "gram":
             raise InvalidProblemError(

@@ -165,6 +165,8 @@ class PackedGramFactors:
         self.ranks = ranks
         self.offsets = np.concatenate([[0], np.cumsum(ranks)]).astype(np.int64)
         self.total_rank = int(self.offsets[-1])
+        # ``reduceat`` starts for :meth:`constraint_sums`, when no block is empty.
+        self._starts = self.offsets[:-1] if np.all(ranks > 0) else None
 
         if any_sparse:
             stacked = sp.hstack(
@@ -259,7 +261,7 @@ class PackedGramFactors:
             raise InvalidProblemError(
                 f"expected {self.size} weights, got {weights.shape[0]}"
             )
-        if np.any(weights < 0):
+        if (weights < 0).any():
             raise InvalidProblemError("weights must be non-negative")
         return np.repeat(weights, self.ranks)
 
@@ -347,7 +349,7 @@ class PackedGramFactors:
             col_vals = np.asarray(self._q.multiply(wq).sum(axis=0)).ravel()
         else:
             col_vals = np.einsum("ij,ij->j", weight_matrix @ self._q, self._q)
-        return segment_sums(col_vals, self.offsets)
+        return self.constraint_sums(col_vals)
 
     def column_sq_norms(self) -> np.ndarray:
         """Squared column norms ``||q_c||^2`` of the stack (cached).
@@ -364,9 +366,20 @@ class PackedGramFactors:
                 self._column_sq_norms = np.einsum("ij,ij->j", self._q, self._q)
         return self._column_sq_norms
 
+    def constraint_sums(self, col_vals: np.ndarray) -> np.ndarray:
+        """Per-constraint sums of per-column values (length ``R`` to ``n``).
+
+        One ``np.add.reduceat`` on the starts computed at packing, the
+        same call :func:`segment_sums` makes; stacks with a rank-zero block
+        take :func:`segment_sums` itself.
+        """
+        if self._starts is None:
+            return segment_sums(col_vals, self.offsets)
+        return np.add.reduceat(col_vals, self._starts)
+
     def traces(self) -> np.ndarray:
         """All ``Tr[A_i] = ||Q_i||_F^2`` from the stacked column norms."""
-        return segment_sums(self.column_sq_norms(), self.offsets)
+        return self.constraint_sums(self.column_sq_norms())
 
     def estimates_from_transform(self, transformed: np.ndarray) -> np.ndarray:
         """All Theorem 4.1 estimates ``||T Q_i||_F^2`` for a transform block
@@ -386,4 +399,4 @@ class PackedGramFactors:
         else:
             sketched = transformed @ self._q
         col_vals = np.einsum("ij,ij->j", sketched, sketched)
-        return segment_sums(col_vals, self.offsets)
+        return self.constraint_sums(col_vals)

@@ -371,7 +371,7 @@ class FastPathSupervisor:
             try:
                 if exact:
                     return self.state.lambda_max_exact(final=final)
-                return self.state.lambda_max(final=final)
+                return self.state.lambda_max(final=final, iteration=iteration)
             except _RECOVERABLE as exc:
                 if getattr(getattr(exc, "kind", None), "fatal", False):
                     # Crash-style faults are not absorbed by the rung

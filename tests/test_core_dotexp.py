@@ -6,19 +6,25 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import repro.core.dotexp as dotexp
 from repro.exceptions import InvalidProblemError
 from repro.instrumentation.counters import OracleCounters
 from repro.linalg.expm import expm_eigh, expm_normalized
+from repro.linalg.norms import certified_kappa
 from repro.linalg.psd import random_psd
 from repro.linalg.taylor import taylor_degree
 from repro.linalg.taylor_blocked import BlockedTaylorKernel
+from repro.linalg.taylor_gram import GramTaylorKernel, TaylorEngine
 from repro.operators.collection import ConstraintCollection
+from repro.operators.packed import segment_sums
 from repro.core.dotexp import (
     ExactDotExpOracle,
     FastDotExpOracle,
     big_dot_exp,
     make_oracle,
 )
+
+from helpers import factorized_family
 
 
 @pytest.fixture
@@ -163,6 +169,42 @@ class TestFastOracle:
     def test_invalid_eps(self, small_collection):
         with pytest.raises(InvalidProblemError):
             FastDotExpOracle(small_collection, eps=1.5)
+
+    def test_gram_call_is_one_eigh_and_no_kernel(self, monkeypatch):
+        # m=64, R=32: the Gram rung, the Gram trace and a degenerate sketch.
+        coll = factorized_family(3, n=16, m=64, rank=2)
+        packed = coll.packed()
+        x = np.random.default_rng(4).random(len(coll)) + 0.1
+        kernel = GramTaylorKernel(
+            packed.matrix, packed.expand_weights(x), gram=packed.gram_matrix()
+        )
+        degree = taylor_degree(certified_kappa(kernel.spectrum) / 2.0, 0.05 / 2.0)
+        trace = kernel.exp_trace(degree, scale=0.5)
+        expected = (
+            segment_sums(kernel.factor_column_values(degree, scale=0.5), packed.offsets)
+            / trace
+        )
+
+        calls = {"eigh": 0, "eigvalsh": 0}
+        for name in calls:
+            def spy(*args, _name=name, _inner=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the Gram-rung call built a kernel")
+
+        monkeypatch.setattr(GramTaylorKernel, "__init__", forbidden)
+        monkeypatch.setattr(TaylorEngine, "kernel_for", forbidden)
+        monkeypatch.setattr(dotexp, "big_dot_exp", forbidden)
+        oracle = FastDotExpOracle(coll, eps=0.05, rng=0)
+        out = oracle(None, x)
+        assert oracle.taylor_engine.mode == "gram"
+        assert calls == {"eigh": 1, "eigvalsh": 0}
+        assert np.array_equal(out.values, expected)
+        assert out.trace == trace
 
 
 class TestMakeOracle:

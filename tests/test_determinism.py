@@ -38,6 +38,7 @@ from repro.operators import (
     LowRankPSDOperator,
     SparsePSDOperator,
 )
+from repro.problems.random_instances import random_factorized_packing_sdp
 from repro.robustness import NaN, clear_faults, inject
 from repro.service import SolveService
 
@@ -224,3 +225,23 @@ def test_fault_recovery_leaves_no_state_behind(solver):
     assert spec.fires == 1
     assert faulty.status is SolveStatus.DEGRADED
     assert_same([solve(coll)], solve(make()), f"after-fault/{solver}")
+
+
+@pytest.mark.parametrize("psi_state", ["implicit", "dense"])
+def test_history_records_move_no_bound(psi_state):
+    # min(m, R) = 140 > 128: every lambda_max runs Lanczos, and its start
+    # must not depend on how many history records came before it.
+    problem = random_factorized_packing_sdp(70, 200, rank=2, density=0.05, rng=3)
+    assert problem.constraints.packed().is_sparse
+
+    def solve(history):
+        return decision_psdp(
+            problem, epsilon=0.2, oracle="fast", rng=5,
+            psi_state=psi_state, collect_history=history,
+        )
+
+    plain, recorded = solve(False), solve(True)
+    calls = [r.metadata["psi_state"]["lambda_max_calls"] for r in (plain, recorded)]
+    assert calls[0] < calls[1]
+    assert recorded.outcome == plain.outcome
+    assert np.array_equal(recorded.dual_x, plain.dual_x)

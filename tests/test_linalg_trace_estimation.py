@@ -165,8 +165,7 @@ class TestTraceEstimatorModes:
         degree = 20
         ref = _reference_trace(packed, w, degree)
         estimator = TraceEstimator(packed, mode=mode).bind(w)
-        kernel = _kernel(packed, w)
-        estimate = estimator.estimate(kernel, degree, scale=0.5)
+        estimate = estimator.estimate(degree, scale=0.5)
         assert estimate.mode == mode
         assert estimate.value == pytest.approx(ref, rel=1e-9)
 
@@ -176,14 +175,14 @@ class TestTraceEstimatorModes:
         estimator = TraceEstimator(packed, mode="identity")
         assert not estimator.structured
         with pytest.raises(InvalidProblemError):
-            estimator.estimate(_kernel(packed, np.ones(4)), 10)
+            estimator.estimate(10)
 
     def test_bind_required_for_weighted_modes(self):
         coll = _collection(19, n=5, m=24)
         packed = coll.packed()
         estimator = TraceEstimator(packed, mode="gram")
         with pytest.raises(InvalidProblemError):
-            estimator.estimate(_kernel(packed, np.ones(5)), 10)
+            estimator.estimate(10)
 
     def test_unknown_mode_rejected(self):
         coll = _collection(21, n=4, m=16)

@@ -12,9 +12,11 @@ a mode unnoticed.  Per shape:
 * ``decision_psdp`` certifies the same outcome in the same number of
   iterations with either oracle — DUAL on the grid as listed, PRIMAL on the
   gram shape with its factors scaled by 3;
-* the Lemma 4.2 ``kappa`` each call hands to ``big_dot_exp`` is a certified
-  and tight bound on ``lambda_max(Psi)``, on the grid and on the Lanczos,
-  trace-demoted and reference-floor branches of the kappa rule;
+* the Lemma 4.2 ``kappa`` each call takes from ``certified_kappa`` (a
+  spectrum it already holds) or ``certified_lambda_max`` (its own
+  eigensolve or Lanczos) is a certified and tight bound on
+  ``lambda_max(Psi)``, on the grid and on the Lanczos, trace-demoted and
+  reference-floor branches of the kappa rule;
 * a kappa the call computes itself, off the Gram trace, is in its work.
 """
 
@@ -140,13 +142,19 @@ def test_kappa_is_certified_and_tight(name, monkeypatch):
     if prepare is not None:
         prepare(oracle)
     kappas = []
-    inner = dotexp.big_dot_exp
+    inner_kappa, inner_bound = dotexp.certified_kappa, dotexp.certified_lambda_max
 
-    def spy(*args, **kwargs):
-        kappas.append(kwargs["kappa"])
-        return inner(*args, **kwargs)
+    def spy_kappa(*args, **kwargs):
+        kappas.append(inner_kappa(*args, **kwargs))
+        return kappas[-1]
 
-    monkeypatch.setattr(dotexp, "big_dot_exp", spy)
+    def spy_bound(*args, **kwargs):
+        bound = inner_bound(*args, **kwargs)
+        kappas.append(max(1.0, bound))
+        return bound
+
+    monkeypatch.setattr(dotexp, "certified_kappa", spy_kappa)
+    monkeypatch.setattr(dotexp, "certified_lambda_max", spy_bound)
     before = dict(oracle.rng.bit_generator.state)
     oracle(None, x)
     assert len(kappas) == 1
