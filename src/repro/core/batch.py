@@ -4,11 +4,14 @@ The paper's algorithm is pitched at parallel throughput, but the engine
 built across PRs 1-6 is a deep *single-instance* pipeline.  This module is
 the serving primitive on top of it: :func:`solve_many` takes ``B``
 independent packing-SDP instances and runs them in lockstep, so the
-per-iteration heavy kernels — the Gram-twin eigendecomposition that gives
-every instance its Lemma 4.2 kappa, its trace and its estimates, the
-spectral column values and the segment sums — execute as single stacked
-LAPACK calls and batched GEMMs over ``(B, R, R)`` stacks instead of ``B``
-separate small-matrix calls.
+per-iteration heavy kernels execute as single stacked LAPACK calls and
+batched GEMMs over ``(B, R, R)`` stacks instead of ``B`` separate
+small-matrix calls.  Each row takes its sequential call's route: one
+Cholesky per row proves which rows have the floor Taylor degree, and
+those share one batched product evaluation; the rest share one stacked
+Gram-twin eigendecomposition, which gives each its Lemma 4.2 kappa, and
+the spectral column values and traces.  The segment sums run over every
+row at once.
 
 Equivalence contract
 --------------------
@@ -66,10 +69,15 @@ import numpy as np
 
 from repro.config import get_config
 from repro.exceptions import BudgetExhaustedError, InvalidProblemError, NumericalError
-from repro.linalg.norms import certified_kappa
+from repro.linalg.norms import certified_kappa, proves_lambda_max_below
 from repro.linalg.sketching import jl_dimension
 from repro.linalg.taylor import taylor_degree
-from repro.linalg.taylor_gram import batched_gram_eigh, spectral_evaluation
+from repro.linalg.taylor_gram import (
+    batched_gram_eigh,
+    gram_twin,
+    product_evaluation,
+    spectral_evaluation,
+)
 from repro.operators.collection import ConstraintCollection
 from repro.operators.packed import batched_segment_sums
 from repro.robustness.faultinject import fault_hook, fault_hook_array
@@ -83,6 +91,7 @@ from repro.core.decision import (
     decision_psdp,
     resolve_decision_options,
 )
+from repro.core.dotexp import FLOOR_LAMBDA_MAX
 from repro.core.result import DecisionResult, SolveStatus
 from repro.utils.random_utils import RandomState
 
@@ -262,6 +271,8 @@ def _solve_group(members: list, opts: DecisionOptions, results: list) -> None:
     # The weight-independent Q^T Q each sequential call's Gram kernel reads
     # from its packed view's cache.
     gram_stack = np.stack([p.gram_matrix() for p in packs])
+    # Every run shares the options, so the oracle eps and the floor degree.
+    floor_degree = run0.oracle.floor_degree
 
     t = 0
     while True:
@@ -292,36 +303,56 @@ def _solve_group(members: list, opts: DecisionOptions, results: list) -> None:
         batch = len(active)
         colw_stack = np.repeat(x_stack, ranks, axis=1)
 
-        # eig -> kappa -> degree: one stacked eigendecomposition of the
-        # S = diag(sqrt w) Q^T Q diag(sqrt w) stack, the one each sequential
-        # call's Gram kernel computes.  A row whose eigendecomposition
-        # failed (nan) or whose trace-estimation fault is due is ejected
-        # before the column values.
-        spectra, vectors = batched_gram_eigh(gram_stack, colw_stack)
-        degrees = np.zeros(batch, dtype=np.int64)
+        # Each row takes its sequential call's route.  A row whose Gram twin
+        # S = diag(sqrt w) Q^T Q diag(sqrt w) one Cholesky proves below
+        # FLOOR_LAMBDA_MAX has the floor degree; the others share one
+        # stacked eigendecomposition and take kappa -> degree from it.  A
+        # row whose eigendecomposition failed (nan) or whose
+        # trace-estimation fault is due is ejected after the evaluation.
+        with np.errstate(invalid="ignore", over="ignore"):
+            twins = gram_twin(gram_stack, colw_stack)
+        floor = np.array(
+            [proves_lambda_max_below(twin, FLOOR_LAMBDA_MAX) for twin in twins], dtype=bool
+        )
+        spectral = np.flatnonzero(~floor)
+        degrees = np.full(batch, floor_degree, dtype=np.int64)
+        if spectral.size:
+            spectra, vectors = batched_gram_eigh(twins[spectral])
         for b, (index, run) in enumerate(active):
             try:
                 fault_hook("trace_estimation", kernel_mode="gram")
-                kappa = certified_kappa(spectra[b])
+                if not floor[b]:
+                    kappa = certified_kappa(spectra[np.searchsorted(spectral, b)])
+                    degrees[b] = taylor_degree(kappa / 2.0, run.oracle.eps / 2.0)
             except NumericalError as exc:
                 results[index] = _eject(
                     run, opts, "trace_estimation",
                     f"Gram spectrum failed in batched solve: {exc}",
                 )
-                continue
-            degrees[b] = taylor_degree(kappa / 2.0, run.oracle.eps / 2.0)
-        active, (gram_stack, colw_stack, spectra, vectors, degrees) = _compact(
-            active, results, gram_stack, colw_stack, spectra, vectors, degrees
+
+        # Column values and traces, each row at its own degree: the
+        # sequential flat pass runs these same functions on one row.
+        if not spectral.size:
+            col_vals, traces_stack = product_evaluation(
+                gram_stack, colw_stack, twins, floor_degree, m
+            )
+        else:
+            col_vals = np.empty(colw_stack.shape)
+            traces_stack = np.empty(batch)
+            col_vals[spectral], traces_stack[spectral] = spectral_evaluation(
+                gram_stack[spectral], colw_stack[spectral], spectra, vectors,
+                degrees[spectral], m, scale=0.5,
+            )
+            if floor.any():
+                col_vals[floor], traces_stack[floor] = product_evaluation(
+                    gram_stack[floor], colw_stack[floor], twins[floor], floor_degree, m
+                )
+        active, (gram_stack, col_vals, traces_stack, degrees) = _compact(
+            active, results, gram_stack, col_vals, traces_stack, degrees
         )
         if not active:
             return
         batch = len(active)
-
-        # Column values and traces, each row at its own degree: the
-        # sequential Gram kernel runs this same function with B = 1.
-        col_vals, traces_stack = spectral_evaluation(
-            gram_stack, colw_stack, spectra, vectors, degrees, m, scale=0.5
-        )
         fault_hook_array("taylor_gram.apply", col_vals)
         finite = np.isfinite(col_vals).all(axis=1)
         if not finite.all():

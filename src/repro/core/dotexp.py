@@ -29,8 +29,10 @@ Lemma 4.2's degree ``k = max(e^2 kappa, ln(2/eps))`` is only valid for
 ``kappa >= ||Phi||_2``, so every ``kappa`` comes from an exact spectrum
 (:func:`~repro.linalg.norms.certified_kappa`).  Each fast-oracle call runs
 eig → kappa → degree → apply → trace, and in Gram trace mode the kappa and
-the trace share one ``R x R`` eigendecomposition.  Without a spectrum of
-its own a call reads :func:`~repro.linalg.trace_estimation.lambda_max_source`,
+the trace share one ``R x R`` eigendecomposition.  On the Gram rung's flat
+pass one Cholesky may instead prove ``||Psi||_2 < FLOOR_LAMBDA_MAX``,
+which fixes the degree at its floor without a spectrum.  Without a
+spectrum of its own a call reads :func:`~repro.linalg.trace_estimation.lambda_max_source`,
 the rule the implicit psi state's ``lambda_max`` bound reads too, and its
 work charge includes that eigensolve or Lanczos at the psi state's rates.
 
@@ -57,15 +59,16 @@ representation is picked once per factor stack by
 Gram-twin spectrum when ``2R <= 1.1 m`` (the hysteresis-margined gate),
 a one-time densification of ``Psi`` (``m^2 s`` per term), or the sparse
 factor recurrence (``2 nnz(Q) s``), chosen from ``(m, R, nnz(Q))`` alone.
-On the Gram rung one ``eigh`` of ``S = W^{1/2} Q^T Q W^{1/2}`` per call
-gives the kappa, the trace and all ``n`` estimates, with no
-degree-dependent loop and no ``m``-sized work.  With the Gram trace and a
-degenerate sketch (every benchmarked input) the call is one flat pass —
-twin, ``eigh``, kappa, degree, the one-row spectral formula, the checks —
-that builds no kernel object and books exactly what one row of the fused
-``solve_many`` group books.  The other representations (the densified
-``Psi``, the scaled stack) are built from each call's weights, and the
-build's work is charged to the backend.  No kernel carries state from one
+On the Gram rung the ``R x R`` twin ``S = W^{1/2} Q^T Q W^{1/2}`` gives
+the kappa, the trace and all ``n`` estimates, with no ``m``-sized work.
+With the Gram trace and a degenerate sketch (every benchmarked input) the
+call is one flat pass that builds no kernel object and books exactly what
+one row of the fused ``solve_many`` group books: the twin, then one
+Cholesky that proves the floor degree and ``R x R`` products that evaluate
+the polynomial at it, or, when the proof fails, one ``eigh``, kappa, the
+degree and the one-row spectral formula; then the checks.  The other
+representations (the densified ``Psi``, the scaled stack) are built from
+each call's weights, and the build's work is charged to the backend.  No kernel carries state from one
 call to the next.
 Every representation evaluates the identical polynomial, so the
 :class:`~repro.robustness.FastPathSupervisor` can demote a failing kernel
@@ -110,7 +113,12 @@ import scipy.sparse as sp
 from repro.exceptions import CheckpointError, InvalidProblemError
 from repro.instrumentation.counters import OracleCounters
 from repro.linalg.expm import expm_normalized
-from repro.linalg.norms import certified_kappa, certified_lambda_max
+from repro.linalg.norms import (
+    KAPPA_SLACK,
+    certified_kappa,
+    certified_lambda_max,
+    proves_lambda_max_below,
+)
 # Nothing here calls the power iteration any more; the name stays importable
 # because perfbench/tracing.py patches it at this module.
 from repro.linalg.norms import spectral_norm_power  # noqa: F401
@@ -121,6 +129,8 @@ from repro.linalg.taylor_gram import (
     GramTaylorKernel,
     TaylorEngine,
     gram_eigenpairs,
+    gram_twin,
+    product_evaluation,
     spectral_evaluation_row,
 )
 from repro.linalg.trace_estimation import TraceEstimator, finite_trace, lambda_max_source
@@ -129,6 +139,12 @@ from repro.operators.packed import PackedGramFactors
 from repro.parallel.backends import ExecutionBackend
 from repro.robustness.faultinject import fault_hook
 from repro.utils.random_utils import RandomState, as_generator
+
+#: Below this ``lambda_max(Psi)`` the certified kappa ``(1 + KAPPA_SLACK)
+#: lambda`` is under 2, so a call's Taylor degree
+#: ``taylor_degree(kappa / 2, eps / 2)`` is its floor
+#: ``taylor_degree(1, eps / 2)``.
+FLOOR_LAMBDA_MAX = 2.0 / (1.0 + KAPPA_SLACK)
 
 
 @dataclass
@@ -455,10 +471,12 @@ class FastDotExpOracle:
     returned values are directly comparable to the exact oracle's.
 
     A call on the Gram rung with the Gram trace and a degenerate sketch
-    takes one flat pass (:meth:`_gram_call`): one ``eigh`` of the Gram
-    twin gives kappa, the degree, the estimates and the trace, with the
-    checks, counters and work charge of the kernel route and no kernel
-    object.  Whether the sketch degenerates is decided at construction; it
+    takes one flat pass (:meth:`_gram_call`): one Cholesky of the Gram
+    twin proves the floor degree and ``R x R`` products give the
+    estimates and the trace, or else one ``eigh`` of the twin gives
+    kappa, the degree, the estimates and the trace, with the checks,
+    counters and work charge of the kernel route and no kernel object.
+    Whether the sketch degenerates is decided at construction; it
     reads only ``m``, ``eps`` and the sketch constant.  Every other case
     (the dense-psi, sparse-factors and reference rungs, a demoted trace, a
     reducing sketch, ``R = 0``) builds its kernel through the engine and
@@ -542,6 +560,8 @@ class FastDotExpOracle:
         #: flat pass (:meth:`_gram_call`): the sketch is degenerate and the
         #: stack is not empty.
         self._flat_gram = self._sketch_dim == m and self._packed.total_rank > 0
+        #: The Taylor degree of a call with ``lambda_max < FLOOR_LAMBDA_MAX``.
+        self.floor_degree = taylor_degree(1.0, self.eps / 2.0)
 
     @property
     def packed(self) -> PackedGramFactors:
@@ -574,6 +594,7 @@ class FastDotExpOracle:
                 "the fast oracle requires the weight vector x (psi may be None)"
             )
         weights = np.asarray(x, dtype=np.float64)
+        spectrum_work = 0.0
         if self.reference:
             # Ladder floor: the per-term recurrence through the factored
             # matvec Q (w ∘ (Q^T v)), with the identity trace push.
@@ -601,6 +622,10 @@ class FastDotExpOracle:
                 spectrum, host_psi = operator.spectrum, None
             else:
                 spectrum, host_psi = tracer.spectrum, operator.host_psi
+                if spectrum is not None:
+                    # The tracer's R x R eigvalsh: R applications at R^2
+                    # each, the twin rate lambda_max_source uses.
+                    spectrum_work = float(spectrum.size) ** 3
         kappa, kappa_work = self._kappa(weights, matvec, spectrum, host_psi)
         trace_calls_before = tracer.calls if tracer is not None else 0
         estimates, trace_estimate = big_dot_exp(
@@ -622,11 +647,12 @@ class FastDotExpOracle:
         # normalisation, the block is the (m, R) factor stack — not the
         # (m, m) identity — and the estimator's own model work (the R x R
         # eigendecomposition) rides along, so the charge reflects what
-        # actually ran; so does a kappa eigensolve or Lanczos of its own.
+        # actually ran; so does a kappa eigensolve or Lanczos of its own,
+        # and without a trace estimate the tracer's eigensolve kappa read.
         if tracer is not None and tracer.calls > trace_calls_before:
             work = self._model_work(self._packed.total_rank, degree, tracer.last.extra_work)
         else:
-            work = self._model_work(self._sketch_dim, degree)
+            work = self._model_work(self._sketch_dim, degree, spectrum_work)
         work += kappa_work
         self.counters.flops_estimate += work
         return OracleOutput(values=values, trace=trace_estimate, work=work)
@@ -636,21 +662,33 @@ class FastDotExpOracle:
 
         The kernel route (``kernel_for`` → :class:`GramTaylorKernel` →
         ``bind`` → :func:`big_dot_exp` → ``estimate``) flattened, with each
-        of its checks at the same fault site: one ``eigh`` of the Gram twin
+        of its checks at the same fault site.  When one Cholesky of the Gram
+        twin proves ``lambda_max < FLOOR_LAMBDA_MAX``
+        (:func:`~repro.linalg.norms.proves_lambda_max_below`), the degree is
+        its floor and :func:`~repro.linalg.taylor_gram.product_evaluation`
+        gives the column values and the trace from ``R x R`` products.
+        Otherwise one ``eigh`` of the twin
         (:func:`~repro.linalg.taylor_gram.gram_eigenpairs`) gives kappa,
         the degree, and through
         :func:`~repro.linalg.taylor_gram.spectral_evaluation_row` the
-        column values and the trace.  The trace, the counters and the work
-        are booked as for one row of the fused ``solve_many`` group.
+        values and the trace.  Either way the degree is the one the
+        ``eigh``'s kappa gives.  The trace, the counters and the work are
+        booked as for one row of the fused ``solve_many`` group.
         """
         packed = self._packed
         gram = packed.gram_matrix()
         col_w = packed.expand_weights(weights)
-        eigenvalues, eigenvectors = gram_eigenpairs(gram, col_w)
-        degree = taylor_degree(certified_kappa(eigenvalues) / 2.0, self.eps / 2.0)
-        col_vals, trace = spectral_evaluation_row(
-            gram, col_w, eigenvalues, eigenvectors, degree, packed.dim
-        )
+        twin = gram_twin(gram, col_w)
+        if proves_lambda_max_below(twin, FLOOR_LAMBDA_MAX):
+            degree = self.floor_degree
+            col_vals, trace = product_evaluation(gram, col_w, twin, degree, packed.dim)
+            trace = float(trace)
+        else:
+            eigenvalues, eigenvectors = gram_eigenpairs(twin)
+            degree = taylor_degree(certified_kappa(eigenvalues) / 2.0, self.eps / 2.0)
+            col_vals, trace = spectral_evaluation_row(
+                gram, col_w, eigenvalues, eigenvectors, degree, packed.dim
+            )
         checked_kernel_output(col_vals, GramTaylorKernel.fault_site, "gram")
         estimates = packed.constraint_sums(col_vals)
         fault_hook("trace_estimation", kernel_mode="gram")
@@ -784,8 +822,10 @@ class FastDotExpOracle:
         """Book one batched-solver oracle pass against this oracle's counters.
 
         ``repro.core.batch.solve_many`` runs the degenerate structured-path
-        estimate (stacked Gram-twin ``eigh``, spectral column values and
-        trace) as batched kernels outside :meth:`__call__`, but each instance
+        estimate (the product evaluation of the rows one Cholesky proves at
+        the floor degree, a stacked Gram-twin ``eigh`` and the spectral
+        column values and trace of the rest) as batched kernels outside
+        :meth:`__call__`, but each instance
         must record exactly the counters and Corollary 1.2 work charge a
         sequential call would have — the kappa's ``norm_estimates`` tally
         included.  ``trace_estimate`` is the

@@ -6,7 +6,9 @@ matrices it exponentiates) and trace inner products ``A . B = Tr[A B]``
 throughout.  :func:`certified_lambda_max` is the one rule that turns a
 spectrum, a small matrix or a matvec into a bound
 ``lambda >= lambda_max(Phi)``, and :func:`certified_kappa` floors it at 1
-for the Lemma 4.2 ``kappa >= ||Phi||_2``;
+for the Lemma 4.2 ``kappa >= ||Phi||_2``.
+:func:`proves_lambda_max_below` proves a given bound with one Cholesky
+instead of computing a spectrum;
 for matrices given only through matrix–vector products we also provide
 power iteration and a Lanczos-based estimator built on
 ``scipy.sparse.linalg.eigsh``.
@@ -18,11 +20,13 @@ Taylor kernels plug in unchanged.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpotrf
 
 from repro.config import get_config
 from repro.exceptions import NumericalError
@@ -300,6 +304,9 @@ KAPPA_EIG_CUTOFF = 128
 #: covers ``eigvalsh``'s backward error.
 KAPPA_SLACK = 1e-9
 
+#: Twice the unit roundoff of float64.
+_EPS = float(np.finfo(np.float64).eps)
+
 
 def certified_lambda_max(
     source: np.ndarray | sp.spmatrix | Callable[[np.ndarray], np.ndarray],
@@ -370,6 +377,37 @@ def certified_kappa(
 ) -> float:
     """Lemma 4.2's ``kappa = max(1, certified_lambda_max(source))``; a NaN raises."""
     return max(1.0, certified_lambda_max(source, dim=dim, rng=rng))
+
+
+def proves_lambda_max_below(matrix: np.ndarray, bound: float) -> bool:
+    """Whether one Cholesky proves ``lambda_max(matrix) < bound``.
+
+    ``matrix`` is a symmetric ``d x d`` array (``d >= 1``) with a
+    non-negative diagonal, such as a Gram twin.  A floating-point Cholesky of
+    ``A = c I - matrix`` that runs to completion returns ``R`` with
+    ``R^T R = A + E`` and ``||E||_2 <= gamma_{d+1} / (1 - gamma_{d+1}) Tr(A)``
+    (Demmel's backward error; Rump, "Verification of positive
+    definiteness", BIT 2006), and forming ``A``'s diagonal adds at most
+    ``u c``.  Shrinking ``c = bound (1 - 2 (d + 1)^2 u)`` covers both, so
+    a completed factorization proves ``matrix``'s top eigenvalue is below
+    ``bound``.  A failed one proves nothing.
+
+    The Cholesky is skipped when a diagonal entry, a Rayleigh quotient,
+    already reaches ``c``.  A factor with a non-finite diagonal is never
+    accepted: OpenBLAS's ``dpotrf`` completes on a matrix holding a NaN,
+    and a NaN anywhere in the triangle it reads reaches the diagonal of
+    the factor, whose finite entries are below ``sqrt(c)``, so their sum
+    is finite exactly when they all are.
+    """
+    d = matrix.shape[0]
+    c = bound * (1.0 - (d + 1) ** 2 * _EPS)
+    if not matrix.diagonal().max() < c:
+        return False
+    shifted = np.negative(matrix)
+    shifted.reshape(-1)[:: d + 1] += c
+    # The transpose is the Fortran-ordered view LAPACK factors in place.
+    factor, info = dpotrf(shifted.T, lower=1, clean=0, overwrite_a=1)
+    return info == 0 and math.isfinite(np.add.reduce(factor.diagonal()))
 
 
 def spectral_norm_lanczos(matrix: np.ndarray | sp.spmatrix, tol: float = 1e-8) -> float:

@@ -25,6 +25,11 @@ call's weights:
   (:func:`spectral_evaluation_row` for one weight vector,
   :func:`spectral_evaluation` for a batch of them).  The win when the
   stacked rank satisfies ``2R <= GRAM_HYSTERESIS * m``.
+* **Gram-space products** (:func:`product_evaluation`): the same column
+  values and trace with ``r_s(S)`` as a matrix polynomial, five ``R x R``
+  GEMMs at degree 8 and no eigensolver.  The oracle's flat pass and the
+  fused ``solve_many`` group use it when one Cholesky proves the call's
+  degree is its floor, so no spectrum is needed for kappa either.
 * **Selection policy** (:func:`select_taylor_mode`): compares the modelled
   per-term costs of the applicable representations — Gram space, densified
   ``Psi`` and the sparse factor recurrence (discounted by the measured
@@ -68,6 +73,7 @@ __all__ = [
     "batched_gram_eigh",
     "gram_eigenpairs",
     "gram_twin",
+    "product_evaluation",
     "select_taylor_mode",
     "spectral_evaluation",
     "spectral_evaluation_row",
@@ -186,23 +192,18 @@ def gram_twin(gram: np.ndarray, col_weights: np.ndarray) -> np.ndarray:
     return 0.5 * (weighted + weighted.mT)
 
 
-def batched_gram_eigh(
-    gram_stack: np.ndarray, colw_stack: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def batched_gram_eigh(twins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(eigenvalues, eigenvectors)`` of every :func:`gram_twin` in a stack.
 
     Eigenvalues ascend and are clipped at 0.  Row ``b`` equals
-    :class:`GramTaylorKernel`'s eigendecomposition of that instance
-    bitwise (a stacked ``eigh`` runs the same LAPACK routine per slice).
-    Rows whose twin is not finite or whose eigensolver fails come back
-    ``nan`` instead of raising, so one bad instance cannot poison its
-    batchmates.
+    :func:`gram_eigenpairs` of that twin bitwise (a stacked ``eigh`` runs
+    the same LAPACK routine per slice).  Rows whose twin is not finite or
+    whose eigensolver fails come back ``nan`` instead of raising, so one
+    bad instance cannot poison its batchmates.
     """
-    batch, r = colw_stack.shape
+    batch, r = twins.shape[:2]
     eigenvalues = np.full((batch, r), np.nan)
     eigenvectors = np.full((batch, r, r), np.nan)
-    with np.errstate(invalid="ignore", over="ignore"):
-        twins = gram_twin(gram_stack, colw_stack)
     good = np.flatnonzero(np.isfinite(twins).all(axis=(1, 2)))
     if r == 0 or good.size == 0:
         return eigenvalues, eigenvectors
@@ -219,7 +220,7 @@ def batched_gram_eigh(
     return eigenvalues, eigenvectors
 
 
-def gram_eigenpairs(gram: np.ndarray, col_weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def gram_eigenpairs(twin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(eigenvalues, eigenvectors)`` of one :func:`gram_twin`, eigenvalues clipped at 0.
 
     A failed eigensolver or a non-finite spectrum (``eigh`` returns ``nan``
@@ -228,7 +229,7 @@ def gram_eigenpairs(gram: np.ndarray, col_weights: np.ndarray) -> tuple[np.ndarr
     any other kernel failure.
     """
     try:
-        eigenvalues, eigenvectors = np.linalg.eigh(gram_twin(gram, col_weights))
+        eigenvalues, eigenvectors = np.linalg.eigh(twin)
     except np.linalg.LinAlgError:
         eigenvalues = None
     if eigenvalues is None or not np.isfinite(eigenvalues).all():
@@ -347,6 +348,114 @@ def spectral_evaluation_row(
     return values, float(trace)
 
 
+@functools.lru_cache(maxsize=64)
+def _block_coefficients(degree: int, scale: float) -> tuple[int, np.ndarray]:
+    """``(s, table)``: the ratio series as a matrix polynomial, in Paterson–Stockmeyer blocks.
+
+    In powers of ``lambda`` the ratio series is ``sum_j a_j lambda^j`` with
+    ``a_j = scale^(j+1) / (j+1)!`` for ``j < n = degree - 1``.  With
+    ``s = ceil(sqrt(n))``, row ``i`` of ``table`` holds the coefficients of
+    ``I, S, ..., S^s`` in block ``i``, so that
+    ``M = B_0 + S^s (B_1 + S^s (B_2 + ...))``.  A top block that is a
+    multiple of the identity is folded into the row below it as its
+    ``S^s`` coefficient.
+    """
+    a = [c * scale**j for j, c in enumerate(reversed(_horner_coefficients(degree, scale)))]
+    n = len(a)
+    s = math.isqrt(n - 1) + 1
+    rows = [a[i:i + s] + [0.0] * (s + 1 - len(a[i:i + s])) for i in range(0, n, s)]
+    if len(rows) > 1 and n % s == 1:
+        top = rows.pop()
+        rows[-1][s] = top[0]
+    table = np.array(rows)
+    table.flags.writeable = False
+    return s, table
+
+
+@functools.lru_cache(maxsize=8)
+def _identity(r: int) -> np.ndarray:
+    """A read-only ``r x r`` identity."""
+    eye = np.eye(r)
+    eye.flags.writeable = False
+    return eye
+
+
+def _add_identity(matrices: np.ndarray, value: float) -> None:
+    """``matrices += value * I`` in place over the last two axes of a C-ordered stack."""
+    r = matrices.shape[-1]
+    matrices.reshape(*matrices.shape[:-2], -1)[..., :: r + 1] += value
+
+
+def _matrix_polynomial(twin: np.ndarray, degree: int, scale: float) -> np.ndarray:
+    """The ratio series ``M = r_s(S)`` of ``twin`` by Paterson–Stockmeyer.
+
+    ``s - 1`` products build ``S^2, ..., S^s`` next to ``I`` and ``S``,
+    one product of :func:`_block_coefficients`' table with that stack
+    forms every block, and each block past the top one costs one more
+    product with ``S^s``.  At degree 8 that is ``S^2``, ``S^3``, the
+    block product and one Horner product.  Leading batch axes are allowed.
+    """
+    if degree <= 1:
+        return np.zeros(twin.shape)
+    s, table = _block_coefficients(degree, scale)
+    r = twin.shape[-1]
+    lead = twin.shape[:-2]
+    powers = np.empty(lead + (s + 1, r, r))
+    views = [powers[..., j, :, :] for j in range(s + 1)]
+    views[0][...] = _identity(r)
+    views[1][...] = twin
+    for j in range(2, s + 1):
+        np.matmul(views[j - 1], twin, out=views[j])
+    blocks = (table @ powers.reshape(lead + (s + 1, r * r))).reshape(
+        lead + (len(table), r, r)
+    )
+    out = blocks[..., -1, :, :]
+    for i in range(len(table) - 2, -1, -1):
+        out = views[s] @ out
+        out += blocks[..., i, :, :]
+    return out
+
+
+def product_evaluation(
+    gram: np.ndarray,
+    col_weights: np.ndarray,
+    twin: np.ndarray,
+    degree: int,
+    dim: int,
+    scale: float = 0.5,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, traces)`` of :func:`spectral_evaluation` by ``R x R`` products.
+
+    The same polynomial without the spectrum.  With the ratio series as a
+    matrix polynomial, ``M = r_s(S) = sum_{1 <= i < k} (s^i / i!) S^(i-1)``
+    (:func:`_matrix_polynomial`), and ``Y = M W^{1/2} G``,
+    ``p(s Psi) q_c = Q U_c`` for ``U = I + W^{1/2} Y``, and
+    ``p(s S) = I + M S = I + Y W^{1/2}``, so
+
+    .. math:: \\|p(s\\Psi)\\,q_c\\|^2 = (U^T G U)_{cc},
+        \\qquad \\mathrm{Tr}[p(s\\Psi)^2] = (m - R) + \\|I + Y W^{1/2}\\|_F^2,
+
+    five ``R x R`` GEMMs at degree 8 and no eigensolver.  ``twin`` is
+    :func:`gram_twin` of the weights.  The arguments may carry a leading
+    batch axis (one ``degree`` for every row); each row then equals the
+    call on that row alone bitwise.  Non-finite results are left for the
+    caller to detect.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        root = np.sqrt(col_weights)
+        y = _matrix_polynomial(twin, degree, scale) @ (root[..., :, None] * gram)
+        u = root[..., :, None] * y
+        _add_identity(u, 1.0)
+        gu = gram @ u
+        gu *= u
+        values = gu.sum(axis=-2)
+        y *= root[..., None, :]
+        _add_identity(y, 1.0)
+        y *= y
+        traces = float(dim - twin.shape[-1]) + y.sum(axis=(-2, -1))
+    return values, traces
+
+
 class GramTaylorKernel(_FusedTaylorApplyBase):
     """Gram-twin spectral evaluation of the truncated Taylor series of ``exp(scale * Psi)``.
 
@@ -410,7 +519,7 @@ class GramTaylorKernel(_FusedTaylorApplyBase):
     def _eigenpairs(self):
         """``(lambda, V)`` of the Gram twin (:func:`gram_eigenpairs`), once per kernel."""
         if self._eig is None:
-            self._eig = gram_eigenpairs(self._qtq, self._col_w)
+            self._eig = gram_eigenpairs(gram_twin(self._qtq, self._col_w))
         return self._eig
 
     @property

@@ -28,9 +28,13 @@ oracle call: ``Tr[p(Psi/2)^2] = || p(Psi/2) I ||_F^2``.
   its Lemma 4.2 ``kappa`` from the same spectrum.  Where that spectrum
   comes from depends on the Taylor rung.  On the Gram rung the oracle's
   flat pass takes it, the Theorem 4.1 estimates and the trace from one
-  ``eigh`` of the twin and books the trace through
-  :meth:`TraceEstimator.record_gram_estimate`, as the fused ``solve_many``
-  group does for each of its rows.  Off the Gram rung the spectrum is
+  ``eigh`` of the twin, unless one Cholesky proves the call's degree is
+  its floor and ``R x R`` products
+  (:func:`~repro.linalg.taylor_gram.product_evaluation`) give the
+  estimates and the same trace without a spectrum.  Either way it books
+  the trace through :meth:`TraceEstimator.record_gram_estimate`, as the
+  fused ``solve_many`` group does for each of its rows.  Off the Gram
+  rung the spectrum is
   :attr:`TraceEstimator.spectrum`, one ``eigvalsh`` of the twin for the
   weights :meth:`TraceEstimator.bind` bound, and
   :meth:`TraceEstimator.estimate` evaluates the trace on it.
@@ -410,17 +414,20 @@ class TraceEstimator:
         return self._book(self._gram_estimate(degree, scale))
 
     def record_gram_estimate(self, value: float, degree: int) -> TraceEstimate:
-        """Account a Gram-mode trace computed from the Gram-twin spectrum elsewhere.
+        """Account a Gram-mode trace computed from the Gram twin elsewhere.
 
         The fast oracle's flat Gram pass computes one call's trace with
-        :func:`~repro.linalg.taylor_gram.spectral_evaluation_row`;
-        :func:`~repro.core.batch.solve_many` computes a whole instance
-        group's spectra in one stacked eigendecomposition
-        (:func:`~repro.linalg.taylor_gram.batched_gram_eigh`) and their
-        traces with :func:`~repro.linalg.taylor_gram.spectral_evaluation`.
-        Both book each trace here so counters, work charges and
-        :attr:`last` advance exactly as a :meth:`estimate` call in mode
-        ``"gram"`` would have.
+        :func:`~repro.linalg.taylor_gram.product_evaluation` when one
+        Cholesky proves its degree is the floor, and with
+        :func:`~repro.linalg.taylor_gram.spectral_evaluation_row` on one
+        ``eigh`` otherwise; :func:`~repro.core.batch.solve_many` runs the
+        same two routes over a whole instance group, the second on one
+        stacked eigendecomposition
+        (:func:`~repro.linalg.taylor_gram.batched_gram_eigh`) with
+        :func:`~repro.linalg.taylor_gram.spectral_evaluation`.  Both book
+        each trace here so counters, work charges and :attr:`last` advance
+        exactly as a :meth:`estimate` call in mode ``"gram"`` would have:
+        the model charge stays ``R^3 + R k`` whichever route ran.
         """
         if self.mode != "gram":
             raise InvalidProblemError(

@@ -25,6 +25,8 @@ from repro.core.batch import _fused_key, instance_rng
 from repro.core.decision import resolve_decision_options
 from repro.core.result import DecisionOutcome, SolveStatus
 from repro.linalg.psd import random_psd
+from repro.linalg.taylor import taylor_degree
+from repro.linalg.taylor_gram import spectral_evaluation_row
 from repro.operators import (
     ConstraintCollection,
     DensePSDOperator,
@@ -180,34 +182,58 @@ class TestBatchedEquivalence:
         assert_batch_matches(factories, fast_opts())
 
     def test_mixed_degree_group_matches_sequential(self, monkeypatch):
-        # Strict runs at scales 0.35 and 0.2 in one fused group: the
-        # smaller-scale instances qualify more often, so their Psi passes
-        # ||Psi|| = 2 (Taylor degree 9) while their batchmates are still at
-        # degree 8 — each row's column values at its own degree.
+        # Strict runs at scales 0.35 and 0.2 in one fused group.  While
+        # ||Psi|| < 2 one Cholesky proves each row's floor degree (8) and
+        # R x R products evaluate it; the smaller-scale instances qualify
+        # more often, so their Psi passes ||Psi|| = 2 and they take the
+        # eigh at degree 9 while batchmates are still proved.  Each row must
+        # equal the one-row call its sequential oracle makes on its route.
         import repro.core.batch as batch
 
-        degrees = []
-        real = batch.spectral_evaluation
+        floor = taylor_degree(1.0, 0.5 / 4.0 / 2.0)
+        iterations = []
+        real_twin = batch.gram_twin
+        real_product = batch.product_evaluation
+        real_spectral = batch.spectral_evaluation
 
-        def spy(*args, **kwargs):
-            values, traces = real(*args, **kwargs)
-            # Selection rarely flips on one Taylor term, so compare each
-            # row with the one-row call the sequential kernel makes.
+        def twin_spy(*args):
+            iterations.append({})
+            return real_twin(*args)
+
+        def product_spy(gram, colw, twins, degree, dim, scale=0.5):
+            values, traces = real_product(gram, colw, twins, degree, dim, scale)
             for b in range(values.shape[0]):
-                row = real(*(a[b:b + 1] for a in args[:5]), *args[5:], **kwargs)
-                assert np.array_equal(values[b], row[0][0]), f"row {b} of {args[4]}"
-                assert traces[b] == row[1][0], f"trace {b} of {args[4]}"
-            degrees.append(np.array(args[4]))
+                row = real_product(gram[b], colw[b], twins[b], degree, dim, scale)
+                assert np.array_equal(values[b], row[0]), f"floor row {b}"
+                assert traces[b] == row[1], f"floor trace {b}"
+            iterations[-1]["floor"] = degree
             return values, traces
 
-        monkeypatch.setattr(batch, "spectral_evaluation", spy)
+        def spectral_spy(gram, colw, spectra, vectors, degrees, dim, scale=0.5):
+            values, traces = real_spectral(gram, colw, spectra, vectors, degrees, dim, scale)
+            for b in range(values.shape[0]):
+                row = spectral_evaluation_row(
+                    gram[b], colw[b], spectra[b], vectors[b], int(degrees[b]), dim, scale
+                )
+                assert np.array_equal(values[b], row[0]), f"row {b} of {degrees}"
+                assert traces[b] == row[1], f"trace {b} of {degrees}"
+            iterations[-1]["spectral"] = np.array(degrees)
+            return values, traces
+
+        monkeypatch.setattr(batch, "gram_twin", twin_spy)
+        monkeypatch.setattr(batch, "product_evaluation", product_spy)
+        monkeypatch.setattr(batch, "spectral_evaluation", spectral_spy)
         factories = [
             (lambda s=s: factorized_family(s, n=8, m=32, rank=2, scale=(0.35, 0.2)[s % 2]))
             for s in range(4)
         ]
         opts = fast_opts(epsilon=0.5, strict=True, max_iterations=300)
         results = solve_many([f() for f in factories], options=opts)
-        assert any(np.unique(d).size > 1 for d in degrees)
+        assert all(it.get("floor", floor) == floor for it in iterations)
+        assert any(
+            "floor" in it and (it.get("spectral", np.zeros(0)) > floor).any()
+            for it in iterations
+        )
         assert_batch_matches(factories, opts, results)
 
     def test_ragged_shapes_in_one_call(self):

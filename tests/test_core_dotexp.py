@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 import repro.core.dotexp as dotexp
+import repro.linalg.norms as norms
 from repro.exceptions import InvalidProblemError
 from repro.instrumentation.counters import OracleCounters
 from repro.linalg.expm import expm_eigh, expm_normalized
@@ -14,7 +15,13 @@ from repro.linalg.norms import certified_kappa
 from repro.linalg.psd import random_psd
 from repro.linalg.taylor import taylor_degree
 from repro.linalg.taylor_blocked import BlockedTaylorKernel
-from repro.linalg.taylor_gram import GramTaylorKernel, TaylorEngine
+from repro.linalg.taylor_gram import (
+    GramTaylorKernel,
+    TaylorEngine,
+    gram_twin,
+    product_evaluation,
+)
+from repro.operators import FactorizedPSDOperator
 from repro.operators.collection import ConstraintCollection
 from repro.operators.packed import segment_sums
 from repro.core.dotexp import (
@@ -170,11 +177,15 @@ class TestFastOracle:
         with pytest.raises(InvalidProblemError):
             FastDotExpOracle(small_collection, eps=1.5)
 
-    def test_gram_call_is_one_eigh_and_no_kernel(self, monkeypatch):
-        # m=64, R=32: the Gram rung, the Gram trace and a degenerate sketch.
+    @staticmethod
+    def _gram_rung_input(divisor):
+        """m=64, R=32: the Gram rung, the Gram trace and a degenerate sketch.
+
+        ``lambda_max(Psi)`` is about ``16 / divisor``.
+        """
         coll = factorized_family(3, n=16, m=64, rank=2)
+        x = (np.random.default_rng(4).random(len(coll)) + 0.1) / divisor
         packed = coll.packed()
-        x = np.random.default_rng(4).random(len(coll)) + 0.1
         kernel = GramTaylorKernel(
             packed.matrix, packed.expand_weights(x), gram=packed.gram_matrix()
         )
@@ -184,14 +195,18 @@ class TestFastOracle:
             segment_sums(kernel.factor_column_values(degree, scale=0.5), packed.offsets)
             / trace
         )
+        return coll, x, degree, expected, trace
 
-        calls = {"eigh": 0, "eigvalsh": 0}
-        for name in calls:
-            def spy(*args, _name=name, _inner=getattr(np.linalg, name), **kwargs):
+    @staticmethod
+    def _count_eigensolvers(monkeypatch):
+        """Count ``eigh``, ``eigvalsh`` and Cholesky calls; forbid kernels."""
+        calls = {"eigh": 0, "eigvalsh": 0, "dpotrf": 0}
+        for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (norms, "dpotrf")):
+            def spy(*args, _name=name, _inner=getattr(module, name), **kwargs):
                 calls[_name] += 1
                 return _inner(*args, **kwargs)
 
-            monkeypatch.setattr(np.linalg, name, spy)
+            monkeypatch.setattr(module, name, spy)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the Gram-rung call built a kernel")
@@ -199,12 +214,54 @@ class TestFastOracle:
         monkeypatch.setattr(GramTaylorKernel, "__init__", forbidden)
         monkeypatch.setattr(TaylorEngine, "kernel_for", forbidden)
         monkeypatch.setattr(dotexp, "big_dot_exp", forbidden)
+        return calls
+
+    def test_gram_call_is_one_eigh_and_no_kernel(self, monkeypatch):
+        # lambda_max(Psi) ~ 16: no Cholesky can prove the floor degree.
+        coll, x, degree, expected, trace = self._gram_rung_input(1.0)
+        assert degree > taylor_degree(1.0, 0.05 / 2.0)
+        calls = self._count_eigensolvers(monkeypatch)
         oracle = FastDotExpOracle(coll, eps=0.05, rng=0)
         out = oracle(None, x)
         assert oracle.taylor_engine.mode == "gram"
-        assert calls == {"eigh": 1, "eigvalsh": 0}
+        assert calls["eigh"] == 1 and calls["eigvalsh"] == 0
         assert np.array_equal(out.values, expected)
         assert out.trace == trace
+
+    def test_gram_call_at_the_floor_runs_no_eigensolver(self, monkeypatch):
+        # lambda_max(Psi) ~ 0.8: one Cholesky proves it below 2, so the
+        # degree is the floor and R x R products evaluate the polynomial.
+        coll, x, degree, expected, trace = self._gram_rung_input(20.0)
+        assert degree == taylor_degree(1.0, 0.05 / 2.0)
+        packed = coll.packed()
+        gram, col_w = packed.gram_matrix(), packed.expand_weights(x)
+        col_vals, product_trace = product_evaluation(
+            gram, col_w, gram_twin(gram, col_w), degree, packed.dim
+        )
+        calls = self._count_eigensolvers(monkeypatch)
+        oracle = FastDotExpOracle(coll, eps=0.05, rng=0)
+        out = oracle(None, x)
+        assert calls == {"eigh": 0, "eigvalsh": 0, "dpotrf": 1}
+        assert np.array_equal(out.values, segment_sums(col_vals, packed.offsets) / product_trace)
+        assert out.trace == product_trace
+        np.testing.assert_allclose(out.values, expected, rtol=1e-13, atol=0.0)
+        assert abs(out.trace - trace) <= 1e-13 * trace
+
+    def test_kernel_route_bills_the_tracers_kappa_eigensolve(self):
+        # m=200, R=150: dense-psi, Gram trace mode, and at eps 0.9 with
+        # sketch constant 1 a reducing 27-row sketch, so the trace comes off
+        # the sketch block and no trace estimate bills the R x R eigvalsh
+        # kappa reads from the tracer.  Degree 11.
+        rng = np.random.default_rng(0)
+        coll = ConstraintCollection(
+            [FactorizedPSDOperator(0.3 * rng.standard_normal((200, 2))) for _ in range(75)]
+        )
+        x = np.full(len(coll), 0.05)
+        oracle = FastDotExpOracle(coll, eps=0.9, sketch_constant=1.0, rng=0)
+        out = oracle(None, x)
+        assert oracle.taylor_engine.mode == "dense-psi"
+        assert oracle.trace_estimator.mode == "gram" and oracle.trace_estimator.calls == 0
+        assert out.work == 8_940_000 + 150**3
 
 
 class TestMakeOracle:

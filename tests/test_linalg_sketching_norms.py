@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.linalg.norms import (
     frobenius_inner,
+    proves_lambda_max_below,
     spectral_norm,
     spectral_norm_lanczos,
     spectral_norm_power,
@@ -21,6 +22,7 @@ from repro.linalg.sketching import (
     jl_dimension,
     sketch_columns,
 )
+from repro.linalg.taylor_gram import gram_twin
 
 
 class TestTraceProduct:
@@ -204,6 +206,36 @@ class TestTopEigenvalueExtensions:
             info: dict = {}
             runs.add((top_eigenvalue(mat, rng=seed, info=info), info["matvecs"]))
         assert len(runs) == 1
+
+
+class TestProvesLambdaMaxBelow:
+    @staticmethod
+    def _twin(r):
+        """A random Gram twin ``S = W^(1/2) Q^T Q W^(1/2)`` with ``Q`` of shape ``(2r, r)``."""
+        rng = np.random.default_rng(r)
+        q = rng.standard_normal((2 * r, r))
+        return gram_twin(q.T @ q, rng.random(r) + 0.1)
+
+    @pytest.mark.parametrize("r", [8, 32, 400])
+    def test_accepts_a_bound_above_and_rejects_one_below(self, r):
+        twin = self._twin(r)
+        spectrum = np.linalg.eigvalsh(twin)
+        top, second = spectrum[-1], spectrum[-2]
+        assert proves_lambda_max_below(twin, (1.0 + 1e-6) * top)
+        assert not proves_lambda_max_below(twin, (1.0 - 1e-12) * top)
+        # A Ritz value below the top eigenvalue is no bound.
+        assert second < top
+        assert not proves_lambda_max_below(twin, second)
+
+    @pytest.mark.parametrize("r", [8, 32, 400])
+    def test_never_accepts_a_twin_holding_a_nan(self, r):
+        twin = self._twin(r)
+        bound = 10.0 * np.linalg.eigvalsh(twin)[-1]
+        assert proves_lambda_max_below(twin, bound)
+        for i, j in [(0, 0), (r - 1, r - 1), (1, 0), (r - 1, 0), (r - 1, r - 2), (r // 2, r // 3)]:
+            poisoned = twin.copy()
+            poisoned[i, j] = poisoned[j, i] = np.nan
+            assert not proves_lambda_max_below(poisoned, bound), (i, j)
 
 
 class TestJLDimension:

@@ -22,7 +22,11 @@ from repro.linalg.taylor_gram import (
     SPARSE_GEMM_DISCOUNT,
     GramTaylorKernel,
     TaylorEngine,
+    gram_eigenpairs,
+    gram_twin,
+    product_evaluation,
     select_taylor_mode,
+    spectral_evaluation_row,
 )
 from repro.operators import ConstraintCollection, FactorizedPSDOperator, PackedGramFactors
 from repro.core.dotexp import FastDotExpOracle, big_dot_exp
@@ -193,6 +197,54 @@ class TestGramKernelEquivalence:
         q = np.diag([30.0, 0.0])
         with pytest.raises(NumericalError):
             GramTaylorKernel(q, np.ones(2)).apply(np.full(2, 1e300), 60)
+
+
+class TestProductEvaluation:
+    """The spectrum-free route agrees with the spectral one and is row-exact in batches."""
+
+    @pytest.mark.parametrize("r", [1, 8, 32, 96])
+    @pytest.mark.parametrize("top", [0.01, 0.5, 1.9])
+    @pytest.mark.parametrize("degree", [8, 9, 12])
+    def test_matches_spectral_evaluation(self, r, top, degree):
+        rng = np.random.default_rng(r)
+        q = rng.standard_normal((2 * r + 4, r)) * (rng.random((2 * r + 4, r)) < 0.5)
+        gram = q.T @ q
+        w = rng.random(r) + 0.1
+        w *= top / np.linalg.eigvalsh(gram_twin(gram, w))[-1]
+        twin = gram_twin(gram, w)
+        values, trace = product_evaluation(gram, w, twin, degree, 2 * r + 4)
+        expected, expected_trace = spectral_evaluation_row(
+            gram, w, *gram_eigenpairs(twin), degree, 2 * r + 4
+        )
+        np.testing.assert_allclose(values, expected, rtol=1e-13, atol=0.0)
+        assert abs(trace - expected_trace) <= 1e-14 * expected_trace
+
+    @pytest.mark.parametrize("r", [1, 2, 8, 32])
+    def test_batch_rows_equal_single_calls(self, r):
+        rng = np.random.default_rng(10 + r)
+        q = rng.standard_normal((2 * r, r))
+        gram = np.stack([q.T @ q] * 4)
+        w = (rng.random((4, r)) + 0.1) / (2 * r)
+        twins = gram_twin(gram, w)
+        values, traces = product_evaluation(gram, w, twins, 8, 2 * r)
+        for b in range(4):
+            row, trace = product_evaluation(gram[b], w[b], gram_twin(gram[b], w[b]), 8, 2 * r)
+            assert np.array_equal(values[b], row)
+            assert traces[b] == trace
+
+    def test_low_degrees(self):
+        # Degree 1 is the identity polynomial, degree 2 the affine one.
+        rng = np.random.default_rng(3)
+        q = rng.standard_normal((6, 3))
+        gram, w = q.T @ q, np.full(3, 0.1)
+        twin = gram_twin(gram, w)
+        for degree in (1, 2, 3, 4):
+            values, trace = product_evaluation(gram, w, twin, degree, 6)
+            expected, expected_trace = spectral_evaluation_row(
+                gram, w, *gram_eigenpairs(twin), degree, 6
+            )
+            np.testing.assert_allclose(values, expected, rtol=1e-13)
+            assert abs(trace - expected_trace) <= 1e-14 * expected_trace
 
 
 class TestSelectTaylorMode:

@@ -13,14 +13,21 @@ depend on ``--seconds`` or on the machine's speed; a solver change that
 moves one (an extra iteration, a different Taylor degree, a changed work
 charge) fails here.
 
+``psi_state.lambda_max_matvecs`` is pinned for optimize-factorized and
+service-mixed: there every ``lambda_max`` is one ``eigvalsh`` of a Gram
+twin with ``min(m, R) <= 128``, which counts as many applications as the
+twin is wide, so the count measures call sizes.
+
 Left out on purpose:
 
 * counts of calls to the functions ``perfbench/tracing.py`` wraps
   (``dotexp.calls``, ``trace.calls``, ``certificates.calls``,
   ``checkpoint.captures``, ``executor.jobs``): they move whenever the
   solver's call structure changes while its arithmetic does not;
-* ``psi_state.lambda_max_matvecs``: it counts Lanczos sweeps, which the
-  golden pins avoid for the same reason.
+* decision-sparse's ``psi_state.lambda_max_matvecs``: at
+  ``min(m, R) = 400`` every ``lambda_max`` is seeded Lanczos, and its sweep
+  count follows the last bits of the arithmetic, which the golden pins
+  avoid for the same reason.
 
 Like the golden pins, the table assumes the counts repeat across x86
 machines.  Run from the repository root (CI runs it in the perfbench job)::
@@ -45,6 +52,7 @@ COUNTS: dict[str, dict[str, float]] = {
         "dotexp.model_work": 6_333_903_520,
         "taylor.matvecs": 2_618_496,
         "psi_state.update_work": 154_320,
+        "psi_state.lambda_max_matvecs": 12_544,
     },
     "decision-sparse": {
         "decision.iterations": 150,
@@ -58,6 +66,7 @@ COUNTS: dict[str, dict[str, float]] = {
         "taylor.matvecs": 896_000,
         "taylor.engine_update_work": 1_297_612_800,
         "psi_state.update_work": 70_400,
+        "psi_state.lambda_max_matvecs": 10_240,
         "batch.fused_share": 0.4,
         "checkpoint.resumes": 160,
         # 50 cache hits among 210 requests.
