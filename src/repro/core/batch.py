@@ -4,14 +4,14 @@ The paper's algorithm is pitched at parallel throughput, but the engine
 built across PRs 1-6 is a deep *single-instance* pipeline.  This module is
 the serving primitive on top of it: :func:`solve_many` takes ``B``
 independent packing-SDP instances and runs them in lockstep, so the
-per-iteration heavy kernels execute as single stacked LAPACK calls and
-batched GEMMs over ``(B, R, R)`` stacks instead of ``B`` separate
-small-matrix calls.  Each row takes its sequential call's route: one
-Cholesky per row proves which rows have the floor Taylor degree, and
-those share one batched product evaluation; the rest share one stacked
-Gram-twin eigendecomposition, which gives each its Lemma 4.2 kappa, and
-the spectral column values and traces.  The segment sums run over every
-row at once.
+per-iteration heavy kernels execute as batched GEMMs over ``(B, R, R)``
+stacks instead of ``B`` separate small-matrix calls.  Each row takes its
+sequential call's route to its Taylor degree (its oracle's
+``gram_degree``): one Cholesky proves the floor degree, or else one
+``dsyevr`` gives the Gram twin's top eigenvalue and with it the Lemma 4.2
+kappa.  The rows at each degree then share one batched product
+evaluation of their column values and traces, and the segment sums run
+over every row at once.
 
 Equivalence contract
 --------------------
@@ -69,15 +69,8 @@ import numpy as np
 
 from repro.config import get_config
 from repro.exceptions import BudgetExhaustedError, InvalidProblemError, NumericalError
-from repro.linalg.norms import certified_kappa, proves_lambda_max_below
 from repro.linalg.sketching import jl_dimension
-from repro.linalg.taylor import taylor_degree
-from repro.linalg.taylor_gram import (
-    batched_gram_eigh,
-    gram_twin,
-    product_evaluation,
-    spectral_evaluation,
-)
+from repro.linalg.taylor_gram import gram_twin, product_evaluation
 from repro.operators.collection import ConstraintCollection
 from repro.operators.packed import batched_segment_sums
 from repro.robustness.faultinject import fault_hook, fault_hook_array
@@ -91,7 +84,6 @@ from repro.core.decision import (
     decision_psdp,
     resolve_decision_options,
 )
-from repro.core.dotexp import FLOOR_LAMBDA_MAX
 from repro.core.result import DecisionResult, SolveStatus
 from repro.utils.random_utils import RandomState
 
@@ -260,7 +252,12 @@ def _solve_group(members: list, opts: DecisionOptions, results: list) -> None:
     ``members`` are ``(index, run)`` pairs; each instance's result lands in
     ``results[index]``.  Every exit and bookkeeping step is the instance's
     own :class:`~repro.core.decision.DecisionRun` — the sequential
-    solver's — and only the oracle pass runs as batched kernels.
+    solver's — and only the oracle pass runs as batched kernels.  That
+    pass takes each row's degree from its oracle's
+    :meth:`~repro.core.dotexp.FastDotExpOracle.gram_degree` (one Cholesky,
+    or one ``dsyevr`` when it proves nothing) and runs one batched
+    :func:`~repro.linalg.taylor_gram.product_evaluation` per distinct
+    degree; each row equals its sequential call bitwise.
     """
     run0 = members[0][1]
     n, m, check_every = run0.n, run0.m, run0.check_every
@@ -271,8 +268,6 @@ def _solve_group(members: list, opts: DecisionOptions, results: list) -> None:
     # The weight-independent Q^T Q each sequential call's Gram kernel reads
     # from its packed view's cache.
     gram_stack = np.stack([p.gram_matrix() for p in packs])
-    # Every run shares the options, so the oracle eps and the floor degree.
-    floor_degree = run0.oracle.floor_degree
 
     t = 0
     while True:
@@ -303,56 +298,45 @@ def _solve_group(members: list, opts: DecisionOptions, results: list) -> None:
         batch = len(active)
         colw_stack = np.repeat(x_stack, ranks, axis=1)
 
-        # Each row takes its sequential call's route.  A row whose Gram twin
-        # S = diag(sqrt w) Q^T Q diag(sqrt w) one Cholesky proves below
-        # FLOOR_LAMBDA_MAX has the floor degree; the others share one
-        # stacked eigendecomposition and take kappa -> degree from it.  A
-        # row whose eigendecomposition failed (nan) or whose
-        # trace-estimation fault is due is ejected after the evaluation.
+        # Each row finds its degree as its sequential call does, from its
+        # Gram twin S = diag(sqrt w) Q^T Q diag(sqrt w): one Cholesky proves
+        # the floor, or else one dsyevr gives the top eigenvalue.  A row
+        # whose top eigenvalue failed or whose trace-estimation fault is due
+        # is ejected here.
         with np.errstate(invalid="ignore", over="ignore"):
             twins = gram_twin(gram_stack, colw_stack)
-        floor = np.array(
-            [proves_lambda_max_below(twin, FLOOR_LAMBDA_MAX) for twin in twins], dtype=bool
-        )
-        spectral = np.flatnonzero(~floor)
-        degrees = np.full(batch, floor_degree, dtype=np.int64)
-        if spectral.size:
-            spectra, vectors = batched_gram_eigh(twins[spectral])
+        degrees = np.empty(batch, dtype=np.int64)
         for b, (index, run) in enumerate(active):
             try:
                 fault_hook("trace_estimation", kernel_mode="gram")
-                if not floor[b]:
-                    kappa = certified_kappa(spectra[np.searchsorted(spectral, b)])
-                    degrees[b] = taylor_degree(kappa / 2.0, run.oracle.eps / 2.0)
+                degrees[b] = run.oracle.gram_degree(twins[b])
             except NumericalError as exc:
                 results[index] = _eject(
-                    run, opts, "trace_estimation",
-                    f"Gram spectrum failed in batched solve: {exc}",
+                    run, opts, exc.site, f"Gram twin failed in batched solve: {exc}"
                 )
-
-        # Column values and traces, each row at its own degree: the
-        # sequential flat pass runs these same functions on one row.
-        if not spectral.size:
-            col_vals, traces_stack = product_evaluation(
-                gram_stack, colw_stack, twins, floor_degree, m
-            )
-        else:
-            col_vals = np.empty(colw_stack.shape)
-            traces_stack = np.empty(batch)
-            col_vals[spectral], traces_stack[spectral] = spectral_evaluation(
-                gram_stack[spectral], colw_stack[spectral], spectra, vectors,
-                degrees[spectral], m, scale=0.5,
-            )
-            if floor.any():
-                col_vals[floor], traces_stack[floor] = product_evaluation(
-                    gram_stack[floor], colw_stack[floor], twins[floor], floor_degree, m
-                )
-        active, (gram_stack, col_vals, traces_stack, degrees) = _compact(
-            active, results, gram_stack, col_vals, traces_stack, degrees
+        active, (gram_stack, colw_stack, twins, degrees) = _compact(
+            active, results, gram_stack, colw_stack, twins, degrees
         )
         if not active:
             return
         batch = len(active)
+
+        # Column values and traces by R x R products, one batched call per
+        # degree: the sequential flat pass runs the same function on one row.
+        # With one degree (every row at the floor, as a rule) the stacks go
+        # in uncopied.
+        if (degrees == degrees[0]).all():
+            col_vals, traces_stack = product_evaluation(
+                gram_stack, colw_stack, twins, int(degrees[0]), m
+            )
+        else:
+            col_vals = np.empty(colw_stack.shape)
+            traces_stack = np.empty(batch)
+            for degree in np.unique(degrees):
+                rows = degrees == degree
+                col_vals[rows], traces_stack[rows] = product_evaluation(
+                    gram_stack[rows], colw_stack[rows], twins[rows], int(degree), m
+                )
         fault_hook_array("taylor_gram.apply", col_vals)
         finite = np.isfinite(col_vals).all(axis=1)
         if not finite.all():

@@ -26,14 +26,16 @@ which is what the E3/E8 benchmarks exercise.
 Certified kappa
 ---------------
 Lemma 4.2's degree ``k = max(e^2 kappa, ln(2/eps))`` is only valid for
-``kappa >= ||Phi||_2``, so every ``kappa`` comes from an exact spectrum
+``kappa >= ||Phi||_2``, so every ``kappa`` comes from an exact eigenvalue
 (:func:`~repro.linalg.norms.certified_kappa`).  Each fast-oracle call runs
-eig → kappa → degree → apply → trace, and in Gram trace mode the kappa and
-the trace share one ``R x R`` eigendecomposition.  On the Gram rung's flat
-pass one Cholesky may instead prove ``||Psi||_2 < FLOOR_LAMBDA_MAX``,
-which fixes the degree at its floor without a spectrum.  Without a
-spectrum of its own a call reads :func:`~repro.linalg.trace_estimation.lambda_max_source`,
-the rule the implicit psi state's ``lambda_max`` bound reads too, and its
+eig → kappa → degree → apply → trace.  On the Gram rung's flat pass one
+Cholesky may prove ``||Psi||_2 < FLOOR_LAMBDA_MAX``, which fixes the
+degree at its floor without an eigenvalue; when it cannot, one ``dsyevr``
+gives the ``R x R`` twin's top eigenvalue alone.  Off that pass, in Gram
+trace mode, the kappa and the trace share one ``R x R``
+eigendecomposition.  Without a spectrum of its own a call reads
+:func:`~repro.linalg.trace_estimation.lambda_max_source`, the rule the
+implicit psi state's ``lambda_max`` bound reads too, and its
 work charge includes that eigensolve or Lanczos at the psi state's rates.
 
 Packed estimates
@@ -64,12 +66,12 @@ the kappa, the trace and all ``n`` estimates, with no ``m``-sized work.
 With the Gram trace and a degenerate sketch (every benchmarked input) the
 call is one flat pass that builds no kernel object and books exactly what
 one row of the fused ``solve_many`` group books: the twin, then one
-Cholesky that proves the floor degree and ``R x R`` products that evaluate
-the polynomial at it, or, when the proof fails, one ``eigh``, kappa, the
-degree and the one-row spectral formula; then the checks.  The other
-representations (the densified ``Psi``, the scaled stack) are built from
-each call's weights, and the build's work is charged to the backend.  No kernel carries state from one
-call to the next.
+Cholesky that proves the floor degree or, when the proof fails, one
+``dsyevr`` for the top eigenvalue, kappa and the degree; then ``R x R``
+products that evaluate the polynomial at that degree, and the checks.
+The other representations (the densified ``Psi``, the scaled stack) are
+built from each call's weights, and the build's work is charged to the
+backend.  No kernel carries state from one call to the next.
 Every representation evaluates the identical polynomial, so the
 :class:`~repro.robustness.FastPathSupervisor` can demote a failing kernel
 to another one — down to the per-term matvec recurrence, the
@@ -128,10 +130,9 @@ from repro.linalg.taylor_blocked import BlockedTaylorKernel, checked_kernel_outp
 from repro.linalg.taylor_gram import (
     GramTaylorKernel,
     TaylorEngine,
-    gram_eigenpairs,
+    gram_top_eigenvalue,
     gram_twin,
     product_evaluation,
-    spectral_evaluation_row,
 )
 from repro.linalg.trace_estimation import TraceEstimator, finite_trace, lambda_max_source
 from repro.operators.collection import ConstraintCollection
@@ -472,10 +473,10 @@ class FastDotExpOracle:
 
     A call on the Gram rung with the Gram trace and a degenerate sketch
     takes one flat pass (:meth:`_gram_call`): one Cholesky of the Gram
-    twin proves the floor degree and ``R x R`` products give the
-    estimates and the trace, or else one ``eigh`` of the twin gives
-    kappa, the degree, the estimates and the trace, with the checks,
-    counters and work charge of the kernel route and no kernel object.
+    twin proves the floor degree, or else one ``dsyevr`` of the twin
+    gives its top eigenvalue, kappa and the degree; ``R x R`` products
+    then give the estimates and the trace, with the checks, counters and
+    work charge of the kernel route and no kernel object.
     Whether the sketch degenerates is decided at construction; it
     reads only ``m``, ``eps`` and the sketch constant.  Every other case
     (the dense-psi, sparse-factors and reference rungs, a demoted trace, a
@@ -622,10 +623,11 @@ class FastDotExpOracle:
                 spectrum, host_psi = operator.spectrum, None
             else:
                 spectrum, host_psi = tracer.spectrum, operator.host_psi
-                if spectrum is not None:
-                    # The tracer's R x R eigvalsh: R applications at R^2
-                    # each, the twin rate lambda_max_source uses.
-                    spectrum_work = float(spectrum.size) ** 3
+            if spectrum is not None:
+                # The kernel's R x R eigh or the tracer's eigvalsh: R
+                # applications at R^2 each, the twin rate lambda_max_source
+                # uses.
+                spectrum_work = float(spectrum.size) ** 3
         kappa, kappa_work = self._kappa(weights, matvec, spectrum, host_psi)
         trace_calls_before = tracer.calls if tracer is not None else 0
         estimates, trace_estimate = big_dot_exp(
@@ -648,7 +650,8 @@ class FastDotExpOracle:
         # (m, m) identity — and the estimator's own model work (the R x R
         # eigendecomposition) rides along, so the charge reflects what
         # actually ran; so does a kappa eigensolve or Lanczos of its own,
-        # and without a trace estimate the tracer's eigensolve kappa read.
+        # and without a trace estimate the eigensolve kappa read, the Gram
+        # kernel's or the tracer's.
         if tracer is not None and tracer.calls > trace_calls_before:
             work = self._model_work(self._packed.total_rank, degree, tracer.last.extra_work)
         else:
@@ -662,33 +665,20 @@ class FastDotExpOracle:
 
         The kernel route (``kernel_for`` → :class:`GramTaylorKernel` →
         ``bind`` → :func:`big_dot_exp` → ``estimate``) flattened, with each
-        of its checks at the same fault site.  When one Cholesky of the Gram
-        twin proves ``lambda_max < FLOOR_LAMBDA_MAX``
-        (:func:`~repro.linalg.norms.proves_lambda_max_below`), the degree is
-        its floor and :func:`~repro.linalg.taylor_gram.product_evaluation`
-        gives the column values and the trace from ``R x R`` products.
-        Otherwise one ``eigh`` of the twin
-        (:func:`~repro.linalg.taylor_gram.gram_eigenpairs`) gives kappa,
-        the degree, and through
-        :func:`~repro.linalg.taylor_gram.spectral_evaluation_row` the
-        values and the trace.  Either way the degree is the one the
-        ``eigh``'s kappa gives.  The trace, the counters and the work are
-        booked as for one row of the fused ``solve_many`` group.
+        of its checks at the same fault site.  The Gram twin gives the
+        degree (:meth:`gram_degree`), and
+        :func:`~repro.linalg.taylor_gram.product_evaluation` gives the
+        column values and the trace from ``R x R`` products at that degree.
+        The trace, the counters and the work are booked as for one row of
+        the fused ``solve_many`` group.
         """
         packed = self._packed
         gram = packed.gram_matrix()
         col_w = packed.expand_weights(weights)
         twin = gram_twin(gram, col_w)
-        if proves_lambda_max_below(twin, FLOOR_LAMBDA_MAX):
-            degree = self.floor_degree
-            col_vals, trace = product_evaluation(gram, col_w, twin, degree, packed.dim)
-            trace = float(trace)
-        else:
-            eigenvalues, eigenvectors = gram_eigenpairs(twin)
-            degree = taylor_degree(certified_kappa(eigenvalues) / 2.0, self.eps / 2.0)
-            col_vals, trace = spectral_evaluation_row(
-                gram, col_w, eigenvalues, eigenvectors, degree, packed.dim
-            )
+        degree = self.gram_degree(twin)
+        col_vals, trace = product_evaluation(gram, col_w, twin, degree, packed.dim)
+        trace = float(trace)
         checked_kernel_output(col_vals, GramTaylorKernel.fault_site, "gram")
         estimates = packed.constraint_sums(col_vals)
         fault_hook("trace_estimation", kernel_mode="gram")
@@ -696,6 +686,23 @@ class FastDotExpOracle:
         estimate = self._trace_estimator.record_gram_estimate(trace, degree)
         work = self._book_gram_call(degree, estimate)
         return OracleOutput(values=estimates / trace, trace=trace, work=work)
+
+    def gram_degree(self, twin: np.ndarray) -> int:
+        """The Lemma 4.2 degree of a flat Gram pass whose twin is ``twin``.
+
+        The floor degree when one Cholesky proves
+        ``lambda_max < FLOOR_LAMBDA_MAX``
+        (:func:`~repro.linalg.norms.proves_lambda_max_below`).  Otherwise
+        one ``dsyevr`` gives the twin's top eigenvalue alone
+        (:func:`~repro.linalg.taylor_gram.gram_top_eigenvalue`, which raises
+        at ``taylor_gram.apply`` on a failure), and the degree follows from
+        its certified kappa.  The fused ``solve_many`` group calls this for
+        each row, so its degrees are the sequential calls'.
+        """
+        if proves_lambda_max_below(twin, FLOOR_LAMBDA_MAX):
+            return self.floor_degree
+        kappa = certified_kappa(gram_top_eigenvalue(twin))
+        return taylor_degree(kappa / 2.0, self.eps / 2.0)
 
     def _model_work(self, columns: int, degree: int, extra: float = 0.0) -> float:
         """A call's work in the Corollary 1.2 units, plus ``extra``.
@@ -732,8 +739,8 @@ class FastDotExpOracle:
         """Lemma 4.2's ``kappa`` for this call, from an exact spectrum, and its work.
 
         With the call's Gram-twin ``spectrum`` (the Gram kernel's, or the
-        bound tracer's in Gram trace mode) it is its top entry, already
-        charged with the trace.  Otherwise
+        bound tracer's in Gram trace mode) it is its top entry, and the
+        caller bills that eigensolve.  Otherwise
         :func:`~repro.linalg.trace_estimation.lambda_max_source` picks the
         smaller Gram twin (``psi``, the host ``Psi`` this call's dense-psi
         kernel was built from, when there is one) or, above the cutoff,
@@ -822,9 +829,9 @@ class FastDotExpOracle:
         """Book one batched-solver oracle pass against this oracle's counters.
 
         ``repro.core.batch.solve_many`` runs the degenerate structured-path
-        estimate (the product evaluation of the rows one Cholesky proves at
-        the floor degree, a stacked Gram-twin ``eigh`` and the spectral
-        column values and trace of the rest) as batched kernels outside
+        estimate (each row's :meth:`gram_degree`, then one batched product
+        evaluation of the column values and traces per degree) as batched
+        kernels outside
         :meth:`__call__`, but each instance
         must record exactly the counters and Corollary 1.2 work charge a
         sequential call would have — the kappa's ``norm_estimates`` tally

@@ -301,7 +301,11 @@ def top_eigenvalue(
 KAPPA_EIG_CUTOFF = 128
 
 #: Relative slack on the top eigenvalue in :func:`certified_lambda_max`; it
-#: covers ``eigvalsh``'s backward error.
+#: covers the backward error of the dense symmetric eigensolvers that
+#: supply it (``eigvalsh``, ``eigh``, and ``dsyevr`` for the top eigenvalue
+#: alone).  Their absolute error on a ``d x d`` matrix ``S`` is a small
+#: multiple of ``d u ||S||_2`` (``u`` the unit roundoff), under
+#: ``1e-9 ||S||_2`` for any ``d`` a dense eigensolver can take.
 KAPPA_SLACK = 1e-9
 
 #: Twice the unit roundoff of float64.

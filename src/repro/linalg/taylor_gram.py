@@ -20,16 +20,18 @@ call's weights:
 
   so one ``R x R`` ``eigh`` per call replaces the degree-``k`` recurrence:
   a block apply is two ``(m, R)`` projections around ``R x R`` products at
-  a cost independent of the degree, and the oracle's factor-column values
+  a cost independent of the degree, and the factor-column values
   ``||p(s Psi) q_c||^2`` need no ``m``-sized work at all
-  (:func:`spectral_evaluation_row` for one weight vector,
-  :func:`spectral_evaluation` for a batch of them).  The win when the
-  stacked rank satisfies ``2R <= GRAM_HYSTERESIS * m``.
+  (:func:`spectral_evaluation_row`).  The oracle builds it for a Gram-rung
+  call off its flat pass (a reducing sketch, a demoted trace).  The win
+  when the stacked rank satisfies ``2R <= GRAM_HYSTERESIS * m``.
 * **Gram-space products** (:func:`product_evaluation`): the same column
   values and trace with ``r_s(S)`` as a matrix polynomial, five ``R x R``
-  GEMMs at degree 8 and no eigensolver.  The oracle's flat pass and the
-  fused ``solve_many`` group use it when one Cholesky proves the call's
-  degree is its floor, so no spectrum is needed for kappa either.
+  GEMMs at degree 8 and no eigensolver.  Every call of the oracle's flat
+  pass and every row of the fused ``solve_many`` group evaluates this
+  way.  Its degree needs only an upper bound on ``lambda_max(S)``: one
+  Cholesky proves the floor degree, and when it cannot, one ``dsyevr``
+  gives the top eigenvalue alone (:func:`gram_top_eigenvalue`).
 * **Selection policy** (:func:`select_taylor_mode`): compares the modelled
   per-term costs of the applicable representations — Gram space, densified
   ``Psi`` and the sparse factor recurrence (discounted by the measured
@@ -58,6 +60,7 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dsyevr
 
 from repro.exceptions import InvalidProblemError, NumericalError
 from repro.linalg.taylor_blocked import (
@@ -70,12 +73,11 @@ from repro.linalg.taylor_blocked import (
 __all__ = [
     "GramTaylorKernel",
     "TaylorEngine",
-    "batched_gram_eigh",
     "gram_eigenpairs",
+    "gram_top_eigenvalue",
     "gram_twin",
     "product_evaluation",
     "select_taylor_mode",
-    "spectral_evaluation",
     "spectral_evaluation_row",
     "taylor_mode_cost",
     "GRAM_HYSTERESIS",
@@ -192,34 +194,6 @@ def gram_twin(gram: np.ndarray, col_weights: np.ndarray) -> np.ndarray:
     return 0.5 * (weighted + weighted.mT)
 
 
-def batched_gram_eigh(twins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(eigenvalues, eigenvectors)`` of every :func:`gram_twin` in a stack.
-
-    Eigenvalues ascend and are clipped at 0.  Row ``b`` equals
-    :func:`gram_eigenpairs` of that twin bitwise (a stacked ``eigh`` runs
-    the same LAPACK routine per slice).  Rows whose twin is not finite or
-    whose eigensolver fails come back ``nan`` instead of raising, so one
-    bad instance cannot poison its batchmates.
-    """
-    batch, r = twins.shape[:2]
-    eigenvalues = np.full((batch, r), np.nan)
-    eigenvectors = np.full((batch, r, r), np.nan)
-    good = np.flatnonzero(np.isfinite(twins).all(axis=(1, 2)))
-    if r == 0 or good.size == 0:
-        return eigenvalues, eigenvectors
-    try:
-        eigenvalues[good], eigenvectors[good] = np.linalg.eigh(twins[good])
-    except np.linalg.LinAlgError:
-        # Isolate non-converging slices so the rest of the batch survives.
-        for b in good:
-            try:
-                eigenvalues[b], eigenvectors[b] = np.linalg.eigh(twins[b])
-            except np.linalg.LinAlgError:
-                pass
-    np.clip(eigenvalues, 0.0, None, out=eigenvalues)
-    return eigenvalues, eigenvectors
-
-
 def gram_eigenpairs(twin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(eigenvalues, eigenvectors)`` of one :func:`gram_twin`, eigenvalues clipped at 0.
 
@@ -243,6 +217,28 @@ def gram_eigenpairs(twin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigenvalues, eigenvectors
 
 
+def gram_top_eigenvalue(twin: np.ndarray) -> np.ndarray:
+    """The top eigenvalue of one :func:`gram_twin`, as a one-entry spectrum.
+
+    One LAPACK ``dsyevr`` for the ``R``-th eigenvalue alone, without
+    eigenvectors; it reads the upper triangle.  A NaN there makes it report
+    ``info > 0`` with no eigenvalue found and ``0.0`` in the output slot, an
+    inf a NaN eigenvalue, so anything but one finite eigenvalue with
+    ``info == 0`` raises :class:`~repro.exceptions.NumericalError` at
+    ``taylor_gram.apply``, the site of :func:`gram_eigenpairs`.  The entry
+    is what :func:`~repro.linalg.norms.certified_kappa` reads.
+    """
+    r = twin.shape[-1]
+    eigenvalues, _, found, _, info = dsyevr(twin, compute_v=0, range="I", il=r, iu=r)
+    if info != 0 or found != 1 or not math.isfinite(eigenvalues[0]):
+        raise NumericalError(
+            "Gram-twin top eigenvalue failed",
+            site=GramTaylorKernel.fault_site,
+            kernel_mode="gram",
+        )
+    return eigenvalues[:1]
+
+
 @functools.lru_cache(maxsize=64)
 def _horner_coefficients(degree: int, scale: float) -> tuple[float, ...]:
     """``scale / i!`` for ``i = degree - 1, ..., 1``: the ratio series' Horner order."""
@@ -253,74 +249,19 @@ def _horner_coefficients(degree: int, scale: float) -> tuple[float, ...]:
     return tuple(reversed(coef))
 
 
-def _ratio_series(eigenvalues: np.ndarray, degrees: np.ndarray, scale: float) -> np.ndarray:
-    """``r(lambda) = (p(scale * lambda) - 1) / lambda`` at each row's degree.
+def _ratio_row(eigenvalues: np.ndarray, degree: int, scale: float) -> np.ndarray:
+    """``r(lambda) = (p(scale * lambda) - 1) / lambda`` on a spectrum.
 
     Horner's rule on ``sum_{1 <= i < k} (scale / i!) y^(i-1)`` with
     ``y = scale * lambda``: non-negative terms for ``lambda >= 0``, so no
-    cancellation, and ``r(0) = scale`` (``0`` at ``k = 1``).  A row below
-    the top degree gets zero leading coefficients, which leaves it bitwise
-    equal to :func:`_ratio_row`.
+    cancellation, and ``r(0) = scale`` (``0`` at ``k = 1``).
     """
-    degrees = np.asarray(degrees, dtype=np.int64)
-    top = int(degrees.max(initial=1))
-    ragged = int(degrees.min()) < top
-    y = eigenvalues * scale
-    ratio = np.zeros_like(eigenvalues)
-    for i, c in zip(range(top - 1, 0, -1), _horner_coefficients(top, scale)):
-        ratio *= y
-        if ragged:
-            ratio += np.where(degrees > i, c, 0.0)[:, None]
-        else:
-            ratio += c
-    return ratio
-
-
-def _ratio_row(eigenvalues: np.ndarray, degree: int, scale: float) -> np.ndarray:
-    """:func:`_ratio_series` of one spectrum at one degree, bitwise."""
     y = eigenvalues * scale
     ratio = np.zeros(eigenvalues.shape, eigenvalues.dtype)
     for c in _horner_coefficients(degree, scale):
         ratio *= y
         ratio += c
     return ratio
-
-
-def spectral_evaluation(
-    gram: np.ndarray,
-    col_weights: np.ndarray,
-    eigenvalues: np.ndarray,
-    eigenvectors: np.ndarray,
-    degrees: np.ndarray,
-    dim: int,
-    scale: float = 0.5,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(values, traces)`` of the Theorem 4.1 oracle, from ``eig(S)``.
-
-    Every argument has a leading batch axis: ``gram`` the ``Q^T Q`` stack,
-    the weights, each :func:`gram_twin`'s eigenpairs and each row's Taylor
-    degree.  With ``r`` from :func:`_ratio_series`, ``p = 1 + lambda r``
-    and ``f = p^2 = 1 + lambda h``,
-
-    .. math:: \\|p(s\\Psi)\\,q_c\\|^2 = G_{cc} + \\sum_j h_j C_{jc}^2,
-        \\qquad h = r\\,(1 + p), \\qquad C = V^T W^{1/2} G,
-
-    and ``Tr[p(s Psi)^2] = (m - R) + sum_j p_j^2``: one ``R x R`` GEMM per
-    row, no ``m``-sized work.  Non-finite results are left for the caller
-    to detect.  The fused ``solve_many`` group runs this; a single oracle
-    call runs :func:`spectral_evaluation_row`, which equals row ``b``
-    bitwise.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratio = _ratio_series(eigenvalues, degrees, scale)
-        poly = 1.0 + eigenvalues * ratio
-        h = ratio * (1.0 + poly)
-        root = np.sqrt(col_weights)
-        proj = eigenvectors.mT @ (root[:, :, None] * gram)
-        tail = h[:, None, :] @ (proj * proj)
-        values = np.diagonal(gram, axis1=1, axis2=2) + tail[:, 0, :]
-        traces = float(dim - poly.shape[1]) + (poly * poly).sum(axis=1)
-    return values, traces
 
 
 def spectral_evaluation_row(
@@ -332,11 +273,18 @@ def spectral_evaluation_row(
     dim: int,
     scale: float = 0.5,
 ) -> tuple[np.ndarray, float]:
-    """``(values, trace)`` of :func:`spectral_evaluation` for one weight vector.
+    """``(values, trace)`` of the Theorem 4.1 oracle, from ``eig(S)``.
 
-    The same operations in the same order, without the batch axis and on
-    the cached ratio-series coefficients, so every bit equals the batched
-    row's.  Non-finite results are left for the caller to detect.
+    ``eigenvalues`` and ``eigenvectors`` are :func:`gram_eigenpairs` of
+    the weights' :func:`gram_twin`.  With ``r`` from :func:`_ratio_row`,
+    ``p = 1 + lambda r`` and ``f = p^2 = 1 + lambda h``,
+
+    .. math:: \\|p(s\\Psi)\\,q_c\\|^2 = G_{cc} + \\sum_j h_j C_{jc}^2,
+        \\qquad h = r\\,(1 + p), \\qquad C = V^T W^{1/2} G,
+
+    and ``Tr[p(s Psi)^2] = (m - R) + sum_j p_j^2``: one ``R x R`` GEMM, no
+    ``m``-sized work.  Non-finite results are left for the caller to
+    detect.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         ratio = _ratio_row(eigenvalues, degree, scale)
@@ -424,7 +372,7 @@ def product_evaluation(
     dim: int,
     scale: float = 0.5,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(values, traces)`` of :func:`spectral_evaluation` by ``R x R`` products.
+    """``(values, traces)`` of :func:`spectral_evaluation_row` by ``R x R`` products.
 
     The same polynomial without the spectrum.  With the ratio series as a
     matrix polynomial, ``M = r_s(S) = sum_{1 <= i < k} (s^i / i!) S^(i-1)``

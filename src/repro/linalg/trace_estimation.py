@@ -25,16 +25,15 @@ oracle call: ``Tr[p(Psi/2)^2] = || p(Psi/2) I ||_F^2``.
   (:func:`~repro.linalg.taylor_gram.spectral_evaluation_row`), so every
   representation evaluates the one scalar Lemma 4.2 polynomial.  The
   largest ``lambda_j`` is ``||Psi||_2`` exactly, so the fast oracle takes
-  its Lemma 4.2 ``kappa`` from the same spectrum.  Where that spectrum
-  comes from depends on the Taylor rung.  On the Gram rung the oracle's
-  flat pass takes it, the Theorem 4.1 estimates and the trace from one
-  ``eigh`` of the twin, unless one Cholesky proves the call's degree is
-  its floor and ``R x R`` products
+  its Lemma 4.2 ``kappa`` from the same spectrum.  On the Gram rung the
+  oracle's flat pass needs no spectrum: ``R x R`` products
   (:func:`~repro.linalg.taylor_gram.product_evaluation`) give the
-  estimates and the same trace without a spectrum.  Either way it books
-  the trace through :meth:`TraceEstimator.record_gram_estimate`, as the
-  fused ``solve_many`` group does for each of its rows.  Off the Gram
-  rung the spectrum is
+  Theorem 4.1 estimates and the same trace, at the floor degree when one
+  Cholesky proves it and otherwise at the degree the twin's top
+  eigenvalue gives, from one ``dsyevr``.  It books the trace through
+  :meth:`TraceEstimator.record_gram_estimate`, as the fused
+  ``solve_many`` group does for each of its rows.  Off the Gram rung the
+  spectrum is
   :attr:`TraceEstimator.spectrum`, one ``eigvalsh`` of the twin for the
   weights :meth:`TraceEstimator.bind` bound, and
   :meth:`TraceEstimator.estimate` evaluates the trace on it.
@@ -157,7 +156,7 @@ def spectrum_exp_trace(
     of length ``R`` are 0, where ``p(0) = 1``, so the trace is
     ``(m - R) + sum_j (1 + lambda_j r_j)^2`` with ``r`` the Gram kernel's
     ratio series — the same arithmetic as
-    :func:`~repro.linalg.taylor_gram.spectral_evaluation`, never touching
+    :func:`~repro.linalg.taylor_gram.spectral_evaluation_row`, never touching
     an ``(m, m)`` object.  Requires ``R <= m``.
     """
     r = eigenvalues.shape[0]
@@ -417,17 +416,15 @@ class TraceEstimator:
         """Account a Gram-mode trace computed from the Gram twin elsewhere.
 
         The fast oracle's flat Gram pass computes one call's trace with
-        :func:`~repro.linalg.taylor_gram.product_evaluation` when one
-        Cholesky proves its degree is the floor, and with
-        :func:`~repro.linalg.taylor_gram.spectral_evaluation_row` on one
-        ``eigh`` otherwise; :func:`~repro.core.batch.solve_many` runs the
-        same two routes over a whole instance group, the second on one
-        stacked eigendecomposition
-        (:func:`~repro.linalg.taylor_gram.batched_gram_eigh`) with
-        :func:`~repro.linalg.taylor_gram.spectral_evaluation`.  Both book
-        each trace here so counters, work charges and :attr:`last` advance
-        exactly as a :meth:`estimate` call in mode ``"gram"`` would have:
-        the model charge stays ``R^3 + R k`` whichever route ran.
+        :func:`~repro.linalg.taylor_gram.product_evaluation`, at the floor
+        degree when one Cholesky proves it and otherwise at the degree one
+        ``dsyevr``'s top eigenvalue gives;
+        :func:`~repro.core.batch.solve_many` runs the same route over a
+        whole instance group, one batched product evaluation per degree.
+        Both book each trace here so counters, work charges and
+        :attr:`last` advance exactly as a :meth:`estimate` call in mode
+        ``"gram"`` would have: the model charge stays ``R^3 + R k``
+        whichever route ran.
         """
         if self.mode != "gram":
             raise InvalidProblemError(

@@ -26,7 +26,6 @@ from repro.core.decision import resolve_decision_options
 from repro.core.result import DecisionOutcome, SolveStatus
 from repro.linalg.psd import random_psd
 from repro.linalg.taylor import taylor_degree
-from repro.linalg.taylor_gram import spectral_evaluation_row
 from repro.operators import (
     ConstraintCollection,
     DensePSDOperator,
@@ -183,58 +182,91 @@ class TestBatchedEquivalence:
 
     def test_mixed_degree_group_matches_sequential(self, monkeypatch):
         # Strict runs at scales 0.35 and 0.2 in one fused group.  While
-        # ||Psi|| < 2 one Cholesky proves each row's floor degree (8) and
-        # R x R products evaluate it; the smaller-scale instances qualify
-        # more often, so their Psi passes ||Psi|| = 2 and they take the
-        # eigh at degree 9 while batchmates are still proved.  Each row must
-        # equal the one-row call its sequential oracle makes on its route.
+        # ||Psi|| < 2 one Cholesky proves each row's floor degree (8); the
+        # smaller-scale instances qualify more often, so their Psi passes
+        # ||Psi|| = 2 and one dsyevr gives them degree 9 while batchmates
+        # are still proved.  Each degree is one batched product evaluation,
+        # and each of its rows must equal the one-row call its sequential
+        # oracle makes at that degree.
         import repro.core.batch as batch
 
         floor = taylor_degree(1.0, 0.5 / 4.0 / 2.0)
         iterations = []
         real_twin = batch.gram_twin
         real_product = batch.product_evaluation
-        real_spectral = batch.spectral_evaluation
 
         def twin_spy(*args):
-            iterations.append({})
+            iterations.append([])
             return real_twin(*args)
 
         def product_spy(gram, colw, twins, degree, dim, scale=0.5):
             values, traces = real_product(gram, colw, twins, degree, dim, scale)
             for b in range(values.shape[0]):
                 row = real_product(gram[b], colw[b], twins[b], degree, dim, scale)
-                assert np.array_equal(values[b], row[0]), f"floor row {b}"
-                assert traces[b] == row[1], f"floor trace {b}"
-            iterations[-1]["floor"] = degree
-            return values, traces
-
-        def spectral_spy(gram, colw, spectra, vectors, degrees, dim, scale=0.5):
-            values, traces = real_spectral(gram, colw, spectra, vectors, degrees, dim, scale)
-            for b in range(values.shape[0]):
-                row = spectral_evaluation_row(
-                    gram[b], colw[b], spectra[b], vectors[b], int(degrees[b]), dim, scale
-                )
-                assert np.array_equal(values[b], row[0]), f"row {b} of {degrees}"
-                assert traces[b] == row[1], f"trace {b} of {degrees}"
-            iterations[-1]["spectral"] = np.array(degrees)
+                assert np.array_equal(values[b], row[0]), f"row {b} at degree {degree}"
+                assert traces[b] == row[1], f"trace {b} at degree {degree}"
+            iterations[-1].append(degree)
             return values, traces
 
         monkeypatch.setattr(batch, "gram_twin", twin_spy)
         monkeypatch.setattr(batch, "product_evaluation", product_spy)
-        monkeypatch.setattr(batch, "spectral_evaluation", spectral_spy)
         factories = [
             (lambda s=s: factorized_family(s, n=8, m=32, rank=2, scale=(0.35, 0.2)[s % 2]))
             for s in range(4)
         ]
         opts = fast_opts(epsilon=0.5, strict=True, max_iterations=300)
         results = solve_many([f() for f in factories], options=opts)
-        assert all(it.get("floor", floor) == floor for it in iterations)
-        assert any(
-            "floor" in it and (it.get("spectral", np.zeros(0)) > floor).any()
-            for it in iterations
-        )
+        assert all(len(set(degrees)) == len(degrees) for degrees in iterations)
+        assert any({floor, 9} <= set(degrees) for degrees in iterations)
         assert_batch_matches(factories, opts, results)
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["pair", "upper"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_twin_ejects_only_its_row(self, monkeypatch, value, symmetric):
+        # Instance 1's twin turns non-finite in the third iteration.  Its
+        # Cholesky proves nothing and its dsyevr reports the failure, so the
+        # row is ejected at the Gram kernel's site before any evaluation,
+        # and its sequential re-solve (on a clean twin) is the sequential
+        # result.
+        import repro.core.batch as batch
+
+        real_twin = batch.gram_twin
+        real_product = batch.product_evaluation
+        calls = []
+
+        def poisoned(gram, col_w):
+            twins = real_twin(gram, col_w)
+            calls.append(twins.shape[0])
+            if len(calls) == 3:
+                twins[1, 1, 5] = value
+                if symmetric:
+                    twins[1, 5, 1] = value
+            return twins
+
+        def product_spy(gram, colw, twins, degree, dim, scale=0.5):
+            assert np.isfinite(twins).all(), "evaluated a twin whose top eigenvalue failed"
+            return real_product(gram, colw, twins, degree, dim, scale)
+
+        monkeypatch.setattr(batch, "gram_twin", poisoned)
+        monkeypatch.setattr(batch, "product_evaluation", product_spy)
+        factories = [(lambda s=s: fused_family(s)) for s in range(3)]
+        opts = fast_opts()
+        results = solve_many([f() for f in factories], options=opts)
+        assert calls[:3] == [3, 3, 3]
+        hit = results[1]
+        assert hit.status == SolveStatus.DEGRADED
+        assert [
+            (event["kind"], event["site"], event["iteration"])
+            for event in hit.metadata["recovery_events"]
+        ] == [("BatchEjection", "taylor_gram.apply", 3)]
+        reference = sequential_reference(factories[1], opts, 1)
+        assert (hit.outcome, hit.iterations) == (reference.outcome, reference.iterations)
+        assert np.array_equal(hit.dual_x, reference.dual_x)
+        assert hit.counters.as_dict() == reference.counters.as_dict()
+        for i in (0, 2):
+            assert_results_identical(
+                results[i], sequential_reference(factories[i], opts, i), label=f"instance {i}"
+            )
 
     def test_ragged_shapes_in_one_call(self):
         # Two fused groups of different shape, a gate fallback, and two

@@ -8,7 +8,8 @@ import scipy.sparse as sp
 
 import repro.core.dotexp as dotexp
 import repro.linalg.norms as norms
-from repro.exceptions import InvalidProblemError
+import repro.linalg.taylor_gram as taylor_gram
+from repro.exceptions import InvalidProblemError, NumericalError
 from repro.instrumentation.counters import OracleCounters
 from repro.linalg.expm import expm_eigh, expm_normalized
 from repro.linalg.norms import certified_kappa
@@ -24,6 +25,7 @@ from repro.linalg.taylor_gram import (
 from repro.operators import FactorizedPSDOperator
 from repro.operators.collection import ConstraintCollection
 from repro.operators.packed import segment_sums
+from repro import decision_psdp
 from repro.core.dotexp import (
     ExactDotExpOracle,
     FastDotExpOracle,
@@ -199,9 +201,11 @@ class TestFastOracle:
 
     @staticmethod
     def _count_eigensolvers(monkeypatch):
-        """Count ``eigh``, ``eigvalsh`` and Cholesky calls; forbid kernels."""
-        calls = {"eigh": 0, "eigvalsh": 0, "dpotrf": 0}
-        for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (norms, "dpotrf")):
+        """Count ``eigh``, ``eigvalsh``, Cholesky and ``dsyevr`` calls; forbid kernels."""
+        calls = {"eigh": 0, "eigvalsh": 0, "dpotrf": 0, "dsyevr": 0}
+        for module, name in (
+            (np.linalg, "eigh"), (np.linalg, "eigvalsh"), (norms, "dpotrf"), (taylor_gram, "dsyevr")
+        ):
             def spy(*args, _name=name, _inner=getattr(module, name), **kwargs):
                 calls[_name] += 1
                 return _inner(*args, **kwargs)
@@ -216,17 +220,70 @@ class TestFastOracle:
         monkeypatch.setattr(dotexp, "big_dot_exp", forbidden)
         return calls
 
-    def test_gram_call_is_one_eigh_and_no_kernel(self, monkeypatch):
-        # lambda_max(Psi) ~ 16: no Cholesky can prove the floor degree.
+    def test_gram_call_is_one_dsyevr_and_no_kernel(self, monkeypatch):
+        # lambda_max(Psi) ~ 16: no Cholesky can prove the floor degree, so
+        # one dsyevr gives the top eigenvalue, kappa and the degree, and
+        # R x R products evaluate the polynomial at that degree.
         coll, x, degree, expected, trace = self._gram_rung_input(1.0)
         assert degree > taylor_degree(1.0, 0.05 / 2.0)
         calls = self._count_eigensolvers(monkeypatch)
         oracle = FastDotExpOracle(coll, eps=0.05, rng=0)
         out = oracle(None, x)
         assert oracle.taylor_engine.mode == "gram"
-        assert calls["eigh"] == 1 and calls["eigvalsh"] == 0
-        assert np.array_equal(out.values, expected)
-        assert out.trace == trace
+        assert calls["dsyevr"] == 1 and calls["eigh"] == 0 and calls["eigvalsh"] == 0
+        assert oracle.counters.matvecs == coll.packed().total_rank * (degree - 1)
+        np.testing.assert_allclose(out.values, expected, rtol=1e-13, atol=0.0)
+        assert abs(out.trace - trace) <= 1e-13 * trace
+
+    def test_strict_solve_across_the_floor_runs_no_eigh(self, monkeypatch):
+        # optimize-factorized's shape (n=16, m=64, rank 2): as the weights
+        # grow, ||Psi|| passes 2 and the Cholesky stops proving the floor
+        # degree.  Every such call runs one dsyevr, and no call an eigh.
+        calls = self._count_eigensolvers(monkeypatch)
+        proofs = []
+        real_proof = dotexp.proves_lambda_max_below
+
+        def proof(*args):
+            proofs.append(real_proof(*args))
+            return proofs[-1]
+
+        monkeypatch.setattr(dotexp, "proves_lambda_max_below", proof)
+        decision_psdp(
+            factorized_family(0, n=16, m=64, rank=2, scale=0.2),
+            oracle="fast", epsilon=0.5, strict=True, rng=0, max_iterations=400,
+        )
+        unproved = proofs.count(False)
+        assert unproved > 0
+        assert calls["dsyevr"] == unproved and calls["eigh"] == 0
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["pair", "upper"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_gram_call_on_a_non_finite_twin_raises_at_the_gram_site(
+        self, monkeypatch, value, symmetric
+    ):
+        # dsyevr reads the upper triangle: a NaN there returns info > 0 and
+        # a 0.0 eigenvalue, an inf a NaN one.  Either must raise at the
+        # Gram kernel's site before the polynomial is evaluated at the
+        # degree such a value would give.
+        coll, x, _, _, _ = self._gram_rung_input(1.0)
+        real_twin = dotexp.gram_twin
+
+        def poisoned(gram, col_w):
+            twin = real_twin(gram, col_w)
+            twin[1, 5] = value
+            if symmetric:
+                twin[5, 1] = value
+            return twin
+
+        def evaluation(*args, **kwargs):
+            raise AssertionError("evaluated a twin whose top eigenvalue failed")
+
+        monkeypatch.setattr(dotexp, "gram_twin", poisoned)
+        monkeypatch.setattr(dotexp, "product_evaluation", evaluation)
+        with pytest.raises(NumericalError) as excinfo:
+            FastDotExpOracle(coll, eps=0.05, rng=0)(None, x)
+        assert excinfo.value.site == GramTaylorKernel.fault_site
+        assert excinfo.value.kernel_mode == "gram"
 
     def test_gram_call_at_the_floor_runs_no_eigensolver(self, monkeypatch):
         # lambda_max(Psi) ~ 0.8: one Cholesky proves it below 2, so the
@@ -241,11 +298,27 @@ class TestFastOracle:
         calls = self._count_eigensolvers(monkeypatch)
         oracle = FastDotExpOracle(coll, eps=0.05, rng=0)
         out = oracle(None, x)
-        assert calls == {"eigh": 0, "eigvalsh": 0, "dpotrf": 1}
+        assert calls == {"eigh": 0, "eigvalsh": 0, "dpotrf": 1, "dsyevr": 0}
         assert np.array_equal(out.values, segment_sums(col_vals, packed.offsets) / product_trace)
         assert out.trace == product_trace
         np.testing.assert_allclose(out.values, expected, rtol=1e-13, atol=0.0)
         assert abs(out.trace - trace) <= 1e-13 * trace
+
+    def test_kernel_route_bills_the_gram_kernels_kappa_eigensolve(self):
+        # m=200, R=75: the Gram rung, and at eps 0.9 with sketch constant 1
+        # a reducing 27-row sketch, so the call builds a Gram kernel, reads
+        # kappa off its R x R eigh and takes the trace off the sketch block.
+        # Degree 9.
+        rng = np.random.default_rng(0)
+        coll = ConstraintCollection(
+            [FactorizedPSDOperator(0.3 * rng.standard_normal((200, 1))) for _ in range(75)]
+        )
+        x = np.full(len(coll), 0.05)
+        oracle = FastDotExpOracle(coll, eps=0.9, sketch_constant=1.0, rng=0)
+        out = oracle(None, x)
+        assert oracle.taylor_engine.mode == "gram"
+        assert oracle.trace_estimator.mode == "gram" and oracle.trace_estimator.calls == 0
+        assert out.work == oracle._model_work(27, 9) + 75**3 == 3_660_000 + 75**3
 
     def test_kernel_route_bills_the_tracers_kappa_eigensolve(self):
         # m=200, R=150: dense-psi, Gram trace mode, and at eps 0.9 with

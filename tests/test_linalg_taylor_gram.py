@@ -23,6 +23,7 @@ from repro.linalg.taylor_gram import (
     GramTaylorKernel,
     TaylorEngine,
     gram_eigenpairs,
+    gram_top_eigenvalue,
     gram_twin,
     product_evaluation,
     select_taylor_mode,
@@ -199,12 +200,35 @@ class TestGramKernelEquivalence:
             GramTaylorKernel(q, np.ones(2)).apply(np.full(2, 1e300), 60)
 
 
+class TestGramTopEigenvalue:
+    @pytest.mark.parametrize("r", [1, 8, 96])
+    def test_matches_the_top_of_eigvalsh(self, r):
+        rng = np.random.default_rng(r)
+        q = rng.standard_normal((2 * r, r))
+        twin = gram_twin(q.T @ q, rng.random(r) + 0.1)
+        top = gram_top_eigenvalue(twin)
+        assert top.shape == (1,)
+        assert abs(top[0] - np.linalg.eigvalsh(twin)[-1]) <= 1e-13 * top[0]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_upper_triangle_raises(self, value):
+        twin = np.diag([3.0, 2.0, 1.0])
+        twin[0, 2] = value
+        with pytest.raises(NumericalError) as excinfo:
+            gram_top_eigenvalue(twin)
+        assert excinfo.value.site == GramTaylorKernel.fault_site
+
+
 class TestProductEvaluation:
     """The spectrum-free route agrees with the spectral one and is row-exact in batches."""
 
-    @pytest.mark.parametrize("r", [1, 8, 32, 96])
-    @pytest.mark.parametrize("top", [0.01, 0.5, 1.9])
-    @pytest.mark.parametrize("degree", [8, 9, 12])
+    @pytest.mark.parametrize(
+        "degree, top, r",
+        [(d, t, r) for d in (8, 9, 12) for t in (0.01, 0.5, 1.9) for r in (1, 8, 32, 96)]
+        # Above the floor, at the degree Lemma 4.2 gives each lambda_max at
+        # eps / 2 = 0.0625, as an oracle call whose Cholesky proves nothing.
+        + [(d, t, r) for d, t in ((12, 3.0), (19, 5.0), (74, 20.0)) for r in (8, 32, 96, 400)],
+    )
     def test_matches_spectral_evaluation(self, r, top, degree):
         rng = np.random.default_rng(r)
         q = rng.standard_normal((2 * r + 4, r)) * (rng.random((2 * r + 4, r)) < 0.5)

@@ -13,6 +13,12 @@ depend on ``--seconds`` or on the machine's speed; a solver change that
 moves one (an extra iteration, a different Taylor degree, a changed work
 charge) fails here.
 
+``supervisor.recoveries`` is pinned at 0 on every workload.  The model
+work and the Taylor matvecs do not depend on which representation
+evaluates the polynomial, so a Gram-rung call that faults and demotes to
+``dense-psi`` would leave every other count of optimize-factorized where
+it was; the recovery count is what shows it.
+
 ``psi_state.lambda_max_matvecs`` is pinned for optimize-factorized and
 service-mixed: there every ``lambda_max`` is one ``eigvalsh`` of a Gram
 twin with ``min(m, R) <= 128``, which counts as many applications as the
@@ -53,12 +59,14 @@ COUNTS: dict[str, dict[str, float]] = {
         "taylor.matvecs": 2_618_496,
         "psi_state.update_work": 154_320,
         "psi_state.lambda_max_matvecs": 12_544,
+        "supervisor.recoveries": 0,
     },
     "decision-sparse": {
         "decision.iterations": 150,
         "dotexp.model_work": 19_451_877_600,
         "taylor.matvecs": 420_000,
         "psi_state.update_work": 30_000,
+        "supervisor.recoveries": 0,
     },
     "service-mixed": {
         "decision.iterations": 4_000,
@@ -71,6 +79,7 @@ COUNTS: dict[str, dict[str, float]] = {
         "checkpoint.resumes": 160,
         # 50 cache hits among 210 requests.
         "service.cache_hit_ratio": 50 / 210,
+        "supervisor.recoveries": 0,
     },
 }
 
