@@ -5,13 +5,15 @@ built across PRs 1-6 is a deep *single-instance* pipeline.  This module is
 the serving primitive on top of it: :func:`solve_many` takes ``B``
 independent packing-SDP instances and runs them in lockstep, so the
 per-iteration heavy kernels execute as batched GEMMs over ``(B, R, R)``
-stacks instead of ``B`` separate small-matrix calls.  Each row takes its
-sequential call's route to its Taylor degree (its oracle's
-``gram_degree``): one Cholesky proves the floor degree, or else one
-``dsyevr`` gives the Gram twin's top eigenvalue and with it the Lemma 4.2
-kappa.  The rows at each degree then share one batched product
-evaluation of their column values and traces, and the segment sums run
-over every row at once.
+stacks instead of ``B`` separate small-matrix calls.  One batched product
+squares every row's Gram twin, and each row takes its sequential call's
+route to its Taylor degree (its oracle's ``gram_degree``): the square
+proves or disproves the floor degree, one Cholesky decides the cases
+between, and a row whose floor is not proved takes the twin's top
+eigenvalue, and with it the Lemma 4.2 kappa, from one ``dsyevr``.  The
+rows at each degree then share one batched product evaluation of their
+column values and traces, and the segment sums run over every row at
+once.
 
 Equivalence contract
 --------------------
@@ -253,11 +255,14 @@ def _solve_group(members: list, opts: DecisionOptions, results: list) -> None:
     ``results[index]``.  Every exit and bookkeeping step is the instance's
     own :class:`~repro.core.decision.DecisionRun` — the sequential
     solver's — and only the oracle pass runs as batched kernels.  That
-    pass takes each row's degree from its oracle's
-    :meth:`~repro.core.dotexp.FastDotExpOracle.gram_degree` (one Cholesky,
-    or one ``dsyevr`` when it proves nothing) and runs one batched
-    :func:`~repro.linalg.taylor_gram.product_evaluation` per distinct
-    degree; each row equals its sequential call bitwise.
+    pass forms the twins ``S`` and their squares ``S^2`` as two batched
+    stacks, takes each row's degree from its oracle's
+    :meth:`~repro.core.dotexp.FastDotExpOracle.gram_degree` on its rows of
+    both (the square, one Cholesky only where the square decides
+    nothing, one ``dsyevr`` where the floor is not proved) and runs one
+    batched :func:`~repro.linalg.taylor_gram.product_evaluation` per
+    distinct degree, which reads the same squares; each row equals its
+    sequential call bitwise.
     """
     run0 = members[0][1]
     n, m, check_every = run0.n, run0.m, run0.check_every
@@ -299,23 +304,26 @@ def _solve_group(members: list, opts: DecisionOptions, results: list) -> None:
         colw_stack = np.repeat(x_stack, ranks, axis=1)
 
         # Each row finds its degree as its sequential call does, from its
-        # Gram twin S = diag(sqrt w) Q^T Q diag(sqrt w): one Cholesky proves
-        # the floor, or else one dsyevr gives the top eigenvalue.  A row
-        # whose top eigenvalue failed or whose trace-estimation fault is due
-        # is ejected here.
+        # Gram twin S = diag(sqrt w) Q^T Q diag(sqrt w) and the square S^2,
+        # one batched product for every row: S^2 proves or disproves the
+        # floor, one Cholesky decides the band between, and a row above the
+        # floor takes its top eigenvalue from one dsyevr.  A row whose top
+        # eigenvalue failed or whose trace-estimation fault is due is
+        # ejected here.
         with np.errstate(invalid="ignore", over="ignore"):
             twins = gram_twin(gram_stack, colw_stack)
+            squares = twins @ twins
         degrees = np.empty(batch, dtype=np.int64)
         for b, (index, run) in enumerate(active):
             try:
                 fault_hook("trace_estimation", kernel_mode="gram")
-                degrees[b] = run.oracle.gram_degree(twins[b])
+                degrees[b] = run.oracle.gram_degree(twins[b], squares[b])
             except NumericalError as exc:
                 results[index] = _eject(
                     run, opts, exc.site, f"Gram twin failed in batched solve: {exc}"
                 )
-        active, (gram_stack, colw_stack, twins, degrees) = _compact(
-            active, results, gram_stack, colw_stack, twins, degrees
+        active, (gram_stack, colw_stack, twins, squares, degrees) = _compact(
+            active, results, gram_stack, colw_stack, twins, squares, degrees
         )
         if not active:
             return
@@ -325,18 +333,20 @@ def _solve_group(members: list, opts: DecisionOptions, results: list) -> None:
         # degree: the sequential flat pass runs the same function on one row.
         # With one degree (every row at the floor, as a rule) the stacks go
         # in uncopied.
-        if (degrees == degrees[0]).all():
-            col_vals, traces_stack = product_evaluation(
-                gram_stack, colw_stack, twins, int(degrees[0]), m
-            )
-        else:
-            col_vals = np.empty(colw_stack.shape)
-            traces_stack = np.empty(batch)
-            for degree in np.unique(degrees):
-                rows = degrees == degree
-                col_vals[rows], traces_stack[rows] = product_evaluation(
-                    gram_stack[rows], colw_stack[rows], twins[rows], int(degree), m
+        with np.errstate(invalid="ignore", over="ignore"):
+            if (degrees == degrees[0]).all():
+                col_vals, traces_stack = product_evaluation(
+                    gram_stack, colw_stack, twins, squares, int(degrees[0]), m
                 )
+            else:
+                col_vals = np.empty(colw_stack.shape)
+                traces_stack = np.empty(batch)
+                for degree in np.unique(degrees):
+                    rows = degrees == degree
+                    col_vals[rows], traces_stack[rows] = product_evaluation(
+                        gram_stack[rows], colw_stack[rows], twins[rows], squares[rows],
+                        int(degree), m,
+                    )
         fault_hook_array("taylor_gram.apply", col_vals)
         finite = np.isfinite(col_vals).all(axis=1)
         if not finite.all():

@@ -28,10 +28,20 @@ Certified kappa
 Lemma 4.2's degree ``k = max(e^2 kappa, ln(2/eps))`` is only valid for
 ``kappa >= ||Phi||_2``, so every ``kappa`` comes from an exact eigenvalue
 (:func:`~repro.linalg.norms.certified_kappa`).  Each fast-oracle call runs
-eig → kappa → degree → apply → trace.  On the Gram rung's flat pass one
-Cholesky may prove ``||Psi||_2 < FLOOR_LAMBDA_MAX``, which fixes the
-degree at its floor without an eigenvalue; when it cannot, one ``dsyevr``
-gives the ``R x R`` twin's top eigenvalue alone.  Off that pass, in Gram
+eig → kappa → degree → apply → trace.  The degree needs only an upper
+bound on ``||Psi||_2``, so the Gram rung's flat pass first tries to prove
+``||Psi||_2 < FLOOR_LAMBDA_MAX``, which fixes the degree at its floor
+without an eigenvalue.  It forms the twin's square ``S^2`` once, for the
+Paterson–Stockmeyer chain that evaluates the polynomial too, and
+``lambda_max(S)^4 <= ||S^2||_F^2`` proves the floor on most calls
+(:func:`~repro.linalg.norms.square_decides_lambda_max_below`); a
+diagonal entry of ``S^2`` at or above ``FLOOR_LAMBDA_MAX^2`` shows that
+no proof can succeed, and between the two one Cholesky decides
+(:func:`~repro.linalg.norms.proves_lambda_max_below`).  When the floor
+is not proved, one ``dsyevr`` gives the ``R x R`` twin's top eigenvalue
+alone.  The floor degree holds for every ``||Psi||_2`` up to ``16/e^2``,
+above ``FLOOR_LAMBDA_MAX``, so the degree is what an exact eigenvalue's
+kappa gives whichever test settles it.  Off that pass, in Gram
 trace mode, the kappa and the trace share one ``R x R``
 eigendecomposition.  Without a spectrum of its own a call reads
 :func:`~repro.linalg.trace_estimation.lambda_max_source`, the rule the
@@ -65,10 +75,11 @@ On the Gram rung the ``R x R`` twin ``S = W^{1/2} Q^T Q W^{1/2}`` gives
 the kappa, the trace and all ``n`` estimates, with no ``m``-sized work.
 With the Gram trace and a degenerate sketch (every benchmarked input) the
 call is one flat pass that builds no kernel object and books exactly what
-one row of the fused ``solve_many`` group books: the twin, then one
-Cholesky that proves the floor degree or, when the proof fails, one
-``dsyevr`` for the top eigenvalue, kappa and the degree; then ``R x R``
-products that evaluate the polynomial at that degree, and the checks.
+one row of the fused ``solve_many`` group books: the twin and its square,
+which proves the floor degree or else one Cholesky may, or, when no
+proof holds, one ``dsyevr`` for the top eigenvalue, kappa and the degree;
+then ``R x R`` products that evaluate the polynomial at that degree from
+the same square, and the checks.
 The other representations (the densified ``Psi``, the scaled stack) are
 built from each call's weights, and the build's work is charged to the
 backend.  No kernel carries state from one call to the next.
@@ -120,6 +131,7 @@ from repro.linalg.norms import (
     certified_kappa,
     certified_lambda_max,
     proves_lambda_max_below,
+    square_decides_lambda_max_below,
 )
 # Nothing here calls the power iteration any more; the name stays importable
 # because perfbench/tracing.py patches it at this module.
@@ -472,11 +484,12 @@ class FastDotExpOracle:
     returned values are directly comparable to the exact oracle's.
 
     A call on the Gram rung with the Gram trace and a degenerate sketch
-    takes one flat pass (:meth:`_gram_call`): one Cholesky of the Gram
-    twin proves the floor degree, or else one ``dsyevr`` of the twin
-    gives its top eigenvalue, kappa and the degree; ``R x R`` products
-    then give the estimates and the trace, with the checks, counters and
-    work charge of the kernel route and no kernel object.
+    takes one flat pass (:meth:`_gram_call`): the Gram twin's square, or
+    where it decides nothing one Cholesky of the twin, proves the floor
+    degree, or else one ``dsyevr`` of the twin gives its top eigenvalue,
+    kappa and the degree; ``R x R`` products then give the estimates and
+    the trace, with the checks, counters and work charge of the kernel
+    route and no kernel object.
     Whether the sketch degenerates is decided at construction; it
     reads only ``m``, ``eps`` and the sketch constant.  Every other case
     (the dense-psi, sparse-factors and reference rungs, a demoted trace, a
@@ -665,19 +678,22 @@ class FastDotExpOracle:
 
         The kernel route (``kernel_for`` → :class:`GramTaylorKernel` →
         ``bind`` → :func:`big_dot_exp` → ``estimate``) flattened, with each
-        of its checks at the same fault site.  The Gram twin gives the
-        degree (:meth:`gram_degree`), and
+        of its checks at the same fault site.  The Gram twin and its
+        square, formed once, give the degree (:meth:`gram_degree`), and
         :func:`~repro.linalg.taylor_gram.product_evaluation` gives the
-        column values and the trace from ``R x R`` products at that degree.
+        column values and the trace from ``R x R`` products at that
+        degree, starting from the same square.
         The trace, the counters and the work are booked as for one row of
         the fused ``solve_many`` group.
         """
         packed = self._packed
         gram = packed.gram_matrix()
         col_w = packed.expand_weights(weights)
-        twin = gram_twin(gram, col_w)
-        degree = self.gram_degree(twin)
-        col_vals, trace = product_evaluation(gram, col_w, twin, degree, packed.dim)
+        with np.errstate(over="ignore", invalid="ignore"):
+            twin = gram_twin(gram, col_w)
+            square = twin @ twin
+            degree = self.gram_degree(twin, square)
+            col_vals, trace = product_evaluation(gram, col_w, twin, square, degree, packed.dim)
         trace = float(trace)
         checked_kernel_output(col_vals, GramTaylorKernel.fault_site, "gram")
         estimates = packed.constraint_sums(col_vals)
@@ -687,19 +703,30 @@ class FastDotExpOracle:
         work = self._book_gram_call(degree, estimate)
         return OracleOutput(values=estimates / trace, trace=trace, work=work)
 
-    def gram_degree(self, twin: np.ndarray) -> int:
+    def gram_degree(self, twin: np.ndarray, square: np.ndarray) -> int:
         """The Lemma 4.2 degree of a flat Gram pass whose twin is ``twin``.
 
-        The floor degree when one Cholesky proves
-        ``lambda_max < FLOOR_LAMBDA_MAX``
-        (:func:`~repro.linalg.norms.proves_lambda_max_below`).  Otherwise
-        one ``dsyevr`` gives the twin's top eigenvalue alone
+        ``square`` is ``twin @ twin``, which the pass's product evaluation
+        reads too.  With ``c = FLOOR_LAMBDA_MAX``, the square settles
+        ``lambda_max < c`` when it can
+        (:func:`~repro.linalg.norms.square_decides_lambda_max_below`):
+        ``||S^2||_F`` below ``c^2`` proves it, and a diagonal entry of
+        ``S^2`` at or above ``c^2`` disproves it.  Between the two, one
+        Cholesky may prove it
+        (:func:`~repro.linalg.norms.proves_lambda_max_below`).  A proof
+        gives the floor degree.  Otherwise one ``dsyevr`` gives the twin's
+        top eigenvalue alone
         (:func:`~repro.linalg.taylor_gram.gram_top_eigenvalue`, which raises
         at ``taylor_gram.apply`` on a failure), and the degree follows from
-        its certified kappa.  The fused ``solve_many`` group calls this for
+        its certified kappa.  The degree is the one the Cholesky alone
+        would give: the floor degree holds for every ``lambda_max`` up to
+        ``16 / e^2 > c``.  The fused ``solve_many`` group calls this for
         each row, so its degrees are the sequential calls'.
         """
-        if proves_lambda_max_below(twin, FLOOR_LAMBDA_MAX):
+        below = square_decides_lambda_max_below(square, FLOOR_LAMBDA_MAX)
+        if below is None:
+            below = proves_lambda_max_below(twin, FLOOR_LAMBDA_MAX)
+        if below:
             return self.floor_degree
         kappa = certified_kappa(gram_top_eigenvalue(twin))
         return taylor_degree(kappa / 2.0, self.eps / 2.0)
@@ -829,8 +856,9 @@ class FastDotExpOracle:
         """Book one batched-solver oracle pass against this oracle's counters.
 
         ``repro.core.batch.solve_many`` runs the degenerate structured-path
-        estimate (each row's :meth:`gram_degree`, then one batched product
-        evaluation of the column values and traces per degree) as batched
+        estimate (each row's :meth:`gram_degree` on its twin and square,
+        then one batched product evaluation of the column values and
+        traces per degree) as batched
         kernels outside
         :meth:`__call__`, but each instance
         must record exactly the counters and Corollary 1.2 work charge a

@@ -8,7 +8,9 @@ spectrum, a small matrix or a matvec into a bound
 ``lambda >= lambda_max(Phi)``, and :func:`certified_kappa` floors it at 1
 for the Lemma 4.2 ``kappa >= ||Phi||_2``.
 :func:`proves_lambda_max_below` proves a given bound with one Cholesky
-instead of computing a spectrum;
+instead of computing a spectrum, and
+:func:`square_decides_lambda_max_below` settles it, when it can, from the
+matrix's square alone;
 for matrices given only through matrix–vector products we also provide
 power iteration and a Lanczos-based estimator built on
 ``scipy.sparse.linalg.eigsh``.
@@ -412,6 +414,50 @@ def proves_lambda_max_below(matrix: np.ndarray, bound: float) -> bool:
     # The transpose is the Fortran-ordered view LAPACK factors in place.
     factor, info = dpotrf(shifted.T, lower=1, clean=0, overwrite_a=1)
     return info == 0 and math.isfinite(np.add.reduce(factor.diagonal()))
+
+
+def square_decides_lambda_max_below(square: np.ndarray, bound: float) -> bool | None:
+    """Whether ``square = fl(S @ S)`` alone settles ``lambda_max(S) < bound``.
+
+    ``True`` proves it and ``False`` disproves it; ``None`` leaves it to
+    :func:`proves_lambda_max_below`.  ``S`` is a symmetric ``d x d`` array
+    (``d >= 1``) that is positive semidefinite up to rounding, such as a
+    Gram twin.  With ``c = bound`` and ``δ = 2 (d + 1)^2 ε`` (``ε`` twice
+    the unit roundoff ``u``, as in :func:`proves_lambda_max_below`):
+
+    * **Upper bound.** ``S^2`` has the eigenvalues ``lambda_i^2``, so
+      ``lambda_max(S)^4 <= ||S^2||_F^2``.  Each entry of ``T = square`` is a
+      length-``d`` dot product, so ``|T - S^2| <= gamma_d |S| |S|``
+      entrywise (Higham, *Accuracy and Stability of Numerical Algorithms*,
+      §3.5), and ``|| |S| |S| ||_F <= ||S||_F^2 <= sqrt(d) ||S^2||_F``;
+      the computed sum of squares ``f`` of ``T``'s ``d^2`` entries is at
+      least ``(1 - gamma_{d^2}) ||T||_F^2``.  Together
+      ``lambda_max(S)^4 <= f / ((1 - gamma_{d^2}) (1 - sqrt(d) gamma_d)^2)``,
+      and ``f < c^4 (1 - δ)`` proves ``lambda_max(S) < c``: the margin
+      covers the ``(d^2 + 2 d^{3/2}) u`` of both factors with room for
+      the few roundings of the limit itself.
+    * **Lower bound.** A diagonal entry ``T_cc`` sums the non-negative
+      ``S_cl^2``, so ``(S^2)_cc >= T_cc / (1 + gamma_d)``, and
+      ``(S^2)_cc = ||S e_c||^2 <= ||S||_2^2``.  A Gram twin's negative
+      eigenvalues are rounding-sized, so ``||S||_2 = lambda_max(S)``
+      whenever it reaches ``c``, and ``T_cc >= c^2 (1 + δ)`` proves
+      ``lambda_max(S) >= c``, where no Cholesky of
+      :func:`proves_lambda_max_below` can complete.  A refutation sends
+      the caller to the exact top eigenvalue, so it can cost time, never
+      a wrong bound.
+
+    Both tests are comparisons, so a NaN in ``square`` (a NaN or an inf
+    anywhere in ``S`` reaches it through the product) makes both false and
+    returns ``None``.
+    """
+    d = square.shape[-1]
+    margin = 2.0 * (d + 1) ** 2 * _EPS
+    limit = bound * bound
+    if np.vdot(square, square) < limit * limit * (1.0 - margin):
+        return True
+    if square.diagonal().max() >= limit * (1.0 + margin):
+        return False
+    return None
 
 
 def spectral_norm_lanczos(matrix: np.ndarray | sp.spmatrix, tol: float = 1e-8) -> float:

@@ -26,12 +26,19 @@ call's weights:
   call off its flat pass (a reducing sketch, a demoted trace).  The win
   when the stacked rank satisfies ``2R <= GRAM_HYSTERESIS * m``.
 * **Gram-space products** (:func:`product_evaluation`): the same column
-  values and trace with ``r_s(S)`` as a matrix polynomial, five ``R x R``
-  GEMMs at degree 8 and no eigensolver.  Every call of the oracle's flat
-  pass and every row of the fused ``solve_many`` group evaluates this
-  way.  Its degree needs only an upper bound on ``lambda_max(S)``: one
-  Cholesky proves the floor degree, and when it cannot, one ``dsyevr``
-  gives the top eigenvalue alone (:func:`gram_top_eigenvalue`).
+  values and trace with ``r_s(S)`` as a matrix polynomial by
+  Paterson–Stockmeyer (SIAM J. Comput. 2(1), 1973), five ``R x R`` GEMMs
+  at degree 8 counting the square ``S^2`` and no eigensolver.  Every call
+  of the oracle's flat pass and every row of the fused ``solve_many``
+  group evaluates this way.  The caller forms ``S^2`` once, because the
+  degree reads it too: the degree needs only an upper bound on
+  ``lambda_max(S)``, and ``||S^2||_F`` proves the floor degree on most
+  calls (:func:`~repro.linalg.norms.square_decides_lambda_max_below`).
+  A diagonal entry of ``S^2`` shows when no proof can succeed, one
+  Cholesky decides the cases between
+  (:func:`~repro.linalg.norms.proves_lambda_max_below`), and a call whose
+  floor is not proved takes the top eigenvalue alone from one ``dsyevr``
+  (:func:`gram_top_eigenvalue`).
 * **Selection policy** (:func:`select_taylor_mode`): compares the modelled
   per-term costs of the applicable representations — Gram space, densified
   ``Psi`` and the sparse factor recurrence (discounted by the measured
@@ -328,39 +335,37 @@ def _identity(r: int) -> np.ndarray:
     return eye
 
 
-def _add_identity(matrices: np.ndarray, value: float) -> None:
-    """``matrices += value * I`` in place over the last two axes of a C-ordered stack."""
-    r = matrices.shape[-1]
-    matrices.reshape(*matrices.shape[:-2], -1)[..., :: r + 1] += value
-
-
-def _matrix_polynomial(twin: np.ndarray, degree: int, scale: float) -> np.ndarray:
+def _matrix_polynomial(
+    twin: np.ndarray, square: np.ndarray, degree: int, scale: float
+) -> np.ndarray:
     """The ratio series ``M = r_s(S)`` of ``twin`` by Paterson–Stockmeyer.
 
-    ``s - 1`` products build ``S^2, ..., S^s`` next to ``I`` and ``S``,
-    one product of :func:`_block_coefficients`' table with that stack
-    forms every block, and each block past the top one costs one more
-    product with ``S^s``.  At degree 8 that is ``S^2``, ``S^3``, the
-    block product and one Horner product.  Leading batch axes are allowed.
+    ``square`` is ``twin @ twin``, formed once by the caller, which also
+    reads it for the degree (:func:`~repro.linalg.norms.square_decides_lambda_max_below`).
+    ``s - 2`` more products build ``S^3, ..., S^s`` next to ``I``, ``S``
+    and ``S^2``, one product of :func:`_block_coefficients`' table with
+    that stack forms every block, and each block past the top one costs
+    one more product with ``S^s``.  At degree 8 (``s = 3``) that is
+    ``S^3``, the block product and one Horner product.  Leading batch axes
+    are allowed.
     """
     if degree <= 1:
         return np.zeros(twin.shape)
     s, table = _block_coefficients(degree, scale)
-    r = twin.shape[-1]
-    lead = twin.shape[:-2]
-    powers = np.empty(lead + (s + 1, r, r))
-    views = [powers[..., j, :, :] for j in range(s + 1)]
-    views[0][...] = _identity(r)
-    views[1][...] = twin
-    for j in range(2, s + 1):
-        np.matmul(views[j - 1], twin, out=views[j])
-    blocks = (table @ powers.reshape(lead + (s + 1, r * r))).reshape(
-        lead + (len(table), r, r)
-    )
-    out = blocks[..., -1, :, :]
+    # Power-major, so that one 2-D product of the table with the stack
+    # forms every block of every batch row.
+    powers = np.empty((s + 1,) + twin.shape)
+    powers[0] = _identity(twin.shape[-1])
+    powers[1] = twin
+    if s > 1:
+        powers[2] = square
+    for j in range(3, s + 1):
+        np.matmul(powers[j - 1], twin, out=powers[j])
+    blocks = np.dot(table, powers.reshape(s + 1, twin.size)).reshape((len(table),) + twin.shape)
+    out = blocks[-1]
     for i in range(len(table) - 2, -1, -1):
-        out = views[s] @ out
-        out += blocks[..., i, :, :]
+        out = powers[s] @ out
+        out += blocks[i]
     return out
 
 
@@ -368,6 +373,7 @@ def product_evaluation(
     gram: np.ndarray,
     col_weights: np.ndarray,
     twin: np.ndarray,
+    square: np.ndarray,
     degree: int,
     dim: int,
     scale: float = 0.5,
@@ -383,25 +389,31 @@ def product_evaluation(
     .. math:: \\|p(s\\Psi)\\,q_c\\|^2 = (U^T G U)_{cc},
         \\qquad \\mathrm{Tr}[p(s\\Psi)^2] = (m - R) + \\|I + Y W^{1/2}\\|_F^2,
 
-    five ``R x R`` GEMMs at degree 8 and no eigensolver.  ``twin`` is
-    :func:`gram_twin` of the weights.  The arguments may carry a leading
+    four ``R x R`` GEMMs at degree 8 past the caller's ``square`` and no
+    eigensolver.  ``twin`` is :func:`gram_twin` of the weights and
+    ``square`` is ``twin @ twin``.  The arguments may carry a leading
     batch axis (one ``degree`` for every row); each row then equals the
     call on that row alone bitwise.  Non-finite results are left for the
-    caller to detect.
+    caller to detect; the oracle's flat pass and the fused ``solve_many``
+    group form the square and evaluate under one
+    ``np.errstate(over="ignore", invalid="ignore")``.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        root = np.sqrt(col_weights)
-        y = _matrix_polynomial(twin, degree, scale) @ (root[..., :, None] * gram)
-        u = root[..., :, None] * y
-        _add_identity(u, 1.0)
-        gu = gram @ u
-        gu *= u
-        values = gu.sum(axis=-2)
-        y *= root[..., None, :]
-        _add_identity(y, 1.0)
-        y *= y
-        traces = float(dim - twin.shape[-1]) + y.sum(axis=(-2, -1))
-    return values, traces
+    r = twin.shape[-1]
+    root = np.sqrt(col_weights)
+    rows = root[..., :, None]
+    y = _matrix_polynomial(twin, square, degree, scale) @ (rows * gram)
+    u = rows * y
+    # U = I + W^{1/2} Y and I + Y W^{1/2}: the diagonal of each C-ordered
+    # (..., R, R) stack is every (R + 1)-th entry of its flattened rows.
+    flat = u.shape[:-2] + (r * r,)
+    u.reshape(flat)[..., :: r + 1] += 1.0
+    gu = gram @ u
+    gu *= u
+    values = gu.sum(axis=-2)
+    y *= root[..., None, :]
+    y.reshape(flat)[..., :: r + 1] += 1.0
+    y *= y
+    return values, float(dim - r) + y.sum(axis=(-2, -1))
 
 
 class GramTaylorKernel(_FusedTaylorApplyBase):

@@ -28,9 +28,9 @@ oracle call: ``Tr[p(Psi/2)^2] = || p(Psi/2) I ||_F^2``.
   its Lemma 4.2 ``kappa`` from the same spectrum.  On the Gram rung the
   oracle's flat pass needs no spectrum: ``R x R`` products
   (:func:`~repro.linalg.taylor_gram.product_evaluation`) give the
-  Theorem 4.1 estimates and the same trace, at the floor degree when one
-  Cholesky proves it and otherwise at the degree the twin's top
-  eigenvalue gives, from one ``dsyevr``.  It books the trace through
+  Theorem 4.1 estimates and the same trace, at the floor degree when the
+  twin's square or one Cholesky proves it and otherwise at the degree the
+  twin's top eigenvalue gives, from one ``dsyevr``.  It books the trace through
   :meth:`TraceEstimator.record_gram_estimate`, as the fused
   ``solve_many`` group does for each of its rows.  Off the Gram rung the
   spectrum is
@@ -48,6 +48,7 @@ identity push across low-rank, sparse, and concentrated stacks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,7 +175,7 @@ def spectrum_exp_trace(
 
 def finite_trace(trace: float) -> float:
     """``trace``, or :class:`~repro.exceptions.NumericalError` if it overflowed."""
-    if not np.isfinite(trace):
+    if not math.isfinite(trace):
         raise NumericalError(
             "Gram-spectrum trace evaluation overflowed; reduce the spectral "
             "norm of psi or the degree",
@@ -417,8 +418,8 @@ class TraceEstimator:
 
         The fast oracle's flat Gram pass computes one call's trace with
         :func:`~repro.linalg.taylor_gram.product_evaluation`, at the floor
-        degree when one Cholesky proves it and otherwise at the degree one
-        ``dsyevr``'s top eigenvalue gives;
+        degree when the twin's square or one Cholesky proves it and
+        otherwise at the degree one ``dsyevr``'s top eigenvalue gives;
         :func:`~repro.core.batch.solve_many` runs the same route over a
         whole instance group, one batched product evaluation per degree.
         Both book each trace here so counters, work charges and

@@ -63,7 +63,16 @@ class FactorizedPSDOperator(PSDOperator):
     def trace(self) -> float:
         # Tr[Q Q^T] = ||Q||_F^2, computable in O(nnz(Q)).
         if self._sparse:
-            return float(self._factor.multiply(self._factor).sum())
+            # The sum of Q.multiply(Q) without building it: duplicate
+            # entries add before they square, and a zero square (a stored
+            # zero, an underflow) is dropped, so the same terms reach the
+            # same np.sum in the same order.
+            factor = self._factor
+            if not factor.has_canonical_format:
+                factor = factor.copy()
+                factor.sum_duplicates()
+            squares = factor.data * factor.data
+            return float(np.sum(squares[squares != 0]))
         return float(np.sum(self._factor * self._factor))
 
     def dot(self, weight: np.ndarray) -> float:

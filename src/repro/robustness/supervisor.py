@@ -35,6 +35,7 @@ The supervisor's happy-path overhead is one ``try`` frame plus an
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -341,7 +342,7 @@ class FastPathSupervisor:
             try:
                 output = self.oracle(self.state.oracle_psi(), self.state.x)
                 values = np.asarray(output.values, dtype=np.float64)
-                if not (np.all(np.isfinite(values)) and np.isfinite(output.trace)):
+                if not (np.isfinite(values).all() and math.isfinite(output.trace)):
                     raise NumericalError(
                         "oracle produced non-finite estimates",
                         site=None,

@@ -182,27 +182,36 @@ class TestBatchedEquivalence:
 
     def test_mixed_degree_group_matches_sequential(self, monkeypatch):
         # Strict runs at scales 0.35 and 0.2 in one fused group.  While
-        # ||Psi|| < 2 one Cholesky proves each row's floor degree (8); the
-        # smaller-scale instances qualify more often, so their Psi passes
-        # ||Psi|| = 2 and one dsyevr gives them degree 9 while batchmates
-        # are still proved.  Each degree is one batched product evaluation,
-        # and each of its rows must equal the one-row call its sequential
-        # oracle makes at that degree.
+        # ||Psi|| < 2 each row's floor degree (8) is proved, by S^2 alone
+        # or by one Cholesky; the smaller-scale instances qualify more
+        # often, so their Psi passes ||Psi|| = 2 and one dsyevr gives them
+        # degree 9 while batchmates are still proved.  Rows take all three
+        # routes of the degree rule.  Each degree is one batched product
+        # evaluation, and each of its rows must equal the one-row call its
+        # sequential oracle makes at that degree.
         import repro.core.batch as batch
+        import repro.core.dotexp as dotexp
 
         floor = taylor_degree(1.0, 0.5 / 4.0 / 2.0)
         iterations = []
+        routes = []
         real_twin = batch.gram_twin
         real_product = batch.product_evaluation
+        real_verdict = dotexp.square_decides_lambda_max_below
 
         def twin_spy(*args):
             iterations.append([])
             return real_twin(*args)
 
-        def product_spy(gram, colw, twins, degree, dim, scale=0.5):
-            values, traces = real_product(gram, colw, twins, degree, dim, scale)
+        def verdict_spy(*args):
+            routes.append(real_verdict(*args))
+            return routes[-1]
+
+        def product_spy(gram, colw, twins, squares, degree, dim, scale=0.5):
+            values, traces = real_product(gram, colw, twins, squares, degree, dim, scale)
             for b in range(values.shape[0]):
-                row = real_product(gram[b], colw[b], twins[b], degree, dim, scale)
+                twin = twins[b]
+                row = real_product(gram[b], colw[b], twin, twin @ twin, degree, dim, scale)
                 assert np.array_equal(values[b], row[0]), f"row {b} at degree {degree}"
                 assert traces[b] == row[1], f"trace {b} at degree {degree}"
             iterations[-1].append(degree)
@@ -210,6 +219,7 @@ class TestBatchedEquivalence:
 
         monkeypatch.setattr(batch, "gram_twin", twin_spy)
         monkeypatch.setattr(batch, "product_evaluation", product_spy)
+        monkeypatch.setattr(dotexp, "square_decides_lambda_max_below", verdict_spy)
         factories = [
             (lambda s=s: factorized_family(s, n=8, m=32, rank=2, scale=(0.35, 0.2)[s % 2]))
             for s in range(4)
@@ -218,6 +228,7 @@ class TestBatchedEquivalence:
         results = solve_many([f() for f in factories], options=opts)
         assert all(len(set(degrees)) == len(degrees) for degrees in iterations)
         assert any({floor, 9} <= set(degrees) for degrees in iterations)
+        assert {True, False, None} <= set(routes), sorted(map(str, set(routes)))
         assert_batch_matches(factories, opts, results)
 
     @pytest.mark.parametrize("symmetric", [True, False], ids=["pair", "upper"])
@@ -243,9 +254,9 @@ class TestBatchedEquivalence:
                     twins[1, 5, 1] = value
             return twins
 
-        def product_spy(gram, colw, twins, degree, dim, scale=0.5):
+        def product_spy(gram, colw, twins, squares, degree, dim, scale=0.5):
             assert np.isfinite(twins).all(), "evaluated a twin whose top eigenvalue failed"
-            return real_product(gram, colw, twins, degree, dim, scale)
+            return real_product(gram, colw, twins, squares, degree, dim, scale)
 
         monkeypatch.setattr(batch, "gram_twin", poisoned)
         monkeypatch.setattr(batch, "product_evaluation", product_spy)

@@ -237,24 +237,33 @@ class TestFastOracle:
 
     def test_strict_solve_across_the_floor_runs_no_eigh(self, monkeypatch):
         # optimize-factorized's shape (n=16, m=64, rank 2): as the weights
-        # grow, ||Psi|| passes 2 and the Cholesky stops proving the floor
-        # degree.  Every such call runs one dsyevr, and no call an eigh.
+        # grow, ||Psi|| passes 2 and neither S^2 nor the Cholesky proves
+        # the floor degree any more.  Every such call runs one dsyevr, and
+        # no call an eigh; a Cholesky runs only where S^2 decides nothing.
         calls = self._count_eigensolvers(monkeypatch)
-        proofs = []
+        verdicts, proofs = [], []
+        real_verdict = dotexp.square_decides_lambda_max_below
         real_proof = dotexp.proves_lambda_max_below
+
+        def verdict(*args):
+            verdicts.append(real_verdict(*args))
+            return verdicts[-1]
 
         def proof(*args):
             proofs.append(real_proof(*args))
             return proofs[-1]
 
+        monkeypatch.setattr(dotexp, "square_decides_lambda_max_below", verdict)
         monkeypatch.setattr(dotexp, "proves_lambda_max_below", proof)
         decision_psdp(
             factorized_family(0, n=16, m=64, rank=2, scale=0.2),
             oracle="fast", epsilon=0.5, strict=True, rng=0, max_iterations=400,
         )
-        unproved = proofs.count(False)
-        assert unproved > 0
+        unproved = verdicts.count(False) + proofs.count(False)
+        assert verdicts.count(True) > 0 and unproved > 0
+        assert len(proofs) == verdicts.count(None)
         assert calls["dsyevr"] == unproved and calls["eigh"] == 0
+        assert calls["dpotrf"] <= len(proofs)
 
     @pytest.mark.parametrize("symmetric", [True, False], ids=["pair", "upper"])
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
@@ -286,23 +295,82 @@ class TestFastOracle:
         assert excinfo.value.kernel_mode == "gram"
 
     def test_gram_call_at_the_floor_runs_no_eigensolver(self, monkeypatch):
-        # lambda_max(Psi) ~ 0.8: one Cholesky proves it below 2, so the
-        # degree is the floor and R x R products evaluate the polynomial.
+        # lambda_max(Psi) ~ 0.8 and ||S^2||_F ~ 1.1^2: the square proves
+        # lambda_max below 2 with no Cholesky, so the degree is the floor
+        # and R x R products evaluate the polynomial.
         coll, x, degree, expected, trace = self._gram_rung_input(20.0)
         assert degree == taylor_degree(1.0, 0.05 / 2.0)
         packed = coll.packed()
         gram, col_w = packed.gram_matrix(), packed.expand_weights(x)
+        twin = gram_twin(gram, col_w)
         col_vals, product_trace = product_evaluation(
-            gram, col_w, gram_twin(gram, col_w), degree, packed.dim
+            gram, col_w, twin, twin @ twin, degree, packed.dim
         )
         calls = self._count_eigensolvers(monkeypatch)
         oracle = FastDotExpOracle(coll, eps=0.05, rng=0)
         out = oracle(None, x)
-        assert calls == {"eigh": 0, "eigvalsh": 0, "dpotrf": 1, "dsyevr": 0}
+        assert calls == {"eigh": 0, "eigvalsh": 0, "dpotrf": 0, "dsyevr": 0}
         assert np.array_equal(out.values, segment_sums(col_vals, packed.offsets) / product_trace)
         assert out.trace == product_trace
         np.testing.assert_allclose(out.values, expected, rtol=1e-13, atol=0.0)
         assert abs(out.trace - trace) <= 1e-13 * trace
+
+    @pytest.mark.parametrize(
+        "divisor, dpotrf, dsyevr",
+        [
+            # lambda_max ~ 3.2 with every diagonal entry of S below 2: a
+            # diagonal entry of S^2 above 4 shows that no Cholesky can
+            # prove the floor, so the call goes straight to dsyevr.
+            (5.0, 0, 1),
+            # lambda_max ~ 1.6 and ~ 2.3, where ||S^2||_F is above 4 and
+            # every diagonal entry of S^2 below it: one Cholesky decides,
+            # proving the floor or failing before one dsyevr.
+            (10.0, 1, 0),
+            (7.0, 1, 1),
+        ],
+        ids=["lower-bound", "band-proved", "band-failed"],
+    )
+    def test_gram_call_runs_a_cholesky_only_where_the_square_decides_nothing(
+        self, monkeypatch, divisor, dpotrf, dsyevr
+    ):
+        coll, x, degree, expected, trace = self._gram_rung_input(divisor)
+        calls = self._count_eigensolvers(monkeypatch)
+        out = FastDotExpOracle(coll, eps=0.05, rng=0)(None, x)
+        assert calls == {"eigh": 0, "eigvalsh": 0, "dpotrf": dpotrf, "dsyevr": dsyevr}
+        assert (degree == taylor_degree(1.0, 0.05 / 2.0)) == (dsyevr == 0)
+        np.testing.assert_allclose(out.values, expected, rtol=1e-13, atol=0.0)
+        assert abs(out.trace - trace) <= 1e-13 * trace
+
+    @pytest.mark.parametrize("eps", [0.05, 0.5])
+    def test_gram_degree_matches_the_cholesky_rule(self, eps):
+        # The Cholesky-only rule: the floor when one Cholesky proves
+        # lambda_max < FLOOR_LAMBDA_MAX, else dsyevr -> certified kappa ->
+        # degree.  The square only skips work, so the degree never moves,
+        # also within 1e-12 of the floor bound and of every degree
+        # threshold 2 d / (e^2 (1 + KAPPA_SLACK)).
+        oracle = FastDotExpOracle(factorized_family(0, n=4, m=8, rank=2), eps=eps, rng=0)
+
+        def cholesky_rule(twin):
+            if norms.proves_lambda_max_below(twin, dotexp.FLOOR_LAMBDA_MAX):
+                return taylor_degree(1.0, eps / 2.0)
+            kappa = certified_kappa(taylor_gram.gram_top_eigenvalue(twin))
+            return taylor_degree(kappa / 2.0, eps / 2.0)
+
+        thresholds = [dotexp.FLOOR_LAMBDA_MAX] + [
+            2.0 * d / (np.e**2 * (1.0 + norms.KAPPA_SLACK)) for d in range(8, 23)
+        ]
+        tops = [t * f for t in thresholds for f in (1.0 - 1e-12, 1.0, 1.0 + 1e-12)]
+        rng = np.random.default_rng(5)
+        tops += list(rng.uniform(0.0, 6.0, 500 - len(tops)))
+        for i, top in enumerate(tops):
+            r = (1, 2, 8, 32, 64)[i % 5]
+            q = rng.standard_normal((2 * r, r)) * (rng.random((2 * r, r)) < 0.7)
+            gram, w = q.T @ q, rng.random(r) + 0.05
+            spectrum_top = np.linalg.eigvalsh(gram_twin(gram, w))[-1]
+            if spectrum_top > 0:
+                w *= top / spectrum_top
+            twin = gram_twin(gram, w)
+            assert oracle.gram_degree(twin, twin @ twin) == cholesky_rule(twin), (i, r, top)
 
     def test_kernel_route_bills_the_gram_kernels_kappa_eigensolve(self):
         # m=200, R=75: the Gram rung, and at eps 0.9 with sketch constant 1

@@ -11,6 +11,7 @@ from repro.linalg.norms import (
     frobenius_inner,
     proves_lambda_max_below,
     spectral_norm,
+    square_decides_lambda_max_below,
     spectral_norm_lanczos,
     spectral_norm_power,
     trace_product,
@@ -236,6 +237,73 @@ class TestProvesLambdaMaxBelow:
             poisoned = twin.copy()
             poisoned[i, j] = poisoned[j, i] = np.nan
             assert not proves_lambda_max_below(poisoned, bound), (i, j)
+
+
+class TestSquareDecidesLambdaMaxBelow:
+    """The S^2 test claims ``lambda_max < c`` only when it holds, and refutes it likewise."""
+
+    BOUND = 2.0 / (1.0 + 1e-9)
+
+    @staticmethod
+    def _twin(r, top, rank_one):
+        """A Gram twin of size ``r`` whose top eigenvalue is ``top`` to ~1e-14.
+
+        A rank-one twin has ``||S^2||_F^(1/2) = lambda_max``, where the
+        upper bound is tight.
+        """
+        rng = np.random.default_rng(1000 * r + rank_one)
+        if rank_one:
+            q = rng.standard_normal(r)
+            gram = np.outer(q, q)
+        else:
+            q = rng.standard_normal((2 * r, r))
+            gram = q.T @ q
+        w = rng.random(r) + 0.1
+        w *= top / np.linalg.eigvalsh(gram_twin(gram, w))[-1]
+        return gram_twin(gram, w)
+
+    @pytest.mark.parametrize("rank_one", [True, False], ids=["rank-one", "full"])
+    @pytest.mark.parametrize("r", [1, 8, 32, 400])
+    @pytest.mark.parametrize("factor", [1.0 - 1e-12, 1.0 + 1e-12, 0.5, 3.0])
+    def test_claims_only_what_holds(self, r, rank_one, factor):
+        twin = self._twin(r, factor * self.BOUND, rank_one)
+        top = np.linalg.eigvalsh(twin)[-1]
+        verdict = square_decides_lambda_max_below(twin @ twin, self.BOUND)
+        if top >= self.BOUND:
+            assert verdict is not True
+        else:
+            assert verdict is not False
+
+    @pytest.mark.parametrize("r", [1, 8, 32, 400])
+    def test_rank_one_floor_is_claimed_up_to_the_margin(self, r):
+        # Rank one: ||S^2||_F = lambda_max^2, so the claim holds until the
+        # backward-error margin of order r^2 u.
+        twin = self._twin(r, (1.0 - 1e-9) * self.BOUND, True)
+        assert square_decides_lambda_max_below(twin @ twin, self.BOUND) is True
+
+    @pytest.mark.parametrize("r", [1, 8, 32, 400])
+    def test_settles_twins_far_from_the_bound(self, r):
+        # ||S^2||_F <= sqrt(r) lambda_max^2 is far below c^2, and a
+        # diagonal entry lambda of S gives (S^2)_cc = lambda^2 far above it.
+        twin = self._twin(r, 0.01 * self.BOUND, False)
+        assert square_decides_lambda_max_below(twin @ twin, self.BOUND) is True
+        twin = np.diag(np.linspace(3.0 * self.BOUND, 0.1, r))
+        assert square_decides_lambda_max_below(twin @ twin, self.BOUND) is False
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["pair", "upper"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("r", [1, 8, 32, 400])
+    def test_never_claims_the_floor_for_a_non_finite_twin(self, r, value, symmetric):
+        twin = self._twin(r, 0.01 * self.BOUND, False)
+        assert square_decides_lambda_max_below(twin @ twin, self.BOUND) is True
+        for i, j in {(0, 0), (r - 1, r - 1), (1 % r, 0), (r - 1, 0), (r // 2, r // 3)}:
+            poisoned = twin.copy()
+            poisoned[i, j] = value
+            if symmetric:
+                poisoned[j, i] = value
+            with np.errstate(invalid="ignore", over="ignore"):
+                square = poisoned @ poisoned
+            assert square_decides_lambda_max_below(square, self.BOUND) is not True, (i, j)
 
 
 class TestJLDimension:

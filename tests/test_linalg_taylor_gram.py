@@ -236,7 +236,7 @@ class TestProductEvaluation:
         w = rng.random(r) + 0.1
         w *= top / np.linalg.eigvalsh(gram_twin(gram, w))[-1]
         twin = gram_twin(gram, w)
-        values, trace = product_evaluation(gram, w, twin, degree, 2 * r + 4)
+        values, trace = product_evaluation(gram, w, twin, twin @ twin, degree, 2 * r + 4)
         expected, expected_trace = spectral_evaluation_row(
             gram, w, *gram_eigenpairs(twin), degree, 2 * r + 4
         )
@@ -250,9 +250,10 @@ class TestProductEvaluation:
         gram = np.stack([q.T @ q] * 4)
         w = (rng.random((4, r)) + 0.1) / (2 * r)
         twins = gram_twin(gram, w)
-        values, traces = product_evaluation(gram, w, twins, 8, 2 * r)
+        values, traces = product_evaluation(gram, w, twins, twins @ twins, 8, 2 * r)
         for b in range(4):
-            row, trace = product_evaluation(gram[b], w[b], gram_twin(gram[b], w[b]), 8, 2 * r)
+            twin = gram_twin(gram[b], w[b])
+            row, trace = product_evaluation(gram[b], w[b], twin, twin @ twin, 8, 2 * r)
             assert np.array_equal(values[b], row)
             assert traces[b] == trace
 
@@ -263,7 +264,7 @@ class TestProductEvaluation:
         gram, w = q.T @ q, np.full(3, 0.1)
         twin = gram_twin(gram, w)
         for degree in (1, 2, 3, 4):
-            values, trace = product_evaluation(gram, w, twin, degree, 6)
+            values, trace = product_evaluation(gram, w, twin, twin @ twin, degree, 6)
             expected, expected_trace = spectral_evaluation_row(
                 gram, w, *gram_eigenpairs(twin), degree, 6
             )

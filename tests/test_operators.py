@@ -106,6 +106,62 @@ class TestOperatorContract:
             assert op.shape == (5, 5)
 
 
+class TestSparseFactorTrace:
+    """A sparse factor's trace is the bits of ``Q.multiply(Q).sum()``, without building it."""
+
+    @staticmethod
+    def _reference(factor) -> float:
+        return float(factor.multiply(factor).sum())
+
+    @staticmethod
+    def _factor(rng, canonical: bool):
+        """A CSR factor with explicit zeros and squares that underflow.
+
+        A non-canonical one also has unsorted and duplicate column indices.
+        """
+        m, r = int(rng.integers(1, 300)), int(rng.integers(1, 6))
+        nnz = int(rng.integers(0, 3 * m))
+        rows = np.sort(rng.integers(0, m, nnz))
+        cols = rng.integers(0, r, nnz)
+        values = rng.standard_normal(nnz) * 10.0 ** rng.integers(-170, 3, nnz)
+        values[rng.random(nnz) < 0.1] = 0.0
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))])
+        factor = sp.csr_matrix((values, cols, indptr), shape=(m, r))
+        if canonical:
+            factor.sum_duplicates()
+        return factor
+
+    @pytest.mark.parametrize("canonical", [True, False], ids=["canonical", "non-canonical"])
+    def test_bitwise_equal_to_the_multiply_formula(self, canonical):
+        rng = np.random.default_rng(17 + canonical)
+        formats = set()
+        for _ in range(300):
+            factor = self._factor(rng, canonical)
+            data, indices = factor.data.copy(), factor.indices.copy()
+            assert FactorizedPSDOperator(factor).trace() == self._reference(factor)
+            # The operator canonicalises a copy, never the caller's factor.
+            assert np.array_equal(factor.data, data)
+            assert np.array_equal(factor.indices, indices)
+            formats.add(bool(factor.has_canonical_format))
+        assert formats == ({True} if canonical else {True, False})
+
+    def test_duplicates_add_before_they_square(self):
+        factor = sp.csr_matrix(
+            (np.array([1.0, 3.0, 2.0]), np.array([0, 0, 1]), np.array([0, 2, 3])), shape=(2, 2)
+        )
+        assert not factor.has_canonical_format
+        assert FactorizedPSDOperator(factor).trace() == 20.0 == self._reference(factor)
+
+    def test_matches_the_dense_factor(self):
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            dense = np.where(
+                rng.random((40, 3)) < 0.3, rng.standard_normal((40, 3)), 0.0
+            )
+            sparse = FactorizedPSDOperator(sp.csr_matrix(dense)).trace()
+            assert sparse == pytest.approx(FactorizedPSDOperator(dense).trace(), rel=1e-14)
+
+
 class TestConstructorValidation:
     def test_dense_rejects_non_psd(self):
         with pytest.raises(InvalidProblemError):

@@ -19,7 +19,8 @@ Seven checks, any failure exits non-zero:
 5. **Examples run.**  Every ``examples/*.py`` script is executed in its
    ``--smoke`` mode (a tiny-instance variant each example must provide),
    so the worked examples can never drift away from the library API.
-6. **File references resolve.**  In ``README.md`` and ``docs/*.md``, every
+6. **File references resolve.**  In ``README.md``, ``docs/*.md`` and the
+   verification runbook ``.claude/skills/verify/SKILL.md``, every
    relative Markdown link target must exist, and so must every backticked
    path under a top-level directory (``src/``, ``tests/``, ``tools/``,
    ``benchmarks/``, ``docs/``, ``perfbench/``, ``examples/``) or naming a
@@ -30,7 +31,8 @@ Seven checks, any failure exits non-zero:
    name is split at its dots, and each part with an inner underscore or a
    camelCase hump must occur as a word in some ``src/`` or ``tests/``
    Python file — so a deleted class, function or constant cannot leave its
-   mentions behind either.
+   mentions behind either.  The runbook quotes the benchmark's metric
+   names, so its names may also resolve in ``perfbench/`` and ``tools/``.
 
 Run from the repository root::
 
@@ -249,16 +251,36 @@ def _path_exists(path: str) -> bool:
     return bool(glob.glob(path)) if "*" in path else os.path.exists(path)
 
 
+#: Directories whose Python files resolve the code names of README.md and
+#: docs/*.md.
+NAME_ROOTS = ("src", "tests")
+#: The verification runbook, checked with the docs; it quotes the
+#: benchmark's metric names, so its code names may also resolve in the
+#: benchmark and the tools.
+RUNBOOK = os.path.join(".claude", "skills", "verify", "SKILL.md")
+RUNBOOK_NAME_ROOTS = NAME_ROOTS + ("perfbench", "tools")
+
+
 def _doc_texts():
-    """Yield ``(path, text)`` for README.md and each docs/*.md, minus fenced code."""
+    """Yield ``(path, text, name_roots)`` for each checked document, minus fenced code.
+
+    The documents are README.md, each docs/*.md and, when present, the
+    :data:`RUNBOOK`; ``name_roots`` are the directories whose Python files
+    resolve its code names.
+    """
     docs = sorted(glob.glob(os.path.join(REPO_ROOT, "docs", "*.md")))
-    for path in [os.path.join(REPO_ROOT, "README.md")] + docs:
+    entries = [(path, NAME_ROOTS) for path in [os.path.join(REPO_ROOT, "README.md")] + docs]
+    runbook = os.path.join(REPO_ROOT, RUNBOOK)
+    if os.path.exists(runbook):
+        entries.append((runbook, RUNBOOK_NAME_ROOTS))
+    for path, name_roots in entries:
         with open(path, encoding="utf-8") as handle:
-            yield path, re.sub(r"```.*?```", "", handle.read(), flags=re.DOTALL)
+            text = re.sub(r"```.*?```", "", handle.read(), flags=re.DOTALL)
+        yield path, text, name_roots
 
 
 def check_file_references() -> list[str]:
-    """Resolve the file references of README.md and docs/*.md, collecting misses.
+    """Resolve the file references of the checked documents, collecting misses.
 
     Relative Markdown link targets resolve against the linking file's
     directory (a ``#fragment`` is ignored); backticked paths resolve against
@@ -266,7 +288,7 @@ def check_file_references() -> list[str]:
     space are ignored).  Fenced code blocks are skipped.
     """
     failures = []
-    for path, text in _doc_texts():
+    for path, text, _ in _doc_texts():
         rel = os.path.relpath(path, REPO_ROOT)
         for target in re.findall(r"\]\(([^)\s]+)\)", text):
             if target.startswith("#") or re.match(r"[A-Za-z][\w+.-]*:", target):
@@ -294,23 +316,31 @@ FILE_EXTENSIONS = ("py", "md", "json", "npz", "txt", "yml", "yaml", "toml", "cfg
 CODE_LIKE = re.compile(r"[A-Za-z0-9]_[A-Za-z0-9]|[a-z][A-Z]")
 
 
+def _words(root: str) -> set[str]:
+    """Every identifier-like word in the Python files under ``root``."""
+    words = set()
+    for path in glob.glob(os.path.join(REPO_ROOT, root, "**", "*.py"), recursive=True):
+        with open(path, encoding="utf-8") as handle:
+            words.update(re.findall(r"[A-Za-z_]\w*", handle.read()))
+    return words
+
+
 def check_code_names() -> list[str]:
-    """Resolve the code names backticked in README.md and docs/*.md, collecting misses.
+    """Resolve the code names backticked in the checked documents, collecting misses.
 
     Every part of a :data:`CODE_NAME` span that matches :data:`CODE_LIKE`
-    must occur as a word in a ``src/`` or ``tests/`` Python file — in code,
-    a docstring or a comment, so paper notation such as ``A_i`` resolves;
-    spans ending in one of :data:`FILE_EXTENSIONS` are skipped.
+    must occur as a word in a Python file under one of the document's name
+    roots (``src/`` and ``tests/``; for the runbook also ``perfbench/``
+    and ``tools/``) — in code, a docstring or a comment, so paper notation
+    such as ``A_i`` resolves; spans ending in one of
+    :data:`FILE_EXTENSIONS` are skipped.
     """
-    known = set()
-    for root in ("src", "tests"):
-        pattern = os.path.join(REPO_ROOT, root, "**", "*.py")
-        for path in glob.glob(pattern, recursive=True):
-            with open(path, encoding="utf-8") as handle:
-                known.update(re.findall(r"[A-Za-z_]\w*", handle.read()))
+    words = {root: _words(root) for root in RUNBOOK_NAME_ROOTS}
     failures = []
-    for path, text in _doc_texts():
+    for path, text, name_roots in _doc_texts():
         rel = os.path.relpath(path, REPO_ROOT)
+        known = set().union(*(words[root] for root in name_roots))
+        where = " or ".join(f"{root}/" for root in name_roots)
         for span in re.findall(r"`([^`\n]+)`", text):
             span = span.strip()
             if not CODE_NAME.fullmatch(span):
@@ -320,9 +350,7 @@ def check_code_names() -> list[str]:
                 continue
             for part in parts:
                 if CODE_LIKE.search(part) and part not in known:
-                    failures.append(
-                        f"{rel}: `{span}`: `{part}` occurs nowhere in src/ or tests/"
-                    )
+                    failures.append(f"{rel}: `{span}`: `{part}` occurs nowhere in {where}")
     return failures
 
 
